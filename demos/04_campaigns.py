@@ -3,8 +3,8 @@
 A campaign draws random instances of an inequality's hypothesis and
 checks the conclusion with interval endpoints chosen so truncation can
 only hurt, never help.  Reports are deterministic for a fixed seed
-(trial i uses the stream [seed, i], so thread count cannot change the
-numbers), and failing trials serialize their instance for replay.
+(trial i uses the stream [seed, i]), and failing trials serialize their
+instance for replay.
 
 The same campaigns are reachable from the command line:
 

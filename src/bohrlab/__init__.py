@@ -56,6 +56,7 @@ from .zoo import (
     eval_polyanalytic,
     gen_schur_matrix,
     haar_unitary,
+    mobius_compose,
     mobius_extremal,
     mobius_transfer,
     polyanalytic_from_json,

@@ -9,10 +9,8 @@ bound), so a pass is evidence the inequality truly holds for that
 instance rather than an artifact of truncation.
 
 Determinism: trial i of a campaign with seed s uses the generator
-default_rng([s, i]), so reports are reproducible regardless of how
-many worker threads ran the trials (BOHRLAB_THREADS, default 1).
-Failed trials serialize their instance to a replay file and the
-campaign keeps going.
+default_rng([s, i]), so reports are reproducible.  Failed trials
+serialize their instance to a replay file and the campaign keeps going.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -196,46 +193,24 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed & _SEED_MASK, index])
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get("BOHRLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 def _failure_path(config: CampaignConfig, index: int) -> str:
     base = os.path.dirname(config.out) if config.out else "."
     return os.path.join(base or ".", f"{config.suite}-failure-{index:05d}.json")
 
 
 def _run_campaign(config: CampaignConfig, trial_fn, extra_config: dict | None = None) -> Report:
-    """Shared driver: map trials over an optional thread pool, collect
-    records in index order, dump failed instances, assemble the report.
+    """Shared driver: run the trials in index order, dump failed
+    instances, assemble the report.
 
     trial_fn(rng) returns (worst_margin, params, instance_payload_fn);
     the payload function is only called if the trial failed.
     """
     start = time.perf_counter()
-
-    def one(index: int):
-        rng = _trial_rng(config.seed, index)
-        margin, params, payload_fn = trial_fn(rng)
+    records = []
+    for index in range(config.trials):
+        margin, params, payload_fn = trial_fn(_trial_rng(config.seed, index))
         margin = float(margin)
         record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance)
-        return record, payload_fn
-
-    threads = _thread_budget()
-    indices = range(config.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, indices))
-    else:
-        outcomes = [one(i) for i in indices]
-
-    records = []
-    for record, payload_fn in outcomes:
         records.append(record)
         if not record.passed:
             dump = {
@@ -285,12 +260,10 @@ def _inner(rng: np.random.Generator, degree: int) -> MatrixSeries:
     return blaschke_series(random_blaschke_spec(rng, fix_origin=True), degree)
 
 
-def _margin(lhs_major, rhs_fn, grid) -> float:
-    """min over the grid of rhs(r) - certified upper Bohr value of lhs."""
-    worst = math.inf
-    for r in grid:
-        worst = min(worst, rhs_fn(r) - lhs_major.bohr(r).hi)
-    return worst
+def _margin(lhs_major, rhs, grid) -> float:
+    """min over the grid of rhs - certified upper Bohr value of lhs,
+    where rhs is a number or an array of values over the grid."""
+    return float(np.min(rhs - lhs_major.bohr_grid(grid)[1]))
 
 
 def run_subordination(config: CampaignConfig) -> Report:
@@ -308,7 +281,7 @@ def run_subordination(config: CampaignConfig) -> Report:
         phi = _inner(rng, config.degree)
         f = with_coeff_bound(compose(g, phi), f_bound)
         mg, mf = majorant(g), majorant(f)
-        margin = _margin(mf, lambda r: mg.bohr(r).lo, grid)
+        margin = _margin(mf, mg.bohr_grid(grid)[0], grid)
 
         def payload():
             return {"g": series_to_json(g), "phi": series_to_json(phi), "f": series_to_json(f)}
@@ -339,7 +312,7 @@ def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
         h = scale(compose(s, scalar_series(dilation)), m_bound)
         f = mul(h, compose(g, phi))
         mg, mf = majorant(g), majorant(f)
-        margin = _margin(mf, lambda r: m_bound * mg.bohr(r).lo, grid)
+        margin = _margin(mf, m_bound * mg.bohr_grid(grid)[0], grid)
 
         def payload():
             return {
@@ -363,7 +336,7 @@ def run_von_neumann(config: CampaignConfig) -> Report:
         f = gen_schur_matrix(rng, config.dim, config.degree, scalar_head=True)
         phi = _inner(rng, config.degree)
         comp = with_coeff_bound(compose(f, phi), 1.0)
-        margin = _margin(majorant(comp), lambda r: 1.0, grid)
+        margin = _margin(majorant(comp), 1.0, grid)
 
         def payload():
             return {"f": series_to_json(f), "phi": series_to_json(phi),
@@ -404,7 +377,7 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
         raise ValueError("campaigns need a finite order p")
     p = int(fam.p)
     radius = solve_radius(fam).radius
-    grid = _grid_for(config, radius - config.tolerance)
+    radii = np.array(_grid_for(config, radius - config.tolerance))
 
     def trial(rng):
         f0 = _poly_base_layer(rng, fam, config)
@@ -416,11 +389,9 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
             for _ in range(p - 1)
         ]
         fn = build_polyanalytic(f0, omegas, fam.k)
-        majors = [majorant(f) for f in fn.components]
-        worst = math.inf
-        for r in grid:
-            total = sum(r**l * m.bohr(r).hi for l, m in enumerate(majors))
-            worst = min(worst, 1.0 - total)
+        total = sum(radii**l * majorant(f).bohr_grid(radii)[1]
+                    for l, f in enumerate(fn.components))
+        worst = float(np.min(1.0 - total))
 
         def payload():
             return {"fn": polyanalytic_to_json(fn)}
@@ -469,7 +440,7 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
     f = mobius_extremal(a, degree)
     m = majorant(f)
     rs = np.linspace(r_min, r_max, steps)
-    vals = np.array([m.bohr(float(r)).lo for r in rs])
+    vals = m.bohr_grid(rs)[0]
     exceed = np.nonzero(vals > 1.0)[0]
     first_exceed = float(rs[exceed[0]]) if exceed.size else None
     threshold = None

@@ -233,49 +233,80 @@ def add(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
 
 
 def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
-    """Cauchy product, truncated to min(deg f, deg g).
+    """Cauchy product, truncated to n = min(deg f, deg g).
+
+    For dim 1 this is one np.convolve.  For dim d > 1 the coefficients
+    g_0..g_n are laid out side by side as a (d, (n+1)d) block row, so
+    that one 2-D matmul f_i @ [g_0 ... g_{n-i}] yields every product
+    f_i g_j that lands at degree i + j <= n; the n + 1 block rows are
+    summed at their offsets.
 
     The product's tail mixes truncated and certified parts, so no sound
     constant bound survives; the result carries none.
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    n = min(f.degree, g.degree)
+    n, d = min(f.degree, g.degree), f.dim
     fa, ga = f.coeffs[: n + 1], g.coeffs[: n + 1]
-    if f.dim == 1:
+    if d == 1:
         out = np.convolve(fa[:, 0, 0], ga[:, 0, 0])[: n + 1].reshape(-1, 1, 1)
     else:
-        out = np.zeros((n + 1, f.dim, f.dim), dtype=np.complex128)
+        row = ga.transpose(1, 0, 2).reshape(d, (n + 1) * d)
+        acc = np.zeros((d, (n + 1) * d), dtype=np.complex128)
         for i in range(n + 1):
-            # products f_i g_j land at index i + j
-            block = np.einsum("ab,jbc->jac", fa[i], ga[: n + 1 - i])
-            out[i:] += block
+            acc[:, i * d :] += fa[i] @ row[:, : (n + 1 - i) * d]
+        out = acc.reshape(d, n + 1, d).transpose(1, 0, 2)
     return MatrixSeries(out, None)
 
 
 def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
-    """Coefficients of g(phi(z)) through degree min(deg g, deg phi).
+    """Coefficients of g(phi(z)) through degree n = min(deg g, deg phi).
 
     phi must be scalar (dim 1) with constant term exactly zero, so that
-    phi^n contributes nothing below degree n and the truncated powers
-    determine the output coefficients exactly.  No tail certificate
-    survives in general; reattach one with with_coeff_bound when the
-    structure of g and phi justifies it.
+    phi^k contributes nothing below degree k and the truncated powers
+    determine the output coefficients exactly.
+
+    The powers phi^0..phi^n are built by doubling: once phi^1..phi^m are
+    known, phi^(m+i) = phi^m phi^i for i <= m is one matmul of those
+    powers with the triangular Toeplitz matrix of phi^m, so about
+    log2(n) matmuls in all.  Each matmul computes only the coefficients
+    of degree m+1..n, which are all that can be nonzero; the
+    coefficients of phi^k below degree k are never written, so they are
+    exact zeros.  The output is then one matmul of
+    the power table with g's coefficients flattened to (n+1, d*d).
+
+    No tail certificate survives in general; reattach one with
+    with_coeff_bound when the structure of g and phi justifies it.
     """
     if phi.dim != 1:
         raise ValueError("inner function must be scalar (dim 1)")
     if phi.coeffs[0, 0, 0] != 0:
         raise ValueError("inner function must have constant term exactly zero")
     n = min(g.degree, phi.degree)
-    p = phi.coeffs[: n + 1, 0, 0]
-    # powers[k] = coefficients of phi(z)^k through degree n
-    powers = np.zeros((g.degree + 1, n + 1), dtype=np.complex128)
+    # powers[k] = coefficients of phi(z)^k through degree n, zero below
+    # degree k; phi^k for k > n vanishes through degree n, so g's later
+    # coefficients drop out
+    powers = np.zeros((n + 1, n + 1), dtype=np.complex128)
     powers[0, 0] = 1.0
-    limit = min(g.degree, n)
-    for k in range(1, limit + 1):
-        powers[k] = np.convolve(powers[k - 1], p)[: n + 1]
-    out = np.einsum("km,kab->mab", powers, g.coeffs)
-    return MatrixSeries(out, None)
+    if n >= 1:
+        powers[1] = phi.coeffs[: n + 1, 0, 0]
+    ar = np.arange(n)
+    shift = ar - ar[:, None]  # shift[i, j] = j - i
+    m = 1
+    while m < n:
+        top, size = min(2 * m, n), n - m
+        # c = coefficients m..n-1 of phi^m.  Negative shifts index the zero
+        # half of padded, so t = padded[shift] is the upper-triangular
+        # Toeplitz matrix t[i, j] = c[j - i], and row i - 1 of the product
+        # below holds coefficients m+1..n of phi^(m+i).  A gather from a
+        # padded copy: a strided view measured more peak memory.
+        padded = np.zeros(2 * size, dtype=np.complex128)
+        padded[:size] = powers[m, m:n]
+        t = padded[shift[:size, :size]]
+        powers[m + 1 : top + 1, m + 1 :] = powers[1 : top - m + 1, 1 : size + 1] @ t
+        m = top
+    out = powers.T @ g.coeffs[: n + 1].reshape(n + 1, -1)
+    return MatrixSeries(out.reshape(n + 1, g.dim, g.dim), None)
 
 
 def derivative(f: MatrixSeries) -> MatrixSeries:
@@ -304,7 +335,11 @@ def integrate0(f: MatrixSeries, a0) -> MatrixSeries:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Majorant:
-    """Coefficient norms ||A_0||..||A_N|| plus the optional tail bound."""
+    """Coefficient norms ||A_0||..||A_N|| plus the optional tail bound.
+
+    Bohr sums come from one formula, bohr_grid; bohr is its one-radius
+    form, equal bit for bit to the grid's entry at that radius.
+    """
 
     values: np.ndarray
     tail_bound: float | None = None
@@ -326,23 +361,34 @@ class Majorant:
     def degree(self) -> int:
         return self.values.size - 1
 
-    def bohr(self, r: float) -> RInterval:
-        """Enclosure of sum_n ||A_n|| r^n at radius r in [0, 1).
+    def bohr_grid(self, radii) -> tuple:
+        """Enclosures of sum_n ||A_n|| r^n at every radius of a grid in [0, 1).
 
-        The geometric tail C r^(N+1) / (1 - r) certifies hi whenever a
-        tail bound is present; at r = 0 the truncated value is exact
-        regardless.
+        Returns the arrays (lo, hi).  lo is one matvec of the Vandermonde
+        matrix [r^n] with the norms; hi adds the geometric tail
+        C r^(N+1) / (1 - r) when a tail bound C is present and equals lo
+        otherwise.  The tail vanishes at r = 0, where the truncated value
+        is exact regardless.  The matvec is an einsum rather than BLAS,
+        whose summation order depends on the number of rows, so each
+        radius gets the same bits whatever grid it sits in.
         """
-        r = float(r)
-        if not 0.0 <= r < 1.0:
-            raise ValueError(f"radius must lie in [0, 1), got {r}")
-        lo = float(self.values @ r ** np.arange(self.values.size))
-        if r == 0.0:
-            return RInterval(lo, lo, True)
+        r = np.asarray(radii, dtype=np.float64)
+        if r.ndim != 1:
+            raise ValueError("radii must form a one-dimensional array")
+        outside = r[~((r >= 0.0) & (r < 1.0))]
+        if outside.size:
+            raise ValueError(f"radius must lie in [0, 1), got {float(outside[0])}")
+        lo = np.einsum("rn,n->r", r[:, None] ** np.arange(self.values.size), self.values)
         if self.tail_bound is None:
-            return RInterval(lo, lo, False)
-        tail = self.tail_bound * r ** self.values.size / (1.0 - r)
-        return RInterval(lo, lo + tail, True)
+            return lo, lo
+        return lo, lo + self.tail_bound * r**self.values.size / (1.0 - r)
+
+    def bohr(self, r: float) -> RInterval:
+        """Enclosure at one radius r in [0, 1): bohr_grid at [r], certified
+        when a tail bound is present or r = 0."""
+        r = float(r)
+        lo, hi = self.bohr_grid([r])
+        return RInterval(float(lo[0]), float(hi[0]), r == 0.0 or self.tail_bound is not None)
 
 
 def majorant(f: MatrixSeries) -> Majorant:

@@ -25,7 +25,6 @@ from .series import (
     MatrixSeries,
     RInterval,
     bohr_sum,
-    compose,
     derivative,
     integrate0,
     mul,
@@ -41,6 +40,7 @@ __all__ = [
     "haar_unitary",
     "gen_schur_matrix",
     "mobius_transfer",
+    "mobius_compose",
     "mobius_extremal",
     "convex_model",
     "starlike_from_q",
@@ -154,6 +154,40 @@ def mobius_extremal(a: float, degree: int) -> MatrixSeries:
     return mobius_transfer(a, degree)
 
 
+def mobius_compose(alpha: complex, b: MatrixSeries) -> MatrixSeries:
+    """Coefficients of m(b) = (alpha + b) / (1 + conj(alpha) b), the disk
+    automorphism mobius_transfer(alpha) applied to a scalar series b
+    with constant term exactly zero, through the degree of b.
+
+    Equal to compose(mobius_transfer(alpha, deg b), b), but computed as
+    one series division.  The denominator starts at 1, so its reciprocal
+    comes from Newton iteration r <- r + r (1 - den r), which doubles the
+    number of correct coefficients per step: with r right through degree
+    m - 1, the error 1 - den r starts at degree m and only its next m
+    coefficients are needed.  Like compose, the result carries no tail
+    certificate; when b is a Schur function so is m(b).
+    """
+    alpha = complex(alpha)
+    if abs(alpha) >= 1.0:
+        raise ValueError("automorphism parameter must satisfy |alpha| < 1")
+    if b.dim != 1:
+        raise ValueError("inner function must be scalar (dim 1)")
+    if b.coeffs[0, 0, 0] != 0:
+        raise ValueError("inner function must have constant term exactly zero")
+    n = b.degree
+    den = np.conj(alpha) * b.coeffs[:, 0, 0]
+    den[0] = 1.0
+    recip = np.ones(1, dtype=np.complex128)
+    while recip.size <= n:
+        m = recip.size
+        top = min(2 * m, n + 1)
+        err = np.convolve(den[:top], recip)[m:top]
+        recip = np.concatenate([recip, -np.convolve(recip, err)[: top - m]])
+    num = b.coeffs[:, 0, 0].copy()
+    num[0] = alpha
+    return scalar_series(np.convolve(num, recip)[: n + 1])
+
+
 def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
                      scalar_head: bool = False) -> MatrixSeries:
     """Random matrix Schur function: U diag(b_1..b_d) V with U, V unitary
@@ -162,8 +196,11 @@ def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
 
     fix_origin: each b_i vanishes at 0, so A_0 is exactly zero.
     scalar_head: V = U*, and each b_i is a common disk automorphism
-    composed with an origin-fixed Blaschke product, so f(0) = alpha_0 I
-    for a single random |alpha_0| <= 0.9.
+    m(w) = (alpha_0 + w) / (1 + conj(alpha_0) w) of an origin-fixed
+    Blaschke product, so f(0) = alpha_0 I for a single random
+    |alpha_0| <= 0.9.  m(b_i) comes from mobius_compose, one series
+    division; it is again a Schur function, so the tail bound 1 still
+    holds.
     """
     if fix_origin and scalar_head:
         raise ValueError("fix_origin and scalar_head are mutually exclusive")
@@ -176,16 +213,14 @@ def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
     if scalar_head:
         v = u.conj().T
         alpha0 = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        head = mobius_transfer(alpha0, degree)
     else:
         v = haar_unitary(rng, dim)
-        head = None
     diag = np.empty((degree + 1, dim), dtype=np.complex128)
     for i in range(dim):
         spec = random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head)
         b = blaschke_series(spec, degree)
-        if head is not None:
-            b = compose(head, b)
+        if scalar_head:
+            b = mobius_compose(alpha0, b)
         diag[:, i] = b.coeffs[:, 0, 0]
     coeffs = np.einsum("ab,nb,bc->nac", u, diag, v)
     return MatrixSeries(coeffs, coeff_bound=1.0)

@@ -73,16 +73,6 @@ def test_reports_are_reproducible(tmp_path):
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
-def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    cfg = small_config(tmp_path, "von-neumann")
-    monkeypatch.setenv("BOHRLAB_THREADS", "1")
-    a = run_von_neumann(cfg)
-    monkeypatch.setenv("BOHRLAB_THREADS", "4")
-    b = run_von_neumann(cfg)
-    assert [r.worst_margin for r in a.records] == [r.worst_margin for r in b.records]
-    assert [r.index for r in b.records] == list(range(cfg.trials))
-
-
 # ---------------------------------------------------------------- campaigns
 
 def test_subordination_campaign_passes(tmp_path):
