@@ -1,10 +1,11 @@
 """Radius equations: certified roots, caps, and the limiting order.
 
 Each family of layered Bohr inequalities comes with a polynomial
-equation whose smallest root in (0, 1) is the working radius, clipped
-by a cap that marks where the single-layer theory stops.  solve_radius
-brackets the root with bisection, so the result is an interval you can
-trust rather than a bare float from a generic root finder.
+equation whose unique root in (0, 1) is the working radius, clipped by
+a cap that marks where the single-layer theory stops.  solve_radius
+brackets the root with bisection, endpoints proven exactly, so the
+result is an interval you can trust rather than a bare float from a
+generic root finder.
 
 Run:  python3 demos/03_radius_equations.py
 """

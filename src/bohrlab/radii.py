@@ -20,12 +20,28 @@ r^(p+1) term absent (r^inf evaluates to exactly 0.0 on (0, 1), so no
 special casing is needed).  The usable radius is min(root, cap): the
 cap encodes where the underlying single-layer inequality is available,
 and binds whenever the polynomial root lands beyond it.
+
+Uniqueness of the root.  Since c r - c r^(p+1) = c r (1 - r^p),
+
+    w (1 - r)^m - c r (1 - r^p) = (1 - r) q(r),
+    q(r) = w (1 - r)^(m-1) - c r (1 + r + ... + r^(p-1)).
+
+For c > 0, q is strictly decreasing on [0, 1]: (1 - r)^(m-1) does not
+increase (m >= 2) and c r (1 + ... + r^(p-1)) strictly increases.  As
+q(0) = w > 0 and q(1) = -c p < 0, q has exactly one root in (0, 1), and
+it is the equation's only root in [0, 1); the factor 1 - r contributes
+only the spurious root r = 1.  For p = inf the equation itself,
+w (1 - r)^m - c r, decreases strictly from w to -c.  The displayed
+variant (1 - r)^2 - lambda r - lambda r^(p+1) (statement_form) decreases
+strictly from 1 to below 0 for lambda > 0.  When c (or lambda) is 0 the
+left side is w (1 - r)^m > 0 on [0, 1) and there is no root.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,8 +64,6 @@ __all__ = [
 ]
 
 FAMILY_TAGS = ("general", "omega-gamma", "half-plane", "convex", "starlike")
-
-GRID_POINTS = 2048
 
 
 def _check_p(p) -> float:
@@ -82,8 +96,8 @@ class RadiusFamily:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "p", _check_p(self.p))
         if self.tag == "general":
-            if self.lam is None or self.lam < 0.0:
-                raise ValueError("general family needs lambda >= 0")
+            if self.lam is None or not 0.0 <= self.lam < math.inf:
+                raise ValueError("general family needs a finite lambda >= 0")
             object.__setattr__(self, "lam", float(self.lam))
         elif self.lam is not None:
             raise ValueError("lambda only applies to the general family")
@@ -94,8 +108,8 @@ class RadiusFamily:
         elif self.gamma is not None:
             raise ValueError("gamma only applies to the omega-gamma family")
         if self.tag == "convex":
-            if self.beta is None or self.beta <= 0.0:
-                raise ValueError("convex family needs beta > 0")
+            if self.beta is None or not 0.0 < self.beta < math.inf:
+                raise ValueError("convex family needs a finite beta > 0")
             object.__setattr__(self, "beta", float(self.beta))
         elif self.beta is not None:
             raise ValueError("beta only applies to the convex family")
@@ -209,53 +223,61 @@ class RootResult:
         return "root" if self.root is not None and self.root < self.cap else "cap"
 
 
+def _decreasing_factor(fam: RadiusFamily, statement_form: bool, num):
+    """The strictly decreasing function on [0, 1] whose root is the
+    equation's unique root in (0, 1): q(r) for finite p, the equation
+    itself for p = inf and for statement_form.  num (float, or Fraction
+    for exact values) converts r and the constants."""
+    p = fam.p if fam.p == math.inf else int(fam.p)
+    w, m, c = (1.0, 2, fam.lam) if statement_form else (fam.weight, fam.exponent, fam.product)
+    w, c = num(w), num(c)
+
+    def f(r):
+        r = num(r)
+        if p == math.inf:
+            return w * (1 - r) ** m - c * r
+        if statement_form:
+            return w * (1 - r) ** m - c * r - c * r ** (p + 1)
+        # 1 + r + ... + r^(p-1) in closed form, which needs r != 1
+        return w * (1 - r) ** (m - 1) - c * r * (p if r == 1 else (1 - r ** p) / (1 - r))
+
+    return f
+
+
 def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
                  statement_form: bool = False) -> RootResult:
-    """Locate the smallest root of the radius equation in (0, 1).
+    """Locate the unique root of the radius equation in (0, 1).
 
-    Scans a 2048-point grid on [tol, 1 - tol] for the first sign change,
-    then bisects to a bracket of width <= tol whose endpoints certify
-    the sign change; the reported root is the midpoint.  When the
-    coefficient c vanishes the equation has no root in (0, 1) (the left
-    side stays positive), and the radius is the cap alone.
+    The equation factors as (1 - r) q(r), and q decreases strictly from
+    q(0) = w > 0 to q(1) = -c p < 0, so it has exactly one root in
+    (0, 1) (module docstring; for p = inf and statement_form the
+    equation itself decreases strictly).  Bisects [0, 1] in floats on
+    that function down to a bracket of width <= tol, or to two adjacent
+    floats when tol is below their spacing, then proves the endpoints
+    exactly in rational arithmetic: positive at lo and negative at hi,
+    or exactly zero on a zero-width bracket.  If a float sign decision
+    was wrong, the bisection is repeated with exact decisions.  The
+    root is the bracket's midpoint.  When the coefficient c vanishes the
+    equation has no root in (0, 1) (the left side stays positive), and
+    the radius is the cap alone.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
-    c = fam.lam if statement_form else fam.product
     if statement_form and fam.tag != "general":
         raise ValueError("statement_form only applies to the general family")
+    c = fam.lam if statement_form else fam.product
     if c == 0.0:
         return RootResult(fam, None, None, fam.cap, fam.cap)
-
-    def lhs(r):
-        return radius_poly_eval(fam, r, statement_form=statement_form)
-
-    grid = np.linspace(tol, 1.0 - tol, GRID_POINTS)
-    vals = lhs(grid)
-    sign = np.sign(vals)
-    hits = np.nonzero(sign == 0.0)[0]
-    if hits.size:
-        r0 = float(grid[hits[0]])
-        bracket = RInterval(r0, r0)
-        return RootResult(fam, bracket, r0, fam.cap, min(r0, fam.cap))
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    if not flips.size:
-        return RootResult(fam, None, None, fam.cap, fam.cap)
-    a, b = float(grid[flips[0]]), float(grid[flips[0] + 1])
-    fa = float(vals[flips[0]])
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = float(lhs(m))
-        if fm == 0.0:
-            a = b = m
+    exact = _decreasing_factor(fam, statement_form, Fraction)
+    for f in (_decreasing_factor(fam, statement_form, float), exact):
+        lo, hi = 0.0, 1.0
+        while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+            value = f(mid)
+            lo, hi = (mid, hi) if value > 0 else (lo, mid) if value < 0 else (mid, mid)
+        if exact(lo) == 0 if lo == hi else exact(lo) > 0 > exact(hi):
             break
-        if (fa > 0.0) != (fm > 0.0):
-            b = m
-        else:
-            a, fa = m, fm
-    bracket = RInterval(a, b)
-    root = 0.5 * (a + b)
-    return RootResult(fam, bracket, root, fam.cap, min(root, fam.cap))
+    root = 0.5 * (lo + hi)
+    return RootResult(fam, RInterval(lo, hi), root, fam.cap, min(root, fam.cap))
 
 
 def bohr_radius_cap(fam: RadiusFamily) -> float:

@@ -30,6 +30,14 @@ def test_solve_human_output(capsys):
     assert "root" in out and "radius" in out
 
 
+def test_solve_large_tol_reports_the_root(capsys):
+    code, out, _ = run(capsys, "solve", "--family", "starlike", "--p", "5", "--tol", "0.4",
+                       "--json")
+    assert code == 0
+    lo, hi = json.loads(out)["bracket"]
+    assert lo <= 0.3181046747116650 <= hi and hi - lo <= 0.4
+
+
 def test_solve_limit_order(capsys):
     code, out, _ = run(capsys, "solve", "--family", "half-plane", "--p", "inf", "--json")
     assert code == 0

@@ -1,9 +1,13 @@
 """Radius equations: evaluation, certified bisection, caps, monotonicity."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrlab.radii import (
     FAMILY_TAGS,
@@ -24,6 +28,9 @@ SQRT2M1 = math.sqrt(2.0) - 1.0
 # smallest positive root of (1 - r)^3 = r, from an independent
 # polynomial-root computation (companion-matrix eigenvalues)
 STARLIKE_LIMIT_ROOT = 0.3176721961719807
+# root in (0, 1) of (1 - r)^3 - r + r^6, the starlike family at k = 1,
+# p = 5 (companion-matrix eigenvalues, good to about 1e-16)
+STARLIKE_P5_ROOT = 0.31810467471166504
 
 
 def test_family_validation():
@@ -195,3 +202,111 @@ def test_family_tags_cover_constructors():
     tags = {f.tag for f in (general_sc(1.0), omega_gamma(0.0), half_plane(),
                             convex_sub(1.0), starlike_sub())}
     assert tags == set(FAMILY_TAGS)
+
+
+def test_solve_large_tol_still_brackets_the_root():
+    # a grid restricted to [tol, 1 - tol] = [0.4, 0.6] misses this root
+    res = solve_radius(starlike_sub(1.0, 5), tol=0.4)
+    assert STARLIKE_P5_ROOT in res.bracket
+    assert res.bracket.width <= 0.4
+
+
+def test_solve_tiny_tol_finds_the_root_not_one():
+    # the factor (1 - r) of the equation vanishes at r = 1; that zero is
+    # not a root of the radius problem
+    res = solve_radius(starlike_sub(1.0, 5), tol=1e-17)
+    assert res.root == pytest.approx(STARLIKE_P5_ROOT, abs=1e-15)
+    assert res.binding == "root"
+
+
+def test_solve_tol_below_float_spacing_ends_on_adjacent_floats():
+    fam = starlike_sub(1.0, 5)
+    res = solve_radius(fam, tol=1e-300)
+    assert res.bracket.hi == np.nextafter(res.bracket.lo, 1.0)
+    assert exact_factor(fam, res.bracket.lo) > 0 > exact_factor(fam, res.bracket.hi)
+
+
+# --- properties over random families ------------------------------------------
+
+ORDERS = st.sampled_from(list(range(2, 13)) + [math.inf])
+TOLS = st.sampled_from((1e-300, 1e-17, 1e-12, 1e-6, 0.4))
+
+
+@st.composite
+def families(draw):
+    tag = draw(st.sampled_from(FAMILY_TAGS))
+    extra = {}
+    if tag == "general":
+        extra["lam"] = draw(st.floats(0.0, 8.0))
+    elif tag == "omega-gamma":
+        extra["gamma"] = draw(st.floats(0.0, 1.0, exclude_max=True))
+    elif tag == "convex":
+        extra["beta"] = draw(st.floats(0.0, 8.0, exclude_min=True))
+    return RadiusFamily(tag, k=draw(st.floats(0.0, 1.0)), p=draw(ORDERS), **extra)
+
+
+@st.composite
+def problems(draw):
+    fam = draw(families())
+    return fam, fam.tag == "general" and draw(st.booleans())
+
+
+def exact_factor(fam, r, statement_form=False):
+    """The decreasing function whose root the solver brackets, in exact
+    arithmetic with the geometric sum written out term by term."""
+    r = Fraction(r)
+    finite = fam.p != math.inf
+    if statement_form:
+        lam = Fraction(fam.lam)
+        return (1 - r) ** 2 - lam * r - (lam * r ** (int(fam.p) + 1) if finite else 0)
+    w, m, c = Fraction(fam.weight), fam.exponent, Fraction(fam.product)
+    if not finite:
+        return w * (1 - r) ** m - c * r
+    return w * (1 - r) ** (m - 1) - c * r * sum(r ** j for j in range(int(fam.p)))
+
+
+def root_or_one(res):
+    """A missing root means the equation stays positive on [0, 1)."""
+    return 1.0 if res.root is None else res.root
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(), TOLS)
+def test_solve_proves_its_bracket_exactly(problem, tol):
+    fam, statement_form = problem
+    res = solve_radius(fam, tol, statement_form=statement_form)
+    if (fam.lam if statement_form else fam.product) == 0.0:
+        assert res.root is None and res.bracket is None and res.radius == res.cap
+        return
+    lo, hi = res.bracket.lo, res.bracket.hi
+    if lo == hi:
+        assert exact_factor(fam, lo, statement_form) == 0
+    else:
+        assert exact_factor(fam, lo, statement_form) > 0 > exact_factor(fam, hi, statement_form)
+    assert res.bracket.width <= tol or hi == np.nextafter(lo, 1.0)
+    assert lo <= res.root <= hi
+    assert res.radius == min(res.root, res.cap)
+    if fam.p != math.inf and not statement_form:
+        # the factorization: the equation is (1 - r) times the factor
+        c, p = Fraction(fam.product), int(fam.p)
+        for r in map(Fraction, (lo, hi)):
+            equation = Fraction(fam.weight) * (1 - r) ** fam.exponent - c * r + c * r ** (p + 1)
+            assert equation == (1 - r) * exact_factor(fam, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(), st.floats(0.0, 1.0), ORDERS)
+def test_root_never_increases_in_k_or_p(problem, k, p):
+    # Bisection on one fixed grid of midpoints with exactly decided signs
+    # keeps the order of the functions, so no tolerance is needed.
+    fam, statement_form = problem
+    base = root_or_one(solve_radius(fam, statement_form=statement_form))
+    stronger_k = dataclasses.replace(fam, k=max(k, fam.k))
+    higher_p = dataclasses.replace(fam, p=max(p, fam.p))
+    assert root_or_one(solve_radius(stronger_k, statement_form=statement_form)) <= base
+    higher_p_root = root_or_one(solve_radius(higher_p, statement_form=statement_form))
+    if statement_form:
+        # the variant subtracts lambda r^(p+1), which shrinks as p grows
+        assert higher_p_root >= base
+    else:
+        assert higher_p_root <= base
