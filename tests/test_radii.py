@@ -52,6 +52,15 @@ def test_family_validation():
         RadiusFamily("starlike", beta=1.0)
 
 
+def test_family_rejects_non_finite_parameters():
+    # the solver proves its bracket in exact rationals, which need finite inputs
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            general_sc(bad)
+        with pytest.raises(ValueError):
+            convex_sub(bad)
+
+
 def test_eval_known_values():
     fam = general_sc(1.0, 1.0, 2)
     assert radius_poly_eval(fam, 0.0) == 1.0
