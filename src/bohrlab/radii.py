@@ -223,25 +223,60 @@ class RootResult:
         return "root" if self.root is not None and self.root < self.cap else "cap"
 
 
-def _decreasing_factor(fam: RadiusFamily, statement_form: bool, num):
-    """The strictly decreasing function on [0, 1] whose root is the
-    equation's unique root in (0, 1): q(r) for finite p, the equation
-    itself for p = inf and for statement_form.  num (float, or Fraction
-    for exact values) converts r and the constants."""
-    p = fam.p if fam.p == math.inf else int(fam.p)
+def _factor_terms(fam: RadiusFamily, statement_form: bool, num):
+    """The function r -> (a, b, n) with a + b r^n the strictly decreasing
+    function on [0, 1] whose root is the equation's unique root in
+    (0, 1): q(r) for finite p, the equation itself for p = inf and for
+    statement_form.  num (float, or Fraction for exact values) converts
+    r and the constants; r^n is left to the caller."""
     w, m, c = (1.0, 2, fam.lam) if statement_form else (fam.weight, fam.exponent, fam.product)
-    w, c = num(w), num(c)
+    w, c, p = num(w), num(c), 0 if fam.p == math.inf else int(fam.p)
 
-    def f(r):
+    def terms(r):
         r = num(r)
-        if p == math.inf:
-            return w * (1 - r) ** m - c * r
-        if statement_form:
-            return w * (1 - r) ** m - c * r - c * r ** (p + 1)
-        # 1 + r + ... + r^(p-1) in closed form, which needs r != 1
-        return w * (1 - r) ** (m - 1) - c * r * (p if r == 1 else (1 - r ** p) / (1 - r))
+        if p == 0 or statement_form:
+            # the equation itself, whose r^(p+1) term is -c (statement_form) or absent
+            return w * (1 - r) ** m - c * r, -c if p else 0, p + 1
+        if r == 1:
+            return -c * p, 0, 0
+        # q(r) = w (1 - r)^(m-1) - c r (1 - r^p) / (1 - r)
+        g = c * r / (1 - r)
+        return w * (1 - r) ** (m - 1) - g, g, p
 
-    return f
+    return terms
+
+
+def _power_bounds(x: Fraction, n: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= x^n 2^bits <= hi for x in [0, 1], by binary powering
+    with every product rounded outward to a multiple of 2^-bits, so the
+    cost grows with bits and log n only; lo == hi when nothing rounded."""
+    lo, hi = (x.numerator << bits) // x.denominator, -(-(x.numerator << bits) // x.denominator)
+    out_lo = out_hi = 1 << bits
+    while n:
+        if n & 1:
+            out_lo, out_hi = out_lo * lo >> bits, -(-out_hi * hi >> bits)
+        lo, hi, n = lo * lo >> bits, -(-hi * hi >> bits), n >> 1
+    return out_lo, out_hi
+
+
+def _exact_sign(terms, r: float) -> int:
+    """Sign (-1, 0 or 1) of a + b r^n, with (a, b, n) = terms(r) exact
+    rationals, decided exactly: r^n is enclosed on a dyadic grid that is
+    refined until a + b r^n has one sign over the enclosure, at the
+    latest when the enclosure is the exact power."""
+    a, b, n = terms(r)
+    if a == 0:
+        # r is a root of the p = inf equation, so r > 0 and b r^n has the
+        # sign of b, which no finite grid could resolve for huge n
+        return (b > 0) - (b < 0)
+    bits = 256
+    while True:
+        # 2^bits a_den b_den (a + b t / 2^bits) for t = lo, hi
+        ends = [(a.numerator * b.denominator << bits) + a.denominator * b.numerator * t
+                for t in _power_bounds(Fraction(r), n, bits)]
+        if min(ends) > 0 or max(ends) < 0 or ends[0] == ends[1]:
+            return (ends[0] > 0) - (ends[0] < 0)
+        bits *= 2
 
 
 def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
@@ -255,7 +290,10 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     that function down to a bracket of width <= tol, or to two adjacent
     floats when tol is below their spacing, then proves the endpoints
     exactly in rational arithmetic: positive at lo and negative at hi,
-    or exactly zero on a zero-width bracket.  If a float sign decision
+    or exactly zero on a zero-width bracket.  The proof encloses r^p
+    between dyadic rationals of a few hundred bits, refined only until
+    the sign is certain, so its cost grows with log p rather than with
+    the 53 p bits of the exact power.  If a float sign decision
     was wrong, the bisection is repeated with exact decisions.  The
     root is the bracket's midpoint.  When the coefficient c vanishes the
     equation has no root in (0, 1) (the left side stays positive), and
@@ -268,8 +306,17 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     c = fam.lam if statement_form else fam.product
     if c == 0.0:
         return RootResult(fam, None, None, fam.cap, fam.cap)
-    exact = _decreasing_factor(fam, statement_form, Fraction)
-    for f in (_decreasing_factor(fam, statement_form, float), exact):
+    float_terms = _factor_terms(fam, statement_form, float)
+    exact_terms = _factor_terms(fam, statement_form, Fraction)
+
+    def approx(r):
+        a, b, n = float_terms(r)
+        return a + b * r ** n
+
+    def exact(r):
+        return _exact_sign(exact_terms, r)
+
+    for f in (approx, exact):
         lo, hi = 0.0, 1.0
         while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
             value = f(mid)

@@ -38,6 +38,20 @@ def test_solve_large_tol_reports_the_root(capsys):
     assert lo <= 0.3181046747116650 <= hi and hi - lo <= 0.4
 
 
+def test_solve_huge_order_matches_the_limit(capsys):
+    # orders whose exact power r^p would have billions of bits
+    code, out, _ = run(capsys, "solve", "--family", "starlike", "--p", "inf", "--json")
+    assert code == 0
+    limit = json.loads(out)
+    for p in ("1000000", "1000000000"):
+        code, out, _ = run(capsys, "solve", "--family", "starlike", "--p", p, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["family"]["p"] == int(p)
+        assert payload["bracket"] == limit["bracket"]
+        assert payload["root"] == pytest.approx(0.3176721961719807, abs=1e-12)
+
+
 def test_solve_limit_order(capsys):
     code, out, _ = run(capsys, "solve", "--family", "half-plane", "--p", "inf", "--json")
     assert code == 0

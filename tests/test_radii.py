@@ -23,6 +23,7 @@ from bohrlab.radii import (
     solve_radius,
     starlike_sub,
 )
+from bohrlab.radii import _exact_sign, _power_bounds
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 # smallest positive root of (1 - r)^3 = r, from an independent
@@ -31,6 +32,8 @@ STARLIKE_LIMIT_ROOT = 0.3176721961719807
 # root in (0, 1) of (1 - r)^3 - r + r^6, the starlike family at k = 1,
 # p = 5 (companion-matrix eigenvalues, good to about 1e-16)
 STARLIKE_P5_ROOT = 0.31810467471166504
+# orders whose exact power r^p has millions to billions of bits
+HUGE_ORDERS = (10 ** 6, 10 ** 9)
 
 
 def test_family_validation():
@@ -235,6 +238,73 @@ def test_solve_tol_below_float_spacing_ends_on_adjacent_floats():
     assert exact_factor(fam, res.bracket.lo) > 0 > exact_factor(fam, res.bracket.hi)
 
 
+def test_power_bounds_enclose_the_exact_power():
+    for x in map(Fraction, (0.0, 1.0, 0.5, 0.3181046747116650, 1.0 - 2.0 ** -40, 5e-324)):
+        for n in (0, 1, 2, 7, 64, 1000):
+            for bits in (8, 64, 256):
+                lo, hi = _power_bounds(x, n, bits)
+                exact = x ** n * 2 ** bits
+                assert lo <= exact <= hi
+                assert (lo == hi) == (exact.denominator == 1)
+    # cost independent of n: a billionth power of a 53-bit float
+    lo, hi = _power_bounds(Fraction(1.0 - 2.0 ** -53), 10 ** 9, 256)
+    assert 0 < hi - lo <= 2 ** 40
+
+
+def test_exact_sign_refines_until_certain():
+    # (3/4)^300 has 600 bits, so the first 256-bit enclosure cannot tell
+    # a + b (3/4)^300 = delta from 0 when |delta| = 2^-400
+    power = Fraction(3, 4) ** 300
+    for delta, sign in ((Fraction(1, 2 ** 400), 1), (-Fraction(1, 2 ** 400), -1), (0, 0)):
+        assert _exact_sign(lambda r: (delta - power, Fraction(1), 300), 0.75) == sign
+        assert _exact_sign(lambda r: (power - delta, Fraction(-1), 300), 0.75) == -sign
+
+
+@pytest.mark.parametrize("statement_form", (False, True))
+def test_solve_huge_order_next_to_an_exact_limit_root(statement_form):
+    # (1 - r)^2 = r / 2 at r = 1/2, so at p = inf both forms vanish there
+    # exactly, and at finite p they are +-r^(p+1) / 2 times a positive
+    # factor: 2^-(p+1) away from 0, but of a known sign.
+    fam = general_sc(0.5, 1.0, 10 ** 9)
+    res = solve_radius(fam, statement_form=statement_form)
+    assert res.bracket.width <= 1e-12
+    if statement_form:
+        # s_p(1/2) = -2^-(p+2) < 0, so the root lies below 1/2
+        assert res.bracket.hi == 0.5
+        assert exact_factor(dataclasses.replace(fam, p=256), res.bracket.lo, True) > 0
+    else:
+        # q_p(1/2) = 2^-(p+1) > 0, so the root lies above 1/2
+        assert res.bracket.lo == 0.5
+        assert exact_factor(dataclasses.replace(fam, p=256), res.bracket.hi) < 0
+    limit = solve_radius(dataclasses.replace(fam, p=math.inf), statement_form=statement_form)
+    assert limit.bracket.lo == limit.bracket.hi == 0.5
+
+
+@pytest.mark.parametrize("fam, statement_form", [
+    (starlike_sub(1.0), False), (half_plane(0.5), False),
+    (omega_gamma(0.5, 1.0), False), (general_sc(1.0, 1.0), True),
+], ids=["starlike", "half-plane", "omega-gamma", "general-statement"])
+@pytest.mark.parametrize("p", HUGE_ORDERS)
+@pytest.mark.parametrize("tol", (1e-12, 1e-300))
+def test_solve_huge_order_proves_its_bracket(fam, statement_form, p, tol):
+    # The exact power r^p of a float has about 53 p bits, too many to form
+    # here, so the sign change is checked with bounds on the order instead:
+    # the factor q decreases in p towards q_inf = w (1 - r)^(m-1) - c r / (1 - r),
+    # and the statement form s grows with p towards s_inf.  For p >= 256
+    #     q_inf(r) <= q_p(r) <= q_256(r),   s_256(r) <= s_p(r) <= s_inf(r),
+    # and exact_factor at p = inf is (1 - r) q_inf(r), of the sign of q_inf.
+    fam = dataclasses.replace(fam, p=p)
+    res = solve_radius(fam, tol, statement_form=statement_form)
+    lo, hi = res.bracket.lo, res.bracket.hi
+    assert lo < hi and (hi - lo <= tol or hi == np.nextafter(lo, 1.0))
+    low, high = (256, math.inf) if statement_form else (math.inf, 256)
+    assert exact_factor(dataclasses.replace(fam, p=low), lo, statement_form) > 0
+    assert exact_factor(dataclasses.replace(fam, p=high), hi, statement_form) < 0
+    # r^p is far below the float spacing here, so the bracket is the limit's
+    limit = solve_radius(dataclasses.replace(fam, p=math.inf), tol, statement_form=statement_form)
+    assert res.bracket == limit.bracket
+
+
 # --- properties over random families ------------------------------------------
 
 ORDERS = st.sampled_from(list(range(2, 13)) + [math.inf])
@@ -274,6 +344,19 @@ def exact_factor(fam, r, statement_form=False):
     return w * (1 - r) ** (m - 1) - c * r * sum(r ** j for j in range(int(fam.p)))
 
 
+def test_exact_factor_has_the_sign_of_the_equation():
+    # away from the root and from r = 1 the float equation, which is
+    # (1 - r) times the factor, has a sign that rounding cannot flip
+    cases = [(general_sc(0.7, 0.6, 3), False), (general_sc(1.0, 1.0, 4), True),
+             (omega_gamma(0.5, 1.0, 2), False), (half_plane(0.5, 7), False),
+             (convex_sub(0.8, 0.9, math.inf), False), (starlike_sub(1.0, 5), False)]
+    for fam, statement_form in cases:
+        for r in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 0.875):
+            value = radius_poly_eval(fam, r, statement_form=statement_form)
+            if abs(value) > 1e-6:
+                assert (exact_factor(fam, r, statement_form) > 0) == (value > 0)
+
+
 def root_or_one(res):
     """A missing root means the equation stays positive on [0, 1)."""
     return 1.0 if res.root is None else res.root
@@ -295,16 +378,10 @@ def test_solve_proves_its_bracket_exactly(problem, tol):
     assert res.bracket.width <= tol or hi == np.nextafter(lo, 1.0)
     assert lo <= res.root <= hi
     assert res.radius == min(res.root, res.cap)
-    if fam.p != math.inf and not statement_form:
-        # the factorization: the equation is (1 - r) times the factor
-        c, p = Fraction(fam.product), int(fam.p)
-        for r in map(Fraction, (lo, hi)):
-            equation = Fraction(fam.weight) * (1 - r) ** fam.exponent - c * r + c * r ** (p + 1)
-            assert equation == (1 - r) * exact_factor(fam, r)
 
 
 @settings(max_examples=150, deadline=None)
-@given(problems(), st.floats(0.0, 1.0), ORDERS)
+@given(problems(), st.floats(0.0, 1.0), st.one_of(ORDERS, st.sampled_from(HUGE_ORDERS)))
 def test_root_never_increases_in_k_or_p(problem, k, p):
     # Bisection on one fixed grid of midpoints with exactly decided signs
     # keeps the order of the functions, so no tolerance is needed.
