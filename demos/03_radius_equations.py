@@ -30,7 +30,7 @@ res = solve_radius(fam)
 print("omega-gamma(0), k=1, p=2:")
 print(f"  bracket  [{res.bracket.lo:.15f}, {res.bracket.hi:.15f}]")
 print(f"  root     {res.root:.12f}  (sqrt(2)-1 = {math.sqrt(2) - 1:.12f})")
-print(f"  cap      {res.cap:.12f}")
+print(f"  cap      {res.family.cap:.12f}")
 print(f"  radius   {res.radius:.12f}  ({res.binding} binds)")
 
 # the bracket really straddles the root
@@ -41,7 +41,7 @@ print("  sign change:", radius_poly_eval(fam, lo) > 0 > radius_poly_eval(fam, hi
 
 print("\nwhen the polynomial root lands beyond the cap, the cap wins:")
 res = solve_radius(half_plane(1.0, 2))
-print(f"  half-plane p=2: root {res.root:.6f} > cap {res.cap}; radius {res.radius}")
+print(f"  half-plane p=2: root {res.root:.6f} > cap {res.family.cap}; radius {res.radius}")
 
 # growth constants the caps come from
 print("lambda bound on the disk:", lambda_bound("disk"),

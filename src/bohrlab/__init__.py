@@ -65,10 +65,10 @@ from .zoo import (
     starlike_from_q,
 )
 from .radii import (
+    FAMILIES,
     FAMILY_TAGS,
     RadiusFamily,
     RootResult,
-    bohr_radius_cap,
     convex_sub,
     general_sc,
     half_plane,

@@ -20,6 +20,7 @@ import math
 import sys
 
 from .harness import (
+    BASE_LAYERS,
     CampaignConfig,
     emit_radius_table,
     run_polyanalytic,
@@ -28,26 +29,7 @@ from .harness import (
     run_subordination,
     run_von_neumann,
 )
-from .radii import (
-    FAMILY_TAGS,
-    RadiusFamily,
-    convex_sub,
-    general_sc,
-    half_plane,
-    omega_gamma,
-    root_result_to_json,
-    solve_radius,
-    starlike_sub,
-)
-
-VERIFY_SUITES = (
-    "subordination",
-    "quasi",
-    "von-neumann",
-    "poly-general",
-    "poly-convex",
-    "poly-starlike",
-)
+from .radii import FAMILIES, FAMILY_TAGS, RadiusFamily, root_result_to_json, solve_radius
 
 
 def _parse_p(text: str):
@@ -56,53 +38,57 @@ def _parse_p(text: str):
     return int(text)
 
 
-def _family_from_args(args) -> RadiusFamily:
-    tag = args.family
-    if tag == "general":
-        if args.lam is None:
-            raise ValueError("--family general needs --lambda")
-        return general_sc(args.lam, args.k, args.p)
-    if tag == "omega-gamma":
-        if args.gamma is None:
-            raise ValueError("--family omega-gamma needs --gamma")
-        return omega_gamma(args.gamma, args.k, args.p)
-    if tag == "half-plane":
-        return half_plane(args.k, args.p)
-    if tag == "convex":
-        if args.beta is None:
-            raise ValueError("--family convex needs --beta")
-        return convex_sub(args.beta, args.k, args.p)
-    return starlike_sub(args.k, args.p)
+def _family(tag: str, args, default: float | None = None) -> RadiusFamily:
+    """The family from --k, --p and every family parameter option the
+    command has.  The tag's own parameter falls back to default and is
+    required when that is None; RadiusFamily rejects another family's."""
+    attr, label = FAMILIES[tag].attr, FAMILIES[tag].label
+    params = {s.attr: getattr(args, s.attr, None) for s in FAMILIES.values() if s.attr}
+    if attr and params[attr] is None:
+        if default is None:
+            raise ValueError(f"--family {tag} needs --{label}")
+        params[attr] = default
+    return RadiusFamily(tag, k=args.k, p=args.p, **params)
 
 
-def _add_family_options(parser, *, p_default=2):
+def _add_family_options(parser):
     parser.add_argument("--k", type=float, default=1.0, help="derivative-ratio bound in [0, 1]")
-    parser.add_argument("--p", type=_parse_p, default=p_default,
+    parser.add_argument("--p", type=_parse_p, default=2,
                         help="polyanalytic order (integer >= 2, or 'inf')")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="coefficient-growth constant (general family)")
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="domain parameter in [0, 1) (omega-gamma family)")
     parser.add_argument("--beta", type=float, default=None,
                         help="derivative norm of the convex target (convex family)")
 
 
 def _cmd_solve(args) -> int:
-    fam = _family_from_args(args)
+    fam = _family(args.family, args)
     res = solve_radius(fam, args.tol, statement_form=args.statement_form)
     if args.json:
         print(json.dumps(root_result_to_json(res), sort_keys=True))
         return 0
     desc = ", ".join(f"{k}={v}" for k, v in fam.describe().items())
     if res.root is None:
-        print(f"{desc}: no root in (0, 1); radius = cap = {res.cap:.15g}")
+        print(f"{desc}: no root in (0, 1); radius = cap = {fam.cap:.15g}")
     else:
         print(
             f"{desc}: root = {res.root:.15g} "
             f"(bracket [{res.bracket.lo:.15g}, {res.bracket.hi:.15g}]), "
-            f"cap = {res.cap:.15g}, radius = {res.radius:.15g} ({res.binding} binds)"
+            f"cap = {fam.cap:.15g}, radius = {res.radius:.15g} ({res.binding} binds)"
         )
     return 0
+
+
+# Campaign runner per verify suite, called with the config and the parsed
+# arguments; one poly-* suite per base layer, its parameter defaulting to 1.
+SUITES = {
+    "subordination": lambda config, args: run_subordination(config),
+    "quasi": lambda config, args: run_quasi_subordination(
+        config, m_bound=args.m_bound, beta=args.quasi_beta),
+    "von-neumann": lambda config, args: run_von_neumann(config),
+    **{f"poly-{tag}": lambda config, args, tag=tag: run_polyanalytic(
+        config, _family(tag, args, 1.0)) for tag in BASE_LAYERS},
+}
 
 
 def _cmd_verify(args) -> int:
@@ -116,21 +102,7 @@ def _cmd_verify(args) -> int:
         out=args.out,
         fmt=args.format,
     )
-    if args.suite == "subordination":
-        report = run_subordination(config)
-    elif args.suite == "quasi":
-        report = run_quasi_subordination(config, m_bound=args.m_bound, beta=args.quasi_beta)
-    elif args.suite == "von-neumann":
-        report = run_von_neumann(config)
-    else:
-        kind = args.suite.split("-", 1)[1]
-        if kind == "general":
-            fam = general_sc(args.lam if args.lam is not None else 1.0, args.k, args.p)
-        elif kind == "convex":
-            fam = convex_sub(args.beta if args.beta is not None else 1.0, args.k, args.p)
-        else:
-            fam = starlike_sub(args.k, args.p)
-        report = run_polyanalytic(config, fam)
+    report = SUITES[args.suite](config, args)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"{status} suite={report.suite} trials={report.trials} "
@@ -180,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one radius equation")
     solve.add_argument("--family", required=True, choices=FAMILY_TAGS)
     _add_family_options(solve)
+    solve.add_argument("--gamma", type=float, default=None,
+                       help="domain parameter in [0, 1) (omega-gamma family)")
     solve.add_argument("--tol", type=float, default=1e-12, help="bracket width target")
     solve.add_argument("--statement-form", action="store_true",
                        help="use the historically displayed general equation")
@@ -187,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     verify = sub.add_parser("verify", help="run a verification campaign")
-    verify.add_argument("suite", choices=VERIFY_SUITES)
+    verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--dim", type=int, default=3)
     verify.add_argument("--degree", type=int, default=64)

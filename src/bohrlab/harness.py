@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import time
 
 import numpy as np
 
-from .radii import RadiusFamily, solve_radius
+from .radii import FAMILIES, FAMILY_TAGS, RadiusFamily, solve_radius
 from .series import (
     MatrixSeries,
     compose,
@@ -57,6 +58,7 @@ __all__ = [
     "run_quasi_subordination",
     "run_von_neumann",
     "run_polyanalytic",
+    "BASE_LAYERS",
     "run_sharpness_scan",
     "emit_radius_table",
 ]
@@ -145,30 +147,25 @@ class Report:
             "records": [r.describe() for r in self.records],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.describe(), indent=indent, sort_keys=True)
-
     def write(self, path: str, fmt: str | None = None) -> None:
         """Write JSON (full report) or CSV (one row per trial)."""
-        fmt = fmt or ("csv" if path.endswith(".csv") else "json")
+        _write(path, fmt, self.describe(), ["index", "seed", "params", "worst_margin", "passed"],
+               ([r.index, r.seed, json.dumps(r.params, sort_keys=True), repr(r.worst_margin),
+                 r.passed] for r in self.records))
+
+
+def _write(path: str, fmt: str | None, payload, header: list, rows) -> None:
+    """Write payload as indented JSON, or header and rows as CSV; fmt
+    None picks CSV for a .csv path and JSON otherwise."""
+    fmt = fmt or ("csv" if path.endswith(".csv") else "json")
+    if fmt not in ("json", "csv"):
+        raise ValueError("format must be 'json' or 'csv'")
+    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
         if fmt == "json":
-            with open(path, "w") as fh:
-                fh.write(self.to_json())
-                fh.write("\n")
-            return
-        if fmt != "csv":
-            raise ValueError("format must be 'json' or 'csv'")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "seed", "params", "worst_margin", "passed"])
-            for r in self.records:
-                writer.writerow([
-                    r.index,
-                    r.seed,
-                    json.dumps(r.params, sort_keys=True),
-                    repr(r.worst_margin),
-                    r.passed,
-                ])
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
 def default_grid(r_max: float, points: int = 20) -> tuple:
@@ -299,8 +296,8 @@ def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
     h is built as m_bound * s(z / beta) from a random Schur function s,
     so the sup bound on the beta-disk holds structurally.
     """
-    if m_bound <= 0.0 or not 0.0 < beta <= 1.0:
-        raise ValueError("need m_bound > 0 and beta in (0, 1]")
+    if not 0.0 < m_bound < math.inf or not 0.0 < beta <= 1.0:
+        raise ValueError("need a finite m_bound > 0 and beta in (0, 1]")
     grid = _grid_for(config, beta / 3.0)
 
     def trial(rng):
@@ -347,22 +344,27 @@ def run_von_neumann(config: CampaignConfig) -> Report:
     return _run_campaign(config, trial, {"r_max": 1.0 / 3.0})
 
 
-def _poly_base_layer(rng: np.random.Generator, fam: RadiusFamily,
-                     config: CampaignConfig) -> MatrixSeries:
-    """Base layer matching the family's hypothesis.  Disk evidence:
-    the general family is exercised at lambda = 1 with an origin-fixed
-    contraction; convex/starlike use subordination to their models."""
-    if fam.tag == "general":
-        return gen_schur_matrix(rng, config.dim, config.degree, fix_origin=True)
+def _general_layer(rng, fam: RadiusFamily, config: CampaignConfig) -> MatrixSeries:
+    return gen_schur_matrix(rng, config.dim, config.degree, fix_origin=True)
+
+
+def _convex_layer(rng, fam: RadiusFamily, config: CampaignConfig) -> MatrixSeries:
     phi = _inner(rng, config.degree)
-    if fam.tag == "convex":
-        g = convex_model(fam.beta, config.dim, config.degree)
-        return with_coeff_bound(compose(g, phi), fam.beta)
-    if fam.tag == "starlike":
-        u = float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        g = starlike_from_q(CaratheodoryScalar(u), config.dim, config.degree)
-        return compose(g, phi)
-    raise ValueError(f"no instance generator for family {fam.tag!r}")
+    g = convex_model(fam.beta, config.dim, config.degree)
+    return with_coeff_bound(compose(g, phi), fam.beta)
+
+
+def _starlike_layer(rng, fam: RadiusFamily, config: CampaignConfig) -> MatrixSeries:
+    phi = _inner(rng, config.degree)
+    u = float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return compose(starlike_from_q(CaratheodoryScalar(u), config.dim, config.degree), phi)
+
+
+# Base-layer generator per radius family, matching the family's hypothesis;
+# its keys are the families with a poly-* suite.  Disk evidence: the general
+# family is exercised at lambda = 1 with an origin-fixed contraction;
+# convex/starlike use subordination to their models.
+BASE_LAYERS = {"general": _general_layer, "convex": _convex_layer, "starlike": _starlike_layer}
 
 
 def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
@@ -375,12 +377,15 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
     """
     if fam.p == math.inf:
         raise ValueError("campaigns need a finite order p")
+    base_layer = BASE_LAYERS.get(fam.tag)
+    if base_layer is None:
+        raise ValueError(f"no instance generator for family {fam.tag!r}")
     p = int(fam.p)
     radius = solve_radius(fam).radius
     radii = np.array(_grid_for(config, radius - config.tolerance))
 
     def trial(rng):
-        f0 = _poly_base_layer(rng, fam, config)
+        f0 = base_layer(rng, fam, config)
         omegas = [
             with_coeff_bound(
                 scale(gen_schur_matrix(rng, config.dim, config.degree, scalar_head=True), fam.k),
@@ -474,62 +479,29 @@ def emit_radius_table(families=None, out: str | None = None,
     as CSV or JSON when out is given (format inferred from the
     extension unless fmt is passed).
     """
-    from .radii import FAMILY_TAGS, convex_sub, general_sc, half_plane, omega_gamma, starlike_sub
-
     families = tuple(families) if families else FAMILY_TAGS
     unknown = [f for f in families if f not in FAMILY_TAGS]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
-    k_grid = (0.0, 0.25, 0.5, 1.0)
-    p_grid = (2, 3, 5, 8)
     rows = []
-
-    def emit(fam):
-        res = solve_radius(fam, tol)
-        row = {
-            "family": fam.tag,
-            "k": fam.k,
-            "p": "inf" if fam.p == math.inf else int(fam.p),
-            "lambda": fam.lam,
-            "gamma": fam.gamma,
-            "beta": fam.beta,
-            "root": res.root,
-            "bracket_lo": None if res.bracket is None else res.bracket.lo,
-            "bracket_hi": None if res.bracket is None else res.bracket.hi,
-            "cap": res.cap,
-            "radius": res.radius,
-            "binding": res.binding,
-        }
-        rows.append(row)
-
-    for k in k_grid:
-        for p in p_grid:
-            for tag in families:
-                if tag == "general":
-                    for lam in (0.5, 1.0):
-                        emit(general_sc(lam, k, p))
-                elif tag == "omega-gamma":
-                    for gamma in (0.0, 0.25, 0.5):
-                        emit(omega_gamma(gamma, k, p))
-                elif tag == "half-plane":
-                    emit(half_plane(k, p))
-                elif tag == "convex":
-                    for beta in (0.5, 1.0):
-                        emit(convex_sub(beta, k, p))
-                else:
-                    emit(starlike_sub(k, p))
+    for k, p, tag in itertools.product((0.0, 0.25, 0.5, 1.0), (2, 3, 5, 8), families):
+        attr = FAMILIES[tag].attr
+        for x in FAMILIES[tag].sweep:
+            fam = RadiusFamily(tag, k=k, p=p, **({attr: x} if attr else {}))
+            res = solve_radius(fam, tol)
+            rows.append({
+                "family": fam.tag,
+                "k": fam.k,
+                "p": "inf" if fam.p == math.inf else int(fam.p),
+                **{s.label: getattr(fam, s.attr) for s in FAMILIES.values() if s.attr},
+                "root": res.root,
+                "bracket_lo": None if res.bracket is None else res.bracket.lo,
+                "bracket_hi": None if res.bracket is None else res.bracket.hi,
+                "cap": fam.cap,
+                "radius": res.radius,
+                "binding": res.binding,
+            })
 
     if out:
-        use = fmt or ("csv" if out.endswith(".csv") else "json")
-        if use == "json":
-            with open(out, "w") as fh:
-                json.dump(rows, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        elif use == "csv":
-            with open(out, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
-        else:
-            raise ValueError("format must be 'json' or 'csv'")
+        _write(out, fmt, rows, list(rows[0]), (list(row.values()) for row in rows))
     return rows

@@ -15,6 +15,10 @@ derivative-ratio bound k and the family's coefficient-growth constant:
     convex       1        2   k*beta      1/3
     starlike     1        3   k           1/3
 
+FAMILIES is the single source of these facts in the code, together
+with each family's parameter, its valid range and the values the radius
+table sweeps; the table above is the mathematics behind it.
+
 p is an integer >= 2, or math.inf for the limiting equation with the
 r^(p+1) term absent (r^inf evaluates to exactly 0.0 on (0, 1), so no
 special casing is needed).  The usable radius is min(root, cap): the
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +53,7 @@ import numpy as np
 from .series import RInterval
 
 __all__ = [
+    "FAMILIES",
     "FAMILY_TAGS",
     "RadiusFamily",
     "RootResult",
@@ -58,16 +64,51 @@ __all__ = [
     "starlike_sub",
     "radius_poly_eval",
     "solve_radius",
-    "bohr_radius_cap",
     "lambda_bound",
     "root_result_to_json",
 ]
 
-FAMILY_TAGS = ("general", "omega-gamma", "half-plane", "convex", "starlike")
+
+@dataclasses.dataclass(frozen=True)
+class FamilySpec:
+    """One radius family: w, m, c / k and cap as functions of its
+    parameter (the columns of the table above), the parameter values the
+    radius table sweeps, and the parameter itself: its RadiusFamily
+    attribute, report label, valid range and the error for a value
+    outside it (all None for a family without one)."""
+
+    weight: Callable
+    exponent: int
+    coeff: Callable
+    cap: Callable
+    sweep: tuple = (None,)
+    attr: str | None = None
+    label: str | None = None
+    valid: Callable | None = None
+    error: str | None = None
+
+
+FAMILIES = {
+    "general": FamilySpec(lambda x: 1.0, 2, lambda x: x, lambda x: 1.0 / (1.0 + 2.0 * x),
+                          (0.5, 1.0), "lam", "lambda", lambda x: 0.0 <= x < math.inf,
+                          "general family needs a finite lambda >= 0"),
+    "omega-gamma": FamilySpec(lambda x: 1.0 + x, 2, lambda x: 1.0, lambda x: (1.0 + x) / (3.0 + x),
+                              (0.0, 0.25, 0.5), "gamma", "gamma", lambda x: 0.0 <= x < 1.0,
+                              "omega-gamma family needs gamma in [0, 1)"),
+    "half-plane": FamilySpec(lambda x: 2.0, 2, lambda x: 1.0, lambda x: 0.5),
+    "convex": FamilySpec(lambda x: 1.0, 2, lambda x: x, lambda x: 1.0 / 3.0,
+                         (0.5, 1.0), "beta", "beta", lambda x: 0.0 < x < math.inf,
+                         "convex family needs a finite beta > 0"),
+    "starlike": FamilySpec(lambda x: 1.0, 3, lambda x: 1.0, lambda x: 1.0 / 3.0),
+}
+FAMILY_TAGS = tuple(FAMILIES)
 
 
 def _check_p(p) -> float:
-    p = float(p)
+    try:
+        p = float(p)
+    except OverflowError:
+        raise ValueError("order p is too large for a float; use math.inf for the limit") from None
     if p == math.inf:
         return p
     if p != int(p) or p < 2:
@@ -88,73 +129,52 @@ class RadiusFamily:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
+        own = FAMILIES.get(self.tag)
+        if own is None:
             raise ValueError(f"unknown family tag {self.tag!r}")
         k = float(self.k)
         if not 0.0 <= k <= 1.0:
             raise ValueError("ratio bound k must lie in [0, 1]")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "p", _check_p(self.p))
-        if self.tag == "general":
-            if self.lam is None or not 0.0 <= self.lam < math.inf:
-                raise ValueError("general family needs a finite lambda >= 0")
-            object.__setattr__(self, "lam", float(self.lam))
-        elif self.lam is not None:
-            raise ValueError("lambda only applies to the general family")
-        if self.tag == "omega-gamma":
-            if self.gamma is None or not 0.0 <= self.gamma < 1.0:
-                raise ValueError("omega-gamma family needs gamma in [0, 1)")
-            object.__setattr__(self, "gamma", float(self.gamma))
-        elif self.gamma is not None:
-            raise ValueError("gamma only applies to the omega-gamma family")
-        if self.tag == "convex":
-            if self.beta is None or not 0.0 < self.beta < math.inf:
-                raise ValueError("convex family needs a finite beta > 0")
-            object.__setattr__(self, "beta", float(self.beta))
-        elif self.beta is not None:
-            raise ValueError("beta only applies to the convex family")
+        for tag, spec in FAMILIES.items():
+            if spec is own and spec.attr:
+                value = getattr(self, spec.attr)
+                if value is None or not spec.valid(value):
+                    raise ValueError(spec.error)
+                object.__setattr__(self, spec.attr, float(value))
+            elif spec.attr and getattr(self, spec.attr) is not None:
+                raise ValueError(f"{spec.label} only applies to the {tag} family")
+
+    @property
+    def param(self) -> float | None:
+        """The family's own parameter (None for half-plane and starlike)."""
+        attr = FAMILIES[self.tag].attr
+        return getattr(self, attr) if attr else None
 
     @property
     def weight(self) -> float:
-        if self.tag == "omega-gamma":
-            return 1.0 + self.gamma
-        if self.tag == "half-plane":
-            return 2.0
-        return 1.0
+        return FAMILIES[self.tag].weight(self.param)
 
     @property
     def exponent(self) -> int:
-        return 3 if self.tag == "starlike" else 2
+        return FAMILIES[self.tag].exponent
 
     @property
     def product(self) -> float:
         """The coefficient c multiplying r and r^(p+1)."""
-        if self.tag == "general":
-            return self.k * self.lam
-        if self.tag == "convex":
-            return self.k * self.beta
-        return self.k
+        return self.k * FAMILIES[self.tag].coeff(self.param)
 
     @property
     def cap(self) -> float:
         """Largest radius the family's single-layer inequality covers."""
-        if self.tag == "general":
-            return 1.0 / (1.0 + 2.0 * self.lam)
-        if self.tag == "omega-gamma":
-            return (1.0 + self.gamma) / (3.0 + self.gamma)
-        if self.tag == "half-plane":
-            return 0.5
-        return 1.0 / 3.0
+        return FAMILIES[self.tag].cap(self.param)
 
     def describe(self) -> dict:
         """Tag plus the parameters that apply, for reports."""
         out = {"tag": self.tag, "k": self.k, "p": "inf" if self.p == math.inf else int(self.p)}
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.beta is not None:
-            out["beta"] = self.beta
+        if self.param is not None:
+            out[FAMILIES[self.tag].label] = self.param
         return out
 
 
@@ -195,32 +215,34 @@ def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0.0) or np.any(r > 1.0):
         raise ValueError("radius equation is evaluated on [0, 1]")
-    if statement_form:
-        if fam.tag != "general":
-            raise ValueError("statement_form only applies to the general family")
-        out = (1.0 - r) ** 2 - fam.lam * r - fam.lam * r ** (fam.p + 1.0)
-    else:
-        c = fam.product
-        out = fam.weight * (1.0 - r) ** fam.exponent - c * r + c * r ** (fam.p + 1.0)
+    w, m, c = _coefficients(fam, statement_form)
+    out = w * (1.0 - r) ** m - c * r + (-c if statement_form else c) * r ** (fam.p + 1.0)
     return out if out.ndim else float(out)
+
+
+def _coefficients(fam: RadiusFamily, statement_form: bool) -> tuple:
+    """(w, m, c) of the equation solved: the family's, or (1, 2, lambda)
+    for the statement form, which only the general family has."""
+    if statement_form and fam.tag != "general":
+        raise ValueError("statement_form only applies to the general family")
+    return (1.0, 2, fam.lam) if statement_form else (fam.weight, fam.exponent, fam.product)
 
 
 @dataclasses.dataclass(frozen=True)
 class RootResult:
     """Outcome of solve_radius: the certified bracket (or None when the
-    equation has no root to find), the midpoint root, the family cap,
-    and the usable radius min(root, cap)."""
+    equation has no root to find), the midpoint root, and the usable
+    radius min(root, family.cap)."""
 
     family: RadiusFamily
     bracket: RInterval | None
     root: float | None
-    cap: float
     radius: float
 
     @property
     def binding(self) -> str:
         """Which constraint determines the radius: 'root' or 'cap'."""
-        return "root" if self.root is not None and self.root < self.cap else "cap"
+        return "root" if self.root is not None and self.root < self.family.cap else "cap"
 
 
 def _factor_terms(fam: RadiusFamily, statement_form: bool, num):
@@ -229,7 +251,7 @@ def _factor_terms(fam: RadiusFamily, statement_form: bool, num):
     (0, 1): q(r) for finite p, the equation itself for p = inf and for
     statement_form.  num (float, or Fraction for exact values) converts
     r and the constants; r^n is left to the caller."""
-    w, m, c = (1.0, 2, fam.lam) if statement_form else (fam.weight, fam.exponent, fam.product)
+    w, m, c = _coefficients(fam, statement_form)
     w, c, p = num(w), num(c), 0 if fam.p == math.inf else int(fam.p)
 
     def terms(r):
@@ -301,11 +323,8 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
-    if statement_form and fam.tag != "general":
-        raise ValueError("statement_form only applies to the general family")
-    c = fam.lam if statement_form else fam.product
-    if c == 0.0:
-        return RootResult(fam, None, None, fam.cap, fam.cap)
+    if _coefficients(fam, statement_form)[2] == 0.0:
+        return RootResult(fam, None, None, fam.cap)
     float_terms = _factor_terms(fam, statement_form, float)
     exact_terms = _factor_terms(fam, statement_form, Fraction)
 
@@ -324,12 +343,7 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
         if exact(lo) == 0 if lo == hi else exact(lo) > 0 > exact(hi):
             break
     root = 0.5 * (lo + hi)
-    return RootResult(fam, RInterval(lo, hi), root, fam.cap, min(root, fam.cap))
-
-
-def bohr_radius_cap(fam: RadiusFamily) -> float:
-    """The family's cap radius (where the single-layer inequality stops)."""
-    return fam.cap
+    return RootResult(fam, RInterval(lo, hi), root, min(root, fam.cap))
 
 
 def lambda_bound(domain: str, gamma: float | None = None) -> float:
@@ -353,7 +367,7 @@ def root_result_to_json(res: RootResult) -> dict:
         "family": res.family.describe(),
         "root": res.root,
         "bracket": None if res.bracket is None else [res.bracket.lo, res.bracket.hi],
-        "cap": res.cap,
+        "cap": res.family.cap,
         "radius": res.radius,
         "binding": res.binding,
     }

@@ -136,10 +136,10 @@ def test_criterion_07_bracketed_root_and_caps():
         res.bracket is not None and res.bracket.width <= 1e-12,
         res.bracket is not None and target in res.bracket,
         abs(res.radius - 1.0 / 3.0) <= 1e-15,
-        abs(B.bohr_radius_cap(B.omega_gamma(0.0, 1.0, 2)) - 1.0 / 3.0) <= 1e-15,
-        abs(B.bohr_radius_cap(B.omega_gamma(0.25, 1.0, 2)) - 5.0 / 13.0) <= 1e-15,
-        abs(B.bohr_radius_cap(B.omega_gamma(0.5, 1.0, 2)) - 3.0 / 7.0) <= 1e-15,
-        B.bohr_radius_cap(B.half_plane(1.0, 2)) == 0.5,
+        abs(B.omega_gamma(0.0, 1.0, 2).cap - 1.0 / 3.0) <= 1e-15,
+        abs(B.omega_gamma(0.25, 1.0, 2).cap - 5.0 / 13.0) <= 1e-15,
+        abs(B.omega_gamma(0.5, 1.0, 2).cap - 3.0 / 7.0) <= 1e-15,
+        B.half_plane(1.0, 2).cap == 0.5,
     ]
     ok = all(checks)
     _report(7, ok, f"bracket [{res.bracket.lo:.15f}, {res.bracket.hi:.15f}] contains "

@@ -1,11 +1,15 @@
 """Command line behavior: argument handling, outputs, exit codes."""
 
+import argparse
 import csv
 import json
 
 import pytest
 
-from bohrlab.cli import main
+from bohrlab.cli import build_parser, main
+from bohrlab.radii import FAMILY_TAGS
+
+HUGE_ORDER = "1" + "0" * 400
 
 
 def run(capsys, *argv):
@@ -62,6 +66,52 @@ def test_solve_missing_parameter_is_usage_error(capsys):
     code, _, err = run(capsys, "solve", "--family", "general")
     assert code == 2
     assert "lambda" in err
+
+
+def _choices(command, dest):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return list(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+def test_family_and_suite_choices():
+    assert tuple(_choices("solve", "family")) == FAMILY_TAGS
+    assert _choices("verify", "suite") == ["subordination", "quasi", "von-neumann",
+                                           "poly-general", "poly-convex", "poly-starlike"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--family", "starlike", "--lambda", "5", "--beta", "3", "--gamma", "0.2"),
+    ("solve", "--family", "general", "--lambda", "1", "--gamma", "0.2"),
+    ("verify", "poly-general", "--trials", "1", "--beta", "7"),
+    ("verify", "poly-convex", "--trials", "1", "--lambda", "5"),
+    ("verify", "poly-starlike", "--trials", "1", "--beta", "1"),
+])
+def test_other_family_parameter_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "only applies to the" in err
+
+
+def test_verify_has_no_gamma_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "poly-general", "--trials", "1", "--gamma", "0.2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--family", "starlike", "--p", HUGE_ORDER),
+    ("verify", "poly-starlike", "--trials", "1", "--p", HUGE_ORDER),
+])
+def test_order_too_large_for_a_float_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "too large" in err
+
+
+def test_quasi_rejects_infinite_multiplier_bound(capsys):
+    code, _, err = run(capsys, "verify", "quasi", "--trials", "1", "--m-bound", "inf")
+    assert code == 2
+    assert "m_bound" in err
 
 
 def test_solve_rejects_unknown_family(capsys):

@@ -176,6 +176,55 @@ def test_report_csv_file(tmp_path):
     float(rows[0]["worst_margin"])
 
 
+def _written_report(path, fmt):
+    # out keeps the campaign's own report and any replay files next to path
+    cfg = CampaignConfig(suite="subordination", trials=4, seed=5, dim=2, degree=16,
+                         out=os.path.join(os.path.dirname(path), "campaign.json"))
+    report = run_subordination(cfg)
+    report.write(path, fmt)
+    return report.describe(), [
+        {"index": r.index, "seed": r.seed, "params": r.params,
+         "worst_margin": r.worst_margin, "passed": r.passed}
+        for r in report.records
+    ]
+
+
+def _written_table(path, fmt):
+    rows = emit_radius_table(("general", "half-plane"), out=path, fmt=fmt)
+    return rows, rows
+
+
+def _cell_matches(text, value):
+    if value is None:
+        return text == ""
+    if isinstance(value, (bool, str)):
+        return text == str(value)
+    if isinstance(value, dict):
+        return json.loads(text) == value
+    return float(text) == value  # exact: floats are written with repr
+
+
+@pytest.mark.parametrize("write", [_written_report, _written_table])
+def test_report_and_table_files_round_trip(tmp_path, write):
+    payload, _ = write(str(tmp_path / "out.json"), None)
+    with open(tmp_path / "out.json") as fh:
+        assert json.load(fh) == payload
+
+    _, rows = write(str(tmp_path / "out.txt"), "csv")
+    with open(tmp_path / "out.txt", newline="") as fh:
+        reader = csv.DictReader(fh)
+        loaded = list(reader)
+    assert reader.fieldnames == list(rows[0])
+    assert len(loaded) == len(rows)
+    for got, want in zip(loaded, rows):
+        for key, value in want.items():
+            assert _cell_matches(got[key], value), (key, got[key], value)
+
+    with pytest.raises(ValueError):
+        write(str(tmp_path / "out.xml"), "xml")
+    assert not (tmp_path / "out.xml").exists()
+
+
 # ---------------------------------------------------------------- sharpness
 
 def test_sharpness_scan_locates_threshold():
@@ -223,3 +272,8 @@ def test_radius_table_rows_and_files(tmp_path):
 
     with pytest.raises(ValueError):
         emit_radius_table(("nope",))
+
+
+def test_full_radius_table_has_144_rows():
+    # 4 k values x 4 p values x (2 lambdas + 3 gammas + 1 + 2 betas + 1)
+    assert len(emit_radius_table()) == 144

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrlab.radii import (
+    FAMILIES,
     FAMILY_TAGS,
     RadiusFamily,
-    bohr_radius_cap,
     convex_sub,
     general_sc,
     half_plane,
@@ -62,6 +62,20 @@ def test_family_rejects_non_finite_parameters():
             general_sc(bad)
         with pytest.raises(ValueError):
             convex_sub(bad)
+
+
+def test_order_too_large_for_a_float_is_a_value_error():
+    # float(10**400) overflows; an OverflowError would escape the CLI's error handling
+    with pytest.raises(ValueError, match="too large"):
+        starlike_sub(1.0, p=10 ** 400)
+
+
+def test_every_sweep_value_builds_a_family():
+    for tag, spec in FAMILIES.items():
+        for x in spec.sweep:
+            fam = RadiusFamily(tag, **({spec.attr: x} if spec.attr else {}))
+            assert fam.param == x
+            assert 0.0 < fam.cap < 1.0
 
 
 def test_eval_known_values():
@@ -136,7 +150,7 @@ def test_solve_no_root_when_coefficient_vanishes():
                 half_plane(0.0, 2), convex_sub(1.0, 0.0, 2), starlike_sub(0.0, 5)):
         res = solve_radius(fam)
         assert res.root is None and res.bracket is None
-        assert res.radius == res.cap
+        assert res.radius == res.family.cap
         assert res.binding == "cap"
 
 
@@ -148,7 +162,7 @@ def test_solve_bracket_certifies_sign_change():
         hi = radius_poly_eval(fam, res.bracket.hi)
         assert lo * hi <= 0.0
         assert res.bracket.width <= 1e-12
-        assert res.radius <= res.cap
+        assert res.radius <= res.family.cap
 
 
 def test_solve_tol_validation():
@@ -157,14 +171,14 @@ def test_solve_tol_validation():
 
 
 def test_caps():
-    assert bohr_radius_cap(omega_gamma(0.0, 1.0, 2)) == pytest.approx(1.0 / 3.0)
-    assert bohr_radius_cap(omega_gamma(0.25, 1.0, 2)) == pytest.approx(5.0 / 13.0)
-    assert bohr_radius_cap(omega_gamma(0.5, 1.0, 2)) == pytest.approx(3.0 / 7.0)
-    assert bohr_radius_cap(half_plane(1.0, 2)) == 0.5
-    assert bohr_radius_cap(general_sc(1.0, 1.0, 2)) == pytest.approx(1.0 / 3.0)
-    assert bohr_radius_cap(general_sc(0.5, 1.0, 2)) == pytest.approx(0.5)
-    assert bohr_radius_cap(convex_sub(2.0, 1.0, 2)) == pytest.approx(1.0 / 3.0)
-    assert bohr_radius_cap(starlike_sub(1.0, 2)) == pytest.approx(1.0 / 3.0)
+    assert omega_gamma(0.0, 1.0, 2).cap == pytest.approx(1.0 / 3.0)
+    assert omega_gamma(0.25, 1.0, 2).cap == pytest.approx(5.0 / 13.0)
+    assert omega_gamma(0.5, 1.0, 2).cap == pytest.approx(3.0 / 7.0)
+    assert half_plane(1.0, 2).cap == 0.5
+    assert general_sc(1.0, 1.0, 2).cap == pytest.approx(1.0 / 3.0)
+    assert general_sc(0.5, 1.0, 2).cap == pytest.approx(0.5)
+    assert convex_sub(2.0, 1.0, 2).cap == pytest.approx(1.0 / 3.0)
+    assert starlike_sub(1.0, 2).cap == pytest.approx(1.0 / 3.0)
 
 
 def test_lambda_bound():
@@ -368,7 +382,7 @@ def test_solve_proves_its_bracket_exactly(problem, tol):
     fam, statement_form = problem
     res = solve_radius(fam, tol, statement_form=statement_form)
     if (fam.lam if statement_form else fam.product) == 0.0:
-        assert res.root is None and res.bracket is None and res.radius == res.cap
+        assert res.root is None and res.bracket is None and res.radius == res.family.cap
         return
     lo, hi = res.bracket.lo, res.bracket.hi
     if lo == hi:
@@ -377,7 +391,7 @@ def test_solve_proves_its_bracket_exactly(problem, tol):
         assert exact_factor(fam, lo, statement_form) > 0 > exact_factor(fam, hi, statement_form)
     assert res.bracket.width <= tol or hi == np.nextafter(lo, 1.0)
     assert lo <= res.root <= hi
-    assert res.radius == min(res.root, res.cap)
+    assert res.radius == min(res.root, res.family.cap)
 
 
 @settings(max_examples=150, deadline=None)
