@@ -15,6 +15,7 @@ invalid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -195,9 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call.  Parsing reads it
+    and never changes it, so consecutive calls share no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -362,8 +362,9 @@ def _starlike_layer(rng, fam: RadiusFamily, config: CampaignConfig) -> MatrixSer
 
 # Base-layer generator per radius family, matching the family's hypothesis;
 # its keys are the families with a poly-* suite.  Disk evidence: the general
-# family is exercised at lambda = 1 with an origin-fixed contraction;
-# convex/starlike use subordination to their models.
+# family is exercised with an origin-fixed contraction, a lambda = 1
+# instance, so run_polyanalytic rejects lambda < 1; convex/starlike use
+# subordination to their models.
 BASE_LAYERS = {"general": _general_layer, "convex": _convex_layer, "starlike": _starlike_layer}
 
 
@@ -380,6 +381,9 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
     base_layer = BASE_LAYERS.get(fam.tag)
     if base_layer is None:
         raise ValueError(f"no instance generator for family {fam.tag!r}")
+    if fam.tag == "general" and fam.lam < 1.0:
+        raise ValueError("poly-general draws origin-fixed contractions, which meet the "
+                         "general hypothesis only for lambda >= 1")
     p = int(fam.p)
     radius = solve_radius(fam).radius
     radii = np.array(_grid_for(config, radius - config.tolerance))

@@ -235,11 +235,8 @@ def add(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
 def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     """Cauchy product, truncated to n = min(deg f, deg g).
 
-    For dim 1 this is one np.convolve.  For dim d > 1 the coefficients
-    g_0..g_n are laid out side by side as a (d, (n+1)d) block row, so
-    that one 2-D matmul f_i @ [g_0 ... g_{n-i}] yields every product
-    f_i g_j that lands at degree i + j <= n; the n + 1 block rows are
-    summed at their offsets.
+    For dim 1 this is one np.convolve; for dim d > 1 it is n + 1 block
+    matmuls (_block_product).
 
     The product's tail mixes truncated and certified parts, so no sound
     constant bound survives; the result carries none.
@@ -251,12 +248,27 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     if d == 1:
         out = np.convolve(fa[:, 0, 0], ga[:, 0, 0])[: n + 1].reshape(-1, 1, 1)
     else:
-        row = ga.transpose(1, 0, 2).reshape(d, (n + 1) * d)
-        acc = np.zeros((d, (n + 1) * d), dtype=np.complex128)
-        for i in range(n + 1):
-            acc[:, i * d :] += fa[i] @ row[:, : (n + 1 - i) * d]
-        out = acc.reshape(d, n + 1, d).transpose(1, 0, 2)
+        out = _block_product(fa, ga)
     return MatrixSeries(out, None)
+
+
+def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
+    """Truncated Cauchy product of coefficient stacks: fa of shape
+    (n+1, m, d) and ga of shape (n+1, d, d) give out_k = sum_{i+j=k}
+    fa_i @ ga_j, of shape (n+1, m, d).
+
+    ga is laid out as one (d, (n+1)d) block row, so that one 2-D matmul
+    fa_i @ [g_0 ... g_{n-i}] yields every product fa_i g_j that lands at
+    degree i + j <= n; the n + 1 block rows are summed at their offsets.
+    A stack of m/d matrices per coefficient (m > d) multiplies each of
+    them by g in the same n + 1 matmuls.
+    """
+    n1, m, d = fa.shape
+    row = ga.transpose(1, 0, 2).reshape(d, n1 * d)
+    acc = np.zeros((m, n1 * d), dtype=np.complex128)
+    for i in range(n1):
+        acc[:, i * d :] += fa[i] @ row[:, : (n1 - i) * d]
+    return acc.reshape(m, n1, d).transpose(1, 0, 2)
 
 
 def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:

@@ -68,6 +68,38 @@ def test_solve_missing_parameter_is_usage_error(capsys):
     assert "lambda" in err
 
 
+def test_consecutive_calls_share_no_state(capsys):
+    # main reuses one parser; no option value or error may carry over
+    code, out, _ = run(capsys, "solve", "--family", "starlike", "--p", "3", "--json")
+    assert code == 0
+    default = json.loads(out)
+    code, out, _ = run(capsys, "solve", "--family", "starlike", "--p", "3", "--k", "0.5", "--json")
+    assert code == 0 and json.loads(out)["family"]["k"] == 0.5
+    code, out, _ = run(capsys, "solve", "--family", "starlike", "--p", "3", "--json")
+    assert code == 0 and json.loads(out)["family"]["k"] == 1.0
+    assert json.loads(out) == default
+    code, _, _ = run(capsys, "solve", "--family", "general", "--p", "3")
+    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--family", "starlike", "--k", "half"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "solve", "--family", "starlike", "--p", "3", "--json")
+    assert code == 0 and json.loads(out) == default
+
+
+@pytest.mark.parametrize("lam, code", [("0.5", 2), ("1", 0), ("2", 0)])
+def test_poly_general_needs_lambda_at_least_one(capsys, lam, code):
+    # its instances are origin-fixed contractions, lambda = 1 instances
+    got, out, err = run(capsys, "verify", "poly-general", "--trials", "10", "--dim", "2",
+                        "--degree", "32", "--k", "1", "--p", "3", "--lambda", lam)
+    assert got == code
+    if code:
+        assert out == "" and "lambda >= 1" in err
+    else:
+        assert out.startswith("PASS") and "passed=10 " in out
+
+
 def _choices(command, dest):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return list(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)

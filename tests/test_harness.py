@@ -118,6 +118,13 @@ def test_polyanalytic_zero_ratio_margin_is_base_only(tmp_path):
     assert report.config["radius"] == pytest.approx(fam.cap)
 
 
+def test_polyanalytic_general_rejects_lambda_below_one(tmp_path):
+    cfg = small_config(tmp_path, "poly-general")
+    with pytest.raises(ValueError, match="lambda >= 1"):
+        run_polyanalytic(cfg, general_sc(0.5, 1.0, 3))
+    assert not os.path.exists(cfg.out)
+
+
 def test_polyanalytic_rejects_limit_order(tmp_path):
     with pytest.raises(ValueError):
         run_polyanalytic(small_config(tmp_path, "poly-inf"), starlike_sub(1.0, math.inf))

@@ -1,16 +1,39 @@
 """Property tests pinning the series kernels to their naive definitions:
 compose against the power-by-power convolution loop, mul against the
 double loop over coefficient pairs, mobius_compose against
-composition with the automorphism's series, and the grid Bohr sums
-against the one-radius form."""
+composition with the automorphism's series, the grid Bohr sums
+against the one-radius form, the realization expansion of Blaschke
+products and Schur diagonals against per-factor convolution, and the
+one-product polyanalytic layers against one product per layer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab.series import Majorant, MatrixSeries, compose, identity_series, mul, scalar_series
-from bohrlab.zoo import blaschke_series, mobius_compose, mobius_transfer, random_blaschke_spec
+from bohrlab.series import (
+    Majorant,
+    MatrixSeries,
+    compose,
+    derivative,
+    identity_series,
+    integrate0,
+    mul,
+    scalar_series,
+)
+from bohrlab.zoo import (
+    BlaschkeSpec,
+    _blaschke_realization,
+    _mobius_realization,
+    _realization_series,
+    blaschke_series,
+    build_polyanalytic,
+    gen_schur_matrix,
+    haar_unitary,
+    mobius_compose,
+    mobius_transfer,
+    random_blaschke_spec,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -159,3 +182,137 @@ def test_bohr_grid_rejects_radii_outside_the_disk():
             m.bohr_grid(bad)
     with pytest.raises(ValueError):
         m.bohr_grid([[0.1, 0.2]])
+
+
+def blaschke_reference(spec, degree):
+    """The Blaschke product by truncated convolution of its factors,
+    (z - a) / (1 - conj(a) z) = -a + (1 - |a|^2) sum_{n>=1} conj(a)^(n-1) z^n."""
+    coeffs = np.zeros(degree + 1, dtype=np.complex128)
+    coeffs[0] = spec.rotation
+    for a in spec.zeros:
+        factor = np.zeros(degree + 1, dtype=np.complex128)
+        if a == 0:
+            if degree >= 1:
+                factor[1] = 1.0
+        else:
+            factor[0] = -a
+            factor[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(degree)
+        coeffs = np.convolve(coeffs, factor)[: degree + 1]
+    return coeffs
+
+
+def gen_schur_reference(seed, dim, degree, fix_origin=False, scalar_head=False):
+    """gen_schur_matrix with each diagonal entry expanded on its own,
+    from the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(rng, dim)
+    if scalar_head:
+        v = u.conj().T
+        alpha0 = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    else:
+        v = haar_unitary(rng, dim)
+    diag = np.empty((degree + 1, dim), dtype=np.complex128)
+    for i in range(dim):
+        spec = random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head)
+        b = scalar_series(blaschke_reference(spec, degree))
+        diag[:, i] = (mobius_compose(alpha0, b) if scalar_head else b).coeffs[:, 0, 0]
+    return np.einsum("ab,nb,bc->nac", u, diag, v)
+
+
+# The expansions compared below run to degree 256; the per-factor
+# convolution they are compared with is itself accurate to about 3e-16.
+EXPANSION_ATOL = 1e-14
+expansion_degrees = st.sampled_from((0, 1, 2, 3, 4, 5, 64, 128, 256))
+
+
+@st.composite
+def blaschke_specs(draw, origin=False):
+    """0..6 zeros of modulus up to 0.95, either spread over the disk or
+    clustered within 1e-3 of one point of modulus 0.95, where a
+    recurrence on the coefficients of prod (1 - conj(a) z) loses digits."""
+    count = draw(st.integers(1 if origin else 0, 6))
+    moduli = st.floats(0.0, 0.95)
+    angles = st.floats(0.0, 2 * np.pi)
+    zeros = [complex(draw(moduli) * np.exp(1j * draw(angles))) for _ in range(count)]
+    if zeros and draw(st.booleans()):
+        base = 0.95 * np.exp(1j * draw(angles))
+        zeros = [base * (1.0 - 1e-3 * draw(st.floats(0.0, 1.0))) for _ in zeros]
+    if origin:
+        zeros[0] = 0.0
+    return BlaschkeSpec(tuple(zeros), np.exp(1j * draw(angles)))
+
+
+@SETTINGS
+@given(blaschke_specs(), expansion_degrees)
+def test_blaschke_series_matches_per_factor_convolution(spec, degree):
+    b = blaschke_series(spec, degree)
+    assert b.coeff_bound == 1.0
+    np.testing.assert_allclose(b.coeffs[:, 0, 0], blaschke_reference(spec, degree),
+                               rtol=0, atol=EXPANSION_ATOL)
+
+
+@SETTINGS
+@given(blaschke_specs(origin=True), expansion_degrees, st.floats(0.0, 0.95),
+       st.floats(0.0, 2 * np.pi))
+def test_mobius_realization_matches_mobius_compose(spec, degree, modulus, angle):
+    alpha = modulus * np.exp(1j * angle)
+    head = _realization_series(*_mobius_realization(alpha, *_blaschke_realization([spec])),
+                               degree)[0]
+    expected = mobius_compose(alpha, blaschke_series(spec, degree)).coeffs[:, 0, 0]
+    np.testing.assert_allclose(head, expected, rtol=0, atol=EXPANSION_ATOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.integers(1, 8), expansion_degrees.filter(bool), st.booleans(), st.booleans())
+def test_gen_schur_matrix_matches_per_entry_expansion(seed, dim, degree, fix_origin, head):
+    fix_origin = fix_origin and not head
+    f = gen_schur_matrix(seed, dim, degree, fix_origin=fix_origin, scalar_head=head)
+    expected = gen_schur_reference(seed, dim, degree, fix_origin, head)
+    np.testing.assert_allclose(f.coeffs, expected, rtol=0, atol=EXPANSION_ATOL)
+    if fix_origin:
+        assert np.all(f.coeffs[0] == 0.0)
+
+
+def test_realization_series_of_rows_with_different_orders():
+    # rows of lower order are padded; a spec without zeros is a constant
+    specs = [BlaschkeSpec(()), BlaschkeSpec((0.0,), 1j), BlaschkeSpec((0.5, -0.3j, 0.2 + 0.7j))]
+    rows = _realization_series(*_blaschke_realization(specs), 40)
+    for row, spec in zip(rows, specs):
+        np.testing.assert_allclose(row, blaschke_reference(spec, 40), rtol=0, atol=EXPANSION_ATOL)
+    assert np.array_equal(rows[0], np.eye(1, 41)[0])
+    assert np.array_equal(rows[1], 1j * np.eye(1, 41, 1)[0])
+
+
+def layers_reference(f0, omegas):
+    df0 = derivative(f0)
+    zero = np.zeros((f0.dim, f0.dim))
+    return [integrate0(mul(w, df0), zero).coeffs for w in omegas]
+
+
+@SETTINGS
+@given(seeds, dims, st.integers(1, 40), st.lists(st.integers(0, 48), min_size=1, max_size=4))
+def test_one_product_layers_match_one_product_per_layer(seed, dim, f0_degree, omega_degrees):
+    rng = np.random.default_rng(seed)
+    c = random_coeffs(rng, (f0_degree + 1, dim, dim))
+    c[0] = 0.0
+    f0 = MatrixSeries(c)
+    omegas = [MatrixSeries(random_coeffs(rng, (n + 1, dim, dim))) for n in omega_degrees]
+    fn = build_polyanalytic(f0, omegas, 1.0)
+    assert fn.p == len(omegas) + 1
+    assert fn.components[0] is f0
+    for layer, expected in zip(fn.components[1:], layers_reference(f0, omegas)):
+        assert layer.coeff_bound is None
+        assert_close(layer.coeffs, expected)
+
+
+@pytest.mark.parametrize("omega_degrees", [(64,), (64, 64, 64, 64), (64, 20, 100, 3)])
+def test_one_product_layers_at_campaign_sizes(omega_degrees):
+    # p = 2 and p = 5 at the campaigns' dim 3 and degree 64, and ratio
+    # functions below, at and above the base layer's degree
+    f0 = gen_schur_matrix(5, 3, 64, fix_origin=True)
+    omegas = [gen_schur_matrix([6, i], 3, n, scalar_head=True) for i, n in enumerate(omega_degrees)]
+    fn = build_polyanalytic(f0, omegas, 1.0)
+    degrees = [layer.degree for layer in fn.components[1:]]
+    assert degrees == [min(n, 63) + 1 for n in omega_degrees]
+    for layer, expected in zip(fn.components[1:], layers_reference(f0, omegas)):
+        assert_close(layer.coeffs, expected)
