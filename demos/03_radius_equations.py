@@ -16,7 +16,6 @@ from bohrlab import (
     emit_radius_table,
     general_sc,
     half_plane,
-    lambda_bound,
     omega_gamma,
     radius_poly_eval,
     solve_radius,
@@ -42,10 +41,6 @@ print("  sign change:", radius_poly_eval(fam, lo) > 0 > radius_poly_eval(fam, hi
 print("\nwhen the polynomial root lands beyond the cap, the cap wins:")
 res = solve_radius(half_plane(1.0, 2))
 print(f"  half-plane p=2: root {res.root:.6f} > cap {res.family.cap}; radius {res.radius}")
-
-# growth constants the caps come from
-print("lambda bound on the disk:", lambda_bound("disk"),
-      "; on omega-gamma(0.25):", lambda_bound("omega-gamma", 0.25))
 
 # --- order dependence ----------------------------------------------------------------
 

@@ -39,6 +39,7 @@ from .series import (
 from .zoo import (
     CaratheodoryScalar,
     blaschke_series,
+    bohr_sum_poly,
     build_polyanalytic,
     convex_model,
     gen_schur_matrix,
@@ -96,6 +97,9 @@ class CampaignConfig:
             raise ValueError("tolerance must be finite")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
+        # the report and any failure replay files go to out's directory
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ValueError(f"output directory {os.path.dirname(self.out)!r} does not exist")
 
     def describe(self) -> dict:
         out = dataclasses.asdict(self)
@@ -386,7 +390,7 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
                          "general hypothesis only for lambda >= 1")
     p = int(fam.p)
     radius = solve_radius(fam).radius
-    radii = np.array(_grid_for(config, radius - config.tolerance))
+    grid = _grid_for(config, radius - config.tolerance)
 
     def trial(rng):
         f0 = base_layer(rng, fam, config)
@@ -398,9 +402,7 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
             for _ in range(p - 1)
         ]
         fn = build_polyanalytic(f0, omegas, fam.k)
-        total = sum(radii**l * majorant(f).bohr_grid(radii)[1]
-                    for l, f in enumerate(fn.components))
-        worst = float(np.min(1.0 - total))
+        worst = float(np.min(1.0 - bohr_sum_poly(fn, grid)[1]))
 
         def payload():
             return {"fn": polyanalytic_to_json(fn)}

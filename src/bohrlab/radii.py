@@ -18,6 +18,10 @@ derivative-ratio bound k and the family's coefficient-growth constant:
 FAMILIES is the single source of these facts in the code, together
 with each family's parameter, its valid range and the values the radius
 table sweeps; the table above is the mathematics behind it.
+_factor_terms is the single definition of the equation: from a FAMILIES
+row it builds the strictly decreasing factor q below, with the family's
+exact coefficients (Fraction) or their floats.  The solver's bisection
+and proof read it, and radius_poly_eval is its view (1 - r) q(r).
 
 p is an integer >= 2, or math.inf for the limiting equation with the
 r^(p+1) term absent (r^inf evaluates to exactly 0.0 on (0, 1), so no
@@ -64,7 +68,6 @@ __all__ = [
     "starlike_sub",
     "radius_poly_eval",
     "solve_radius",
-    "lambda_bound",
     "root_result_to_json",
 ]
 
@@ -75,7 +78,9 @@ class FamilySpec:
     parameter (the columns of the table above), the parameter values the
     radius table sweeps, and the parameter itself: its RadiusFamily
     attribute, report label, valid range and the error for a value
-    outside it (all None for a family without one)."""
+    outside it (all None for a family without one).  weight and coeff
+    are generic in the number type, so a Fraction parameter gives the
+    exact coefficient and a float one its correctly rounded value."""
 
     weight: Callable
     exponent: int
@@ -89,17 +94,17 @@ class FamilySpec:
 
 
 FAMILIES = {
-    "general": FamilySpec(lambda x: 1.0, 2, lambda x: x, lambda x: 1.0 / (1.0 + 2.0 * x),
+    "general": FamilySpec(lambda x: 1, 2, lambda x: x, lambda x: 1.0 / (1.0 + 2.0 * x),
                           (0.5, 1.0), "lam", "lambda", lambda x: 0.0 <= x < math.inf,
                           "general family needs a finite lambda >= 0"),
-    "omega-gamma": FamilySpec(lambda x: 1.0 + x, 2, lambda x: 1.0, lambda x: (1.0 + x) / (3.0 + x),
+    "omega-gamma": FamilySpec(lambda x: 1 + x, 2, lambda x: 1, lambda x: (1.0 + x) / (3.0 + x),
                               (0.0, 0.25, 0.5), "gamma", "gamma", lambda x: 0.0 <= x < 1.0,
                               "omega-gamma family needs gamma in [0, 1)"),
-    "half-plane": FamilySpec(lambda x: 2.0, 2, lambda x: 1.0, lambda x: 0.5),
-    "convex": FamilySpec(lambda x: 1.0, 2, lambda x: x, lambda x: 1.0 / 3.0,
+    "half-plane": FamilySpec(lambda x: 2, 2, lambda x: 1, lambda x: 0.5),
+    "convex": FamilySpec(lambda x: 1, 2, lambda x: x, lambda x: 1.0 / 3.0,
                          (0.5, 1.0), "beta", "beta", lambda x: 0.0 < x < math.inf,
                          "convex family needs a finite beta > 0"),
-    "starlike": FamilySpec(lambda x: 1.0, 3, lambda x: 1.0, lambda x: 1.0 / 3.0),
+    "starlike": FamilySpec(lambda x: 1, 3, lambda x: 1, lambda x: 1.0 / 3.0),
 }
 FAMILY_TAGS = tuple(FAMILIES)
 
@@ -153,19 +158,6 @@ class RadiusFamily:
         return getattr(self, attr) if attr else None
 
     @property
-    def weight(self) -> float:
-        return FAMILIES[self.tag].weight(self.param)
-
-    @property
-    def exponent(self) -> int:
-        return FAMILIES[self.tag].exponent
-
-    @property
-    def product(self) -> float:
-        """The coefficient c multiplying r and r^(p+1)."""
-        return self.k * FAMILIES[self.tag].coeff(self.param)
-
-    @property
     def cap(self) -> float:
         """Largest radius the family's single-layer inequality covers."""
         return FAMILIES[self.tag].cap(self.param)
@@ -206,6 +198,10 @@ def starlike_sub(k: float = 1.0, p=2) -> RadiusFamily:
 def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
     """Left-hand side of the family's radius equation at r (scalar or array).
 
+    A view of _factor_terms, the equation's one definition: (1 - r) q(r)
+    for finite p, and the decreasing function itself for p = inf and for
+    statement_form.
+
     statement_form selects the historically displayed variant of the
     general equation, (1-r)^2 - lambda r - lambda r^(p+1); it omits k
     and flips the sign of the tail term.  The default form is the one
@@ -215,17 +211,15 @@ def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0.0) or np.any(r > 1.0):
         raise ValueError("radius equation is evaluated on [0, 1]")
-    w, m, c = _coefficients(fam, statement_form)
-    out = w * (1.0 - r) ** m - c * r + (-c if statement_form else c) * r ** (fam.p + 1.0)
+    terms, _ = _factor_terms(fam, statement_form, float)
+    whole = fam.p == math.inf or statement_form
+
+    def value(x):
+        a, b, n = terms(x)
+        return (a + b * x ** n) * (1.0 if whole else 1.0 - x)
+
+    out = np.array([value(x) for x in r.ravel().tolist()]).reshape(r.shape)
     return out if out.ndim else float(out)
-
-
-def _coefficients(fam: RadiusFamily, statement_form: bool) -> tuple:
-    """(w, m, c) of the equation solved: the family's, or (1, 2, lambda)
-    for the statement form, which only the general family has."""
-    if statement_form and fam.tag != "general":
-        raise ValueError("statement_form only applies to the general family")
-    return (1.0, 2, fam.lam) if statement_form else (fam.weight, fam.exponent, fam.product)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,10 +243,18 @@ def _factor_terms(fam: RadiusFamily, statement_form: bool, num):
     """The function r -> (a, b, n) with a + b r^n the strictly decreasing
     function on [0, 1] whose root is the equation's unique root in
     (0, 1): q(r) for finite p, the equation itself for p = inf and for
-    statement_form.  num (float, or Fraction for exact values) converts
-    r and the constants; r^n is left to the caller."""
-    w, m, c = _coefficients(fam, statement_form)
-    w, c, p = num(w), num(c), 0 if fam.p == math.inf else int(fam.p)
+    statement_form; and the coefficient c, whose vanishing leaves no
+    root.  This is the single definition of every family's equation;
+    the solver's float bisection and exact proof and radius_poly_eval
+    all read it.  num (float, or Fraction for exact values) converts r
+    and the family's parameters, so the exact form has the family's
+    exact coefficients w and c = k * coeff; r^n is left to the caller."""
+    if statement_form and fam.tag != "general":
+        raise ValueError("statement_form only applies to the general family")
+    spec, x = FAMILIES[fam.tag], None if fam.param is None else num(fam.param)
+    w, m, c = (1, 2, x) if statement_form else (spec.weight(x), spec.exponent,
+                                                   num(fam.k) * spec.coeff(x))
+    p = 0 if fam.p == math.inf else int(fam.p)
 
     def terms(r):
         r = num(r)
@@ -265,7 +267,7 @@ def _factor_terms(fam: RadiusFamily, statement_form: bool, num):
         g = c * r / (1 - r)
         return w * (1 - r) ** (m - 1) - g, g, p
 
-    return terms
+    return terms, c
 
 
 def _power_bounds(x: Fraction, n: int, bits: int) -> tuple[int, int]:
@@ -315,18 +317,20 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     or exactly zero on a zero-width bracket.  The proof encloses r^p
     between dyadic rationals of a few hundred bits, refined only until
     the sign is certain, so its cost grows with log p rather than with
-    the 53 p bits of the exact power.  If a float sign decision
-    was wrong, the bisection is repeated with exact decisions.  The
-    root is the bracket's midpoint.  When the coefficient c vanishes the
+    the 53 p bits of the exact power.  The proof reads the family's
+    exact coefficients, so it holds for the equation itself, not for
+    its float-rounded coefficients.  If a float sign decision was wrong,
+    the bisection is repeated with exact decisions.  The root is the
+    bracket's midpoint.  When the exact coefficient c vanishes the
     equation has no root in (0, 1) (the left side stays positive), and
     the radius is the cap alone.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
-    if _coefficients(fam, statement_form)[2] == 0.0:
+    exact_terms, c = _factor_terms(fam, statement_form, Fraction)
+    if c == 0:
         return RootResult(fam, None, None, fam.cap)
-    float_terms = _factor_terms(fam, statement_form, float)
-    exact_terms = _factor_terms(fam, statement_form, Fraction)
+    float_terms, _ = _factor_terms(fam, statement_form, float)
 
     def approx(r):
         a, b, n = float_terms(r)
@@ -344,20 +348,6 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
             break
     root = 0.5 * (lo + hi)
     return RootResult(fam, RInterval(lo, hi), root, min(root, fam.cap))
-
-
-def lambda_bound(domain: str, gamma: float | None = None) -> float:
-    """Documented bound for the coefficient-growth constant lambda:
-    1 on the disk, 1/(1 + gamma) on the Omega_gamma scale."""
-    if domain == "disk":
-        if gamma is not None:
-            raise ValueError("the disk bound takes no gamma")
-        return 1.0
-    if domain == "omega-gamma":
-        if gamma is None or not 0.0 <= gamma < 1.0:
-            raise ValueError("omega-gamma bound needs gamma in [0, 1)")
-        return 1.0 / (1.0 + float(gamma))
-    raise ValueError(f"unknown domain {domain!r}")
 
 
 def root_result_to_json(res: RootResult) -> dict:

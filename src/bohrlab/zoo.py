@@ -22,14 +22,7 @@ import math
 import numpy as np
 
 from .opmat import op_norm
-from .series import (
-    MatrixSeries,
-    RInterval,
-    _block_product,
-    bohr_sum,
-    derivative,
-    scalar_series,
-)
+from .series import MatrixSeries, _block_product, derivative, majorant, scalar_series
 
 __all__ = [
     "BlaschkeSpec",
@@ -40,7 +33,6 @@ __all__ = [
     "haar_unitary",
     "gen_schur_matrix",
     "mobius_transfer",
-    "mobius_compose",
     "mobius_extremal",
     "convex_model",
     "starlike_from_q",
@@ -227,40 +219,6 @@ def mobius_extremal(a: float, degree: int) -> MatrixSeries:
     return mobius_transfer(a, degree)
 
 
-def mobius_compose(alpha: complex, b: MatrixSeries) -> MatrixSeries:
-    """Coefficients of m(b) = (alpha + b) / (1 + conj(alpha) b), the disk
-    automorphism mobius_transfer(alpha) applied to a scalar series b
-    with constant term exactly zero, through the degree of b.
-
-    Equal to compose(mobius_transfer(alpha, deg b), b), but computed as
-    one series division.  The denominator starts at 1, so its reciprocal
-    comes from Newton iteration r <- r + r (1 - den r), which doubles the
-    number of correct coefficients per step: with r right through degree
-    m - 1, the error 1 - den r starts at degree m and only its next m
-    coefficients are needed.  Like compose, the result carries no tail
-    certificate; when b is a Schur function so is m(b).
-    """
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ValueError("automorphism parameter must satisfy |alpha| < 1")
-    if b.dim != 1:
-        raise ValueError("inner function must be scalar (dim 1)")
-    if b.coeffs[0, 0, 0] != 0:
-        raise ValueError("inner function must have constant term exactly zero")
-    n = b.degree
-    den = np.conj(alpha) * b.coeffs[:, 0, 0]
-    den[0] = 1.0
-    recip = np.ones(1, dtype=np.complex128)
-    while recip.size <= n:
-        m = recip.size
-        top = min(2 * m, n + 1)
-        err = np.convolve(den[:top], recip)[m:top]
-        recip = np.concatenate([recip, -np.convolve(recip, err)[: top - m]])
-    num = b.coeffs[:, 0, 0].copy()
-    num[0] = alpha
-    return scalar_series(np.convolve(num, recip)[: n + 1])
-
-
 def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
                      scalar_head: bool = False) -> MatrixSeries:
     """Random matrix Schur function: U diag(b_1..b_d) V with U, V unitary
@@ -431,24 +389,25 @@ def build_polyanalytic(f0: MatrixSeries, omegas, k: float) -> PolyanalyticFn:
     return PolyanalyticFn(tuple(layers), k)
 
 
-def bohr_sum_poly(fn: PolyanalyticFn, r: float) -> RInterval:
-    """Enclosure of sum_l r^l * (Bohr sum of f_l at r).
+def bohr_sum_poly(fn: PolyanalyticFn, radii) -> tuple:
+    """Enclosures of sum_l r^l * (Bohr sum of f_l at r) at every radius
+    of a grid in [0, 1).
 
-    Certified only when every layer's interval is; at r = 0 the value
-    collapses to ||f_0(0)|| exactly.
+    Returns (lo, hi, certified): the arrays of lower and upper ends,
+    summed layer by layer from each layer's Majorant.bohr_grid, and
+    whether hi is a proven upper bound, which holds when every layer
+    carries a tail bound.  Each radius gets the same bits whatever grid
+    it sits in.
     """
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
+    r = np.asarray(radii, dtype=np.float64)
     lo = hi = 0.0
     certified = True
     for l, f in enumerate(fn.components):
-        iv = bohr_sum(f, r)
-        w = r**l
-        lo += w * iv.lo
-        hi += w * iv.hi
-        certified = certified and iv.certified
-    return RInterval(lo, hi, certified)
+        m = majorant(f)
+        layer_lo, layer_hi = m.bohr_grid(r)
+        lo, hi = lo + r**l * layer_lo, hi + r**l * layer_hi
+        certified = certified and m.tail_bound is not None
+    return lo, hi, certified
 
 
 def eval_polyanalytic(fn: PolyanalyticFn, z: complex) -> np.ndarray:

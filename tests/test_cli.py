@@ -3,9 +3,11 @@
 import argparse
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
+from bohrlab import harness
 from bohrlab.cli import build_parser, main
 from bohrlab.radii import FAMILY_TAGS
 
@@ -40,6 +42,24 @@ def test_solve_large_tol_reports_the_root(capsys):
     assert code == 0
     lo, hi = json.loads(out)["bracket"]
     assert lo <= 0.3181046747116650 <= hi and hi - lo <= 0.4
+
+
+def test_solve_proves_the_root_of_the_exact_equation(capsys):
+    # k * lambda is not a float; a bracket proven for its rounded value
+    # had both ends on the negative side of the exact equation's root
+    lam, k = 1.918520934774431, 0.5705964939929364
+    code, out, _ = run(capsys, "solve", "--family", "general", "--lambda", repr(lam),
+                       "--k", repr(k), "--p", "2", "--tol", "1e-18", "--json")
+    assert code == 0
+    c = Fraction(lam) * Fraction(k)
+
+    def q(r):
+        # (1 - r)^2 - c r + c r^3 = (1 - r) q(r)
+        r = Fraction(r)
+        return 1 - r - c * r * (1 + r)
+
+    lo, hi = json.loads(out)["bracket"]
+    assert q(lo) > 0 > q(hi)
 
 
 def test_solve_huge_order_matches_the_limit(capsys):
@@ -194,6 +214,18 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert code == 1
     assert text.startswith("FAIL")
     assert (tmp_path / "subordination-failure-00000.json").exists()
+
+
+def test_verify_missing_out_directory_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_rng", no_trial)
+    code, _, err = run(capsys, "verify", "von-neumann",
+                       "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2
+    assert "directory" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_bad_config_is_usage_error(capsys):

@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from bohrlab import harness
 from bohrlab.harness import (
     CampaignConfig,
     default_grid,
@@ -20,8 +21,11 @@ from bohrlab.harness import (
     run_subordination,
     run_von_neumann,
 )
-from bohrlab.radii import convex_sub, general_sc, starlike_sub
+from bohrlab.radii import FAMILIES, convex_sub, general_sc, starlike_sub
 from bohrlab.series import series_from_json
+from bohrlab.zoo import bohr_sum_poly, build_polyanalytic
+
+RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
 
 
 def small_config(tmp_path, suite, **kw):
@@ -34,6 +38,12 @@ def small_config(tmp_path, suite, **kw):
 
 
 # ---------------------------------------------------------------- config
+
+def test_out_directory_must_exist(tmp_path):
+    with pytest.raises(ValueError, match="directory"):
+        CampaignConfig(suite="s", out=str(tmp_path / "missing" / "r.json"))
+    CampaignConfig(suite="s", out="r.json")
+
 
 def test_config_validation():
     ok = dict(suite="s", trials=1, dim=1, degree=1)
@@ -116,6 +126,23 @@ def test_polyanalytic_zero_ratio_margin_is_base_only(tmp_path):
     assert report.passed
     # with k = 0 the higher layer vanishes and the radius is the cap
     assert report.config["radius"] == pytest.approx(fam.cap)
+
+
+def test_polyanalytic_margin_is_the_layered_sum_on_the_grid(tmp_path, monkeypatch):
+    built = []
+
+    def build(*args):
+        built.append(build_polyanalytic(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_polyanalytic", build)
+    for fam in (general_sc(1.0, 1.0, 3), convex_sub(0.5, 0.5, 2), starlike_sub(1.0, 2)):
+        built.clear()
+        cfg = small_config(tmp_path, f"poly-{fam.tag}", trials=4)
+        report = run_polyanalytic(cfg, fam)
+        grid = default_grid(report.config["radius"] - cfg.tolerance)
+        assert [r.worst_margin for r in report.records] == [
+            float(np.min(1.0 - bohr_sum_poly(fn, grid)[1])) for fn in built]
 
 
 def test_polyanalytic_general_rejects_lambda_below_one(tmp_path):
@@ -284,3 +311,21 @@ def test_radius_table_rows_and_files(tmp_path):
 def test_full_radius_table_has_144_rows():
     # 4 k values x 4 p values x (2 lambdas + 3 gammas + 1 + 2 betas + 1)
     assert len(emit_radius_table()) == 144
+
+
+def test_radius_table_is_pinned():
+    # every row's root, bracket and radius as float hex, so any change to
+    # the solver shows up row by row
+    def cell(x):
+        return "" if x is None else float(x).hex()
+
+    with open(RADIUS_TABLE, newline="") as fh:
+        expected = list(csv.reader(fh))
+    actual = [["family", "k", "p", "param", "root", "bracket_lo", "bracket_hi", "radius"]]
+    for row in emit_radius_table():
+        spec = FAMILIES[row["family"]]
+        actual.append([row["family"], str(row["k"]), str(row["p"]),
+                       str(row[spec.label]) if spec.attr else "", cell(row["root"]),
+                       cell(row["bracket_lo"]), cell(row["bracket_hi"]), cell(row["radius"])])
+    assert len(actual) == 145
+    assert actual == expected

@@ -1,8 +1,9 @@
 """Property tests pinning the series kernels to their naive definitions:
 compose against the power-by-power convolution loop, mul against the
-double loop over coefficient pairs, mobius_compose against
-composition with the automorphism's series, the grid Bohr sums
-against the one-radius form, the realization expansion of Blaschke
+double loop over coefficient pairs, mobius_compose (defined here as the
+reference for the scalar-head realization) against composition with
+the automorphism's series, the grid Bohr sums and layered Bohr sums
+against their one-radius form, the realization expansion of Blaschke
 products and Schur diagonals against per-factor convolution, and the
 one-product polyanalytic layers against one product per layer."""
 
@@ -23,14 +24,15 @@ from bohrlab.series import (
 )
 from bohrlab.zoo import (
     BlaschkeSpec,
+    PolyanalyticFn,
     _blaschke_realization,
     _mobius_realization,
     _realization_series,
     blaschke_series,
+    bohr_sum_poly,
     build_polyanalytic,
     gen_schur_matrix,
     haar_unitary,
-    mobius_compose,
     mobius_transfer,
     random_blaschke_spec,
 )
@@ -140,27 +142,6 @@ def test_mul_matches_double_loop(seed, dim, f_degree, g_degree):
 
 
 @SETTINGS
-@given(seeds, st.integers(0, 64), st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi))
-def test_mobius_compose_matches_composition(seed, degree, modulus, angle):
-    rng = np.random.default_rng(seed)
-    alpha = modulus * np.exp(1j * angle)
-    b = blaschke_series(random_blaschke_spec(rng, fix_origin=True), degree)
-    head = mobius_compose(alpha, b)
-    assert head.coeff_bound is None
-    assert_close(head.coeffs, compose(mobius_transfer(alpha, degree), b).coeffs)
-
-
-def test_mobius_compose_validation():
-    b = scalar_series([0.0, 0.5, 0.25])
-    with pytest.raises(ValueError, match="alpha"):
-        mobius_compose(1.0, b)
-    with pytest.raises(ValueError, match="constant term"):
-        mobius_compose(0.5, scalar_series([0.1, 0.5]))
-    with pytest.raises(ValueError, match="scalar"):
-        mobius_compose(0.5, identity_series(2, 2))
-
-
-@SETTINGS
 @given(seeds, st.integers(1, 130), st.integers(1, 40), st.booleans(), st.booleans())
 def test_bohr_grid_equals_one_radius_form_bit_for_bit(seed, size, points, bounded, with_zero):
     rng = np.random.default_rng(seed)
@@ -173,6 +154,25 @@ def test_bohr_grid_equals_one_radius_form_bit_for_bit(seed, size, points, bounde
         iv = m.bohr(r)
         assert (iv.lo, iv.hi) == (lo[i], hi[i])
         assert iv.certified == (bounded or r == 0.0)
+
+
+@SETTINGS
+@given(seeds, dims, st.lists(st.booleans(), min_size=2, max_size=5), st.integers(1, 40),
+       st.booleans())
+def test_bohr_sum_poly_equals_one_radius_form_bit_for_bit(seed, dim, bounded, points, with_zero):
+    # layers of different degrees, each with or without a tail bound
+    rng = np.random.default_rng(seed)
+    layers = [MatrixSeries(random_coeffs(rng, (int(rng.integers(1, 40)), dim, dim)),
+                           float(rng.uniform(0.0, 3.0)) if b else None) for b in bounded]
+    fn = PolyanalyticFn(layers)
+    radii = rng.uniform(0.0, 1.0, points)
+    if with_zero:
+        radii[rng.integers(points)] = 0.0
+    lo, hi, certified = bohr_sum_poly(fn, radii)
+    assert certified == all(bounded)
+    for i, r in enumerate(radii):
+        one_lo, one_hi, one_certified = bohr_sum_poly(fn, [r])
+        assert (one_lo[0], one_hi[0], one_certified) == (lo[i], hi[i], certified)
 
 
 def test_bohr_grid_rejects_radii_outside_the_disk():
@@ -199,6 +199,61 @@ def blaschke_reference(spec, degree):
             factor[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(degree)
         coeffs = np.convolve(coeffs, factor)[: degree + 1]
     return coeffs
+
+
+def mobius_compose(alpha, b):
+    """Coefficients of m(b) = (alpha + b) / (1 + conj(alpha) b), the disk
+    automorphism mobius_transfer(alpha) applied to a scalar series b
+    with constant term exactly zero, through the degree of b.
+
+    Equal to compose(mobius_transfer(alpha, deg b), b), but computed as
+    one series division.  The denominator starts at 1, so its reciprocal
+    comes from Newton iteration r <- r + r (1 - den r), which doubles the
+    number of correct coefficients per step: with r right through degree
+    m - 1, the error 1 - den r starts at degree m and only its next m
+    coefficients are needed.  Like compose, the result carries no tail
+    certificate; when b is a Schur function so is m(b).
+    """
+    alpha = complex(alpha)
+    if abs(alpha) >= 1.0:
+        raise ValueError("automorphism parameter must satisfy |alpha| < 1")
+    if b.dim != 1:
+        raise ValueError("inner function must be scalar (dim 1)")
+    if b.coeffs[0, 0, 0] != 0:
+        raise ValueError("inner function must have constant term exactly zero")
+    n = b.degree
+    den = np.conj(alpha) * b.coeffs[:, 0, 0]
+    den[0] = 1.0
+    recip = np.ones(1, dtype=np.complex128)
+    while recip.size <= n:
+        m = recip.size
+        top = min(2 * m, n + 1)
+        err = np.convolve(den[:top], recip)[m:top]
+        recip = np.concatenate([recip, -np.convolve(recip, err)[: top - m]])
+    num = b.coeffs[:, 0, 0].copy()
+    num[0] = alpha
+    return scalar_series(np.convolve(num, recip)[: n + 1])
+
+
+@SETTINGS
+@given(seeds, st.integers(0, 64), st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi))
+def test_mobius_compose_matches_composition(seed, degree, modulus, angle):
+    rng = np.random.default_rng(seed)
+    alpha = modulus * np.exp(1j * angle)
+    b = blaschke_series(random_blaschke_spec(rng, fix_origin=True), degree)
+    head = mobius_compose(alpha, b)
+    assert head.coeff_bound is None
+    assert_close(head.coeffs, compose(mobius_transfer(alpha, degree), b).coeffs)
+
+
+def test_mobius_compose_validation():
+    b = scalar_series([0.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="alpha"):
+        mobius_compose(1.0, b)
+    with pytest.raises(ValueError, match="constant term"):
+        mobius_compose(0.5, scalar_series([0.1, 0.5]))
+    with pytest.raises(ValueError, match="scalar"):
+        mobius_compose(0.5, identity_series(2, 2))
 
 
 def gen_schur_reference(seed, dim, degree, fix_origin=False, scalar_head=False):

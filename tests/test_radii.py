@@ -16,7 +16,6 @@ from bohrlab.radii import (
     convex_sub,
     general_sc,
     half_plane,
-    lambda_bound,
     omega_gamma,
     radius_poly_eval,
     root_result_to_json,
@@ -181,18 +180,6 @@ def test_caps():
     assert starlike_sub(1.0, 2).cap == pytest.approx(1.0 / 3.0)
 
 
-def test_lambda_bound():
-    assert lambda_bound("disk") == 1.0
-    assert lambda_bound("omega-gamma", 0.25) == pytest.approx(0.8)
-    assert lambda_bound("omega-gamma", 0.0) == 1.0
-    with pytest.raises(ValueError):
-        lambda_bound("omega-gamma")
-    with pytest.raises(ValueError):
-        lambda_bound("disk", 0.5)
-    with pytest.raises(ValueError):
-        lambda_bound("annulus")
-
-
 def test_root_monotone_in_coefficient_and_order():
     def root(fam):
         return solve_radius(fam).root
@@ -344,15 +331,32 @@ def problems(draw):
     return fam, fam.tag == "general" and draw(st.booleans())
 
 
+def exact_coefficients(fam, statement_form=False):
+    """(w, m, c) of the equation solved, with the family's parameters
+    taken exactly, so c = k * lambda is the exact product rather than
+    its float."""
+    k = Fraction(fam.k)
+    if statement_form:
+        return 1, 2, Fraction(fam.lam)
+    if fam.tag == "general":
+        return 1, 2, k * Fraction(fam.lam)
+    if fam.tag == "omega-gamma":
+        return 1 + Fraction(fam.gamma), 2, k
+    if fam.tag == "half-plane":
+        return 2, 2, k
+    if fam.tag == "convex":
+        return 1, 2, k * Fraction(fam.beta)
+    return 1, 3, k
+
+
 def exact_factor(fam, r, statement_form=False):
     """The decreasing function whose root the solver brackets, in exact
     arithmetic with the geometric sum written out term by term."""
     r = Fraction(r)
     finite = fam.p != math.inf
+    w, m, c = exact_coefficients(fam, statement_form)
     if statement_form:
-        lam = Fraction(fam.lam)
-        return (1 - r) ** 2 - lam * r - (lam * r ** (int(fam.p) + 1) if finite else 0)
-    w, m, c = Fraction(fam.weight), fam.exponent, Fraction(fam.product)
+        return (1 - r) ** 2 - c * r - (c * r ** (int(fam.p) + 1) if finite else 0)
     if not finite:
         return w * (1 - r) ** m - c * r
     return w * (1 - r) ** (m - 1) - c * r * sum(r ** j for j in range(int(fam.p)))
@@ -381,7 +385,7 @@ def root_or_one(res):
 def test_solve_proves_its_bracket_exactly(problem, tol):
     fam, statement_form = problem
     res = solve_radius(fam, tol, statement_form=statement_form)
-    if (fam.lam if statement_form else fam.product) == 0.0:
+    if exact_coefficients(fam, statement_form)[2] == 0:
         assert res.root is None and res.bracket is None and res.radius == res.family.cap
         return
     lo, hi = res.bracket.lo, res.bracket.hi

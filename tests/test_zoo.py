@@ -272,7 +272,7 @@ def test_build_with_zero_ratio_gives_zero_layer():
     assert fn.p == 2
     assert op_norms(fn.components[1].coeffs).max() == 0.0
     for r in (0.0, 0.2):
-        assert bohr_sum_poly(fn, r).lo == pytest.approx(bohr_sum(f0, r).lo)
+        assert bohr_sum_poly(fn, [r])[0][0] == pytest.approx(bohr_sum(f0, r).lo)
 
 
 def test_build_with_constant_ratio_reproduces_scaled_base():
@@ -314,12 +314,12 @@ def test_bohr_sum_poly_examples():
     fn = PolyanalyticFn((f0, f0), 1.0)
     r = 0.25
     # layers are both z: total = (1 + r) * r
-    iv = bohr_sum_poly(fn, r)
-    assert iv.lo == pytest.approx((1 + r) * r)
-    assert iv.certified
-    assert bohr_sum_poly(fn, 0.0).lo == 0.0
+    lo, hi, certified = bohr_sum_poly(fn, [r])
+    assert lo[0] == pytest.approx((1 + r) * r)
+    assert certified
+    assert bohr_sum_poly(fn, [0.0])[0][0] == 0.0
     with pytest.raises(ValueError):
-        bohr_sum_poly(fn, 1.0)
+        bohr_sum_poly(fn, [1.0])
 
 
 def test_eval_polyanalytic():
@@ -341,7 +341,7 @@ def test_eval_polyanalytic_below_bohr_bound():
     for _ in range(10):
         z = 0.3 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         val = op_norm(eval_polyanalytic(fn, z))
-        assert val <= bohr_sum_poly(fn, abs(z)).hi + 1e-10
+        assert val <= bohr_sum_poly(fn, [abs(z)])[1][0] + 1e-10
 
 
 def test_polyanalytic_json_round_trip():
