@@ -135,7 +135,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_table(args) -> int:
     families = None
-    if args.families:
+    if args.families is not None:
         families = tuple(t.strip() for t in args.families.split(",") if t.strip())
     rows = emit_radius_table(families, out=args.out, fmt=args.format, tol=args.tol)
     if args.out:

@@ -481,14 +481,17 @@ def emit_radius_table(families=None, out: str | None = None,
     """Solve the radius equation over a standard parameter sweep.
 
     One row per (family, parameters) combination: root, certified
-    bracket, cap, usable radius, and which of root/cap binds.  Written
-    as CSV or JSON when out is given (format inferred from the
+    bracket, cap, usable radius, and which of root/cap binds.  families
+    lists the tags in the order wanted, each once (default: all).
+    Written as CSV or JSON when out is given (format inferred from the
     extension unless fmt is passed).
     """
-    families = tuple(families) if families else FAMILY_TAGS
+    families = FAMILY_TAGS if families is None else tuple(families)
     unknown = [f for f in families if f not in FAMILY_TAGS]
     if unknown:
         raise ValueError(f"unknown families: {unknown}")
+    if not families or len(set(families)) < len(families):
+        raise ValueError(f"families must list at least one tag and none twice: {list(families)}")
     rows = []
     for k, p, tag in itertools.product((0.0, 0.25, 0.5, 1.0), (2, 3, 5, 8), families):
         attr = FAMILIES[tag].attr

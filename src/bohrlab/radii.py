@@ -19,9 +19,12 @@ FAMILIES is the single source of these facts in the code, together
 with each family's parameter, its valid range and the values the radius
 table sweeps; the table above is the mathematics behind it.
 _factor_terms is the single definition of the equation: from a FAMILIES
-row it builds the strictly decreasing factor q below, with the family's
-exact coefficients (Fraction) or their floats.  The solver's bisection
-and proof read it, and radius_poly_eval is its view (1 - r) q(r).
+row it builds the family's exact coefficients as integers over a power
+of two (every parameter is a float, so they are dyadic rationals).
+The solver proves its bracket with them in integer arithmetic, its
+float bisection reads them rounded once each (_float_factor, the
+strictly decreasing factor q below), and radius_poly_eval is the view
+(1 - r) q(r).
 
 p is an integer >= 2, or math.inf for the limiting equation with the
 r^(p+1) term absent (r^inf evaluates to exactly 0.0 on (0, 1), so no
@@ -50,7 +53,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Callable
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,16 +77,16 @@ __all__ = [
 @dataclasses.dataclass(frozen=True)
 class FamilySpec:
     """One radius family: w, m, c / k and cap as functions of its
-    parameter (the columns of the table above), the parameter values the
-    radius table sweeps, and the parameter itself: its RadiusFamily
+    parameter x (the columns of the table above), the parameter values
+    the radius table sweeps, and the parameter itself: its RadiusFamily
     attribute, report label, valid range and the error for a value
     outside it (all None for a family without one).  weight and coeff
-    are generic in the number type, so a Fraction parameter gives the
-    exact coefficient and a float one its correctly rounded value."""
+    are affine in x, given as the integer pair (u, v) of u + v x, so
+    the solver forms them exactly from a float x."""
 
-    weight: Callable
+    weight: tuple[int, int]
     exponent: int
-    coeff: Callable
+    coeff: tuple[int, int]
     cap: Callable
     sweep: tuple = (None,)
     attr: str | None = None
@@ -94,17 +96,17 @@ class FamilySpec:
 
 
 FAMILIES = {
-    "general": FamilySpec(lambda x: 1, 2, lambda x: x, lambda x: 1.0 / (1.0 + 2.0 * x),
+    "general": FamilySpec((1, 0), 2, (0, 1), lambda x: 1.0 / (1.0 + 2.0 * x),
                           (0.5, 1.0), "lam", "lambda", lambda x: 0.0 <= x < math.inf,
                           "general family needs a finite lambda >= 0"),
-    "omega-gamma": FamilySpec(lambda x: 1 + x, 2, lambda x: 1, lambda x: (1.0 + x) / (3.0 + x),
+    "omega-gamma": FamilySpec((1, 1), 2, (1, 0), lambda x: (1.0 + x) / (3.0 + x),
                               (0.0, 0.25, 0.5), "gamma", "gamma", lambda x: 0.0 <= x < 1.0,
                               "omega-gamma family needs gamma in [0, 1)"),
-    "half-plane": FamilySpec(lambda x: 2, 2, lambda x: 1, lambda x: 0.5),
-    "convex": FamilySpec(lambda x: 1, 2, lambda x: x, lambda x: 1.0 / 3.0,
+    "half-plane": FamilySpec((2, 0), 2, (1, 0), lambda x: 0.5),
+    "convex": FamilySpec((1, 0), 2, (0, 1), lambda x: 1.0 / 3.0,
                          (0.5, 1.0), "beta", "beta", lambda x: 0.0 < x < math.inf,
                          "convex family needs a finite beta > 0"),
-    "starlike": FamilySpec(lambda x: 1, 3, lambda x: 1, lambda x: 1.0 / 3.0),
+    "starlike": FamilySpec((1, 0), 3, (1, 0), lambda x: 1.0 / 3.0),
 }
 FAMILY_TAGS = tuple(FAMILIES)
 
@@ -200,7 +202,7 @@ def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
 
     A view of _factor_terms, the equation's one definition: (1 - r) q(r)
     for finite p, and the decreasing function itself for p = inf and for
-    statement_form.
+    statement_form, in floats (_float_factor).
 
     statement_form selects the historically displayed variant of the
     general equation, (1-r)^2 - lambda r - lambda r^(p+1); it omits k
@@ -211,14 +213,10 @@ def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0.0) or np.any(r > 1.0):
         raise ValueError("radius equation is evaluated on [0, 1]")
-    terms, _ = _factor_terms(fam, statement_form, float)
     whole = fam.p == math.inf or statement_form
-
-    def value(x):
-        a, b, n = terms(x)
-        return (a + b * x ** n) * (1.0 if whole else 1.0 - x)
-
-    out = np.array([value(x) for x in r.ravel().tolist()]).reshape(r.shape)
+    q = _float_factor(_factor_terms(fam, statement_form), whole)
+    out = np.array([q(x) * (1.0 if whole else 1.0 - x) for x in r.ravel().tolist()])
+    out = out.reshape(r.shape)
     return out if out.ndim else float(out)
 
 
@@ -239,42 +237,68 @@ class RootResult:
         return "root" if self.root is not None and self.root < self.family.cap else "cap"
 
 
-def _factor_terms(fam: RadiusFamily, statement_form: bool, num):
-    """The function r -> (a, b, n) with a + b r^n the strictly decreasing
-    function on [0, 1] whose root is the equation's unique root in
-    (0, 1): q(r) for finite p, the equation itself for p = inf and for
-    statement_form; and the coefficient c, whose vanishing leaves no
-    root.  This is the single definition of every family's equation;
-    the solver's float bisection and exact proof and radius_poly_eval
-    all read it.  num (float, or Fraction for exact values) converts r
-    and the family's parameters, so the exact form has the family's
-    exact coefficients w and c = k * coeff; r^n is left to the caller."""
+def _dyadic(x: float) -> tuple[int, int]:
+    """(N, e) with x = N / 2^e exactly, for a finite float x >= 0."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _factor_terms(fam: RadiusFamily, statement_form: bool) -> tuple:
+    """The family's equation
+
+        w (1 - r)^m - c r + b r^(p+1)
+
+    with its exact coefficients, as integers (W, C, B, s, m, p): w =
+    W / 2^s, c = C / 2^s and b = B / 2^s, where b = c (default form),
+    b = -c (statement_form), and p = 0, b = 0 for p = inf.  This is the
+    single definition of every family's equation, read from its one
+    FAMILIES row: every parameter is a float, so w = 1 + gamma and
+    c = k * lambda are dyadic rationals, formed here without rounding.
+    The solver's exact proof, its float bisection and radius_poly_eval
+    (_float_factor) all read it; no root exists when C == 0."""
     if statement_form and fam.tag != "general":
         raise ValueError("statement_form only applies to the general family")
-    spec, x = FAMILIES[fam.tag], None if fam.param is None else num(fam.param)
-    w, m, c = (1, 2, x) if statement_form else (spec.weight(x), spec.exponent,
-                                                   num(fam.k) * spec.coeff(x))
+    spec = FAMILIES[fam.tag]
+    x, e = _dyadic(fam.param or 0.0)  # the parameter is x / 2^e
+    if statement_form:
+        W, C, m, s = 1 << e, x, 2, e
+    else:
+        (w0, w1), (c0, c1) = spec.weight, spec.coeff
+        k, ek = _dyadic(fam.k)  # k is k / 2^ek
+        W, C = ((w0 << e) + w1 * x) << ek, k * ((c0 << e) + c1 * x)
+        m, s = spec.exponent, e + ek
     p = 0 if fam.p == math.inf else int(fam.p)
+    return W, C, 0 if p == 0 else -C if statement_form else C, s, m, p
 
-    def terms(r):
-        r = num(r)
-        if p == 0 or statement_form:
-            # the equation itself, whose r^(p+1) term is -c (statement_form) or absent
-            return w * (1 - r) ** m - c * r, -c if p else 0, p + 1
+
+def _float_factor(terms: tuple, whole: bool) -> Callable:
+    """The strictly decreasing function of the module docstring in floats:
+    the equation itself when whole (p = inf or statement_form), else
+    q(r) = w (1 - r)^(m-1) - g + g r^p with g = c r / (1 - r).  Its
+    coefficients are the exact ones of _factor_terms, each rounded once
+    (int / int division rounds correctly), so they equal the products
+    k * lambda, 1 + gamma, ... formed in floats."""
+    W, C, B, s, m, p = terms
+    w, c, b = (v / (1 << s) for v in (W, C, B))
+    if whole:
+        return lambda r: w * (1 - r) ** m - c * r + b * r ** (p + 1)
+
+    def q(r):
         if r == 1:
-            return -c * p, 0, 0
-        # q(r) = w (1 - r)^(m-1) - c r (1 - r^p) / (1 - r)
+            # c r (1 - r^p) / (1 - r) tends to c p
+            return w * (1 - r) ** (m - 1) - c * p
         g = c * r / (1 - r)
-        return w * (1 - r) ** (m - 1) - g, g, p
+        return w * (1 - r) ** (m - 1) - g + g * r ** p
 
-    return terms, c
+    return q
 
 
-def _power_bounds(x: Fraction, n: int, bits: int) -> tuple[int, int]:
-    """Integers lo <= x^n 2^bits <= hi for x in [0, 1], by binary powering
-    with every product rounded outward to a multiple of 2^-bits, so the
-    cost grows with bits and log n only; lo == hi when nothing rounded."""
-    lo, hi = (x.numerator << bits) // x.denominator, -(-(x.numerator << bits) // x.denominator)
+def _power_bounds(num: int, e: int, n: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= x^n 2^bits <= hi for x = num / 2^e in [0, 1], by
+    binary powering with every product rounded outward to a multiple of
+    2^-bits, so the cost grows with bits and log n only; lo == hi when
+    nothing rounded."""
+    lo, hi = (num << bits) >> e, -(-(num << bits) >> e)
     out_lo = out_hi = 1 << bits
     while n:
         if n & 1:
@@ -283,24 +307,34 @@ def _power_bounds(x: Fraction, n: int, bits: int) -> tuple[int, int]:
     return out_lo, out_hi
 
 
-def _exact_sign(terms, r: float) -> int:
-    """Sign (-1, 0 or 1) of a + b r^n, with (a, b, n) = terms(r) exact
-    rationals, decided exactly: r^n is enclosed on a dyadic grid that is
-    refined until a + b r^n has one sign over the enclosure, at the
+def _exact_sign(a: int, b: int, num: int, e: int, n: int) -> int:
+    """Sign (-1, 0 or 1) of a + b x^n for integers a, b and x = num / 2^e
+    in [0, 1], decided exactly: x^n is enclosed on a dyadic grid that is
+    refined until a + b x^n has one sign over the enclosure, at the
     latest when the enclosure is the exact power."""
-    a, b, n = terms(r)
-    if a == 0:
-        # r is a root of the p = inf equation, so r > 0 and b r^n has the
-        # sign of b, which no finite grid could resolve for huge n
+    if a == 0 and num:
+        # x > 0, so b x^n has the sign of b, which no finite grid could
+        # resolve for huge n (x is then a root of the p = inf equation)
         return (b > 0) - (b < 0)
     bits = 256
     while True:
-        # 2^bits a_den b_den (a + b t / 2^bits) for t = lo, hi
-        ends = [(a.numerator * b.denominator << bits) + a.denominator * b.numerator * t
-                for t in _power_bounds(Fraction(r), n, bits)]
+        ends = [(a << bits) + b * t for t in _power_bounds(num, e, n, bits)]
         if min(ends) > 0 or max(ends) < 0 or ends[0] == ends[1]:
             return (ends[0] > 0) - (ends[0] < 0)
         bits *= 2
+
+
+def _equation_sign(terms: tuple, r: float) -> int:
+    """Sign (-1, 0 or 1) of the decreasing function of the module
+    docstring at a float r in [0, 1], decided exactly from the integer
+    coefficients of _factor_terms (see solve_radius)."""
+    W, C, B, s, m, p = terms
+    if r == 1:
+        # q(1) = -c p, and the whole forms are -c and -2 c there
+        return -1 if C else 0
+    num, e = _dyadic(r)
+    return _exact_sign(W * ((1 << e) - num) ** m - (C * num << e * (m - 1)),
+                       B << e * m, num, e, p + 1)
 
 
 def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
@@ -313,37 +347,56 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     equation itself decreases strictly).  Bisects [0, 1] in floats on
     that function down to a bracket of width <= tol, or to two adjacent
     floats when tol is below their spacing, then proves the endpoints
-    exactly in rational arithmetic: positive at lo and negative at hi,
-    or exactly zero on a zero-width bracket.  The proof encloses r^p
-    between dyadic rationals of a few hundred bits, refined only until
-    the sign is certain, so its cost grows with log p rather than with
-    the 53 p bits of the exact power.  The proof reads the family's
-    exact coefficients, so it holds for the equation itself, not for
-    its float-rounded coefficients.  If a float sign decision was wrong,
-    the bisection is repeated with exact decisions.  The root is the
-    bracket's midpoint.  When the exact coefficient c vanishes the
-    equation has no root in (0, 1) (the left side stays positive), and
-    the radius is the cap alone.
+    exactly: positive at lo and negative at hi, or exactly zero on a
+    zero-width bracket.
+
+    The proof decides the sign of the equation at a float r = N / 2^e,
+    which on (0, 1) is the sign of q, in integers: with the family's
+    exact coefficients w = W / 2^s, c = C / 2^s and b = B / 2^s
+    (_factor_terms), 2^(s + e m) times the equation is
+
+        W (2^e - N)^m - C N 2^(e (m-1)) + B 2^(e m) r^(p+1),
+
+    and r^(p+1) is enclosed between integers over 2^256, refined only
+    until the sign is certain, so the cost grows with log p rather than
+    with the 53 p bits of the exact power.  Two cases need no power: at
+    r = 1 the sign is that of q(1) = -c p, and where the first two terms
+    cancel exactly it is the sign of B.  The proof reads the exact
+    coefficients, so it holds for the equation itself, not for its
+    float-rounded coefficients.
+
+    Why the float stage is only a guess: the bisection's cells depend on
+    its sign decisions alone, and the cell that contains the root is the
+    one exact decisions reach.  A float decision that disagrees with the
+    exact sign moves into a half whose interior misses the root, so no
+    later cell passes the proof; the bisection is then repeated with
+    exact decisions, which end in the same cell a correct float run
+    would.  The returned bracket is therefore that of an all-exact
+    bisection, whatever the floats decide.  The root is the bracket's
+    midpoint.  When the exact coefficient c vanishes the equation has no
+    root in (0, 1) (the left side stays positive), and the radius is
+    the cap alone.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
-    exact_terms, c = _factor_terms(fam, statement_form, Fraction)
-    if c == 0:
+    terms = _factor_terms(fam, statement_form)
+    if terms[1] == 0:  # c = 0
         return RootResult(fam, None, None, fam.cap)
-    float_terms, _ = _factor_terms(fam, statement_form, float)
-
-    def approx(r):
-        a, b, n = float_terms(r)
-        return a + b * r ** n
+    approx = _float_factor(terms, fam.p == math.inf or statement_form)
 
     def exact(r):
-        return _exact_sign(exact_terms, r)
+        return _equation_sign(terms, r)
 
     for f in (approx, exact):
         lo, hi = 0.0, 1.0
         while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
             value = f(mid)
-            lo, hi = (mid, hi) if value > 0 else (lo, mid) if value < 0 else (mid, mid)
+            if value > 0:
+                lo = mid
+            elif value < 0:
+                hi = mid
+            else:
+                lo = hi = mid
         if exact(lo) == 0 if lo == hi else exact(lo) > 0 > exact(hi):
             break
     root = 0.5 * (lo + hi)

@@ -265,3 +265,12 @@ def test_table_unknown_family(capsys):
     code, _, err = run(capsys, "table", "--families", "banana")
     assert code == 2
     assert "banana" in err
+
+
+@pytest.mark.parametrize("families", [",", "", "convex,convex"])
+def test_table_empty_or_repeated_families_fail(tmp_path, capsys, families):
+    out = tmp_path / "radii.csv"
+    code, _, err = run(capsys, "table", "--families", families, "--out", str(out))
+    assert code == 2
+    assert "none twice" in err
+    assert not out.exists()

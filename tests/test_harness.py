@@ -21,7 +21,14 @@ from bohrlab.harness import (
     run_subordination,
     run_von_neumann,
 )
-from bohrlab.radii import FAMILIES, convex_sub, general_sc, starlike_sub
+from bohrlab.radii import (
+    FAMILIES,
+    RadiusFamily,
+    convex_sub,
+    general_sc,
+    radius_poly_eval,
+    starlike_sub,
+)
 from bohrlab.series import series_from_json
 from bohrlab.zoo import bohr_sum_poly, build_polyanalytic
 
@@ -308,6 +315,12 @@ def test_radius_table_rows_and_files(tmp_path):
         emit_radius_table(("nope",))
 
 
+@pytest.mark.parametrize("families", [(), ("convex", "convex"), ("starlike", "convex", "starlike")])
+def test_radius_table_rejects_empty_or_repeated_families(families):
+    with pytest.raises(ValueError, match="none twice"):
+        emit_radius_table(families)
+
+
 def test_full_radius_table_has_144_rows():
     # 4 k values x 4 p values x (2 lambdas + 3 gammas + 1 + 2 betas + 1)
     assert len(emit_radius_table()) == 144
@@ -329,3 +342,27 @@ def test_radius_table_is_pinned():
                        cell(row["bracket_lo"]), cell(row["bracket_hi"]), cell(row["radius"])])
     assert len(actual) == 145
     assert actual == expected
+
+
+def test_pinned_radius_table_passes_the_benchmark_check():
+    # perfbench's table check on every pinned row: each bracket at most
+    # 1e-12 wide, the float equation positive at its low end and
+    # non-positive at its high end (or exactly 0.0 on a zero-width
+    # bracket), and the radius min(root, cap); so a change to
+    # radius_poly_eval that would fail the benchmark's check fails here
+    with open(RADIUS_TABLE, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 144
+    for row in rows:
+        spec = FAMILIES[row["family"]]
+        fam = RadiusFamily(row["family"], k=float(row["k"]), p=int(row["p"]),
+                           **({spec.attr: float(row["param"])} if spec.attr else {}))
+        radius = float.fromhex(row["radius"])
+        if row["root"] == "":
+            assert radius == fam.cap
+            continue
+        lo, hi, root = (float.fromhex(row[key]) for key in ("bracket_lo", "bracket_hi", "root"))
+        f_lo, f_hi = radius_poly_eval(fam, lo), radius_poly_eval(fam, hi)
+        assert hi - lo <= 1e-12
+        assert f_lo > 0.0 >= f_hi or lo == hi and f_lo == 0.0
+        assert radius == min(root, fam.cap)

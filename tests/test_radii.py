@@ -22,7 +22,7 @@ from bohrlab.radii import (
     solve_radius,
     starlike_sub,
 )
-from bohrlab.radii import _exact_sign, _power_bounds
+from bohrlab.radii import _equation_sign, _exact_sign, _factor_terms, _power_bounds
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 # smallest positive root of (1 - r)^3 = r, from an independent
@@ -240,25 +240,30 @@ def test_solve_tol_below_float_spacing_ends_on_adjacent_floats():
 
 
 def test_power_bounds_enclose_the_exact_power():
-    for x in map(Fraction, (0.0, 1.0, 0.5, 0.3181046747116650, 1.0 - 2.0 ** -40, 5e-324)):
+    for r in (0.0, 1.0, 0.5, 0.3181046747116650, 1.0 - 2.0 ** -40, 5e-324):
+        x = Fraction(r)
+        num, e = x.numerator, x.denominator.bit_length() - 1
         for n in (0, 1, 2, 7, 64, 1000):
             for bits in (8, 64, 256):
-                lo, hi = _power_bounds(x, n, bits)
+                lo, hi = _power_bounds(num, e, n, bits)
                 exact = x ** n * 2 ** bits
                 assert lo <= exact <= hi
                 assert (lo == hi) == (exact.denominator == 1)
     # cost independent of n: a billionth power of a 53-bit float
-    lo, hi = _power_bounds(Fraction(1.0 - 2.0 ** -53), 10 ** 9, 256)
+    lo, hi = _power_bounds(2 ** 53 - 1, 53, 10 ** 9, 256)
     assert 0 < hi - lo <= 2 ** 40
 
 
 def test_exact_sign_refines_until_certain():
     # (3/4)^300 has 600 bits, so the first 256-bit enclosure cannot tell
-    # a + b (3/4)^300 = delta from 0 when |delta| = 2^-400
-    power = Fraction(3, 4) ** 300
+    # a + b (3/4)^300 = delta from 0 when |delta| = 2^-400; both sides are
+    # scaled by 2^600 to integers
+    power, scale = Fraction(3, 4) ** 300, 2 ** 600
     for delta, sign in ((Fraction(1, 2 ** 400), 1), (-Fraction(1, 2 ** 400), -1), (0, 0)):
-        assert _exact_sign(lambda r: (delta - power, Fraction(1), 300), 0.75) == sign
-        assert _exact_sign(lambda r: (power - delta, Fraction(-1), 300), 0.75) == -sign
+        a = (delta - power) * scale
+        assert a.denominator == 1
+        assert _exact_sign(int(a), scale, 3, 2, 300) == sign
+        assert _exact_sign(-int(a), -scale, 3, 2, 300) == -sign
 
 
 @pytest.mark.parametrize("statement_form", (False, True))
@@ -313,7 +318,7 @@ TOLS = st.sampled_from((1e-300, 1e-17, 1e-12, 1e-6, 0.4))
 
 
 @st.composite
-def families(draw):
+def families(draw, orders=ORDERS):
     tag = draw(st.sampled_from(FAMILY_TAGS))
     extra = {}
     if tag == "general":
@@ -322,12 +327,12 @@ def families(draw):
         extra["gamma"] = draw(st.floats(0.0, 1.0, exclude_max=True))
     elif tag == "convex":
         extra["beta"] = draw(st.floats(0.0, 8.0, exclude_min=True))
-    return RadiusFamily(tag, k=draw(st.floats(0.0, 1.0)), p=draw(ORDERS), **extra)
+    return RadiusFamily(tag, k=draw(st.floats(0.0, 1.0)), p=draw(orders), **extra)
 
 
 @st.composite
-def problems(draw):
-    fam = draw(families())
+def problems(draw, orders=ORDERS):
+    fam = draw(families(orders))
     return fam, fam.tag == "general" and draw(st.booleans())
 
 
@@ -359,7 +364,14 @@ def exact_factor(fam, r, statement_form=False):
         return (1 - r) ** 2 - c * r - (c * r ** (int(fam.p) + 1) if finite else 0)
     if not finite:
         return w * (1 - r) ** m - c * r
-    return w * (1 - r) ** (m - 1) - c * r * sum(r ** j for j in range(int(fam.p)))
+    # 1 + r + ... + r^(p-1) over the common denominator d^(p-1) of its
+    # terms, so a tiny r (d up to 2^1074) needs no gcd per term
+    n, d, p = r.numerator, r.denominator, int(fam.p)
+    top, d_power = 0, 1
+    for _ in range(p):
+        # top = n^k + n^(k-1) d + ... + d^k after k + 1 steps
+        top, d_power = top * n + d_power, d_power * d
+    return w * (1 - r) ** (m - 1) - c * r * Fraction(top, d ** (p - 1))
 
 
 def test_exact_factor_has_the_sign_of_the_equation():
@@ -373,6 +385,74 @@ def test_exact_factor_has_the_sign_of_the_equation():
             value = radius_poly_eval(fam, r, statement_form=statement_form)
             if abs(value) > 1e-6:
                 assert (exact_factor(fam, r, statement_form) > 0) == (value > 0)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+# a subnormal, the float just below 1, and 1, where the default form's
+# factor 1 - r vanishes
+EDGE_RADII = (5e-324, 1.0 - 2.0 ** -53, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(st.one_of(st.integers(2, 256), st.just(math.inf))),
+       st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_RADII)))
+def test_integer_sign_agrees_with_exact_factor(problem, r):
+    fam, statement_form = problem
+    terms = _factor_terms(fam, statement_form)
+    assert _equation_sign(terms, r) == sign(exact_factor(fam, r, statement_form))
+
+
+@pytest.mark.parametrize("r", EDGE_RADII)
+@pytest.mark.parametrize("p", (2, 5, math.inf))
+def test_integer_sign_at_edge_radii(r, p):
+    cases = [(general_sc(0.7, 0.6, p), False), (general_sc(1.0, 1.0, p), True),
+             (omega_gamma(0.5, 1.0, p), False), (half_plane(0.5, p), False),
+             (convex_sub(0.8, 0.9, p), False), (starlike_sub(1.0, p), False),
+             (starlike_sub(0.0, p), False), (general_sc(0.0, 1.0, p), True)]
+    for fam, statement_form in cases:
+        terms = _factor_terms(fam, statement_form)
+        assert _equation_sign(terms, r) == sign(exact_factor(fam, r, statement_form))
+
+
+def test_integer_sign_where_the_first_terms_cancel():
+    # w (1 - r)^2 - c r vanishes at r = 1/2 for lambda = 1/2, k = 1, so the
+    # sign is that of the tail term b r^(p+1): +, or - for statement_form
+    fam = general_sc(0.5, 1.0, 10 ** 9)
+    assert _equation_sign(_factor_terms(fam, False), 0.5) == 1
+    assert _equation_sign(_factor_terms(fam, True), 0.5) == -1
+    small = dataclasses.replace(fam, p=256)
+    assert sign(exact_factor(small, 0.5)) == 1
+    assert sign(exact_factor(small, 0.5, True)) == -1
+    limit = dataclasses.replace(fam, p=math.inf)
+    for statement_form in (False, True):
+        assert _equation_sign(_factor_terms(limit, statement_form), 0.5) == 0
+        assert exact_factor(limit, 0.5, statement_form) == 0
+
+
+def reference_bracket(fam, tol, statement_form):
+    """The solver's bisection with every midpoint decided by exact_factor."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        value = exact_factor(fam, mid, statement_form)
+        lo, hi = (mid, hi) if value > 0 else (lo, mid) if value < 0 else (mid, mid)
+    return lo.hex(), hi.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(), TOLS)
+def test_bracket_is_that_of_an_exact_bisection(problem, tol):
+    # the float stage only guesses: whatever it decides, the bracket
+    # returned is the one exact decisions give, bit for bit
+    fam, statement_form = problem
+    res = solve_radius(fam, tol, statement_form=statement_form)
+    if exact_coefficients(fam, statement_form)[2] == 0:
+        assert res.bracket is None
+    else:
+        assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(
+            fam, tol, statement_form)
 
 
 def root_or_one(res):
