@@ -169,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--tol", type=float, default=1e-8)
     verify.add_argument("--out", default=None, help="write the report to this path")
-    verify.add_argument("--format", choices=("json", "csv"), default="json")
+    verify.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="report format (default: csv for a .csv path, else json)")
     verify.add_argument("--m-bound", dest="m_bound", type=float, default=1.5,
                         help="multiplier sup bound (quasi suite)")
     verify.add_argument("--quasi-beta", dest="quasi_beta", type=float, default=0.9,
@@ -189,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--families", default=None,
                        help="comma-separated family tags (default: all)")
     table.add_argument("--out", default=None, help="write CSV or JSON here")
-    table.add_argument("--format", choices=("json", "csv"), default=None)
+    table.add_argument("--format", choices=("json", "csv"), default=None,
+                       help="table format (default: csv for a .csv path, else json)")
     table.add_argument("--tol", type=float, default=1e-12)
     table.set_defaults(func=_cmd_table)
 

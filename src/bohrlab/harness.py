@@ -38,6 +38,7 @@ from .series import (
 )
 from .zoo import (
     CaratheodoryScalar,
+    PolyanalyticFn,
     blaschke_series,
     bohr_sum_poly,
     build_polyanalytic,
@@ -79,7 +80,7 @@ class CampaignConfig:
     r_grid: tuple | None = None
     tolerance: float = 1e-8
     out: str | None = None
-    fmt: str = "json"
+    fmt: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -95,16 +96,13 @@ class CampaignConfig:
             object.__setattr__(self, "r_grid", grid)
         if not math.isfinite(self.tolerance):
             raise ValueError("tolerance must be finite")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
+        object.__setattr__(self, "fmt", _format(self.out, self.fmt))
         # the report and any failure replay files go to out's directory
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(f"output directory {os.path.dirname(self.out)!r} does not exist")
 
     def describe(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["r_grid"] = None if self.r_grid is None else list(self.r_grid)
-        return out
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,9 +114,6 @@ class TrialRecord:
     params: dict
     worst_margin: float
     passed: bool
-
-    def describe(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -141,15 +136,7 @@ class Report:
         return self.pass_count == self.trials
 
     def describe(self) -> dict:
-        return {
-            "suite": self.suite,
-            "config": self.config,
-            "trials": self.trials,
-            "pass_count": self.pass_count,
-            "min_margin": self.min_margin,
-            "wall_time_s": self.wall_time_s,
-            "records": [r.describe() for r in self.records],
-        }
+        return {**dataclasses.asdict(self), "trials": self.trials}
 
     def write(self, path: str, fmt: str | None = None) -> None:
         """Write JSON (full report) or CSV (one row per trial)."""
@@ -158,12 +145,19 @@ class Report:
                  r.passed] for r in self.records))
 
 
-def _write(path: str, fmt: str | None, payload, header: list, rows) -> None:
-    """Write payload as indented JSON, or header and rows as CSV; fmt
-    None picks CSV for a .csv path and JSON otherwise."""
-    fmt = fmt or ("csv" if path.endswith(".csv") else "json")
+def _format(path: str | None, fmt: str | None) -> str:
+    """The output format: fmt when given, else CSV for a .csv path and
+    JSON otherwise (also when there is no path)."""
+    fmt = fmt or ("csv" if path and path.endswith(".csv") else "json")
     if fmt not in ("json", "csv"):
         raise ValueError("format must be 'json' or 'csv'")
+    return fmt
+
+
+def _write(path: str, fmt: str | None, payload, header: list, rows) -> None:
+    """Write payload as indented JSON, or header and rows as CSV, in the
+    format _format picks."""
+    fmt = _format(path, fmt)
     with open(path, "w", newline="" if fmt == "csv" else None) as fh:
         if fmt == "json":
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -199,36 +193,46 @@ def _failure_path(config: CampaignConfig, index: int) -> str:
     return os.path.join(base or ".", f"{config.suite}-failure-{index:05d}.json")
 
 
-def _run_campaign(config: CampaignConfig, trial_fn, extra_config: dict | None = None) -> Report:
-    """Shared driver: run the trials in index order, dump failed
-    instances, assemble the report.
+def _instance_to_json(obj) -> dict:
+    """One entry of a failed trial's instance, encoded for its file."""
+    return polyanalytic_to_json(obj) if isinstance(obj, PolyanalyticFn) else series_to_json(obj)
 
-    trial_fn(rng) returns (worst_margin, params, instance_payload_fn);
-    the payload function is only called if the trial failed.
+
+def _run_campaign(config: CampaignConfig, trial_fn, extra_config: dict) -> Report:
+    """Shared driver: run the trials in index order, form each margin,
+    dump failed instances, assemble the report.
+
+    trial_fn(rng) returns (upper, bound, params, instance): the
+    certified upper Bohr values over the grid, the bound they must stay
+    below (a number or an array over the grid), the drawn parameters,
+    and the instance as a dict from names to MatrixSeries or
+    PolyanalyticFn.  The trial's margin is min(bound - upper) and it
+    passes when the margin is >= -tolerance.  A failed trial writes
+    {"suite", "config", "record", "instance"} to _failure_path, with
+    the instance encoded by series_to_json / polyanalytic_to_json, so
+    the margin can be recomputed from the file.  extra_config holds the
+    suite's own parameters for the report's config echo.
     """
     start = time.perf_counter()
     records = []
     for index in range(config.trials):
-        margin, params, payload_fn = trial_fn(_trial_rng(config.seed, index))
-        margin = float(margin)
+        upper, bound, params, instance = trial_fn(_trial_rng(config.seed, index))
+        margin = float(np.min(bound - upper))
         record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance)
         records.append(record)
         if not record.passed:
             dump = {
                 "suite": config.suite,
                 "config": config.describe(),
-                "record": record.describe(),
-                "instance": payload_fn(),
+                "record": dataclasses.asdict(record),
+                "instance": {name: _instance_to_json(obj) for name, obj in instance.items()},
             }
             with open(_failure_path(config, record.index), "w") as fh:
                 json.dump(dump, fh, indent=2, sort_keys=True)
 
-    config_echo = config.describe()
-    if extra_config:
-        config_echo.update(extra_config)
     report = Report(
         suite=config.suite,
-        config=config_echo,
+        config={**config.describe(), **extra_config},
         records=records,
         pass_count=sum(r.passed for r in records),
         min_margin=min(r.worst_margin for r in records),
@@ -261,12 +265,6 @@ def _inner(rng: np.random.Generator, degree: int) -> MatrixSeries:
     return blaschke_series(random_blaschke_spec(rng, fix_origin=True), degree)
 
 
-def _margin(lhs_major, rhs, grid) -> float:
-    """min over the grid of rhs - certified upper Bohr value of lhs,
-    where rhs is a number or an array of values over the grid."""
-    return float(np.min(rhs - lhs_major.bohr_grid(grid)[1]))
-
-
 def run_subordination(config: CampaignConfig) -> Report:
     """f subordinate to g implies Bohr(f, r) <= Bohr(g, r) for r <= 1/3.
 
@@ -281,13 +279,8 @@ def run_subordination(config: CampaignConfig) -> Report:
         g, f_bound, params = _draw_target(rng, config)
         phi = _inner(rng, config.degree)
         f = with_coeff_bound(compose(g, phi), f_bound)
-        mg, mf = majorant(g), majorant(f)
-        margin = _margin(mf, mg.bohr_grid(grid)[0], grid)
-
-        def payload():
-            return {"g": series_to_json(g), "phi": series_to_json(phi), "f": series_to_json(f)}
-
-        return margin, params, payload
+        return (majorant(f).bohr_grid(grid)[1], majorant(g).bohr_grid(grid)[0], params,
+                {"g": g, "phi": phi, "f": f})
 
     return _run_campaign(config, trial, {"r_max": 1.0 / 3.0})
 
@@ -312,18 +305,8 @@ def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
         dilation[1] = 1.0 / beta
         h = scale(compose(s, scalar_series(dilation)), m_bound)
         f = mul(h, compose(g, phi))
-        mg, mf = majorant(g), majorant(f)
-        margin = _margin(mf, m_bound * mg.bohr_grid(grid)[0], grid)
-
-        def payload():
-            return {
-                "g": series_to_json(g),
-                "phi": series_to_json(phi),
-                "h": series_to_json(h),
-                "f": series_to_json(f),
-            }
-
-        return margin, params, payload
+        return (majorant(f).bohr_grid(grid)[1], m_bound * majorant(g).bohr_grid(grid)[0],
+                params, {"g": g, "phi": phi, "h": h, "f": f})
 
     return _run_campaign(config, trial, {"m_bound": m_bound, "beta": beta, "r_max": beta / 3.0})
 
@@ -337,13 +320,8 @@ def run_von_neumann(config: CampaignConfig) -> Report:
         f = gen_schur_matrix(rng, config.dim, config.degree, scalar_head=True)
         phi = _inner(rng, config.degree)
         comp = with_coeff_bound(compose(f, phi), 1.0)
-        margin = _margin(majorant(comp), 1.0, grid)
-
-        def payload():
-            return {"f": series_to_json(f), "phi": series_to_json(phi),
-                    "composition": series_to_json(comp)}
-
-        return margin, {}, payload
+        return (majorant(comp).bohr_grid(grid)[1], 1.0, {},
+                {"f": f, "phi": phi, "composition": comp})
 
     return _run_campaign(config, trial, {"r_max": 1.0 / 3.0})
 
@@ -402,12 +380,7 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
             for _ in range(p - 1)
         ]
         fn = build_polyanalytic(f0, omegas, fam.k)
-        worst = float(np.min(1.0 - bohr_sum_poly(fn, grid)[1]))
-
-        def payload():
-            return {"fn": polyanalytic_to_json(fn)}
-
-        return worst, {}, payload
+        return bohr_sum_poly(fn, grid)[1], 1.0, {}, {"fn": fn}
 
     return _run_campaign(config, trial, {"family": fam.describe(), "radius": radius})
 
@@ -423,16 +396,6 @@ class SharpnessScan:
     threshold: float | None
     predicted_threshold: float
 
-    def describe(self) -> dict:
-        return {
-            "a": self.a,
-            "r_values": list(self.r_values),
-            "bohr_values": list(self.bohr_values),
-            "first_exceed": self.first_exceed,
-            "threshold": self.threshold,
-            "predicted_threshold": self.predicted_threshold,
-        }
-
 
 def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
                        steps: int = 200, degree: int = 64) -> SharpnessScan:
@@ -442,7 +405,10 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
     The crossing, refined by bisection on the truncated sum, sits at
     1/(1 + 2a); as a -> 1 it approaches 1/3 from above, which is what
     makes the constant 1/3 sharp.  Lower endpoints are used throughout
-    so an excess over 1 is genuine rather than a tail allowance.
+    so an excess over 1 is genuine rather than a tail allowance.  The
+    bisection starts from the grid point before the first excess, or
+    from r = 0 when the window's first point already exceeds 1: the sum
+    is a < 1 at r = 0 and increases in r, so the crossing lies between.
     """
     if not 0.0 <= r_min < r_max < 1.0:
         raise ValueError("need 0 <= r_min < r_max < 1")
@@ -455,8 +421,8 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
     exceed = np.nonzero(vals > 1.0)[0]
     first_exceed = float(rs[exceed[0]]) if exceed.size else None
     threshold = None
-    if exceed.size and exceed[0] > 0:
-        lo, hi = float(rs[exceed[0] - 1]), float(rs[exceed[0]])
+    if exceed.size:
+        lo, hi = float(rs[exceed[0] - 1]) if exceed[0] else 0.0, float(rs[exceed[0]])
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
             if m.bohr(mid).lo > 1.0:
@@ -464,8 +430,6 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
             else:
                 lo = mid
         threshold = 0.5 * (lo + hi)
-    elif exceed.size:
-        threshold = float(rs[0])
     return SharpnessScan(
         a=float(a),
         r_values=tuple(float(r) for r in rs),

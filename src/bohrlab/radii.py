@@ -21,10 +21,9 @@ table sweeps; the table above is the mathematics behind it.
 _factor_terms is the single definition of the equation: from a FAMILIES
 row it builds the family's exact coefficients as integers over a power
 of two (every parameter is a float, so they are dyadic rationals).
-The solver proves its bracket with them in integer arithmetic, its
-float bisection reads them rounded once each (_float_factor, the
-strictly decreasing factor q below), and radius_poly_eval is the view
-(1 - r) q(r).
+The solver proves its bracket with them in integer arithmetic, and its
+float bisection and radius_poly_eval read them rounded once each
+(_float_equation).
 
 p is an integer >= 2, or math.inf for the limiting equation with the
 r^(p+1) term absent (r^inf evaluates to exactly 0.0 on (0, 1), so no
@@ -198,11 +197,11 @@ def starlike_sub(k: float = 1.0, p=2) -> RadiusFamily:
 
 
 def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
-    """Left-hand side of the family's radius equation at r (scalar or array).
+    """Left-hand side of the family's radius equation at r (scalar or
+    array) in [0, 1]; nan is rejected like any other r outside it.
 
-    A view of _factor_terms, the equation's one definition: (1 - r) q(r)
-    for finite p, and the decreasing function itself for p = inf and for
-    statement_form, in floats (_float_factor).
+    A view of _factor_terms, the equation's one definition, in floats
+    (_float_equation).
 
     statement_form selects the historically displayed variant of the
     general equation, (1-r)^2 - lambda r - lambda r^(p+1); it omits k
@@ -211,12 +210,10 @@ def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
     variant is kept only for comparison and refuses other families.
     """
     r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 0.0) or np.any(r > 1.0):
+    if np.any(~((r >= 0.0) & (r <= 1.0))):
         raise ValueError("radius equation is evaluated on [0, 1]")
-    whole = fam.p == math.inf or statement_form
-    q = _float_factor(_factor_terms(fam, statement_form), whole)
-    out = np.array([q(x) * (1.0 if whole else 1.0 - x) for x in r.ravel().tolist()])
-    out = out.reshape(r.shape)
+    f = _float_equation(_factor_terms(fam, statement_form))
+    out = np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
     return out if out.ndim else float(out)
 
 
@@ -255,7 +252,7 @@ def _factor_terms(fam: RadiusFamily, statement_form: bool) -> tuple:
     FAMILIES row: every parameter is a float, so w = 1 + gamma and
     c = k * lambda are dyadic rationals, formed here without rounding.
     The solver's exact proof, its float bisection and radius_poly_eval
-    (_float_factor) all read it; no root exists when C == 0."""
+    (_float_equation) all read it; no root exists when C == 0."""
     if statement_form and fam.tag != "general":
         raise ValueError("statement_form only applies to the general family")
     spec = FAMILIES[fam.tag]
@@ -271,26 +268,17 @@ def _factor_terms(fam: RadiusFamily, statement_form: bool) -> tuple:
     return W, C, 0 if p == 0 else -C if statement_form else C, s, m, p
 
 
-def _float_factor(terms: tuple, whole: bool) -> Callable:
-    """The strictly decreasing function of the module docstring in floats:
-    the equation itself when whole (p = inf or statement_form), else
-    q(r) = w (1 - r)^(m-1) - g + g r^p with g = c r / (1 - r).  Its
-    coefficients are the exact ones of _factor_terms, each rounded once
+def _float_equation(terms: tuple) -> Callable:
+    """The equation w (1 - r)^m - c r + b r^(p+1) of _factor_terms in
+    floats.  Its coefficients are the exact ones, each rounded once
     (int / int division rounds correctly), so they equal the products
-    k * lambda, 1 + gamma, ... formed in floats."""
+    k * lambda, 1 + gamma, ... formed in floats.  On (0, 1) the equation
+    has the sign of the decreasing function of the module docstring (q
+    for finite p, since 1 - r > 0), which is all the solver's float
+    bisection reads."""
     W, C, B, s, m, p = terms
     w, c, b = (v / (1 << s) for v in (W, C, B))
-    if whole:
-        return lambda r: w * (1 - r) ** m - c * r + b * r ** (p + 1)
-
-    def q(r):
-        if r == 1:
-            # c r (1 - r^p) / (1 - r) tends to c p
-            return w * (1 - r) ** (m - 1) - c * p
-        g = c * r / (1 - r)
-        return w * (1 - r) ** (m - 1) - g + g * r ** p
-
-    return q
+    return lambda r: w * (1 - r) ** m - c * r + b * r ** (p + 1)
 
 
 def _power_bounds(num: int, e: int, n: int, bits: int) -> tuple[int, int]:
@@ -344,11 +332,11 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     The equation factors as (1 - r) q(r), and q decreases strictly from
     q(0) = w > 0 to q(1) = -c p < 0, so it has exactly one root in
     (0, 1) (module docstring; for p = inf and statement_form the
-    equation itself decreases strictly).  Bisects [0, 1] in floats on
-    that function down to a bracket of width <= tol, or to two adjacent
-    floats when tol is below their spacing, then proves the endpoints
-    exactly: positive at lo and negative at hi, or exactly zero on a
-    zero-width bracket.
+    equation itself decreases strictly).  Bisects [0, 1] on the sign of
+    the equation in floats, which on (0, 1) is the sign of q, down to a
+    bracket of width <= tol, or to two adjacent floats when tol is below
+    their spacing, then proves the endpoints exactly: positive at lo and
+    negative at hi, or exactly zero on a zero-width bracket.
 
     The proof decides the sign of the equation at a float r = N / 2^e,
     which on (0, 1) is the sign of q, in integers: with the family's
@@ -382,7 +370,7 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     terms = _factor_terms(fam, statement_form)
     if terms[1] == 0:  # c = 0
         return RootResult(fam, None, None, fam.cap)
-    approx = _float_factor(terms, fam.p == math.inf or statement_form)
+    approx = _float_equation(terms)
 
     def exact(r):
         return _equation_sign(terms, r)

@@ -207,6 +207,18 @@ def test_verify_csv_report(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 3
 
 
+def test_verify_csv_path_without_format_writes_csv(tmp_path, capsys):
+    # without --format the extension decides, as for table
+    out = str(tmp_path / "r.csv")
+    code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "3", "--dim", "1",
+                     "--degree", "16", "--out", out)
+    assert code == 0
+    with open(out, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["index", "seed", "params", "worst_margin", "passed"]
+        assert len(list(reader)) == 3
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code, text, _ = run(capsys, "verify", "subordination", "--trials", "3", "--dim", "2",
@@ -240,6 +252,15 @@ def test_scan_sharpness(capsys):
     assert code == 0
     assert "refined threshold" in out
     assert "0.357142857" in out
+
+
+def test_scan_sharpness_window_above_threshold(capsys):
+    # the window starts past the crossing 1/(1 + 2a), which is still found
+    code, out, _ = run(capsys, "scan", "sharpness", "--a", "0.99", "--rmin", "0.4",
+                       "--rmax", "0.45")
+    assert code == 0
+    threshold = float(out.split("refined threshold: r = ")[1].split()[0])
+    assert threshold == pytest.approx(1 / 2.98, abs=1e-6)
 
 
 def test_scan_sharpness_no_crossing(capsys):

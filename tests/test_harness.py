@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bohrlab import harness
+from bohrlab.cli import SUITES, build_parser
 from bohrlab.harness import (
     CampaignConfig,
     default_grid,
@@ -29,10 +30,11 @@ from bohrlab.radii import (
     radius_poly_eval,
     starlike_sub,
 )
-from bohrlab.series import series_from_json
-from bohrlab.zoo import bohr_sum_poly, build_polyanalytic
+from bohrlab.series import majorant, series_from_json
+from bohrlab.zoo import bohr_sum_poly, build_polyanalytic, polyanalytic_from_json
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
+CAMPAIGN_RECORDS = os.path.join(os.path.dirname(__file__), "campaign_records.csv")
 
 
 def small_config(tmp_path, suite, **kw):
@@ -71,6 +73,14 @@ def test_config_validation():
         CampaignConfig(suite="s", tolerance=math.inf)
 
 
+def test_format_is_the_option_else_the_extension():
+    assert CampaignConfig(suite="s").fmt == "json"
+    assert CampaignConfig(suite="s", out="r.json").fmt == "json"
+    assert CampaignConfig(suite="s", out="r.csv").fmt == "csv"
+    assert CampaignConfig(suite="s", out="r.csv", fmt="json").fmt == "json"
+    assert CampaignConfig(suite="s", out="r.txt", fmt="csv").fmt == "csv"
+
+
 def test_default_grid():
     grid = default_grid(1 / 3)
     assert len(grid) == 20
@@ -88,6 +98,28 @@ def test_reports_are_reproducible(tmp_path):
     da, db = a.describe(), b.describe()
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def _run_suite(config):
+    """Run config's verify suite with the command line's defaults."""
+    return SUITES[config.suite](config, build_parser().parse_args(["verify", config.suite]))
+
+
+def test_campaign_records_are_pinned(tmp_path):
+    # every suite's records at the k = 1 defaults (dim 2, degree 32, 10
+    # trials, seeds 1 and 2), margins as float hex: a reordered random
+    # draw or a changed margin shows up trial by trial.  Margins get
+    # 1e-12, since BLAS builds may round matrix products differently.
+    with open(CAMPAIGN_RECORDS, newline="") as fh:
+        expected = list(csv.DictReader(fh))
+    actual = [(suite, record) for suite in SUITES for seed in (1, 2)
+              for record in _run_suite(small_config(tmp_path, suite, seed=seed)).records]
+    assert len(actual) == len(expected) == 120
+    for (suite, record), row in zip(actual, expected):
+        assert (suite, record.seed, record.index, record.passed) == (
+            row["suite"], int(row["seed"]), int(row["index"]), row["passed"] == "True")
+        assert record.worst_margin == pytest.approx(float.fromhex(row["worst_margin"]),
+                                                    abs=1e-12)
 
 
 # ---------------------------------------------------------------- campaigns
@@ -191,6 +223,49 @@ def test_failing_trials_dump_replay_files(tmp_path):
     assert f.dim == cfg.dim
 
 
+# instance names each suite's failure file holds
+INSTANCE_KEYS = {
+    "subordination": {"g", "phi", "f"},
+    "quasi": {"g", "phi", "h", "f"},
+    "von-neumann": {"f", "phi", "composition"},
+    **{f"poly-{tag}": {"fn"} for tag in harness.BASE_LAYERS},
+}
+
+
+def _replay_margin(suite, instance, config):
+    """A failed trial's margin, recomputed from its decoded instance and
+    the report's config echo alone."""
+    if suite.startswith("poly-"):
+        fn = polyanalytic_from_json(instance["fn"])
+        return float(np.min(1.0 - bohr_sum_poly(fn, config["r_grid"])[1]))
+    series = {name: series_from_json(payload) for name, payload in instance.items()}
+    grid = default_grid(config["r_max"])
+    if suite == "von-neumann":
+        upper, bound = series["composition"], 1.0
+    else:
+        upper = series["f"]
+        bound = config.get("m_bound", 1.0) * majorant(series["g"]).bohr_grid(grid)[0]
+    return float(np.min(bound - majorant(upper).bohr_grid(grid)[1]))
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_failure_files_replay_bit_for_bit(tmp_path, suite):
+    # an impossible tolerance fails every trial; a poly suite's default
+    # grid would end beyond 1 at that tolerance, so it gets its own grid
+    grid = (0.05, 0.1, 0.2) if suite.startswith("poly-") else None
+    cfg = small_config(tmp_path, suite, trials=3, degree=16, tolerance=-10.0, r_grid=grid)
+    report = _run_suite(cfg)
+    assert report.pass_count == 0
+    for record in report.records:
+        with open(tmp_path / f"{suite}-failure-{record.index:05d}.json") as fh:
+            dump = json.load(fh)
+        assert set(dump) == {"suite", "config", "record", "instance"}
+        assert dump["suite"] == suite
+        assert dump["record"]["worst_margin"] == record.worst_margin
+        assert set(dump["instance"]) == INSTANCE_KEYS[suite]
+        assert _replay_margin(suite, dump["instance"], report.config) == record.worst_margin
+
+
 # ---------------------------------------------------------------- reports
 
 def test_report_json_file(tmp_path):
@@ -274,6 +349,13 @@ def test_sharpness_scan_locates_threshold():
     assert scan.threshold == pytest.approx(1 / 2.8, abs=1e-9)
     assert scan.predicted_threshold == pytest.approx(1 / 2.8)
     assert len(scan.r_values) == 150
+
+
+def test_sharpness_scan_window_above_threshold():
+    # the window's first point already exceeds 1: bisect from r = 0
+    scan = run_sharpness_scan(0.99, 0.4, 0.45, 50)
+    assert scan.first_exceed == 0.4
+    assert scan.threshold == pytest.approx(1 / 2.98, abs=1e-6)
 
 
 def test_sharpness_scan_without_crossing():

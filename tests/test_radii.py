@@ -97,8 +97,9 @@ def test_eval_vectorized_and_validated():
     vals = radius_poly_eval(fam, rs)
     assert vals.shape == (3,)
     assert vals[0] == 1.0
-    with pytest.raises(ValueError):
-        radius_poly_eval(fam, 1.5)
+    for bad in (1.5, -0.5, math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError):
+            radius_poly_eval(fam, bad)
 
 
 def test_statement_form_variant():
