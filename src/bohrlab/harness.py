@@ -31,7 +31,6 @@ from .series import (
     compose,
     majorant,
     mul,
-    scalar_series,
     scale,
     series_to_json,
     with_coeff_bound,
@@ -209,11 +208,13 @@ def _run_campaign(config: CampaignConfig, trial_fn, extra_config: dict) -> Repor
     PolyanalyticFn.  The trial's margin is min(bound - upper) and it
     passes when the margin is >= -tolerance.  A failed trial writes
     {"suite", "config", "record", "instance"} to _failure_path, with
-    the instance encoded by series_to_json / polyanalytic_to_json, so
-    the margin can be recomputed from the file.  extra_config holds the
-    suite's own parameters for the report's config echo.
+    the instance encoded by series_to_json / polyanalytic_to_json, and
+    "config" the same config echo as the report: the campaign's config
+    plus extra_config, the suite's own parameters, so the margin can be
+    recomputed from the file alone.
     """
     start = time.perf_counter()
+    echo = {**config.describe(), **extra_config}
     records = []
     for index in range(config.trials):
         upper, bound, params, instance = trial_fn(_trial_rng(config.seed, index))
@@ -223,7 +224,7 @@ def _run_campaign(config: CampaignConfig, trial_fn, extra_config: dict) -> Repor
         if not record.passed:
             dump = {
                 "suite": config.suite,
-                "config": config.describe(),
+                "config": echo,
                 "record": dataclasses.asdict(record),
                 "instance": {name: _instance_to_json(obj) for name, obj in instance.items()},
             }
@@ -232,7 +233,7 @@ def _run_campaign(config: CampaignConfig, trial_fn, extra_config: dict) -> Repor
 
     report = Report(
         suite=config.suite,
-        config={**config.describe(), **extra_config},
+        config=echo,
         records=records,
         pass_count=sum(r.passed for r in records),
         min_margin=min(r.worst_margin for r in records),
@@ -291,19 +292,20 @@ def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
     |z| < beta implies Bohr(f, r) <= m_bound * Bohr(g, r) for r <= beta/3.
 
     h is built as m_bound * s(z / beta) from a random Schur function s,
-    so the sup bound on the beta-disk holds structurally.
+    so the sup bound on the beta-disk holds structurally; it carries no
+    tail bound, as its coefficients may grow like beta^-n.
     """
     if not 0.0 < m_bound < math.inf or not 0.0 < beta <= 1.0:
         raise ValueError("need a finite m_bound > 0 and beta in (0, 1]")
     grid = _grid_for(config, beta / 3.0)
+    # coefficient n of m_bound * s(z / beta) is m_bound beta^-n s_n
+    weights = m_bound * beta ** -np.arange(config.degree + 1.0)
 
     def trial(rng):
         g, _, params = _draw_target(rng, config)
         phi = _inner(rng, config.degree)
         s = gen_schur_matrix(rng, config.dim, config.degree, scalar_head=True)
-        dilation = np.zeros(config.degree + 1, dtype=np.complex128)
-        dilation[1] = 1.0 / beta
-        h = scale(compose(s, scalar_series(dilation)), m_bound)
+        h = MatrixSeries(s.coeffs * weights[:, None, None])
         f = mul(h, compose(g, phi))
         return (majorant(f).bohr_grid(grid)[1], m_bound * majorant(g).bohr_grid(grid)[0],
                 params, {"g": g, "phi": phi, "h": h, "f": f})
@@ -342,6 +344,10 @@ def _starlike_layer(rng, fam: RadiusFamily, config: CampaignConfig) -> MatrixSer
     return compose(starlike_from_q(CaratheodoryScalar(u), config.dim, config.degree), phi)
 
 
+# The poly suites' grids end this far short of the solved radius, the
+# default tolerance; a campaign's tolerance is its pass threshold only.
+POLY_GRID_GAP = 1e-8
+
 # Base-layer generator per radius family, matching the family's hypothesis;
 # its keys are the families with a poly-* suite.  Disk evidence: the general
 # family is exercised with an origin-fixed contraction, a lambda = 1
@@ -355,8 +361,8 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
 
     Each trial draws a base layer matching the family hypothesis and
     p - 1 ratio functions of norm <= k (scaled Schur functions), builds
-    F, and checks the certified layered sum on a grid that stops just
-    short of the solved radius.
+    F, and checks the certified layered sum on a grid that stops
+    POLY_GRID_GAP short of the solved radius.
     """
     if fam.p == math.inf:
         raise ValueError("campaigns need a finite order p")
@@ -368,7 +374,7 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
                          "general hypothesis only for lambda >= 1")
     p = int(fam.p)
     radius = solve_radius(fam).radius
-    grid = _grid_for(config, radius - config.tolerance)
+    grid = _grid_for(config, radius - POLY_GRID_GAP)
 
     def trial(rng):
         f0 = base_layer(rng, fam, config)

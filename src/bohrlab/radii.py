@@ -22,8 +22,8 @@ _factor_terms is the single definition of the equation: from a FAMILIES
 row it builds the family's exact coefficients as integers over a power
 of two (every parameter is a float, so they are dyadic rationals).
 The solver proves its bracket with them in integer arithmetic, and its
-float bisection and radius_poly_eval read them rounded once each
-(_float_equation).
+float Newton iteration and bisection and radius_poly_eval read them
+rounded once each (_float_equation).
 
 p is an integer >= 2, or math.inf for the limiting equation with the
 r^(p+1) term absent (r^inf evaluates to exactly 0.0 on (0, 1), so no
@@ -108,6 +108,11 @@ FAMILIES = {
     "starlike": FamilySpec((1, 0), 3, (1, 0), lambda x: 1.0 / 3.0),
 }
 FAMILY_TAGS = tuple(FAMILIES)
+
+# Float bisection midpoints of [0, 1] are exact dyadics through this level
+# (solve_radius), and _newton_root gives up after this many steps.
+_EXACT_LEVELS = 52
+_NEWTON_STEPS = 64
 
 
 def _check_p(p) -> float:
@@ -212,7 +217,7 @@ def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
     r = np.asarray(r, dtype=np.float64)
     if np.any(~((r >= 0.0) & (r <= 1.0))):
         raise ValueError("radius equation is evaluated on [0, 1]")
-    f = _float_equation(_factor_terms(fam, statement_form))
+    f = _float_equation(_factor_terms(fam, statement_form))[0]
     out = np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
     return out if out.ndim else float(out)
 
@@ -268,24 +273,79 @@ def _factor_terms(fam: RadiusFamily, statement_form: bool) -> tuple:
     return W, C, 0 if p == 0 else -C if statement_form else C, s, m, p
 
 
-def _float_equation(terms: tuple) -> Callable:
+def _float_equation(terms: tuple) -> tuple[Callable, Callable]:
     """The equation w (1 - r)^m - c r + b r^(p+1) of _factor_terms in
-    floats.  Its coefficients are the exact ones, each rounded once
-    (int / int division rounds correctly), so they equal the products
-    k * lambda, 1 + gamma, ... formed in floats.  On (0, 1) the equation
-    has the sign of the decreasing function of the module docstring (q
-    for finite p, since 1 - r > 0), which is all the solver's float
-    bisection reads."""
+    floats, and its derivative.  Its coefficients are the exact ones,
+    each rounded once (int / int division rounds correctly), so they
+    equal the products k * lambda, 1 + gamma, ... formed in floats.  On
+    (0, 1) the equation has the sign of the decreasing function of the
+    module docstring (q for finite p, since 1 - r > 0), which is all the
+    solver's float stages read."""
     W, C, B, s, m, p = terms
     w, c, b = (v / (1 << s) for v in (W, C, B))
-    return lambda r: w * (1 - r) ** m - c * r + b * r ** (p + 1)
+    return (lambda r: w * (1 - r) ** m - c * r + b * r ** (p + 1),
+            lambda r: -m * w * (1 - r) ** (m - 1) - c + (p + 1) * b * r ** p)
+
+
+def _newton_root(f: Callable, slope: Callable, tiny: float) -> float:
+    """A float estimate of the root of f in (0, 1): Newton's method from
+    r = 0, safeguarded by a sign bracket [lo, hi] (f(lo) > 0, and f(hi)
+    < 0 or hi = 1) that every evaluation narrows; a step that leaves the
+    bracket, or a slope that is not negative, bisects it instead.  Ends
+    with the first Newton step shorter than tiny, or after _NEWTON_STEPS
+    evaluations on the last iterate.  For b >= 0 the
+    equation is convex and decreasing up to its root, so the iterates
+    rise monotonically to it in a handful of steps."""
+    lo, hi, r = 0.0, 1.0, 0.0
+    for _ in range(_NEWTON_STEPS):
+        value, d = f(r), slope(r)
+        if value > 0:
+            lo = r
+        elif value < 0:
+            hi = r
+        else:
+            return r
+        new = r - value / d if d < 0 else math.nan  # nan: bisect
+        if abs(new - r) <= tiny:
+            return new
+        r = new if lo < new < hi else 0.5 * (lo + hi)
+    return r
+
+
+def _placed_bracket(terms: tuple, f: Callable, slope: Callable,
+                    level: int) -> tuple[float, float] | None:
+    """The all-exact bisection's bracket when tol gives it width 2^-level:
+    the dyadic cell [n, n + 1] / 2^level that holds _newton_root's
+    estimate, confirmed by at most two exact signs (positive at lo,
+    negative at hi), or None when they do not confirm it.  An exact zero
+    at a cell end is the root itself; a dyadic of level <= level, it is
+    one of the bisection's midpoints, which then returns (root, root)."""
+    # The step that ends the iteration is below 2^-(j + 4), j = max(level,
+    # 26), and Newton's error after it is about its square, below float
+    # resolution, so that roots near a cell end are placed as well
+    estimate = _newton_root(f, slope, math.ldexp(1.0, -4 - max(level, 26)))
+    n = min(max(math.floor(math.ldexp(estimate, level)), 0), (1 << level) - 1)
+    lo, hi = math.ldexp(n, -level), math.ldexp(n + 1, -level)
+    at_lo = _equation_sign(terms, lo)
+    if at_lo == 0:
+        return lo, lo
+    if at_lo > 0:
+        at_hi = _equation_sign(terms, hi)
+        if at_hi <= 0:
+            return (hi, hi) if at_hi == 0 else (lo, hi)
+    return None
 
 
 def _power_bounds(num: int, e: int, n: int, bits: int) -> tuple[int, int]:
-    """Integers lo <= x^n 2^bits <= hi for x = num / 2^e in [0, 1], by
-    binary powering with every product rounded outward to a multiple of
-    2^-bits, so the cost grows with bits and log n only; lo == hi when
-    nothing rounded."""
+    """Integers lo <= x^n 2^bits <= hi for x = num / 2^e in [0, 1], with
+    lo == hi exactly when x^n 2^bits is an integer.  When the exact power
+    num^n / 2^(e n) has at most 4 bits bits it is formed and rounded
+    once; a longer one is enclosed by binary powering with every product
+    rounded outward to a multiple of 2^-bits, so the cost grows with
+    bits and log n only."""
+    if e * n <= 4 * bits:
+        top = num ** n << bits
+        return top >> e * n, -(-top >> e * n)
     lo, hi = (num << bits) >> e, -(-(num << bits) >> e)
     out_lo = out_hi = 1 << bits
     while n:
@@ -332,11 +392,11 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     The equation factors as (1 - r) q(r), and q decreases strictly from
     q(0) = w > 0 to q(1) = -c p < 0, so it has exactly one root in
     (0, 1) (module docstring; for p = inf and statement_form the
-    equation itself decreases strictly).  Bisects [0, 1] on the sign of
-    the equation in floats, which on (0, 1) is the sign of q, down to a
-    bracket of width <= tol, or to two adjacent floats when tol is below
-    their spacing, then proves the endpoints exactly: positive at lo and
-    negative at hi, or exactly zero on a zero-width bracket.
+    equation itself decreases strictly).  The bracket returned is the
+    one a bisection of [0, 1] on the exact sign of q reaches: width
+    <= tol, or two adjacent floats when tol is below their spacing, with
+    endpoints proved exactly: positive at lo and negative at hi, or
+    exactly zero on a zero-width bracket.
 
     The proof decides the sign of the equation at a float r = N / 2^e,
     which on (0, 1) is the sign of q, in integers: with the family's
@@ -345,48 +405,64 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
 
         W (2^e - N)^m - C N 2^(e (m-1)) + B 2^(e m) r^(p+1),
 
-    and r^(p+1) is enclosed between integers over 2^256, refined only
-    until the sign is certain, so the cost grows with log p rather than
-    with the 53 p bits of the exact power.  Two cases need no power: at
-    r = 1 the sign is that of q(1) = -c p, and where the first two terms
-    cancel exactly it is the sign of B.  The proof reads the exact
-    coefficients, so it holds for the equation itself, not for its
-    float-rounded coefficients.
+    and r^(p+1) is formed exactly when it has at most 4 * 256 bits (a
+    table row's has at most 9 * 40), else enclosed between integers over
+    2^256, refined only until the sign is certain, so the cost grows
+    with log p rather than with the 53 p bits of the exact power.  Two
+    cases need no power: at r = 1 the sign is that of q(1) = -c p, and
+    where the first two terms cancel exactly it is the sign of B.  The
+    proof reads the exact coefficients, so it holds for the equation
+    itself, not for its float-rounded coefficients.
 
-    Why the float stage is only a guess: the bisection's cells depend on
-    its sign decisions alone, and the cell that contains the root is the
-    one exact decisions reach.  A float decision that disagrees with the
+    Why the float stages are only a guess.  Bisecting [0, 1] with exact
+    decisions walks down the dyadic cells [n, n + 1] / 2^j that hold the
+    root and stops at level J, the least j with 2^-j <= tol, on the cell
+    that holds the root, or earlier on the root itself when it is a
+    dyadic of level <= J and so one of the midpoints.  For J <= 52 every
+    midpoint on the way is an exact float, so that cell can be placed
+    rather than walked to: a safeguarded Newton iteration in floats
+    (_newton_root) estimates the root, and the level-J cell holding the
+    estimate is the bracket once two exact signs confirm it; a zero at a
+    cell end is the root itself (_placed_bracket).  The root is unique
+    and otherwise lies inside one cell only, so a confirmed cell is the
+    walk's.  When the signs disagree (the estimate fell into a
+    neighbouring cell) or J > 52, the float bisection runs and its cell
+    is proved the same way; a float decision that disagrees with the
     exact sign moves into a half whose interior misses the root, so no
-    later cell passes the proof; the bisection is then repeated with
-    exact decisions, which end in the same cell a correct float run
-    would.  The returned bracket is therefore that of an all-exact
-    bisection, whatever the floats decide.  The root is the bracket's
-    midpoint.  When the exact coefficient c vanishes the equation has no
-    root in (0, 1) (the left side stays positive), and the radius is
-    the cap alone.
+    later cell passes the proof, and the bisection is then repeated with
+    exact decisions.  The returned bracket is therefore that of an
+    all-exact bisection, whatever the floats decide.  The root is the
+    bracket's midpoint.  When the exact coefficient c vanishes the
+    equation has no root in (0, 1) (the left side stays positive), and
+    the radius is the cap alone.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
     terms = _factor_terms(fam, statement_form)
     if terms[1] == 0:  # c = 0
         return RootResult(fam, None, None, fam.cap)
-    approx = _float_equation(terms)
+    approx, slope = _float_equation(terms)
 
     def exact(r):
         return _equation_sign(terms, r)
 
-    for f in (approx, exact):
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-            value = f(mid)
-            if value > 0:
-                lo = mid
-            elif value < 0:
-                hi = mid
-            else:
-                lo = hi = mid
-        if exact(lo) == 0 if lo == hi else exact(lo) > 0 > exact(hi):
-            break
+    level = 1 - math.frexp(tol)[1]  # the least j with 2^-j <= tol
+    placed = _placed_bracket(terms, approx, slope, level) if level <= _EXACT_LEVELS else None
+    if placed is not None:
+        lo, hi = placed
+    else:
+        for f in (approx, exact):
+            lo, hi = 0.0, 1.0
+            while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+                value = f(mid)
+                if value > 0:
+                    lo = mid
+                elif value < 0:
+                    hi = mid
+                else:
+                    lo = hi = mid
+            if exact(lo) == 0 if lo == hi else exact(lo) > 0 > exact(hi):
+                break
     root = 0.5 * (lo + hi)
     return RootResult(fam, RInterval(lo, hi), root, min(root, fam.cap))
 

@@ -297,23 +297,26 @@ class CaratheodoryScalar:
 def starlike_from_q(q: CaratheodoryScalar, dim: int, degree: int) -> MatrixSeries:
     """Normalized starlike map g with z g'(z) = q(z) g(z).
 
-    Matching coefficients gives g_1 = I and the recurrence
+    For q = (1 + u z) / (1 - u z) the equation has the closed-form
+    solution g = z / (1 - u z)^2: its logarithmic derivative is
+    g'/g = 1/z + 2u / (1 - u z), so z g'/g = (1 + u z) / (1 - u z), and
+    g(0) = 0, g'(0) = 1.  Matching coefficients of z g' = q g gives
+    g_1 = 1 and (n - 1) g_n = sum_{j=1}^{n-1} q_j g_{n-j} for n >= 2,
+    which fixes every coefficient, so this is the only normalized
+    solution, and
 
-        (n - 1) g_n = sum_{j=1}^{n-1} q_j g_{n-j},  n >= 2,
+        g_n = n u^(n-1) I.
 
-    with scalar q_j acting by multiplication.  For u = 1 (the Koebe
-    data q = (1+z)/(1-z)) this yields g_n = n I; coefficients grow
-    linearly, so no constant tail bound is attached.
+    For u = 1 (the Koebe data q = (1+z)/(1-z)) this is g_n = n I;
+    coefficients grow linearly, so no constant tail bound is attached.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    qs = q.coefficients(degree)
+    n = np.arange(1, degree + 1)
     scal = np.zeros(degree + 1, dtype=np.complex128)
-    scal[1] = 1.0
-    for n in range(2, degree + 1):
-        scal[n] = np.dot(qs[1:n], scal[n - 1 : 0 : -1]) / (n - 1)
+    scal[1:] = n * q.u ** (n - 1)
     coeffs = scal[:, None, None] * np.eye(dim, dtype=np.complex128)[None]
     return MatrixSeries(coeffs, None)
 

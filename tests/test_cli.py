@@ -228,6 +228,19 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert (tmp_path / "subordination-failure-00000.json").exists()
 
 
+def test_poly_suite_failure_exit_code(tmp_path, capsys):
+    # the tolerance is the pass threshold, not an offset of the grid, so
+    # an impossible one runs the campaign and fails every trial
+    out = str(tmp_path / "report.json")
+    code, text, _ = run(capsys, "verify", "poly-convex", "--trials", "3", "--dim", "2",
+                        "--degree", "16", "--tol", "-10", "--out", out)
+    assert code == 1
+    assert text.startswith("FAIL")
+    with open(out) as fh:
+        assert json.load(fh)["pass_count"] == 0
+    assert len(list(tmp_path.glob("poly-convex-failure-*.json"))) == 3
+
+
 def test_verify_missing_out_directory_fails_before_any_trial(tmp_path, capsys, monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran")

@@ -179,7 +179,7 @@ def test_polyanalytic_margin_is_the_layered_sum_on_the_grid(tmp_path, monkeypatc
         built.clear()
         cfg = small_config(tmp_path, f"poly-{fam.tag}", trials=4)
         report = run_polyanalytic(cfg, fam)
-        grid = default_grid(report.config["radius"] - cfg.tolerance)
+        grid = default_grid(report.config["radius"] - harness.POLY_GRID_GAP)
         assert [r.worst_margin for r in report.records] == [
             float(np.min(1.0 - bohr_sum_poly(fn, grid)[1])) for fn in built]
 
@@ -234,10 +234,11 @@ INSTANCE_KEYS = {
 
 def _replay_margin(suite, instance, config):
     """A failed trial's margin, recomputed from its decoded instance and
-    the report's config echo alone."""
+    the failure file's config alone."""
     if suite.startswith("poly-"):
         fn = polyanalytic_from_json(instance["fn"])
-        return float(np.min(1.0 - bohr_sum_poly(fn, config["r_grid"])[1]))
+        grid = default_grid(config["radius"] - harness.POLY_GRID_GAP)
+        return float(np.min(1.0 - bohr_sum_poly(fn, grid)[1]))
     series = {name: series_from_json(payload) for name, payload in instance.items()}
     grid = default_grid(config["r_max"])
     if suite == "von-neumann":
@@ -250,10 +251,9 @@ def _replay_margin(suite, instance, config):
 
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_failure_files_replay_bit_for_bit(tmp_path, suite):
-    # an impossible tolerance fails every trial; a poly suite's default
-    # grid would end beyond 1 at that tolerance, so it gets its own grid
-    grid = (0.05, 0.1, 0.2) if suite.startswith("poly-") else None
-    cfg = small_config(tmp_path, suite, trials=3, degree=16, tolerance=-10.0, r_grid=grid)
+    # an impossible tolerance fails every trial; each file holds the
+    # suite's own parameters, so it replays without the report
+    cfg = small_config(tmp_path, suite, trials=3, degree=16, tolerance=-10.0)
     report = _run_suite(cfg)
     assert report.pass_count == 0
     for record in report.records:
@@ -261,9 +261,10 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite):
             dump = json.load(fh)
         assert set(dump) == {"suite", "config", "record", "instance"}
         assert dump["suite"] == suite
+        assert dump["config"] == json.loads(json.dumps(report.config))
         assert dump["record"]["worst_margin"] == record.worst_margin
         assert set(dump["instance"]) == INSTANCE_KEYS[suite]
-        assert _replay_margin(suite, dump["instance"], report.config) == record.worst_margin
+        assert _replay_margin(suite, dump["instance"], dump["config"]) == record.worst_margin
 
 
 # ---------------------------------------------------------------- reports

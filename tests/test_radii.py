@@ -3,12 +3,15 @@
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohrlab import harness, radii
+from bohrlab.harness import emit_radius_table
 from bohrlab.radii import (
     FAMILIES,
     FAMILY_TAGS,
@@ -267,6 +270,29 @@ def test_exact_sign_refines_until_certain():
         assert _exact_sign(-int(a), -scale, 3, 2, 300) == -sign
 
 
+def test_exact_sign_refines_from_binary_powering_to_the_exact_power(monkeypatch):
+    # (3/4)^600 has 1200 bits, more than 4 * 256, so the first enclosure
+    # comes from binary powering; |delta| = 2^-1100 needs the refinements
+    # that form the power exactly (1200 <= 4 * 512), until it is an integer
+    # on the grid at 2048 bits
+    precisions = []
+
+    def spy(num, e, n, bits):
+        precisions.append(bits)
+        return power_bounds(num, e, n, bits)
+
+    power_bounds = radii._power_bounds
+    monkeypatch.setattr(radii, "_power_bounds", spy)
+    power, scale = Fraction(3, 4) ** 600, 2 ** 1200
+    for delta, sign in ((Fraction(1, 2 ** 1100), 1), (-Fraction(1, 2 ** 1100), -1), (0, 0)):
+        a = (delta - power) * scale
+        assert a.denominator == 1
+        precisions.clear()
+        assert _exact_sign(int(a), scale, 3, 2, 600) == sign
+        assert precisions == [256, 512, 1024, 2048]
+        assert _exact_sign(-int(a), -scale, 3, 2, 600) == -sign
+
+
 @pytest.mark.parametrize("statement_form", (False, True))
 def test_solve_huge_order_next_to_an_exact_limit_root(statement_form):
     # (1 - r)^2 = r / 2 at r = 1/2, so at p = inf both forms vanish there
@@ -454,6 +480,58 @@ def test_bracket_is_that_of_an_exact_bisection(problem, tol):
     else:
         assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(
             fam, tol, statement_form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(), TOLS, st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 0.5, 1.0))))
+def test_bracket_survives_a_wrong_newton_estimate(problem, tol, guess):
+    # an estimate in the wrong cell fails the proof of the placed cell,
+    # and the bisection that follows still returns the exact bracket
+    fam, statement_form = problem
+    with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess):
+        res = solve_radius(fam, tol, statement_form=statement_form)
+    if res.bracket is not None:
+        assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(
+            fam, tol, statement_form)
+
+
+@pytest.mark.parametrize("guess", (0.25, 0.5 - 2.0 ** -41, 0.5, 0.5 + 2.0 ** -41, 0.75))
+@pytest.mark.parametrize("tol", (0.4, 1e-12))
+def test_placed_cell_with_a_zero_end_is_the_root(guess, tol):
+    # the root of omega_gamma(0.5, 1, 2) is 1/2 exactly: a cell with 1/2
+    # as an end gives it as a zero-width bracket, any other falls back
+    fam = omega_gamma(0.5, 1.0, 2)
+    with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess):
+        res = solve_radius(fam, tol)
+    assert res.bracket.lo == res.bracket.hi == 0.5
+    assert reference_bracket(fam, tol, False) == (0.5.hex(), 0.5.hex())
+
+
+def test_radius_table_proves_each_bracket_with_two_signs(monkeypatch):
+    # a cost guard without timing: every row's placed cell is confirmed at
+    # once, with two exact signs (one where the root is the cell end 1/2),
+    # so no row falls back to a bisection
+    signs, rows = [], []
+
+    def counted(terms, r):
+        signs.append(r)
+        return equation_sign(terms, r)
+
+    def solve(fam, tol=1e-12, **kw):
+        before = len(signs)
+        res = solve_radius(fam, tol, **kw)
+        rows.append((res.bracket, len(signs) - before))
+        return res
+
+    equation_sign = radii._equation_sign
+    monkeypatch.setattr(radii, "_equation_sign", counted)
+    monkeypatch.setattr(harness, "solve_radius", solve)
+    assert len(emit_radius_table()) == len(rows) == 144
+    solved = [(bracket, calls) for bracket, calls in rows if bracket is not None]
+    assert len(solved) == 108
+    for bracket, calls in solved:
+        assert calls == (1 if bracket.lo == bracket.hi else 2)
+    assert sum(bracket.lo == bracket.hi for bracket, _ in solved) == 1
 
 
 def root_or_one(res):

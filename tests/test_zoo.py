@@ -2,6 +2,7 @@
 starlike targets, layered polyanalytic assembly."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +203,35 @@ def test_starlike_koebe_and_degenerate_data():
     g0 = starlike_from_q(CaratheodoryScalar(0.0), 2, 8)
     assert op_norm(g0.coeff(1)) == 1.0
     assert op_norms(g0.coeffs[2:]).max() == 0.0
+
+
+def starlike_recurrence(u, degree):
+    """Scalar coefficients of the starlike map from the recurrence
+    (n - 1) g_n = sum_{j=1}^{n-1} q_j g_{n-j}, q_j = 2 u^j, g_1 = 1, in
+    exact complex rationals held as (real, imag) Fraction pairs."""
+    def times(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    u = (Fraction(u.real), Fraction(u.imag))
+    q = [(Fraction(0), Fraction(0)), (2 * u[0], 2 * u[1])]
+    for _ in range(2, degree):
+        q.append(times(q[-1], u))
+    g = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
+    for n in range(2, degree + 1):
+        terms = [times(q[j], g[n - j]) for j in range(1, n)]
+        g.append((sum(t[0] for t in terms) / (n - 1), sum(t[1] for t in terms) / (n - 1)))
+    return [complex(float(re), float(im)) for re, im in g]
+
+
+def test_starlike_closed_form_matches_the_recurrence():
+    # g = z / (1 - u z)^2, so g_n = n u^(n-1), solves the recurrence
+    for u in (1.0, -1.0, 0.0, 0.5j, 0.75 - 0.25j, 0.6 + 0.8j, np.exp(2.0j)):
+        got = starlike_from_q(CaratheodoryScalar(u), 2, 64).coeffs
+        assert np.all(got == got[:, :1, :1] * np.eye(2))
+        for n, want in enumerate(starlike_recurrence(complex(u), 64)):
+            assert abs(got[n, 0, 0] - want) <= 1e-13 * abs(want)
+    koebe = starlike_from_q(CaratheodoryScalar(1.0), 1, 64).coeffs[:, 0, 0]
+    assert koebe.tolist() == list(range(65))
 
 
 def test_starlike_coefficients_growth_bound():
