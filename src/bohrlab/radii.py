@@ -22,8 +22,8 @@ _factor_terms is the single definition of the equation: from a FAMILIES
 row it builds the family's exact coefficients as integers over a power
 of two (every parameter is a float, so they are dyadic rationals).
 The solver proves its bracket with them in integer arithmetic, and its
-float Newton iteration and bisection and radius_poly_eval read them
-rounded once each (_float_equation).
+float Newton estimate and radius_poly_eval read them rounded once each
+(_float_equation).
 
 p is an integer >= 2, or math.inf for the limiting equation with the
 r^(p+1) term absent (r^inf evaluates to exactly 0.0 on (0, 1), so no
@@ -109,10 +109,15 @@ FAMILIES = {
 }
 FAMILY_TAGS = tuple(FAMILIES)
 
-# Float bisection midpoints of [0, 1] are exact dyadics through this level
-# (solve_radius), and _newton_root gives up after this many steps.
+# Every dyadic of [0, 1] through this level is a float, so solve_radius
+# places its Newton estimate in a cell of at most this level.
 _EXACT_LEVELS = 52
-_NEWTON_STEPS = 64
+# _newton_root gives up after this many steps.  For a tiny c the root
+# lies within float resolution of 1, where the float equation is w (1 - r)^m
+# with a root of multiplicity m there; Newton then gains only a factor
+# (m - 1) / m a step, so at m = 3 (starlike) it takes about 91 steps from
+# r = 0 to come within 2^-53 of 1.
+_NEWTON_STEPS = 128
 
 
 def _check_p(p) -> float:
@@ -256,7 +261,7 @@ def _factor_terms(fam: RadiusFamily, statement_form: bool) -> tuple:
     single definition of every family's equation, read from its one
     FAMILIES row: every parameter is a float, so w = 1 + gamma and
     c = k * lambda are dyadic rationals, formed here without rounding.
-    The solver's exact proof, its float bisection and radius_poly_eval
+    The solver's exact proof, its Newton estimate and radius_poly_eval
     (_float_equation) all read it; no root exists when C == 0."""
     if statement_form and fam.tag != "general":
         raise ValueError("statement_form only applies to the general family")
@@ -280,7 +285,7 @@ def _float_equation(terms: tuple) -> tuple[Callable, Callable]:
     equal the products k * lambda, 1 + gamma, ... formed in floats.  On
     (0, 1) the equation has the sign of the decreasing function of the
     module docstring (q for finite p, since 1 - r > 0), which is all the
-    solver's float stages read."""
+    solver's Newton estimate reads."""
     W, C, B, s, m, p = terms
     w, c, b = (v / (1 << s) for v in (W, C, B))
     return (lambda r: w * (1 - r) ** m - c * r + b * r ** (p + 1),
@@ -310,30 +315,6 @@ def _newton_root(f: Callable, slope: Callable, tiny: float) -> float:
             return new
         r = new if lo < new < hi else 0.5 * (lo + hi)
     return r
-
-
-def _placed_bracket(terms: tuple, f: Callable, slope: Callable,
-                    level: int) -> tuple[float, float] | None:
-    """The all-exact bisection's bracket when tol gives it width 2^-level:
-    the dyadic cell [n, n + 1] / 2^level that holds _newton_root's
-    estimate, confirmed by at most two exact signs (positive at lo,
-    negative at hi), or None when they do not confirm it.  An exact zero
-    at a cell end is the root itself; a dyadic of level <= level, it is
-    one of the bisection's midpoints, which then returns (root, root)."""
-    # The step that ends the iteration is below 2^-(j + 4), j = max(level,
-    # 26), and Newton's error after it is about its square, below float
-    # resolution, so that roots near a cell end are placed as well
-    estimate = _newton_root(f, slope, math.ldexp(1.0, -4 - max(level, 26)))
-    n = min(max(math.floor(math.ldexp(estimate, level)), 0), (1 << level) - 1)
-    lo, hi = math.ldexp(n, -level), math.ldexp(n + 1, -level)
-    at_lo = _equation_sign(terms, lo)
-    if at_lo == 0:
-        return lo, lo
-    if at_lo > 0:
-        at_hi = _equation_sign(terms, hi)
-        if at_hi <= 0:
-            return (hi, hi) if at_hi == 0 else (lo, hi)
-    return None
 
 
 def _power_bounds(num: int, e: int, n: int, bits: int) -> tuple[int, int]:
@@ -414,55 +395,69 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     proof reads the exact coefficients, so it holds for the equation
     itself, not for its float-rounded coefficients.
 
-    Why the float stages are only a guess.  Bisecting [0, 1] with exact
-    decisions walks down the dyadic cells [n, n + 1] / 2^j that hold the
-    root and stops at level J, the least j with 2^-j <= tol, on the cell
-    that holds the root, or earlier on the root itself when it is a
-    dyadic of level <= J and so one of the midpoints.  For J <= 52 every
-    midpoint on the way is an exact float, so that cell can be placed
-    rather than walked to: a safeguarded Newton iteration in floats
-    (_newton_root) estimates the root, and the level-J cell holding the
-    estimate is the bracket once two exact signs confirm it; a zero at a
-    cell end is the root itself (_placed_bracket).  The root is unique
-    and otherwise lies inside one cell only, so a confirmed cell is the
-    walk's.  When the signs disagree (the estimate fell into a
-    neighbouring cell) or J > 52, the float bisection runs and its cell
-    is proved the same way; a float decision that disagrees with the
-    exact sign moves into a half whose interior misses the root, so no
-    later cell passes the proof, and the bisection is then repeated with
-    exact decisions.  The returned bracket is therefore that of an
-    all-exact bisection, whatever the floats decide.  The root is the
-    bracket's midpoint.  When the exact coefficient c vanishes the
-    equation has no root in (0, 1) (the left side stays positive), and
-    the radius is the cap alone.
+    One exact walk.  Bisecting [0, 1] with exact decisions walks down
+    the dyadic cells [n, n + 1] / 2^j that hold the root and stops at
+    level J, the least j with 2^-j <= tol (or on two adjacent floats
+    when their spacing is wider), or earlier on the root itself when it
+    is one of the midpoints.  That walk is the one run here, and one
+    proven sign decides every midpoint on its side: q decreases
+    strictly, so q(pos) > 0 gives q > 0 at every r <= pos, and
+    q(neg) < 0 gives q < 0 at every r >= neg.  The walk therefore
+    computes the sign only of a midpoint strictly between pos and neg,
+    which start as 0 and 1 (q(0) = w > 0, q(1) < 0).  A safeguarded
+    Newton iteration in floats (_newton_root) estimates the root, and a
+    doubling search proves signs next to it among the dyadics of level
+    L = min(J, 52), all of them floats: first the ends of the level-L
+    cell that holds the estimate, then, beyond an end that is refused,
+    the points 2, 4, 8, ... cells from the cell's other end, until the
+    sign changes.  When the search proves the two ends of one level-L
+    cell, no midpoint of a coarser level is in doubt and the walk starts
+    in that cell: for J <= 52 the cell is the bracket (two signs when the
+    estimate is right), and for J > 52 the walk goes on inside it.  A
+    zero at a level-L dyadic is one of the walk's midpoints, so the walk
+    stops there on (root, root).  The estimate chooses which signs are
+    computed, never a decision, so the bracket is that of the all-exact
+    bisection whatever the floats do.  The root is the bracket's
+    midpoint.  When the exact coefficient c vanishes the equation has no
+    root in (0, 1) (the left side stays positive), and the radius is the
+    cap alone.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
     terms = _factor_terms(fam, statement_form)
     if terms[1] == 0:  # c = 0
         return RootResult(fam, None, None, fam.cap)
-    approx, slope = _float_equation(terms)
-
-    def exact(r):
-        return _equation_sign(terms, r)
-
-    level = 1 - math.frexp(tol)[1]  # the least j with 2^-j <= tol
-    placed = _placed_bracket(terms, approx, slope, level) if level <= _EXACT_LEVELS else None
-    if placed is not None:
-        lo, hi = placed
-    else:
-        for f in (approx, exact):
-            lo, hi = 0.0, 1.0
-            while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-                value = f(mid)
-                if value > 0:
-                    lo = mid
-                elif value < 0:
-                    hi = mid
-                else:
-                    lo = hi = mid
-            if exact(lo) == 0 if lo == hi else exact(lo) > 0 > exact(hi):
-                break
+    level = min(1 - math.frexp(tol)[1], _EXACT_LEVELS)  # L = min(J, 52)
+    # The step that ends the iteration is below 2^-(j + 4), j = max(L, 26),
+    # and Newton's error after it is about its square, below float
+    # resolution, so that roots near a cell end are placed as well
+    estimate = _newton_root(*_float_equation(terms), math.ldexp(1.0, -4 - max(level, 26)))
+    # The doubling search: q > 0 at pos and q < 0 at neg.  It proves the
+    # ends of the level-L cell [start, start + cell] that holds the
+    # estimate, low end first (start is at least 2^-L), and beyond a
+    # refused end the points 2, 4, 8, ... cells from the other end, until
+    # the sign changes.  These are dyadics of level L in (-1, 2), so the
+    # sums give them exactly.
+    cell = math.ldexp(1.0, -level)
+    start = min(max(math.floor(estimate / cell), 1), (1 << level) - 1) * cell
+    pos, neg, r = 0.0, 1.0, start
+    while pos < r < neg:
+        sign = _equation_sign(terms, r)
+        if sign > 0:
+            pos, r = r, r + cell if r == start else 2 * r - start
+        elif sign < 0:
+            neg, r = r, 2 * r - start - cell
+        else:
+            pos = neg = r
+    lo, hi = (pos, neg) if neg - pos <= cell else (0.0, 1.0)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        sign = 1 if mid <= pos else -1 if mid >= neg else _equation_sign(terms, mid)
+        if sign > 0:
+            lo = mid
+        elif sign < 0:
+            hi = mid
+        else:
+            lo = hi = mid
     root = 0.5 * (lo + hi)
     return RootResult(fam, RInterval(lo, hi), root, min(root, fam.cap))
 

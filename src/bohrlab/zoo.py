@@ -284,15 +284,6 @@ class CaratheodoryScalar:
             raise ValueError("Caratheodory parameter must satisfy |u| <= 1")
         object.__setattr__(self, "u", u)
 
-    def coefficients(self, degree: int) -> np.ndarray:
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        q = np.empty(degree + 1, dtype=np.complex128)
-        q[0] = 1.0
-        if degree >= 1:
-            q[1:] = 2.0 * self.u ** np.arange(1, degree + 1)
-        return q
-
 
 def starlike_from_q(q: CaratheodoryScalar, dim: int, degree: int) -> MatrixSeries:
     """Normalized starlike map g with z g'(z) = q(z) g(z).

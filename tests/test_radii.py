@@ -499,7 +499,8 @@ def test_bracket_survives_a_wrong_newton_estimate(problem, tol, guess):
 @pytest.mark.parametrize("tol", (0.4, 1e-12))
 def test_placed_cell_with_a_zero_end_is_the_root(guess, tol):
     # the root of omega_gamma(0.5, 1, 2) is 1/2 exactly: a cell with 1/2
-    # as an end gives it as a zero-width bracket, any other falls back
+    # as an end proves it a zero at once, and from any other the search
+    # and the walk reach 1/2 as a midpoint, a zero-width bracket
     fam = omega_gamma(0.5, 1.0, 2)
     with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess):
         res = solve_radius(fam, tol)
@@ -508,9 +509,10 @@ def test_placed_cell_with_a_zero_end_is_the_root(guess, tol):
 
 
 def test_radius_table_proves_each_bracket_with_two_signs(monkeypatch):
-    # a cost guard without timing: every row's placed cell is confirmed at
-    # once, with two exact signs (one where the root is the cell end 1/2),
-    # so no row falls back to a bisection
+    # a cost guard without timing: at tol 1e-12 every row's placed cell is
+    # confirmed at once, with two exact signs (one where the root is the
+    # cell end 1/2), and at tol 1e-300 the walk goes on inside that
+    # level-52 cell for one or two more signs down to adjacent floats
     signs, rows = [], []
 
     def counted(terms, r):
@@ -532,6 +534,36 @@ def test_radius_table_proves_each_bracket_with_two_signs(monkeypatch):
     for bracket, calls in solved:
         assert calls == (1 if bracket.lo == bracket.hi else 2)
     assert sum(bracket.lo == bracket.hi for bracket, _ in solved) == 1
+    rows.clear()
+    assert len(emit_radius_table(tol=1e-300)) == len(rows) == 144
+    assert max(calls for _, calls in rows) <= 4
+
+
+@pytest.mark.parametrize("tol", (1e-12, 2.0 ** -52))
+def test_wrong_newton_estimate_costs_a_few_exact_signs(tol):
+    # a guess half a cell from the root is one cell off at worst, and the
+    # doubling search then needs one more sign below the root or none
+    # above it; a guess at 0 or 1 (Newton failing outright) pays the
+    # doubling search and the walk over up to the whole level-L range
+    fam = starlike_sub(1.0, 5)
+    level = 1 - math.frexp(tol)[1]
+    lo, hi = (float.fromhex(end) for end in reference_bracket(fam, 1e-300, False))
+    root, half_cell = 0.5 * (lo + hi), math.ldexp(0.5, -level)
+    signs = []
+
+    def counted(terms, r):
+        signs.append(r)
+        return equation_sign(terms, r)
+
+    equation_sign = radii._equation_sign
+    for guess, most in ((root - half_cell, 3), (root + half_cell, 2),
+                        (0.0, 2 * (level + 1)), (1.0, 2 * (level + 1))):
+        signs.clear()
+        with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess), \
+                mock.patch.object(radii, "_equation_sign", counted):
+            res = solve_radius(fam, tol)
+        assert len(signs) <= most
+        assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(fam, tol, False)
 
 
 def root_or_one(res):

