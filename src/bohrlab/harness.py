@@ -31,13 +31,13 @@ from .series import (
     compose,
     majorant,
     mul,
-    scale,
     series_to_json,
     with_coeff_bound,
 )
 from .zoo import (
     CaratheodoryScalar,
     PolyanalyticFn,
+    _schur_stack,
     blaschke_series,
     bohr_sum_poly,
     build_polyanalytic,
@@ -378,13 +378,8 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
 
     def trial(rng):
         f0 = base_layer(rng, fam, config)
-        omegas = [
-            with_coeff_bound(
-                scale(gen_schur_matrix(rng, config.dim, config.degree, scalar_head=True), fam.k),
-                fam.k,
-            )
-            for _ in range(p - 1)
-        ]
+        omegas = [MatrixSeries(c, fam.k) for c in fam.k * _schur_stack(
+            rng, p - 1, config.dim, config.degree, fix_origin=False, scalar_head=True)]
         fn = build_polyanalytic(f0, omegas, fam.k)
         return bohr_sum_poly(fn, grid)[1], 1.0, {}, {"fn": fn}
 

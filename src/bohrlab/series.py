@@ -22,7 +22,6 @@ import numpy as np
 from .opmat import as_matrix, op_norms
 
 __all__ = [
-    "DEFAULT_DEGREE",
     "MatrixSeries",
     "Majorant",
     "RInterval",
@@ -44,9 +43,6 @@ __all__ = [
     "series_to_json",
     "series_from_json",
 ]
-
-DEFAULT_DEGREE = 64
-
 
 @dataclasses.dataclass(frozen=True)
 class RInterval:
@@ -235,8 +231,8 @@ def add(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
 def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     """Cauchy product, truncated to n = min(deg f, deg g).
 
-    For dim 1 this is one np.convolve; for dim d > 1 it is n + 1 block
-    matmuls (_block_product).
+    For dim 1 this is one np.convolve; for dim d > 1 it is block matmuls
+    of several coefficients at a time (_block_product).
 
     The product's tail mixes truncated and certified parts, so no sound
     constant bound survives; the result carries none.
@@ -252,22 +248,44 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     return MatrixSeries(out, None)
 
 
+# Multiply-adds per matmul in _block_product.  Above this size the
+# OpenBLAS of numpy's wheels (0.3.31) hands a zgemm to a second thread,
+# which busy-waits between calls and costs more than it saves on these
+# products.
+_MATMUL_LIMIT = 2**16
+
+
 def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product of coefficient stacks: fa of shape
     (n+1, m, d) and ga of shape (n+1, d, d) give out_k = sum_{i+j=k}
     fa_i @ ga_j, of shape (n+1, m, d).
 
-    ga is laid out as one (d, (n+1)d) block row, so that one 2-D matmul
-    fa_i @ [g_0 ... g_{n-i}] yields every product fa_i g_j that lands at
-    degree i + j <= n; the n + 1 block rows are summed at their offsets.
-    A stack of m/d matrices per coefficient (m > d) multiplies each of
-    them by g in the same n + 1 matmuls.
+    Each 2-D matmul takes c block rows [fa_i ... fa_{i+c-1}] of fa, side
+    by side, times the block-Toeplitz strip of ga whose row r is
+    [0 ... 0 g_0 ... g_{n-i-r}] (r zero blocks).  It yields every
+    product fa_{i+r} g_j that lands at degree i + r + j <= n, and the
+    results are summed at their offsets; zero rows fill the last group
+    of fa.  The strip is c shifted windows of one zero-padded block row,
+    and each matmul reads its leading columns.  c is the most rows whose
+    matmul stays within _MATMUL_LIMIT multiply-adds, and at least 1:
+    small matmuls cost more in per-call overhead than in arithmetic.  At
+    dim 8, degree 128 c is 1, and the matmuls are the one-row products
+    fa_i @ [g_0 ... g_{n-i}].  A stack of m/d matrices per coefficient
+    (m > d) multiplies each of them by g in the same matmuls.
     """
     n1, m, d = fa.shape
-    row = ga.transpose(1, 0, 2).reshape(d, n1 * d)
+    c = max(1, min(n1, _MATMUL_LIMIT // (m * d * n1 * d)))
+    padded = np.zeros((d, (n1 + c - 1) * d), dtype=np.complex128)
+    padded[:, (c - 1) * d :] = ga.transpose(1, 0, 2).reshape(d, n1 * d)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n1 * d, axis=1)
+    strip = windows[:, (c - 1) * d :: -d].transpose(1, 0, 2).reshape(c * d, n1 * d)
+    # fa as groups of c block rows side by side, zero rows filling the last
+    groups = np.zeros((-(-n1 // c) * c, m, d), dtype=np.complex128)
+    groups[:n1] = fa
+    groups = groups.reshape(-1, c, m, d).transpose(0, 2, 1, 3).reshape(-1, m, c * d)
     acc = np.zeros((m, n1 * d), dtype=np.complex128)
-    for i in range(n1):
-        acc[:, i * d :] += fa[i] @ row[:, : (n1 - i) * d]
+    for j, group in enumerate(groups):
+        acc[:, j * c * d :] += group @ strip[:, : (n1 - j * c) * d]
     return acc.reshape(m, n1, d).transpose(1, 0, 2)
 
 

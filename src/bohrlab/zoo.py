@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from .opmat import op_norm
 from .series import MatrixSeries, _block_product, derivative, majorant, scalar_series
 
 __all__ = [
@@ -114,10 +113,11 @@ def _blaschke_realization(specs) -> tuple:
     return a, b, c, d
 
 
-def _mobius_realization(alpha: complex, a, b, c, d) -> tuple:
-    """Realizations of m(f_i) for m(w) = (alpha + w) / (1 + conj(alpha) w),
+def _mobius_realization(alpha, a, b, c, d) -> tuple:
+    """Realizations of m_i(f_i) for m_i(w) = (alpha_i + w) / (1 + conj(alpha_i) w),
     from realizations (A, B, C, D) of functions with f_i(0) = D_i = 0
-    (shapes as _blaschke_realization's).
+    (shapes as _blaschke_realization's); alpha is one parameter per row,
+    or a scalar shared by all rows.
 
     m(w) = alpha + (1 - |alpha|^2) w / (1 + conj(alpha) w), and
     w / (1 + conj(alpha) w) is f_i inside the feedback loop
@@ -127,8 +127,12 @@ def _mobius_realization(alpha: complex, a, b, c, d) -> tuple:
     two unitary systems (f_i and the unitary matrix of m), so it keeps
     ||A|| <= 1.
     """
-    return (a - np.conj(alpha) * b[:, :, None] * c[:, None, :], b,
-            (1.0 - abs(alpha) ** 2) * c, np.full_like(d, alpha))
+    alpha = np.full_like(d, alpha)
+    # |alpha| by hypot, which rounds as abs of one complex number does;
+    # numpy's vectorized complex abs can differ in the last bit
+    modulus = np.hypot(alpha.real, alpha.imag)
+    return (a - np.conj(alpha)[:, None, None] * b[:, :, None] * c[:, None, :], b,
+            (1.0 - modulus**2)[:, None] * c, alpha)
 
 
 # Coefficients per block of _realization_series.
@@ -185,11 +189,17 @@ def haar_unitary(rng, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix,
     with the R diagonal phase fixed so the distribution is uniform."""
     rng = np.random.default_rng(rng)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return _haar_from_gaussian(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """The Q factors of a stack of complex Gaussian matrices (..., d, d),
+    each column times the phase of R's diagonal entry, so that the
+    distribution is uniform."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     d = np.where(np.abs(d) < 1e-300, 1.0, d / np.abs(d))
-    return q * d
+    return q * d[..., None, :]
 
 
 def mobius_transfer(alpha: complex, degree: int) -> MatrixSeries:
@@ -232,9 +242,27 @@ def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
     |alpha_0| <= 0.9.  m(b_i) is again a Schur function, so the tail
     bound 1 still holds.
 
-    All d diagonal entries are expanded together from their lossless
-    realizations (_blaschke_realization, with _mobius_realization for a
-    scalar head) by one _realization_series call.
+    This is _schur_stack's draw of a single function: its d diagonal
+    entries are expanded together from their lossless realizations.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = _schur_stack(rng, 1, dim, degree, fix_origin=fix_origin, scalar_head=scalar_head)
+    return MatrixSeries(coeffs[0], coeff_bound=1.0)
+
+
+def _schur_stack(rng: np.random.Generator, count: int, dim: int, degree: int, *,
+                 fix_origin: bool, scalar_head: bool) -> np.ndarray:
+    """Coefficients of count random Schur functions, as gen_schur_matrix
+    draws them, in an array of shape (count, degree + 1, dim, dim).
+
+    The draws are exactly those of count consecutive gen_schur_matrix
+    calls on rng, in the same order: per function the Gaussians of U
+    (and of V), then alpha_0, then the d Blaschke specs.  The numeric
+    work is then done once for all functions: one stacked QR, one
+    realization of the count * d diagonal entries
+    (_blaschke_realization, with _mobius_realization for a scalar head,
+    alpha_0 repeated over each function's d rows), one
+    _realization_series call and one einsum.
     """
     if fix_origin and scalar_head:
         raise ValueError("fix_origin and scalar_head are mutually exclusive")
@@ -242,20 +270,24 @@ def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
         raise ValueError("dim must be >= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = haar_unitary(rng, dim)
-    if scalar_head:
-        v = u.conj().T
-        alpha0 = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    else:
-        v = haar_unitary(rng, dim)
-    specs = [random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head) for _ in range(dim)]
+    gauss = np.empty((count, 1 if scalar_head else 2, dim, dim), dtype=np.complex128)
+    alpha0 = np.empty(count, dtype=np.complex128)
+    specs = []
+    for i in range(count):
+        for j in range(gauss.shape[1]):
+            gauss[i, j] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if scalar_head:
+            alpha0[i] = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        specs += [random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head)
+                  for _ in range(dim)]
+    unitaries = _haar_from_gaussian(gauss)
+    u = unitaries[:, 0]
+    v = u.conj().swapaxes(1, 2) if scalar_head else unitaries[:, 1]
     realization = _blaschke_realization(specs)
     if scalar_head:
-        realization = _mobius_realization(alpha0, *realization)
-    diag = _realization_series(*realization, degree)
-    coeffs = np.einsum("ab,bn,bc->nac", u, diag, v)
-    return MatrixSeries(coeffs, coeff_bound=1.0)
+        realization = _mobius_realization(np.repeat(alpha0, dim), *realization)
+    diag = _realization_series(*realization, degree).reshape(count, dim, degree + 1)
+    return np.einsum("kab,kbn,kbc->knac", u, diag, v)
 
 
 def convex_model(beta: float, dim: int, degree: int) -> MatrixSeries:
@@ -359,7 +391,7 @@ def build_polyanalytic(f0: MatrixSeries, omegas, k: float) -> PolyanalyticFn:
     product and one division.  f_0 itself must vanish at the origin.  k
     is the caller's uniform bound on ||omega_l||.
     """
-    if op_norm(f0.coeff(0)) != 0.0:
+    if np.any(f0.coeffs[0] != 0):
         raise ValueError("base layer must vanish at the origin")
     omegas = tuple(omegas)
     if not omegas:

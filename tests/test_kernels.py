@@ -4,7 +4,9 @@ double loop over coefficient pairs, mobius_compose (defined here as the
 reference for the scalar-head realization) against composition with
 the automorphism's series, the grid Bohr sums and layered Bohr sums
 against their one-radius form, the realization expansion of Blaschke
-products and Schur diagonals against per-factor convolution, and the
+products and Schur diagonals against per-factor convolution, the
+stacked Schur draw against consecutive single draws, the several-row
+block product against the double loop and the one-row loop, and the
 one-product polyanalytic layers against one product per layer."""
 
 import numpy as np
@@ -13,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrlab.series import (
+    _MATMUL_LIMIT,
     Majorant,
     MatrixSeries,
+    _block_product,
     compose,
     derivative,
     identity_series,
@@ -28,6 +32,7 @@ from bohrlab.zoo import (
     _blaschke_realization,
     _mobius_realization,
     _realization_series,
+    _schur_stack,
     blaschke_series,
     bohr_sum_poly,
     build_polyanalytic,
@@ -328,6 +333,22 @@ def test_gen_schur_matrix_matches_per_entry_expansion(seed, dim, degree, fix_ori
         assert np.all(f.coeffs[0] == 0.0)
 
 
+@pytest.mark.parametrize("count", (1, 2, 4))
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("fix_origin, scalar_head", [(False, False), (True, False), (False, True)])
+def test_schur_stack_is_consecutive_gen_schur_draws(count, dim, fix_origin, scalar_head):
+    for seed in range(3):
+        stack_rng, single_rng = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
+        stack = _schur_stack(stack_rng, count, dim, 64, fix_origin=fix_origin,
+                             scalar_head=scalar_head)
+        singles = [gen_schur_matrix(single_rng, dim, 64, fix_origin=fix_origin,
+                                    scalar_head=scalar_head).coeffs for _ in range(count)]
+        assert stack.shape == (count, 65, dim, dim)
+        np.testing.assert_allclose(stack, np.stack(singles), rtol=0, atol=EXPANSION_ATOL)
+        # the same draws in the same order leave the generator in the same state
+        assert stack_rng.bit_generator.state == single_rng.bit_generator.state
+
+
 def test_realization_series_of_rows_with_different_orders():
     # rows of lower order are padded; a spec without zeros is a constant
     specs = [BlaschkeSpec(()), BlaschkeSpec((0.0,), 1j), BlaschkeSpec((0.5, -0.3j, 0.2 + 0.7j))]
@@ -336,6 +357,71 @@ def test_realization_series_of_rows_with_different_orders():
         np.testing.assert_allclose(row, blaschke_reference(spec, 40), rtol=0, atol=EXPANSION_ATOL)
     assert np.array_equal(rows[0], np.eye(1, 41)[0])
     assert np.array_equal(rows[1], 1j * np.eye(1, 41, 1)[0])
+
+
+def rows_per_matmul(n1, m, d):
+    """_block_product's rule: the most block rows whose matmul stays
+    within _MATMUL_LIMIT multiply-adds, at least one."""
+    return max(1, min(n1, _MATMUL_LIMIT // (m * d * n1 * d)))
+
+
+def block_product_one_row(fa, ga):
+    """_block_product with one block row per matmul, fa_i @ [g_0 ... g_{n-i}]."""
+    n1, m, d = fa.shape
+    row = ga.transpose(1, 0, 2).reshape(d, n1 * d)
+    acc = np.zeros((m, n1 * d), dtype=np.complex128)
+    for i in range(n1):
+        acc[:, i * d :] += fa[i] @ row[:, : (n1 - i) * d]
+    return acc.reshape(m, n1, d).transpose(1, 0, 2)
+
+
+def block_product_reference(fa, ga):
+    """_block_product by mul_reference, one d x d block of fa at a time."""
+    d = fa.shape[2]
+    g = MatrixSeries(ga)
+    return np.concatenate([mul_reference(MatrixSeries(fa[:, j : j + d]), g)
+                           for j in range(0, fa.shape[1], d)], axis=1)
+
+
+def _one_matmul_limit(m, d):
+    """The largest n + 1 whose block rows all fit in one matmul."""
+    n1 = 1
+    while rows_per_matmul(n1 + 1, m, d) == n1 + 1:
+        n1 += 1
+    return n1
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 8))
+@pytest.mark.parametrize("stacked", (1, 7))
+def test_block_product_where_the_rows_per_matmul_change(d, stacked):
+    # n + 1 around the largest size c done in one matmul, and (65, 21, 3),
+    # the shape of build_polyanalytic's product at p = 8
+    m = stacked * d
+    c = _one_matmul_limit(m, d)
+    assert rows_per_matmul(c + 1, m, d) < c + 1
+    sizes = sorted({1, c - 1, c, c + 1, 2 * c + 1} - {0})
+    if (m, d) == (21, 3):
+        sizes.append(65)
+    rng = np.random.default_rng([d, stacked])
+    for n1 in sizes:
+        fa, ga = random_coeffs(rng, (n1, m, d)), random_coeffs(rng, (n1, d, d))
+        out = _block_product(fa, ga)
+        assert_close(out, block_product_reference(fa, ga))
+        if rows_per_matmul(n1, m, d) == 1:
+            assert np.array_equal(out, block_product_one_row(fa, ga))
+
+
+@pytest.mark.parametrize("shape", [(129, 8, 8), (129, 56, 8), (65, 63, 3)])
+def test_block_product_is_the_one_row_loop_where_one_row_fills_a_matmul(shape):
+    # dim 8, degree 128 (wide-d8's mul) and larger stacks take one row per
+    # matmul, the loop's own matmuls, so the bits are the loop's
+    n1, m, d = shape
+    assert rows_per_matmul(n1, m, d) == 1
+    rng = np.random.default_rng(n1 * m)
+    fa, ga = random_coeffs(rng, shape), random_coeffs(rng, (n1, d, d))
+    out = _block_product(fa, ga)
+    assert np.array_equal(out, block_product_one_row(fa, ga))
+    assert_close(out, block_product_reference(fa, ga))
 
 
 def layers_reference(f0, omegas):
@@ -360,9 +446,10 @@ def test_one_product_layers_match_one_product_per_layer(seed, dim, f0_degree, om
         assert_close(layer.coeffs, expected)
 
 
-@pytest.mark.parametrize("omega_degrees", [(64,), (64, 64, 64, 64), (64, 20, 100, 3)])
+@pytest.mark.parametrize("omega_degrees",
+                         [(64,), (64, 64, 64, 64), (64, 20, 100, 3), (64,) * 7])
 def test_one_product_layers_at_campaign_sizes(omega_degrees):
-    # p = 2 and p = 5 at the campaigns' dim 3 and degree 64, and ratio
+    # p = 2, 5 and 8 at the campaigns' dim 3 and degree 64, and ratio
     # functions below, at and above the base layer's degree
     f0 = gen_schur_matrix(5, 3, 64, fix_origin=True)
     omegas = [gen_schur_matrix([6, i], 3, n, scalar_head=True) for i, n in enumerate(omega_degrees)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bohrlab.opmat import op_norm, op_norms, abs_op, identity
-from bohrlab.series import bohr_sum, compose, majorant, scalar_series
+from bohrlab.series import MatrixSeries, bohr_sum, compose, majorant, scalar_series
 from bohrlab.zoo import (
     BlaschkeSpec,
     CaratheodoryScalar,
@@ -287,6 +287,11 @@ def test_polyanalytic_validation():
         PolyanalyticFn((f0, f0), 1.5)
     with pytest.raises(ValueError):
         build_polyanalytic(gen_schur_matrix(31, 2, 8, scalar_head=True), [f0], 1.0)
+    # a constant term whose squares underflow in the Gram matrix is still nonzero
+    tiny = f0.coeffs.copy()
+    tiny[0] = 1e-200 * np.eye(2)
+    with pytest.raises(ValueError, match="vanish"):
+        build_polyanalytic(MatrixSeries(tiny), [f0], 1.0)
 
 
 def test_build_with_zero_ratio_gives_zero_layer():
