@@ -76,7 +76,6 @@ class CampaignConfig:
     seed: int = 0
     dim: int = 3
     degree: int = 64
-    r_grid: tuple | None = None
     tolerance: float = 1e-8
     out: str | None = None
     fmt: str | None = None
@@ -88,11 +87,6 @@ class CampaignConfig:
             raise ValueError("dim must lie in 1..16")
         if not 1 <= self.degree <= 256:
             raise ValueError("degree must lie in 1..256")
-        if self.r_grid is not None:
-            grid = tuple(float(r) for r in self.r_grid)
-            if not grid or any(not 0.0 < r < 1.0 for r in grid):
-                raise ValueError("r_grid points must lie in (0, 1)")
-            object.__setattr__(self, "r_grid", grid)
         if not math.isfinite(self.tolerance):
             raise ValueError("tolerance must be finite")
         object.__setattr__(self, "fmt", _format(self.out, self.fmt))
@@ -172,17 +166,6 @@ def default_grid(r_max: float, points: int = 20) -> tuple:
     return tuple(r_max * i / points for i in range(1, points + 1))
 
 
-def _grid_for(config: CampaignConfig, r_max: float) -> tuple:
-    """The configured grid clipped to the regime of validity, or the
-    default 20-point grid on (0, r_max]."""
-    if config.r_grid is None:
-        return default_grid(r_max)
-    grid = tuple(r for r in config.r_grid if r <= r_max + 1e-15)
-    if not grid:
-        raise ValueError(f"no configured grid point lies in (0, {r_max}]")
-    return grid
-
-
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed & _SEED_MASK, index])
 
@@ -197,15 +180,33 @@ def _instance_to_json(obj) -> dict:
     return polyanalytic_to_json(obj) if isinstance(obj, PolyanalyticFn) else series_to_json(obj)
 
 
-def _run_campaign(config: CampaignConfig, trial_fn, extra_config: dict) -> Report:
-    """Shared driver: run the trials in index order, form each margin,
-    dump failed instances, assemble the report.
+def _margin(value, bound, m_bound: float, grid) -> float:
+    """A trial's worst margin over grid: the minimum of m_bound times
+    the certified lower Bohr sum of bound (1 when bound is None) minus
+    the certified upper Bohr sum of value.
 
-    trial_fn(rng) returns (upper, bound, params, instance): the
-    certified upper Bohr values over the grid, the bound they must stay
-    below (a number or an array over the grid), the drawn parameters,
-    and the instance as a dict from names to MatrixSeries or
-    PolyanalyticFn.  The trial's margin is min(bound - upper) and it
+    value is a MatrixSeries or a PolyanalyticFn (its layered sum), bound
+    a MatrixSeries or None.  This is the one definition of a campaign
+    margin; replaying a failure file recomputes it from the instance.
+    """
+    if isinstance(value, PolyanalyticFn):
+        upper = bohr_sum_poly(value, grid)[1]
+    else:
+        upper = majorant(value).bohr_grid(grid)[1]
+    lower = 1.0 if bound is None else majorant(bound).bohr_grid(grid)[0]
+    return float(np.min(m_bound * lower - upper))
+
+
+def _run_campaign(config: CampaignConfig, r_max: float, trial_fn, extra_config: dict,
+                  m_bound: float = 1.0) -> Report:
+    """Shared driver: run the trials in index order on default_grid(r_max),
+    form each margin, dump failed instances, assemble the report.
+
+    trial_fn(rng) returns (value, bound, params, instance): the function
+    whose Bohr sum is bounded and the one bounding it (None for the
+    bound 1), both entries of instance, the drawn parameters, and the
+    instance as a dict from names to MatrixSeries or PolyanalyticFn.
+    The trial's margin is _margin(value, bound, m_bound, grid) and it
     passes when the margin is >= -tolerance.  A failed trial writes
     {"suite", "config", "record", "instance"} to _failure_path, with
     the instance encoded by series_to_json / polyanalytic_to_json, and
@@ -214,11 +215,12 @@ def _run_campaign(config: CampaignConfig, trial_fn, extra_config: dict) -> Repor
     recomputed from the file alone.
     """
     start = time.perf_counter()
+    grid = default_grid(r_max)
     echo = {**config.describe(), **extra_config}
     records = []
     for index in range(config.trials):
-        upper, bound, params, instance = trial_fn(_trial_rng(config.seed, index))
-        margin = float(np.min(bound - upper))
+        value, bound, params, instance = trial_fn(_trial_rng(config.seed, index))
+        margin = _margin(value, bound, m_bound, grid)
         record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance)
         records.append(record)
         if not record.passed:
@@ -274,16 +276,13 @@ def run_subordination(config: CampaignConfig) -> Report:
     structurally justified tail bound, and compares certified endpoints
     over the grid.
     """
-    grid = _grid_for(config, 1.0 / 3.0)
-
     def trial(rng):
         g, f_bound, params = _draw_target(rng, config)
         phi = _inner(rng, config.degree)
         f = with_coeff_bound(compose(g, phi), f_bound)
-        return (majorant(f).bohr_grid(grid)[1], majorant(g).bohr_grid(grid)[0], params,
-                {"g": g, "phi": phi, "f": f})
+        return f, g, params, {"g": g, "phi": phi, "f": f}
 
-    return _run_campaign(config, trial, {"r_max": 1.0 / 3.0})
+    return _run_campaign(config, 1.0 / 3.0, trial, {"r_max": 1.0 / 3.0})
 
 
 def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
@@ -297,7 +296,6 @@ def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
     """
     if not 0.0 < m_bound < math.inf or not 0.0 < beta <= 1.0:
         raise ValueError("need a finite m_bound > 0 and beta in (0, 1]")
-    grid = _grid_for(config, beta / 3.0)
     # coefficient n of m_bound * s(z / beta) is m_bound beta^-n s_n
     weights = m_bound * beta ** -np.arange(config.degree + 1.0)
 
@@ -307,25 +305,22 @@ def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
         s = gen_schur_matrix(rng, config.dim, config.degree, scalar_head=True)
         h = MatrixSeries(s.coeffs * weights[:, None, None])
         f = mul(h, compose(g, phi))
-        return (majorant(f).bohr_grid(grid)[1], m_bound * majorant(g).bohr_grid(grid)[0],
-                params, {"g": g, "phi": phi, "h": h, "f": f})
+        return f, g, params, {"g": g, "phi": phi, "h": h, "f": f}
 
-    return _run_campaign(config, trial, {"m_bound": m_bound, "beta": beta, "r_max": beta / 3.0})
+    return _run_campaign(config, beta / 3.0, trial,
+                         {"m_bound": m_bound, "beta": beta, "r_max": beta / 3.0}, m_bound)
 
 
 def run_von_neumann(config: CampaignConfig) -> Report:
     """Composition with an inner map keeps the Bohr sum of a contraction
     below 1 for r <= 1/3: Bohr(f o phi, r) <= sup ||f|| = 1."""
-    grid = _grid_for(config, 1.0 / 3.0)
-
     def trial(rng):
         f = gen_schur_matrix(rng, config.dim, config.degree, scalar_head=True)
         phi = _inner(rng, config.degree)
         comp = with_coeff_bound(compose(f, phi), 1.0)
-        return (majorant(comp).bohr_grid(grid)[1], 1.0, {},
-                {"f": f, "phi": phi, "composition": comp})
+        return comp, None, {}, {"f": f, "phi": phi, "composition": comp}
 
-    return _run_campaign(config, trial, {"r_max": 1.0 / 3.0})
+    return _run_campaign(config, 1.0 / 3.0, trial, {"r_max": 1.0 / 3.0})
 
 
 def _general_layer(rng, fam: RadiusFamily, config: CampaignConfig) -> MatrixSeries:
@@ -362,10 +357,12 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
     Each trial draws a base layer matching the family hypothesis and
     p - 1 ratio functions of norm <= k (scaled Schur functions), builds
     F, and checks the certified layered sum on a grid that stops
-    POLY_GRID_GAP short of the solved radius.
+    POLY_GRID_GAP short of the solved radius.  Orders above 64 are
+    rejected, as dim and degree are capped: every layer is allocated,
+    while at the radii here (<= 1/3) the top one weighs at most 3^-63.
     """
-    if fam.p == math.inf:
-        raise ValueError("campaigns need a finite order p")
+    if not fam.p <= 64:
+        raise ValueError("campaigns need a finite order p <= 64")
     base_layer = BASE_LAYERS.get(fam.tag)
     if base_layer is None:
         raise ValueError(f"no instance generator for family {fam.tag!r}")
@@ -374,16 +371,16 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
                          "general hypothesis only for lambda >= 1")
     p = int(fam.p)
     radius = solve_radius(fam).radius
-    grid = _grid_for(config, radius - POLY_GRID_GAP)
 
     def trial(rng):
         f0 = base_layer(rng, fam, config)
         omegas = [MatrixSeries(c, fam.k) for c in fam.k * _schur_stack(
             rng, p - 1, config.dim, config.degree, fix_origin=False, scalar_head=True)]
         fn = build_polyanalytic(f0, omegas, fam.k)
-        return bohr_sum_poly(fn, grid)[1], 1.0, {}, {"fn": fn}
+        return fn, None, {}, {"fn": fn}
 
-    return _run_campaign(config, trial, {"family": fam.describe(), "radius": radius})
+    return _run_campaign(config, radius - POLY_GRID_GAP, trial,
+                         {"family": fam.describe(), "radius": radius})
 
 
 @dataclasses.dataclass(frozen=True)

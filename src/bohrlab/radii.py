@@ -109,8 +109,9 @@ FAMILIES = {
 }
 FAMILY_TAGS = tuple(FAMILIES)
 
-# Every dyadic of [0, 1] through this level is a float, so solve_radius
-# places its Newton estimate in a cell of at most this level.
+# Every dyadic of [0, 2^(e+1)) through level this - e is a float, so
+# solve_radius places a Newton estimate below 2^e in a cell of at most
+# that level.
 _EXACT_LEVELS = 52
 # _newton_root gives up after this many steps.  For a tiny c the root
 # lies within float resolution of 1, where the float equation is w (1 - r)^m
@@ -407,15 +408,19 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     which start as 0 and 1 (q(0) = w > 0, q(1) < 0).  A safeguarded
     Newton iteration in floats (_newton_root) estimates the root, and a
     doubling search proves signs next to it among the dyadics of level
-    L = min(J, 52), all of them floats: first the ends of the level-L
-    cell that holds the estimate, then, beyond an end that is refused,
-    the points 2, 4, 8, ... cells from the cell's other end, until the
-    sign changes.  When the search proves the two ends of one level-L
-    cell, no midpoint of a coarser level is in doubt and the walk starts
-    in that cell: for J <= 52 the cell is the bracket (two signs when the
-    estimate is right), and for J > 52 the walk goes on inside it.  A
-    zero at a level-L dyadic is one of the walk's midpoints, so the walk
-    stops there on (root, root).  The estimate chooses which signs are
+    L = min(J, 52 - e), where the estimate lies in [2^(e-1), 2^e) (e = 0
+    for an estimate of 0): the level of the float spacing there, less
+    one, so that every dyadic of level L below 2^(e+1) is a float.  It
+    signs first the ends of the level-L cell that holds the estimate,
+    then, beyond an end that is refused, the points 2, 4, 8, ... cells
+    from the cell's other end, until the sign changes or a point leaves
+    the floats of level L.  When the search proves the two ends of one
+    level-L cell, no midpoint of a coarser level is in doubt and the
+    walk starts in that cell: for L = J the cell is the bracket (two
+    signs when the estimate is right), and for L < J the walk goes on
+    inside it, for a sign or two down to adjacent floats.  A zero at a
+    level-L dyadic is one of the walk's midpoints, so the walk stops
+    there on (root, root).  The estimate chooses which signs are
     computed, never a decision, so the bracket is that of the all-exact
     bisection whatever the floats do.  The root is the bracket's
     midpoint.  When the exact coefficient c vanishes the equation has no
@@ -427,21 +432,27 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     terms = _factor_terms(fam, statement_form)
     if terms[1] == 0:  # c = 0
         return RootResult(fam, None, None, fam.cap)
-    level = min(1 - math.frexp(tol)[1], _EXACT_LEVELS)  # L = min(J, 52)
-    # The step that ends the iteration is below 2^-(j + 4), j = max(L, 26),
-    # and Newton's error after it is about its square, below float
-    # resolution, so that roots near a cell end are placed as well
-    estimate = _newton_root(*_float_equation(terms), math.ldexp(1.0, -4 - max(level, 26)))
+    tol_level = 1 - math.frexp(tol)[1]  # J
+    # The step that ends the iteration is below 2^-(j + 4), j = max(min(J,
+    # 52), 26), and Newton's error after it is about its square, below
+    # float resolution, so that roots near a cell end are placed as well
+    estimate = _newton_root(*_float_equation(terms),
+                            math.ldexp(1.0, -4 - max(min(tol_level, _EXACT_LEVELS), 26)))
+    # The estimate lies below 2^e (e <= 0), where floats are 2^(e - 53)
+    # apart: L = min(J, 52 - e).  Every dyadic of level L below 2^(53 - L),
+    # which is at least 2^(e + 1), is a float.
+    level = min(tol_level, _EXACT_LEVELS - min(math.frexp(estimate)[1], 0))
     # The doubling search: q > 0 at pos and q < 0 at neg.  It proves the
     # ends of the level-L cell [start, start + cell] that holds the
     # estimate, low end first (start is at least 2^-L), and beyond a
     # refused end the points 2, 4, 8, ... cells from the other end, until
-    # the sign changes.  These are dyadics of level L in (-1, 2), so the
-    # sums give them exactly.
-    cell = math.ldexp(1.0, -level)
+    # the sign changes or a point reaches 2^(53 - L).  The points it signs
+    # are dyadics of level L in (0, 2^(53 - L)), so the sums give them
+    # exactly.
+    cell, top = math.ldexp(1.0, -level), math.ldexp(1.0, 53 - level)
     start = min(max(math.floor(estimate / cell), 1), (1 << level) - 1) * cell
     pos, neg, r = 0.0, 1.0, start
-    while pos < r < neg:
+    while pos < r < neg and r < top:
         sign = _equation_sign(terms, r)
         if sign > 0:
             pos, r = r, r + cell if r == start else 2 * r - start

@@ -35,7 +35,6 @@ __all__ = [
     "derivative",
     "integrate0",
     "scale",
-    "truncate",
     "pad_to",
     "with_coeff_bound",
     "majorant",
@@ -117,18 +116,6 @@ class MatrixSeries:
         powers = np.asarray(z, dtype=np.complex128) ** np.arange(self.degree + 1)
         return np.tensordot(powers, self.coeffs, axes=(0, 0))
 
-    def __call__(self, z: complex) -> np.ndarray:
-        return self.eval(z)
-
-    def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return add(self, other)
-
-    def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return mul(self, other)
-
-    def __neg__(self) -> "MatrixSeries":
-        return scale(self, -1.0)
-
 
 def scalar_series(values, coeff_bound: float | None = None) -> MatrixSeries:
     """Series with 1x1 coefficients taken from a sequence of scalars."""
@@ -164,7 +151,7 @@ def identity_series(dim: int, degree: int = 0) -> MatrixSeries:
     return constant_series(np.eye(dim, dtype=np.complex128), degree)
 
 
-def truncate(f: MatrixSeries, degree: int) -> MatrixSeries:
+def _truncate(f: MatrixSeries, degree: int) -> MatrixSeries:
     """Drop coefficients above ``degree``, keeping the certificate sound.
 
     Dropped stored coefficients may exceed the old tail bound, so the
@@ -220,7 +207,7 @@ def add(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     n = min(f.degree, g.degree)
-    ft, gt = truncate(f, n), truncate(g, n)
+    ft, gt = _truncate(f, n), _truncate(g, n)
     if ft.coeff_bound is None or gt.coeff_bound is None:
         bound = None
     else:

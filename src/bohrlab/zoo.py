@@ -37,7 +37,6 @@ __all__ = [
     "starlike_from_q",
     "build_polyanalytic",
     "bohr_sum_poly",
-    "eval_polyanalytic",
     "polyanalytic_to_json",
     "polyanalytic_from_json",
 ]
@@ -434,17 +433,6 @@ def bohr_sum_poly(fn: PolyanalyticFn, radii) -> tuple:
         lo, hi = lo + r**l * layer_lo, hi + r**l * layer_hi
         certified = certified and m.tail_bound is not None
     return lo, hi, certified
-
-
-def eval_polyanalytic(fn: PolyanalyticFn, z: complex) -> np.ndarray:
-    """Evaluate F(z) = sum_l conj(z)^l f_l(z) from the stored layers."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("evaluation point must lie in the open unit disk")
-    out = np.zeros((fn.dim, fn.dim), dtype=np.complex128)
-    for l, f in enumerate(fn.components):
-        out += np.conj(z) ** l * f.eval(z)
-    return out
 
 
 def polyanalytic_to_json(fn: PolyanalyticFn) -> dict:

@@ -160,6 +160,21 @@ def test_order_too_large_for_a_float_is_usage_error(capsys, argv):
     assert "too large" in err
 
 
+def test_poly_order_above_the_cap_is_usage_error(capsys, monkeypatch):
+    # each layer of F is allocated, so a huge p must stop before any trial
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_rng", no_trial)
+    code, out, err = run(capsys, "verify", "poly-starlike", "--trials", "1", "--p", "1000000000")
+    assert code == 2 and out == ""
+    assert "p <= 64" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "poly-starlike", "--trials", "1", "--dim", "1",
+                       "--degree", "8", "--p", "64")
+    assert code == 0 and out.startswith("PASS")
+
+
 def test_quasi_rejects_infinite_multiplier_bound(capsys):
     code, _, err = run(capsys, "verify", "quasi", "--trials", "1", "--m-bound", "inf")
     assert code == 2

@@ -30,7 +30,7 @@ from bohrlab.radii import (
     radius_poly_eval,
     starlike_sub,
 )
-from bohrlab.series import majorant, series_from_json
+from bohrlab.series import series_from_json
 from bohrlab.zoo import bohr_sum_poly, build_polyanalytic, polyanalytic_from_json
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
@@ -65,8 +65,6 @@ def test_config_validation():
         CampaignConfig(suite="s", dim=17)
     with pytest.raises(ValueError):
         CampaignConfig(suite="s", degree=257)
-    with pytest.raises(ValueError):
-        CampaignConfig(suite="s", r_grid=(0.5, 1.0))
     with pytest.raises(ValueError):
         CampaignConfig(suite="s", fmt="xml")
     with pytest.raises(ValueError):
@@ -196,14 +194,6 @@ def test_polyanalytic_rejects_limit_order(tmp_path):
         run_polyanalytic(small_config(tmp_path, "poly-inf"), starlike_sub(1.0, math.inf))
 
 
-def test_custom_grid_is_clipped(tmp_path):
-    cfg = small_config(tmp_path, "subordination", r_grid=(0.1, 0.3, 0.9))
-    report = run_subordination(cfg)
-    assert report.passed
-    with pytest.raises(ValueError):
-        run_subordination(small_config(tmp_path, "subordination", r_grid=(0.9,)))
-
-
 # ---------------------------------------------------------------- failure path
 
 def test_failing_trials_dump_replay_files(tmp_path):
@@ -232,21 +222,27 @@ INSTANCE_KEYS = {
 }
 
 
+# the instance entries each suite compares: (value, bound), None for the bound 1
+MARGIN_KEYS = {
+    "subordination": ("f", "g"),
+    "quasi": ("f", "g"),
+    "von-neumann": ("composition", None),
+    **{f"poly-{tag}": ("fn", None) for tag in harness.BASE_LAYERS},
+}
+
+
 def _replay_margin(suite, instance, config):
-    """A failed trial's margin, recomputed from its decoded instance and
-    the failure file's config alone."""
+    """A failed trial's margin, recomputed with the campaigns' own margin
+    rule from its decoded instance and the failure file's config alone."""
+    value_key, bound_key = MARGIN_KEYS[suite]
     if suite.startswith("poly-"):
-        fn = polyanalytic_from_json(instance["fn"])
-        grid = default_grid(config["radius"] - harness.POLY_GRID_GAP)
-        return float(np.min(1.0 - bohr_sum_poly(fn, grid)[1]))
-    series = {name: series_from_json(payload) for name, payload in instance.items()}
-    grid = default_grid(config["r_max"])
-    if suite == "von-neumann":
-        upper, bound = series["composition"], 1.0
+        value = polyanalytic_from_json(instance[value_key])
+        r_max = config["radius"] - harness.POLY_GRID_GAP
     else:
-        upper = series["f"]
-        bound = config.get("m_bound", 1.0) * majorant(series["g"]).bohr_grid(grid)[0]
-    return float(np.min(bound - majorant(upper).bohr_grid(grid)[1]))
+        value = series_from_json(instance[value_key])
+        r_max = config["r_max"]
+    bound = None if bound_key is None else series_from_json(instance[bound_key])
+    return harness._margin(value, bound, config.get("m_bound", 1.0), default_grid(r_max))
 
 
 @pytest.mark.parametrize("suite", list(SUITES))

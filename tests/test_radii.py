@@ -511,8 +511,9 @@ def test_placed_cell_with_a_zero_end_is_the_root(guess, tol):
 def test_radius_table_proves_each_bracket_with_two_signs(monkeypatch):
     # a cost guard without timing: at tol 1e-12 every row's placed cell is
     # confirmed at once, with two exact signs (one where the root is the
-    # cell end 1/2), and at tol 1e-300 the walk goes on inside that
-    # level-52 cell for one or two more signs down to adjacent floats
+    # cell end 1/2), and at tol 1e-300 the walk goes on inside the cell
+    # placed at the root's float spacing for a sign or two more, down to
+    # adjacent floats
     signs, rows = [], []
 
     def counted(terms, r):
@@ -564,6 +565,48 @@ def test_wrong_newton_estimate_costs_a_few_exact_signs(tol):
             res = solve_radius(fam, tol)
         assert len(signs) <= most
         assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(fam, tol, False)
+
+
+# families whose roots lie far below 2^-52, down to about 1e-300
+TINY_ROOTS = (general_sc(1e300, 1.0, 5), general_sc(1e100, 0.5, 3),
+              general_sc(2.0 ** 200, 1.0, math.inf), convex_sub(1e20, 1.0, 2),
+              convex_sub(3e150, 0.75, 12))
+
+
+@pytest.mark.parametrize("fam", TINY_ROOTS)
+@pytest.mark.parametrize("tol", (1e-40, 1e-300, 5e-324))
+def test_tiny_tol_solve_pays_a_few_exact_signs(fam, tol):
+    # the placed cell is at the estimate's own float spacing, so below
+    # 2^-52 the walk goes on inside it for a sign or two, not for one
+    # sign per level down to the tolerance
+    signs = []
+
+    def counted(terms, r):
+        signs.append(r)
+        return equation_sign(terms, r)
+
+    equation_sign = radii._equation_sign
+    with mock.patch.object(radii, "_equation_sign", counted):
+        res = solve_radius(fam, tol)
+    assert len(signs) <= 4
+    assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(fam, tol, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(10.0, 1000.0), st.floats(0.5, 1.0), ORDERS, st.booleans(),
+       st.sampled_from((1e-40, 1e-300, 5e-324)),
+       st.one_of(st.none(), st.floats(0.0, 1.0), st.integers(0, 1074).map(lambda n: 2.0 ** -n)))
+def test_tiny_root_bracket_is_that_of_an_exact_bisection(bits, k, p, statement_form, tol, guess):
+    # tiny roots with the Newton estimate or any guess: the doubling
+    # search signs only floats, and the bracket is the exact walk's
+    fam = general_sc(2.0 ** bits, k, p)
+    if guess is None:
+        res = solve_radius(fam, tol, statement_form=statement_form)
+    else:
+        with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess):
+            res = solve_radius(fam, tol, statement_form=statement_form)
+    assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(
+        fam, tol, statement_form)
 
 
 def root_or_one(res):

@@ -1,0 +1,32 @@
+"""The benchmark's tracer (perfbench/tracer.py) still installs: it wraps
+every name in each layer's __all__, Majorant.bohr, Report.write and
+cli.main, so deleting or renaming one of them would break traced
+benchmark runs."""
+
+import pathlib
+
+import bohrlab
+from bohrlab import cli
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    compose, bohr = bohrlab.series.compose, bohrlab.series.Majorant.bohr
+    tracer = Tracer(bohrlab)
+    tracer.install()
+    try:
+        assert bohrlab.series.compose is not compose
+        assert cli.main(["verify", "von-neumann", "--trials", "2", "--dim", "2", "--degree", "8",
+                         "--out", str(tmp_path / "report.json")]) == 0
+        assert cli.main(["table", "--families", "starlike",
+                         "--out", str(tmp_path / "table.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert bohrlab.series.compose is compose and bohrlab.series.Majorant.bohr is bohr
+    called = {tracer.names[i] for i in tracer.name_id}
+    assert {"cli.main", "harness.run_von_neumann", "harness.Report.write", "series.compose",
+            "zoo.gen_schur_matrix", "harness.emit_radius_table", "radii.solve_radius"} <= called

@@ -17,7 +17,6 @@ from bohrlab.zoo import (
     bohr_sum_poly,
     build_polyanalytic,
     convex_model,
-    eval_polyanalytic,
     gen_schur_matrix,
     haar_unitary,
     mobius_extremal,
@@ -350,28 +349,6 @@ def test_bohr_sum_poly_examples():
     assert bohr_sum_poly(fn, [0.0])[0][0] == 0.0
     with pytest.raises(ValueError):
         bohr_sum_poly(fn, [1.0])
-
-
-def test_eval_polyanalytic():
-    f0 = scalar_series([0, 1])
-    fn = PolyanalyticFn((f0, f0), 1.0)
-    z = 0.3
-    # real z: z + conj(z) z = z + z^2
-    assert eval_polyanalytic(fn, z)[0, 0] == pytest.approx(z + z * z)
-    assert eval_polyanalytic(fn, 0.0)[0, 0] == 0.0
-    with pytest.raises(ValueError):
-        eval_polyanalytic(fn, 1.0)
-
-
-def test_eval_polyanalytic_below_bohr_bound():
-    rng = np.random.default_rng(37)
-    f0 = _origin_fixed_schur(38, 2, 32)
-    omega = gen_schur_matrix(39, 2, 32, scalar_head=True)
-    fn = build_polyanalytic(f0, [omega], 1.0)
-    for _ in range(10):
-        z = 0.3 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        val = op_norm(eval_polyanalytic(fn, z))
-        assert val <= bohr_sum_poly(fn, [abs(z)])[1][0] + 1e-10
 
 
 def test_polyanalytic_json_round_trip():
