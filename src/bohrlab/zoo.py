@@ -26,10 +26,13 @@ from .series import MatrixSeries, _block_product, derivative, majorant, scalar_s
 __all__ = [
     "BlaschkeSpec",
     "CaratheodoryScalar",
+    "SchurDraw",
     "PolyanalyticFn",
     "blaschke_series",
     "random_blaschke_spec",
     "haar_unitary",
+    "draw_schur",
+    "expand",
     "gen_schur_matrix",
     "mobius_transfer",
     "mobius_extremal",
@@ -68,20 +71,18 @@ class BlaschkeSpec:
 def blaschke_series(spec: BlaschkeSpec, degree: int) -> MatrixSeries:
     """Taylor coefficients of the Blaschke product through ``degree``,
     expanded from its lossless realization (_blaschke_realization,
-    _realization_series).  The result is a Schur function, so it carries
-    tail certificate 1.
+    _realization_series); this is expand of the single spec.  The result
+    is a Schur function, so it carries tail certificate 1.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return scalar_series(_realization_series(*_blaschke_realization([spec]), degree)[0],
-                         coeff_bound=1.0)
+    return expand([spec], degree)[0]
 
 
-def _blaschke_realization(specs) -> tuple:
+def _blaschke_realization(specs, order: int | None = None) -> tuple:
     """State-space realizations (A, B, C, D) of the given Blaschke
     products, stacked over rows: the Taylor coefficients of row i are D_i
     and C_i A_i^(n-1) B_i for n >= 1, with A of shape (rows, K, K), B and
-    C of shape (rows, K), D of shape (rows,) and K the largest order.
+    C of shape (rows, K), D of shape (rows,) and K the given order, by
+    default the largest of the specs' orders.
 
     Each factor (z - a) / (1 - conj(a) z) is the first-order section
     x' = conj(a) x + s u, y = s x - a u with s = sqrt(1 - |a|^2), whose
@@ -91,7 +92,7 @@ def _blaschke_realization(specs) -> tuple:
     of A never amplify rounding errors, however close the zeros lie.  A
     row of lower order is padded with zeros, states that stay at 0.
     """
-    k = max(spec.order for spec in specs)
+    k = max(spec.order for spec in specs) if order is None else order
     a = np.zeros((len(specs), k, k), dtype=np.complex128)
     b = np.zeros((len(specs), k), dtype=np.complex128)
     c = np.zeros((len(specs), k), dtype=np.complex128)
@@ -228,6 +229,107 @@ def mobius_extremal(a: float, degree: int) -> MatrixSeries:
     return mobius_transfer(a, degree)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class SchurDraw:
+    """The random draws behind one gen_schur_matrix function.
+
+    gauss holds the complex Gaussian matrices of U, and of V unless
+    alpha0 is set, shape (1 or 2, d, d); alpha0 is the scalar head (V is
+    then U*), else None; specs are the d Blaschke products of the
+    diagonal.  order is the state dimension the diagonal entries are
+    realized with, the largest of their orders unless a caller pads
+    further.  Padding changes the rounding of the expansion, not the
+    function.
+    """
+
+    gauss: np.ndarray
+    alpha0: complex | None
+    specs: tuple
+    order: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.specs)
+
+
+def draw_schur(rng: np.random.Generator, dim: int, *, fix_origin: bool = False,
+               scalar_head: bool = False) -> SchurDraw:
+    """The draws of one random matrix Schur function, in gen_schur_matrix's
+    order: the Gaussians of U (and of V), then alpha_0, then the d
+    Blaschke specs.  expand turns it into its series."""
+    if fix_origin and scalar_head:
+        raise ValueError("fix_origin and scalar_head are mutually exclusive")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    gauss = np.empty((1 if scalar_head else 2, dim, dim), dtype=np.complex128)
+    for j in range(gauss.shape[0]):
+        gauss[j] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    alpha0 = None
+    if scalar_head:
+        alpha0 = complex(0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    specs = tuple(random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head)
+                  for _ in range(dim))
+    return SchurDraw(gauss, alpha0, specs, max(spec.order for spec in specs))
+
+
+def expand(draws, degree: int) -> list:
+    """Series through degree of Schur draws (draw_schur) and Blaschke
+    specs, in the order given; all are Schur functions, so each carries
+    tail certificate 1.
+
+    The numeric work is shared by all draws.  The Blaschke rows (a
+    spec's one, a Schur draw's d diagonal entries) are grouped by padded
+    order and by whether they carry a scalar head, and each group is
+    realized (_blaschke_realization, with _mobius_realization for a
+    head, one alpha_0 per row) and expanded (_realization_series) in one
+    call.  Rows of one order pass through the same matrix shapes in any
+    group, so every coefficient is that of the function's own expansion;
+    padding a row further would round it differently.  Then, per
+    dimension, one stacked QR gives the unitaries (_haar_from_gaussian)
+    and one einsum forms U diag(b_1..b_d) V.
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    groups, places = {}, []
+    for draw in draws:
+        specs, alpha = (((draw,), None) if isinstance(draw, BlaschkeSpec)
+                        else (draw.specs, draw.alpha0))
+        key = (draw.order, alpha is not None)
+        rows, alphas = groups.setdefault(key, ([], []))
+        places.append((key, len(rows), len(rows) + len(specs)))
+        rows += specs
+        alphas += [alpha] * len(specs)
+    series = {}
+    for (order, head), (rows, alphas) in groups.items():
+        realization = _blaschke_realization(rows, order)
+        if head:
+            realization = _mobius_realization(np.array(alphas), *realization)
+        series[order, head] = _realization_series(*realization, degree)
+    diags = [series[key][start:stop] for key, start, stop in places]
+
+    out = [scalar_series(diag[0], coeff_bound=1.0) if isinstance(draw, BlaschkeSpec) else None
+           for draw, diag in zip(draws, diags)]
+    by_dim = {}
+    for i, draw in enumerate(draws):
+        if isinstance(draw, SchurDraw):
+            by_dim.setdefault(draw.dim, []).append(i)
+    for indices in by_dim.values():
+        # U of the j-th draw is q[u[j]], and the transpose of its V is
+        # transposes[v[j]]: that of the next Q factor, or conj(U) for a
+        # scalar head.  V enters transposed, the layout in which the
+        # einsum runs fastest; no layout changes its bits.
+        gauss = np.concatenate([draws[i].gauss for i in indices])
+        u = np.cumsum([0] + [len(draws[i].gauss) for i in indices[:-1]])
+        v = np.where([draws[i].alpha0 is None for i in indices], u + 1, u + len(gauss))
+        q = _haar_from_gaussian(gauss)
+        transposes = np.concatenate([q.swapaxes(1, 2), q.conj()])
+        coeffs = np.einsum("kab,kbn,kcb->knac", q[u], np.stack([diags[i] for i in indices]),
+                           transposes[v])
+        for i, c in zip(indices, coeffs):
+            out[i] = MatrixSeries(c, coeff_bound=1.0)
+    return out
+
+
 def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
                      scalar_head: bool = False) -> MatrixSeries:
     """Random matrix Schur function: U diag(b_1..b_d) V with U, V unitary
@@ -241,52 +343,14 @@ def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
     |alpha_0| <= 0.9.  m(b_i) is again a Schur function, so the tail
     bound 1 still holds.
 
-    This is _schur_stack's draw of a single function: its d diagonal
-    entries are expanded together from their lossless realizations.
+    This is expand of a single draw_schur: its d diagonal entries are
+    expanded together from their lossless realizations.
     """
-    rng = np.random.default_rng(seed)
-    coeffs = _schur_stack(rng, 1, dim, degree, fix_origin=fix_origin, scalar_head=scalar_head)
-    return MatrixSeries(coeffs[0], coeff_bound=1.0)
-
-
-def _schur_stack(rng: np.random.Generator, count: int, dim: int, degree: int, *,
-                 fix_origin: bool, scalar_head: bool) -> np.ndarray:
-    """Coefficients of count random Schur functions, as gen_schur_matrix
-    draws them, in an array of shape (count, degree + 1, dim, dim).
-
-    The draws are exactly those of count consecutive gen_schur_matrix
-    calls on rng, in the same order: per function the Gaussians of U
-    (and of V), then alpha_0, then the d Blaschke specs.  The numeric
-    work is then done once for all functions: one stacked QR, one
-    realization of the count * d diagonal entries
-    (_blaschke_realization, with _mobius_realization for a scalar head,
-    alpha_0 repeated over each function's d rows), one
-    _realization_series call and one einsum.
-    """
-    if fix_origin and scalar_head:
-        raise ValueError("fix_origin and scalar_head are mutually exclusive")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    gauss = np.empty((count, 1 if scalar_head else 2, dim, dim), dtype=np.complex128)
-    alpha0 = np.empty(count, dtype=np.complex128)
-    specs = []
-    for i in range(count):
-        for j in range(gauss.shape[1]):
-            gauss[i, j] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        if scalar_head:
-            alpha0[i] = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        specs += [random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head)
-                  for _ in range(dim)]
-    unitaries = _haar_from_gaussian(gauss)
-    u = unitaries[:, 0]
-    v = u.conj().swapaxes(1, 2) if scalar_head else unitaries[:, 1]
-    realization = _blaschke_realization(specs)
-    if scalar_head:
-        realization = _mobius_realization(np.repeat(alpha0, dim), *realization)
-    diag = _realization_series(*realization, degree).reshape(count, dim, degree + 1)
-    return np.einsum("kab,kbn,kbc->knac", u, diag, v)
+    draw = draw_schur(np.random.default_rng(seed), dim, fix_origin=fix_origin,
+                      scalar_head=scalar_head)
+    return expand([draw], degree)[0]
 
 
 def convex_model(beta: float, dim: int, degree: int) -> MatrixSeries:

@@ -282,6 +282,22 @@ def test_scan_sharpness(capsys):
     assert "0.357142857" in out
 
 
+def test_scan_sharpness_steps_above_the_cap_is_usage_error(capsys, monkeypatch):
+    # the grid's Vandermonde holds steps x (degree + 1) floats, so a huge
+    # step count must stop before anything is built
+    def no_witness(*args):
+        raise AssertionError("the witness was built")
+
+    monkeypatch.setattr(harness, "mobius_extremal", no_witness)
+    code, out, err = run(capsys, "scan", "sharpness", "--a", "0.9", "--steps", "10000000000")
+    assert code == 2 and out == ""
+    assert "steps" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "scan", "sharpness", "--a", "0.9", "--steps", str(10**5))
+    assert code == 0
+    assert "refined threshold" in out
+
+
 def test_scan_sharpness_window_above_threshold(capsys):
     # the window starts past the crossing 1/(1 + 2a), which is still found
     code, out, _ = run(capsys, "scan", "sharpness", "--a", "0.99", "--rmin", "0.4",

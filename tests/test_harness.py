@@ -31,7 +31,12 @@ from bohrlab.radii import (
     starlike_sub,
 )
 from bohrlab.series import series_from_json
-from bohrlab.zoo import bohr_sum_poly, build_polyanalytic, polyanalytic_from_json
+from bohrlab.zoo import (
+    PolyanalyticFn,
+    bohr_sum_poly,
+    build_polyanalytic,
+    polyanalytic_from_json,
+)
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
 CAMPAIGN_RECORDS = os.path.join(os.path.dirname(__file__), "campaign_records.csv")
@@ -118,6 +123,40 @@ def test_campaign_records_are_pinned(tmp_path):
             row["suite"], int(row["seed"]), int(row["index"]), row["passed"] == "True")
         assert record.worst_margin == pytest.approx(float.fromhex(row["worst_margin"]),
                                                     abs=1e-12)
+
+
+def _coefficient_bytes(obj):
+    """The coefficients of a series, a layered function's layers, or
+    nothing for None, as bytes."""
+    layers = () if obj is None else obj.components if isinstance(obj, PolyanalyticFn) else (obj,)
+    return b"".join(f.coeffs.tobytes() for f in layers)
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suite):
+    # the trials run in blocks of b, drawn together and expanded in one
+    # pass; a run of k trials must be the first k trials of a longer run,
+    # records and compared functions bit for bit, wherever k falls
+    # against the block boundaries
+    dim, degree = 3, 64
+    b = max(1, harness._BLOCK_ENTRIES // (dim**2 * (degree + 1)))
+    assert b > 2
+    compared, margin = [], harness._margin
+
+    def recording_margin(value, bound, *args):
+        compared.append(_coefficient_bytes(value) + _coefficient_bytes(bound))
+        return margin(value, bound, *args)
+
+    monkeypatch.setattr(harness, "_margin", recording_margin)
+    runs = {}
+    for k in (2 * b + 1, 1, b - 1, b, b + 1):
+        compared.clear()
+        records = _run_suite(small_config(tmp_path, suite, trials=k, dim=dim, degree=degree,
+                                          seed=11)).records
+        runs[k] = records, [r.worst_margin.hex() for r in records], list(compared)
+    full = runs[2 * b + 1]
+    for k, run in runs.items():
+        assert run == tuple(column[:k] for column in full)
 
 
 # ---------------------------------------------------------------- campaigns

@@ -4,10 +4,15 @@ double loop over coefficient pairs, mobius_compose (defined here as the
 reference for the scalar-head realization) against composition with
 the automorphism's series, the grid Bohr sums and layered Bohr sums
 against their one-radius form, the realization expansion of Blaschke
-products and Schur diagonals against per-factor convolution, the
-stacked Schur draw against consecutive single draws, the several-row
+products and Schur diagonals against per-factor convolution, the several-row
 block product against the double loop and the one-row loop, and the
-one-product polyanalytic layers against one product per layer."""
+one-product polyanalytic layers against one product per layer.  The
+block expansion (expand) is pinned bit for bit to each function
+expanded on its own, a stack of Schur draws at one padded order to
+consecutive gen_schur_matrix calls, and the draws (draw_schur) to
+those of gen_schur_matrix."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,12 +35,14 @@ from bohrlab.zoo import (
     BlaschkeSpec,
     PolyanalyticFn,
     _blaschke_realization,
+    _haar_from_gaussian,
     _mobius_realization,
     _realization_series,
-    _schur_stack,
     blaschke_series,
     bohr_sum_poly,
     build_polyanalytic,
+    draw_schur,
+    expand,
     gen_schur_matrix,
     haar_unitary,
     mobius_transfer,
@@ -333,20 +340,118 @@ def test_gen_schur_matrix_matches_per_entry_expansion(seed, dim, degree, fix_ori
         assert np.all(f.coeffs[0] == 0.0)
 
 
+def expand_together(draws, degree):
+    """Coefficients of Schur draws of one dimension and mode, all their
+    diagonal entries realized at the largest of their orders in one
+    realization, one expansion, one QR and one einsum: how
+    gen_schur_matrix expands one draw, and a polyanalytic trial its
+    ratio functions."""
+    dim, head = draws[0].dim, draws[0].alpha0 is not None
+    realization = _blaschke_realization([spec for d in draws for spec in d.specs])
+    if head:
+        realization = _mobius_realization(np.repeat([d.alpha0 for d in draws], dim), *realization)
+    diag = _realization_series(*realization, degree).reshape(len(draws), dim, degree + 1)
+    unitaries = _haar_from_gaussian(np.stack([d.gauss for d in draws]))
+    u = unitaries[:, 0]
+    v = u.conj().swapaxes(1, 2) if head else unitaries[:, 1]
+    return np.einsum("kab,kbn,kbc->knac", u, diag, v)
+
+
+SCHUR_MODES = [(False, False), (True, False), (False, True)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_expand_of_a_mixed_list_is_each_function_expanded_alone(seed):
+    # inner maps and plain, fix_origin and scalar_head Schur draws of
+    # dims 1, 2, 3 and 8, with Blaschke rows of orders 1..4, in one
+    # shuffled list: expand groups the rows by padded order and head,
+    # and every coefficient is the one of the function's own expansion
+    rng = np.random.default_rng(seed)
+    draws, expected = [], []
+    for dim in (1, 2, 3, 8):
+        for mode, (fix_origin, scalar_head) in enumerate(SCHUR_MODES):
+            for i in range(2):
+                key = [seed, dim, mode, i]
+                draws.append(draw_schur(np.random.default_rng(key), dim, fix_origin=fix_origin,
+                                        scalar_head=scalar_head))
+                expected.append(gen_schur_matrix(key, dim, 64, fix_origin=fix_origin,
+                                                 scalar_head=scalar_head).coeffs)
+    for order in range(1, 5):
+        for fix_origin in (False, True):
+            zeros = 0.9 * np.sqrt(rng.uniform(size=order)) * np.exp(2j * np.pi
+                                                                    * rng.uniform(size=order))
+            if fix_origin:
+                zeros[0] = 0.0
+            spec = BlaschkeSpec(tuple(zeros), np.exp(2j * np.pi * rng.uniform()))
+            draws.append(spec)
+            expected.append(blaschke_series(spec, 64).coeffs)
+    assert {d.order for d in draws} == {1, 2, 3, 4}
+    perm = rng.permutation(len(draws))
+    out = expand([draws[i] for i in perm], 64)
+    for i, f in zip(perm, out):
+        assert f.coeff_bound == 1.0
+        assert np.array_equal(f.coeffs, expected[i])
+        if not isinstance(draws[i], BlaschkeSpec):
+            assert np.array_equal(f.coeffs, expand_together([draws[i]], 64)[0])
+    # draws padded to one order are expanded as one stack, as a
+    # polyanalytic trial's ratio functions are
+    for dim in (1, 3, 8):
+        for fix_origin, scalar_head in SCHUR_MODES:
+            stack = [draw_schur(rng, dim, fix_origin=fix_origin, scalar_head=scalar_head)
+                     for _ in range(4)]
+            order = max(d.order for d in stack)
+            padded = [dataclasses.replace(d, order=order) for d in stack]
+            expected = [*expand_together(stack, 64),
+                        *(expand_together([d], 64)[0] for d in stack)]
+            for f, c in zip(expand(padded + stack, 64), expected):
+                assert np.array_equal(f.coeffs, c)
+
+
 @pytest.mark.parametrize("count", (1, 2, 4))
 @pytest.mark.parametrize("dim", range(1, 9))
-@pytest.mark.parametrize("fix_origin, scalar_head", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("fix_origin, scalar_head", SCHUR_MODES)
 def test_schur_stack_is_consecutive_gen_schur_draws(count, dim, fix_origin, scalar_head):
+    # count consecutive draws expanded as one stack at one padded order,
+    # as a polyanalytic trial's ratio functions are, agree with count
+    # consecutive gen_schur_matrix calls and leave the generator in the
+    # same state
     for seed in range(3):
         stack_rng, single_rng = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
-        stack = _schur_stack(stack_rng, count, dim, 64, fix_origin=fix_origin,
-                             scalar_head=scalar_head)
+        draws = [draw_schur(stack_rng, dim, fix_origin=fix_origin, scalar_head=scalar_head)
+                 for _ in range(count)]
+        order = max(d.order for d in draws)
+        stack = expand([dataclasses.replace(d, order=order) for d in draws], 64)
         singles = [gen_schur_matrix(single_rng, dim, 64, fix_origin=fix_origin,
                                     scalar_head=scalar_head).coeffs for _ in range(count)]
-        assert stack.shape == (count, 65, dim, dim)
-        np.testing.assert_allclose(stack, np.stack(singles), rtol=0, atol=EXPANSION_ATOL)
-        # the same draws in the same order leave the generator in the same state
+        np.testing.assert_allclose(np.stack([f.coeffs for f in stack]), np.stack(singles),
+                                   rtol=0, atol=EXPANSION_ATOL)
         assert stack_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def todays_draws(rng, dim, fix_origin, scalar_head):
+    """The random draws of one gen_schur_matrix: the Gaussians of U (and
+    of V), then alpha_0, then the d Blaschke specs."""
+    gauss = [haar_unitary(rng, dim)]
+    if scalar_head:
+        alpha0 = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    else:
+        gauss.append(haar_unitary(rng, dim))
+        alpha0 = None
+    specs = [random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head) for _ in range(dim)]
+    return alpha0, specs
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 8))
+@pytest.mark.parametrize("fix_origin, scalar_head", SCHUR_MODES)
+def test_draw_schur_makes_gen_schur_matrix_draws(dim, fix_origin, scalar_head):
+    for seed in range(3):
+        rng, reference = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
+        draw = draw_schur(rng, dim, fix_origin=fix_origin, scalar_head=scalar_head)
+        alpha0, specs = todays_draws(reference, dim, fix_origin, scalar_head)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert draw.alpha0 == alpha0 and draw.specs == tuple(specs)
+        assert draw.gauss.shape == (1 if scalar_head else 2, dim, dim)
+        assert draw.order == max(spec.order for spec in specs)
 
 
 def test_realization_series_of_rows_with_different_orders():

@@ -29,4 +29,4 @@ def test_benchmark_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     assert bohrlab.series.compose is compose and bohrlab.series.Majorant.bohr is bohr
     called = {tracer.names[i] for i in tracer.name_id}
     assert {"cli.main", "harness.run_von_neumann", "harness.Report.write", "series.compose",
-            "zoo.gen_schur_matrix", "harness.emit_radius_table", "radii.solve_radius"} <= called
+            "zoo.expand", "harness.emit_radius_table", "radii.solve_radius"} <= called
