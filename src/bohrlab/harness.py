@@ -13,9 +13,10 @@ default_rng([s, i]), so reports are reproducible.  A trial first makes
 its random draws and then builds its functions from their series, and
 the campaign runs in blocks of trials: every trial of a block is drawn,
 in index order, before one zoo.expand call expands all their random
-functions at once.  The draws, and so the reports, do not depend on the
-block size.  Failed trials serialize their instance to a replay file
-and the campaign keeps going.
+functions at once, and every trial is finished before one _margin call
+forms all the block's margins.  The draws, and so the reports, do not
+depend on the block size.  Failed trials serialize their instance to a
+replay file and the campaign keeps going.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ import time
 
 import numpy as np
 
+from .opmat import op_norms
 from .radii import FAMILIES, FAMILY_TAGS, RadiusFamily, solve_radius
 from .series import (
     MatrixSeries,
+    _BohrGrid,
     compose,
     majorant,
     mul,
@@ -43,7 +46,6 @@ from .zoo import (
     BlaschkeSpec,
     CaratheodoryScalar,
     PolyanalyticFn,
-    bohr_sum_poly,
     build_polyanalytic,
     convex_model,
     draw_schur,
@@ -195,27 +197,39 @@ def _instance_to_json(obj) -> dict:
     return polyanalytic_to_json(obj) if isinstance(obj, PolyanalyticFn) else series_to_json(obj)
 
 
-def _margin(value, bound, m_bound: float, grid) -> float:
-    """A trial's worst margin over grid: the minimum of m_bound times
-    the certified lower Bohr sum of bound (1 when bound is None) minus
-    the certified upper Bohr sum of value.
+def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
+    """The worst margins of a block of (value, bound) pairs over grid:
+    for each pair, the minimum of m_bound times the certified lower Bohr
+    sum of bound (1 when bound is None) minus the certified upper Bohr
+    sum of value.
 
     value is a MatrixSeries or a PolyanalyticFn (its layered sum), bound
-    a MatrixSeries or None.  This is the one definition of a campaign
-    margin; replaying a failure file recomputes it from the instance.
+    a MatrixSeries or None.  The norms of every series the block
+    compares come from one op_norms call on their stacked coefficients,
+    and the sums from grid's one formula and power tables.  This is the
+    one definition of a campaign margin; replaying a failure file is the
+    block of its one pair.
     """
-    if isinstance(value, PolyanalyticFn):
-        upper = bohr_sum_poly(value, grid)[1]
-    else:
-        upper = majorant(value).bohr_grid(grid)[1]
-    lower = 1.0 if bound is None else majorant(bound).bohr_grid(grid)[0]
-    return float(np.min(m_bound * lower - upper))
+    compared = [(value.components if isinstance(value, PolyanalyticFn) else (value,), bound)
+                for value, bound in pairs]
+    series = [f for layers, bound in compared
+              for f in layers + (() if bound is None else (bound,))]
+    norms = np.split(op_norms(np.concatenate([f.coeffs for f in series])),
+                     np.cumsum([f.degree + 1 for f in series[:-1]]))
+    profiles = zip(norms, (f.coeff_bound for f in series))
+    margins = []
+    for layers, bound in compared:
+        # a series is the layered function of its one layer, bit for bit
+        upper = grid.layered(itertools.islice(profiles, len(layers)))[1]
+        lower = 1.0 if bound is None else grid.bohr(*next(profiles))[0]
+        margins.append(float(np.min(m_bound * lower - upper)))
+    return margins
 
 
 def _run_campaign(config: CampaignConfig, r_max: float, draw, extra_config: dict,
                   m_bound: float = 1.0) -> Report:
     """Shared driver: run the trials in index order on default_grid(r_max),
-    form each margin, dump failed instances, assemble the report.
+    form their margins, dump failed instances, assemble the report.
 
     draw(rng) makes a trial's random draws and returns (params, draws,
     finish): the drawn parameters, a list of Schur draws and Blaschke
@@ -225,17 +239,17 @@ def _run_campaign(config: CampaignConfig, r_max: float, draw, extra_config: dict
     entries of instance, a dict from names to MatrixSeries or
     PolyanalyticFn.  The trials run in blocks of _BLOCK_ENTRIES
     coefficient entries: all of a block is drawn, then expanded in one
-    call, then finished trial by trial.  The trial's margin is
-    _margin(value, bound, m_bound, grid) and it passes when the margin
-    is >= -tolerance.  A failed trial writes {"suite", "config",
-    "record", "instance"} to _failure_path, with the instance encoded by
-    series_to_json / polyanalytic_to_json, and "config" the same config
-    echo as the report: the campaign's config plus extra_config, the
-    suite's own parameters, so the margin can be recomputed from the
-    file alone.
+    call, then finished trial by trial.  One _margin call on the
+    campaign's _BohrGrid then forms the block's margins; a trial passes
+    when its margin is >= -tolerance.  A failed trial writes {"suite",
+    "config", "record", "instance"} to _failure_path, with the instance
+    encoded by series_to_json / polyanalytic_to_json, and "config" the
+    same config echo as the report: the campaign's config plus
+    extra_config, the suite's own parameters, so the margin can be
+    recomputed from the file alone.
     """
     start = time.perf_counter()
-    grid = default_grid(r_max)
+    grid = _BohrGrid(default_grid(r_max))
     echo = {**config.describe(), **extra_config}
     block = max(1, _BLOCK_ENTRIES // (config.dim**2 * (config.degree + 1)))
     records = []
@@ -243,9 +257,10 @@ def _run_campaign(config: CampaignConfig, r_max: float, draw, extra_config: dict
         indices = range(first, min(first + block, config.trials))
         drawn = [draw(_trial_rng(config.seed, index)) for index in indices]
         series = iter(expand([d for _, draws, _ in drawn for d in draws], config.degree))
-        for index, (params, draws, finish) in zip(indices, drawn):
-            value, bound, instance = finish(*itertools.islice(series, len(draws)))
-            margin = _margin(value, bound, m_bound, grid)
+        finished = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
+        margins = _margin([(value, bound) for value, bound, _ in finished], m_bound, grid)
+        for index, (params, _, _), (_, _, instance), margin in zip(indices, drawn, finished,
+                                                                     margins):
             record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance)
             records.append(record)
             if not record.passed:

@@ -354,8 +354,9 @@ def integrate0(f: MatrixSeries, a0) -> MatrixSeries:
 class Majorant:
     """Coefficient norms ||A_0||..||A_N|| plus the optional tail bound.
 
-    Bohr sums come from one formula, bohr_grid; bohr is its one-radius
-    form, equal bit for bit to the grid's entry at that radius.
+    Bohr sums come from one formula, _BohrGrid.bohr, through bohr_grid;
+    bohr is its one-radius form, equal bit for bit to the grid's entry
+    at that radius.
     """
 
     values: np.ndarray
@@ -381,24 +382,9 @@ class Majorant:
     def bohr_grid(self, radii) -> tuple:
         """Enclosures of sum_n ||A_n|| r^n at every radius of a grid in [0, 1).
 
-        Returns the arrays (lo, hi).  lo is one matvec of the Vandermonde
-        matrix [r^n] with the norms; hi adds the geometric tail
-        C r^(N+1) / (1 - r) when a tail bound C is present and equals lo
-        otherwise.  The tail vanishes at r = 0, where the truncated value
-        is exact regardless.  The matvec is an einsum rather than BLAS,
-        whose summation order depends on the number of rows, so each
-        radius gets the same bits whatever grid it sits in.
+        Returns the arrays (lo, hi), from _BohrGrid's one formula.
         """
-        r = np.asarray(radii, dtype=np.float64)
-        if r.ndim != 1:
-            raise ValueError("radii must form a one-dimensional array")
-        outside = r[~((r >= 0.0) & (r < 1.0))]
-        if outside.size:
-            raise ValueError(f"radius must lie in [0, 1), got {float(outside[0])}")
-        lo = np.einsum("rn,n->r", r[:, None] ** np.arange(self.values.size), self.values)
-        if self.tail_bound is None:
-            return lo, lo
-        return lo, lo + self.tail_bound * r**self.values.size / (1.0 - r)
+        return _BohrGrid(radii).bohr(self.values, self.tail_bound)
 
     def bohr(self, r: float) -> RInterval:
         """Enclosure at one radius r in [0, 1): bohr_grid at [r], certified
@@ -406,6 +392,58 @@ class Majorant:
         r = float(r)
         lo, hi = self.bohr_grid([r])
         return RInterval(float(lo[0]), float(hi[0]), r == 0.0 or self.tail_bound is not None)
+
+
+class _BohrGrid:
+    """A grid of radii in [0, 1) and the one formula for Bohr sums on it.
+
+    The Vandermonde table [r^n] and r^(N+1) for N + 1 norms are built at
+    the first sum that needs them and kept, so a campaign that sums many
+    series on one grid builds them once.
+    """
+
+    def __init__(self, radii):
+        r = np.asarray(radii, dtype=np.float64)
+        if r.ndim != 1:
+            raise ValueError("radii must form a one-dimensional array")
+        outside = r[~((r >= 0.0) & (r < 1.0))]
+        if outside.size:
+            raise ValueError(f"radius must lie in [0, 1), got {float(outside[0])}")
+        self.r = r
+        self._tables = {}
+
+    def bohr(self, norms: np.ndarray, tail_bound: float | None) -> tuple:
+        """(lo, hi) of sum_n norms[n] r^n at every radius.
+
+        lo is one matvec of the Vandermonde table with the norms; hi adds
+        the geometric tail C r^(N+1) / (1 - r) when a tail bound C is
+        present and equals lo otherwise.  The tail vanishes at r = 0,
+        where the truncated value is exact regardless.  The matvec is an
+        einsum rather than BLAS, whose summation order depends on the
+        number of rows, so each radius gets the same bits whatever grid
+        it sits in.
+        """
+        size = norms.size
+        table = self._tables.get(size)
+        if table is None:
+            table = self._tables[size] = (self.r[:, None] ** np.arange(size), self.r**size)
+        lo = np.einsum("rn,n->r", table[0], norms)
+        if tail_bound is None:
+            return lo, lo
+        return lo, lo + tail_bound * table[1] / (1.0 - self.r)
+
+    def layered(self, layers) -> tuple:
+        """(lo, hi, certified) of sum_l r^l * (Bohr sum of layer l) at
+        every radius, for layers given as (norms, tail_bound) pairs:
+        summed layer by layer, certified when every layer has a tail
+        bound."""
+        lo = hi = 0.0
+        certified = True
+        for l, (norms, tail_bound) in enumerate(layers):
+            layer_lo, layer_hi = self.bohr(norms, tail_bound)
+            lo, hi = lo + self.r**l * layer_lo, hi + self.r**l * layer_hi
+            certified = certified and tail_bound is not None
+        return lo, hi, certified
 
 
 def majorant(f: MatrixSeries) -> Majorant:

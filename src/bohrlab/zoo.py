@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .series import MatrixSeries, _block_product, derivative, majorant, scalar_series
+from .opmat import op_norms
+from .series import MatrixSeries, _BohrGrid, _block_product, derivative, scalar_series
 
 __all__ = [
     "BlaschkeSpec",
@@ -483,20 +484,11 @@ def bohr_sum_poly(fn: PolyanalyticFn, radii) -> tuple:
     of a grid in [0, 1).
 
     Returns (lo, hi, certified): the arrays of lower and upper ends,
-    summed layer by layer from each layer's Majorant.bohr_grid, and
-    whether hi is a proven upper bound, which holds when every layer
-    carries a tail bound.  Each radius gets the same bits whatever grid
-    it sits in.
+    summed layer by layer by _BohrGrid.layered, and whether hi is a
+    proven upper bound, which holds when every layer carries a tail
+    bound.  Each radius gets the same bits whatever grid it sits in.
     """
-    r = np.asarray(radii, dtype=np.float64)
-    lo = hi = 0.0
-    certified = True
-    for l, f in enumerate(fn.components):
-        m = majorant(f)
-        layer_lo, layer_hi = m.bohr_grid(r)
-        lo, hi = lo + r**l * layer_lo, hi + r**l * layer_hi
-        certified = certified and m.tail_bound is not None
-    return lo, hi, certified
+    return _BohrGrid(radii).layered((op_norms(f.coeffs), f.coeff_bound) for f in fn.components)
 
 
 def polyanalytic_to_json(fn: PolyanalyticFn) -> dict:

@@ -30,7 +30,7 @@ from bohrlab.radii import (
     radius_poly_eval,
     starlike_sub,
 )
-from bohrlab.series import series_from_json
+from bohrlab.series import majorant, series_from_json
 from bohrlab.zoo import (
     PolyanalyticFn,
     bohr_sum_poly,
@@ -143,9 +143,10 @@ def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suit
     assert b > 2
     compared, margin = [], harness._margin
 
-    def recording_margin(value, bound, *args):
-        compared.append(_coefficient_bytes(value) + _coefficient_bytes(bound))
-        return margin(value, bound, *args)
+    def recording_margin(pairs, *args):
+        compared.extend(_coefficient_bytes(value) + _coefficient_bytes(bound)
+                        for value, bound in pairs)
+        return margin(pairs, *args)
 
     monkeypatch.setattr(harness, "_margin", recording_margin)
     runs = {}
@@ -153,10 +154,67 @@ def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suit
         compared.clear()
         records = _run_suite(small_config(tmp_path, suite, trials=k, dim=dim, degree=degree,
                                           seed=11)).records
+        assert len(compared) == k
         runs[k] = records, [r.worst_margin.hex() for r in records], list(compared)
     full = runs[2 * b + 1]
     for k, run in runs.items():
         assert run == tuple(column[:k] for column in full)
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeypatch, suite):
+    # one block of trials, its margins formed in one _margin call, must
+    # equal each pair's margin from majorant(...).bohr_grid and
+    # bohr_sum_poly; the replay's one-pair block must equal it too
+    dim, degree = 3, 64
+    b = max(1, harness._BLOCK_ENTRIES // (dim**2 * (degree + 1)))
+    calls, margin = [], harness._margin
+
+    def recording_margin(pairs, m_bound, grid):
+        calls.append((pairs, m_bound, margin(pairs, m_bound, grid)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(harness, "_margin", recording_margin)
+    config = small_config(tmp_path, suite, trials=b, dim=dim, degree=degree, seed=3)
+    args = build_parser().parse_args(["verify", suite, "--m-bound", "2"])
+    report = SUITES[suite](config, args)
+    assert len(calls) == 1
+    pairs, m_bound, margins = calls[0]
+    assert len(pairs) == b and m_bound == (2.0 if suite == "quasi" else 1.0)
+    assert margins == [r.worst_margin for r in report.records]
+    if suite in ("subordination", "quasi"):
+        assert {r.params["target"] for r in report.records} == {"schur", "convex", "starlike"}
+    r_max = (report.config["radius"] - harness.POLY_GRID_GAP if suite.startswith("poly-")
+             else report.config["r_max"])
+    grid = default_grid(r_max)
+    for (value, bound), worst in zip(pairs, margins):
+        assert (bound is None) == (suite == "von-neumann" or suite.startswith("poly-"))
+        if isinstance(value, PolyanalyticFn):
+            upper = bohr_sum_poly(value, grid)[1]
+        else:
+            upper = majorant(value).bohr_grid(grid)[1]
+        lower = 1.0 if bound is None else majorant(bound).bohr_grid(grid)[0]
+        assert worst == float(np.min(m_bound * lower - upper))
+        assert margin([(value, bound)], m_bound, harness._BohrGrid(grid)) == [worst]
+
+
+def test_low_degree_equality_case_fails_by_the_tail_allowance(tmp_path):
+    # trial 1 composes a Schur target g with a rotation phi(z) = c z, so
+    # f and g have the same coefficient norms and Bohr(f) = Bohr(g).  The
+    # margin compares f's upper end, which adds the tail allowance
+    # r^17 / (1 - r) of f's certificate 1, with g's lower end, the
+    # truncated sum; at degree 16 and r = 1/3 the allowance, 1.16e-8,
+    # exceeds the tolerance 1e-8, and the trial fails by exactly it
+    cfg = CampaignConfig(suite="subordination", trials=4, seed=5, dim=2, degree=16,
+                         out=str(tmp_path / "report.json"))
+    report = run_subordination(cfg)
+    record = report.records[1]
+    assert record.params == {"target": "schur"} and not record.passed
+    assert record.worst_margin == pytest.approx(-(1 / 3) ** 17 / (1 - 1 / 3), rel=1e-6)
+    with open(tmp_path / "subordination-failure-00001.json") as fh:
+        phi = series_from_json(json.load(fh)["instance"]["phi"]).coeffs[:, 0, 0]
+    assert abs(phi[1]) == pytest.approx(1.0, abs=1e-15)
+    assert not np.any(np.delete(phi, 1))
 
 
 # ---------------------------------------------------------------- campaigns
@@ -281,7 +339,8 @@ def _replay_margin(suite, instance, config):
         value = series_from_json(instance[value_key])
         r_max = config["r_max"]
     bound = None if bound_key is None else series_from_json(instance[bound_key])
-    return harness._margin(value, bound, config.get("m_bound", 1.0), default_grid(r_max))
+    grid = harness._BohrGrid(default_grid(r_max))
+    return harness._margin([(value, bound)], config.get("m_bound", 1.0), grid)[0]
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
