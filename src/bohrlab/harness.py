@@ -1,12 +1,21 @@
 """Randomized verification campaigns over the function families.
 
 A campaign draws seeded random instances of an inequality's hypothesis,
-computes both sides with certified Bohr enclosures, and records the
-worst margin (bound minus value) over a radius grid.  A trial passes
-when its margin is >= -tolerance; the certified endpoints face the
-"wrong" way (upper for the quantity being bounded, lower for the
-bound), so a pass is evidence the inequality truly holds for that
-instance rather than an artifact of truncation.
+encloses both sides' Bohr sums, and records the worst margin (bound
+minus value) over a radius grid.  A trial passes when its margin is
+>= -tolerance.  The ends compared face the "wrong" way: the upper end
+for the quantity being bounded, the lower end for the bound.  A lower
+end, a partial sum of nonnegative terms, is always a lower bound, but
+an upper end is an upper bound only when every series in it carries a
+tail certificate, and only then is a pass evidence that the inequality
+holds for that instance rather than an artifact of truncation.  Each
+record says whether both ends were proven bounds (certified) and how
+wide the margin's enclosure is at its worst radius.  Today they are
+for every von-neumann trial and for subordination trials with Schur or
+convex targets, but not for starlike targets, for any quasi trial (the
+product carries no tail certificate) or for any poly-* trial (the
+higher layers carry none).  Floating-point rounding is enclosed on
+neither side.
 
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
@@ -32,7 +41,7 @@ import time
 import numpy as np
 
 from .opmat import op_norms
-from .radii import FAMILIES, FAMILY_TAGS, RadiusFamily, solve_radius
+from .radii import FAMILY_TAGS, RadiusFamily, radius_table, solve_radius
 from .series import (
     MatrixSeries,
     _BohrGrid,
@@ -117,13 +126,18 @@ class CampaignConfig:
 
 @dataclasses.dataclass(frozen=True)
 class TrialRecord:
-    """One trial: the stream index, drawn parameters, and worst margin."""
+    """One trial: the stream index, drawn parameters, worst margin and
+    whether it passed; whether both ends its margin compares are proven
+    bounds, and the width of the margin's enclosure at the worst radius
+    (_margin)."""
 
     index: int
     seed: int
     params: dict
     worst_margin: float
     passed: bool
+    certified: bool
+    width: float
 
 
 @dataclasses.dataclass
@@ -134,6 +148,7 @@ class Report:
     config: dict
     records: list
     pass_count: int
+    certified_count: int
     min_margin: float
     wall_time_s: float
 
@@ -150,9 +165,10 @@ class Report:
 
     def write(self, path: str, fmt: str | None = None) -> None:
         """Write JSON (full report) or CSV (one row per trial)."""
-        _write(path, fmt, self.describe(), ["index", "seed", "params", "worst_margin", "passed"],
+        _write(path, fmt, self.describe(),
+               ["index", "seed", "params", "worst_margin", "passed", "certified", "width"],
                ([r.index, r.seed, json.dumps(r.params, sort_keys=True), repr(r.worst_margin),
-                 r.passed] for r in self.records))
+                 r.passed, r.certified, repr(r.width)] for r in self.records))
 
 
 def _format(path: str | None, fmt: str | None) -> str:
@@ -198,10 +214,17 @@ def _instance_to_json(obj) -> dict:
 
 
 def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
-    """The worst margins of a block of (value, bound) pairs over grid:
-    for each pair, the minimum of m_bound times the certified lower Bohr
-    sum of bound (1 when bound is None) minus the certified upper Bohr
-    sum of value.
+    """(margin, certified, width) for each of a block of (value, bound)
+    pairs over grid.  The margin is the worst over the grid of m_bound
+    times the lower Bohr sum of bound (1 when bound is None) minus the
+    upper Bohr sum of value.  certified says whether both ends compared
+    are proven bounds: a lower end, a partial sum of nonnegative terms,
+    always is, and an upper end is when every series summed carries a
+    tail bound, so a pair is certified when its value is.  width is the
+    width of the margin's enclosure at the worst radius (the first grid
+    radius where the margin is attained): value's hi - lo plus m_bound
+    times bound's.  A series without a tail bound has hi == lo and adds
+    nothing, so an uncertified side's width understates it.
 
     value is a MatrixSeries or a PolyanalyticFn (its layered sum), bound
     a MatrixSeries or None.  The norms of every series the block
@@ -220,9 +243,12 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     margins = []
     for layers, bound in compared:
         # a series is the layered function of its one layer, bit for bit
-        upper = grid.layered(itertools.islice(profiles, len(layers)))[1]
-        lower = 1.0 if bound is None else grid.bohr(*next(profiles))[0]
-        margins.append(float(np.min(m_bound * lower - upper)))
+        lo, hi, certified = grid.layered(itertools.islice(profiles, len(layers)))
+        lower, upper = (1.0, 1.0) if bound is None else grid.bohr(*next(profiles))
+        margin = m_bound * lower - hi
+        worst = int(np.argmin(margin))
+        margins.append((float(margin[worst]), certified,
+                        float((hi - lo + m_bound * (upper - lower))[worst])))
     return margins
 
 
@@ -259,9 +285,10 @@ def _run_campaign(config: CampaignConfig, r_max: float, draw, extra_config: dict
         series = iter(expand([d for _, draws, _ in drawn for d in draws], config.degree))
         finished = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
         margins = _margin([(value, bound) for value, bound, _ in finished], m_bound, grid)
-        for index, (params, _, _), (_, _, instance), margin in zip(indices, drawn, finished,
-                                                                     margins):
-            record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance)
+        for index, (params, _, _), (_, _, instance), (margin, certified, width) in zip(
+                indices, drawn, finished, margins):
+            record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance,
+                                 certified, width)
             records.append(record)
             if not record.passed:
                 dump = {
@@ -278,6 +305,7 @@ def _run_campaign(config: CampaignConfig, r_max: float, draw, extra_config: dict
         config=echo,
         records=records,
         pass_count=sum(r.passed for r in records),
+        certified_count=sum(r.certified for r in records),
         min_margin=min(r.worst_margin for r in records),
         wall_time_s=time.perf_counter() - start,
     )
@@ -497,13 +525,12 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
 
 def emit_radius_table(families=None, out: str | None = None,
                       fmt: str | None = None, tol: float = 1e-12) -> list:
-    """Solve the radius equation over a standard parameter sweep.
-
-    One row per (family, parameters) combination: root, certified
-    bracket, cap, usable radius, and which of root/cap binds.  families
-    lists the tags in the order wanted, each once (default: all).
-    Written as CSV or JSON when out is given (format inferred from the
-    extension unless fmt is passed).
+    """The radius table of radii.radius_table: one row per (family,
+    parameters) combination, with root, certified bracket, cap, usable
+    radius, and which of root/cap binds.  families lists the tags in the
+    order wanted, each once (default: all).  Written as CSV or JSON when
+    out is given (format inferred from the extension unless fmt is
+    passed).
     """
     families = FAMILY_TAGS if families is None else tuple(families)
     unknown = [f for f in families if f not in FAMILY_TAGS]
@@ -511,25 +538,7 @@ def emit_radius_table(families=None, out: str | None = None,
         raise ValueError(f"unknown families: {unknown}")
     if not families or len(set(families)) < len(families):
         raise ValueError(f"families must list at least one tag and none twice: {list(families)}")
-    rows = []
-    for k, p, tag in itertools.product((0.0, 0.25, 0.5, 1.0), (2, 3, 5, 8), families):
-        attr = FAMILIES[tag].attr
-        for x in FAMILIES[tag].sweep:
-            fam = RadiusFamily(tag, k=k, p=p, **({attr: x} if attr else {}))
-            res = solve_radius(fam, tol)
-            rows.append({
-                "family": fam.tag,
-                "k": fam.k,
-                "p": "inf" if fam.p == math.inf else int(fam.p),
-                **{s.label: getattr(fam, s.attr) for s in FAMILIES.values() if s.attr},
-                "root": res.root,
-                "bracket_lo": None if res.bracket is None else res.bracket.lo,
-                "bracket_hi": None if res.bracket is None else res.bracket.hi,
-                "cap": fam.cap,
-                "radius": res.radius,
-                "binding": res.binding,
-            })
-
+    rows = radius_table(families, tol)
     if out:
         _write(out, fmt, rows, list(rows[0]), (list(row.values()) for row in rows))
     return rows

@@ -3,17 +3,28 @@ certified bracket.
 
 Every family's equation has the shape
 
-    w (1 - r)^m - c r + c r^(p+1) = 0,
+    w (1 - r)^m - c r + (1 - k) c r^2 + k c r^(p+1) = 0,
 
-where w is a domain weight, m the power of (1 - r), and c collects the
-derivative-ratio bound k and the family's coefficient-growth constant:
+where w is a domain weight, m the power of (1 - r), c the family's
+coefficient-growth constant and k the derivative-ratio bound:
 
-    family       w        m   c           cap
-    general      1        2   k*lambda    1/(1 + 2 lambda)
-    omega-gamma  1+gamma  2   k           (1+gamma)/(3+gamma)
-    half-plane   2        2   k           1/2
-    convex       1        2   k*beta      1/3
-    starlike     1        3   k           1/3
+    family       w        m   c         cap
+    general      1        2   lambda    1/(1 + 2 lambda)
+    omega-gamma  1+gamma  2   1         (1+gamma)/(3+gamma)
+    half-plane   2        2   1         1/2
+    convex       1        2   beta      1/3
+    starlike     1        3   1         1/3
+
+It is the layered sum set to 1.  The base layer's Bohr sum is at most
+B(r) = c r / (w (1 - r)^(m-1)), and each of the p - 1 higher layers
+carries at most k B(r), at weight r^l, so the layered sum is at most
+
+    B(r) (1 + k (r - r^p) / (1 - r)),
+
+with equality when the base layer attains B(r) and every ratio is k I.
+Clearing denominators gives w (1 - r)^m - c r (1 - r) - k c r (r - r^p),
+the equation above: the base layer carries c, the higher layers k c.
+At k = 1 it is w (1 - r)^m - c r + c r^(p+1).
 
 FAMILIES is the single source of these facts in the code, together
 with each family's parameter, its valid range and the values the radius
@@ -31,25 +42,33 @@ special casing is needed).  The usable radius is min(root, cap): the
 cap encodes where the underlying single-layer inequality is available,
 and binds whenever the polynomial root lands beyond it.
 
-Uniqueness of the root.  Since c r - c r^(p+1) = c r (1 - r^p),
+Uniqueness of the root.  Since r - r^p = r (1 - r) (1 + r + ... + r^(p-2)),
 
-    w (1 - r)^m - c r (1 - r^p) = (1 - r) q(r),
-    q(r) = w (1 - r)^(m-1) - c r (1 + r + ... + r^(p-1)).
+    w (1 - r)^m - c r (1 - r) - k c r (r - r^p) = (1 - r) q(r),
+    q(r) = w (1 - r)^(m-1) - c r - k c r^2 (1 + r + ... + r^(p-2)),
 
-For c > 0, q is strictly decreasing on [0, 1]: (1 - r)^(m-1) does not
-increase (m >= 2) and c r (1 + ... + r^(p-1)) strictly increases.  As
-q(0) = w > 0 and q(1) = -c p < 0, q has exactly one root in (0, 1), and
-it is the equation's only root in [0, 1); the factor 1 - r contributes
-only the spurious root r = 1.  For p = inf the equation itself,
-w (1 - r)^m - c r, decreases strictly from w to -c.  The displayed
-variant (1 - r)^2 - lambda r - lambda r^(p+1) (statement_form) decreases
+and for p = inf, where r - r^p is r,
+
+    q(r) = w (1 - r)^(m-1) - c r - k c r^2 / (1 - r)      on [0, 1).
+
+For c > 0, q is strictly decreasing: (1 - r)^(m-1) does not increase
+(m >= 2), c r strictly increases and the k term does not decrease.  As
+q(0) = w > 0, and q(1) = -c (1 + k (p - 1)) < 0 (for p = inf, q tends
+to -c at k = 0 and to -inf at k > 0), q has exactly one root in (0, 1),
+and it is the equation's only root in [0, 1); the factor 1 - r
+contributes only the spurious root r = 1.  On (0, 1) the equation has
+the sign of q, which is all the solver reads.  The displayed variant
+(1 - r)^2 - lambda r - lambda r^(p+1) (statement_form) decreases
 strictly from 1 to below 0 for lambda > 0.  When c (or lambda) is 0 the
-left side is w (1 - r)^m > 0 on [0, 1) and there is no root.
+left side is w (1 - r)^m > 0 on [0, 1) and there is no root; k = 0
+leaves the base layer, whose equation (1 - r) (w (1 - r)^(m-1) - c r)
+has a root.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections.abc import Callable
 
@@ -69,13 +88,14 @@ __all__ = [
     "starlike_sub",
     "radius_poly_eval",
     "solve_radius",
+    "radius_table",
     "root_result_to_json",
 ]
 
 
 @dataclasses.dataclass(frozen=True)
 class FamilySpec:
-    """One radius family: w, m, c / k and cap as functions of its
+    """One radius family: w, m, c and cap as functions of its
     parameter x (the columns of the table above), the parameter values
     the radius table sweeps, and the parameter itself: its RadiusFamily
     attribute, report label, valid range and the error for a value
@@ -223,7 +243,7 @@ def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
     r = np.asarray(r, dtype=np.float64)
     if np.any(~((r >= 0.0) & (r <= 1.0))):
         raise ValueError("radius equation is evaluated on [0, 1]")
-    f = _float_equation(_factor_terms(fam, statement_form))[0]
+    f = _float_equation(_factor_terms(fam.tag, fam.param, fam.k, fam.p, statement_form))[0]
     out = np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
     return out if out.ndim else float(out)
 
@@ -251,46 +271,48 @@ def _dyadic(x: float) -> tuple[int, int]:
     return n, d.bit_length() - 1
 
 
-def _factor_terms(fam: RadiusFamily, statement_form: bool) -> tuple:
-    """The family's equation
+def _factor_terms(tag: str, x: float | None, k: float, p, statement_form: bool = False) -> tuple:
+    """The equation of family tag with parameter x (None for a family
+    without one), ratio bound k and order p,
 
-        w (1 - r)^m - c r + b r^(p+1)
+        w (1 - r)^m - c r + a r^2 + b r^(p+1),
 
-    with its exact coefficients, as integers (W, C, B, s, m, p): w =
-    W / 2^s, c = C / 2^s and b = B / 2^s, where b = c (default form),
-    b = -c (statement_form), and p = 0, b = 0 for p = inf.  This is the
-    single definition of every family's equation, read from its one
-    FAMILIES row: every parameter is a float, so w = 1 + gamma and
-    c = k * lambda are dyadic rationals, formed here without rounding.
-    The solver's exact proof, its Newton estimate and radius_poly_eval
+    with its exact coefficients, as integers (W, C, A, B, s, m, p): w =
+    W / 2^s, c = C / 2^s, a = A / 2^s and b = B / 2^s, where a = (1 - k) c
+    and b = k c (default form) or a = 0 and b = -c (statement_form), and
+    p = 0 whenever b = 0 (p = inf, or k = 0), as the term is then absent.
+    This is the single definition of every family's equation, read from
+    its one FAMILIES row: every parameter is a float, so w = 1 + gamma,
+    c = lambda and k c are dyadic rationals, formed here without
+    rounding.  radius_table keys its brackets by the tuple.  The
+    solver's exact proof, its Newton estimate and radius_poly_eval
     (_float_equation) all read it; no root exists when C == 0."""
-    if statement_form and fam.tag != "general":
+    if statement_form and tag != "general":
         raise ValueError("statement_form only applies to the general family")
-    spec = FAMILIES[fam.tag]
-    x, e = _dyadic(fam.param or 0.0)  # the parameter is x / 2^e
+    x, e = _dyadic(x or 0.0)  # the parameter is x / 2^e
     if statement_form:
-        W, C, m, s = 1 << e, x, 2, e
+        W, C, A, B, m, s = 1 << e, x, 0, -x, 2, e
     else:
+        spec = FAMILIES[tag]
         (w0, w1), (c0, c1) = spec.weight, spec.coeff
-        k, ek = _dyadic(fam.k)  # k is k / 2^ek
-        W, C = ((w0 << e) + w1 * x) << ek, k * ((c0 << e) + c1 * x)
+        n, ek = _dyadic(k)  # k is n / 2^ek
+        c = (c0 << e) + c1 * x
+        W, C, A, B = ((w0 << e) + w1 * x) << ek, c << ek, ((1 << ek) - n) * c, n * c
         m, s = spec.exponent, e + ek
-    p = 0 if fam.p == math.inf else int(fam.p)
-    return W, C, 0 if p == 0 else -C if statement_form else C, s, m, p
+    if p == math.inf:
+        B = 0
+    return W, C, A, B, s, m, 0 if B == 0 else int(p)
 
 
 def _float_equation(terms: tuple) -> tuple[Callable, Callable]:
-    """The equation w (1 - r)^m - c r + b r^(p+1) of _factor_terms in
-    floats, and its derivative.  Its coefficients are the exact ones,
-    each rounded once (int / int division rounds correctly), so they
-    equal the products k * lambda, 1 + gamma, ... formed in floats.  On
-    (0, 1) the equation has the sign of the decreasing function of the
-    module docstring (q for finite p, since 1 - r > 0), which is all the
-    solver's Newton estimate reads."""
-    W, C, B, s, m, p = terms
-    w, c, b = (v / (1 << s) for v in (W, C, B))
-    return (lambda r: w * (1 - r) ** m - c * r + b * r ** (p + 1),
-            lambda r: -m * w * (1 - r) ** (m - 1) - c + (p + 1) * b * r ** p)
+    """The equation w (1 - r)^m - c r + a r^2 + b r^(p+1) of _factor_terms
+    in floats, and its derivative.  Its coefficients are the exact ones,
+    each rounded once (int / int division rounds correctly).  On (0, 1) the equation has the sign of q (module docstring), which is
+    all the solver's Newton estimate reads."""
+    W, C, A, B, s, m, p = terms
+    w, c, a, b = (v / (1 << s) for v in (W, C, A, B))
+    return (lambda r: w * (1 - r) ** m - c * r + a * r * r + b * r ** (p + 1),
+            lambda r: -m * w * (1 - r) ** (m - 1) - c + 2 * a * r + (p + 1) * b * r ** p)
 
 
 def _newton_root(f: Callable, slope: Callable, tiny: float) -> float:
@@ -355,44 +377,45 @@ def _exact_sign(a: int, b: int, num: int, e: int, n: int) -> int:
 
 
 def _equation_sign(terms: tuple, r: float) -> int:
-    """Sign (-1, 0 or 1) of the decreasing function of the module
-    docstring at a float r in [0, 1], decided exactly from the integer
-    coefficients of _factor_terms (see solve_radius)."""
-    W, C, B, s, m, p = terms
+    """Sign (-1, 0 or 1) of q (module docstring) at a float r in [0, 1],
+    decided exactly from the integer coefficients of _factor_terms (see
+    _bracket)."""
+    W, C, A, B, s, m, p = terms
     if r == 1:
-        # q(1) = -c p, and the whole forms are -c and -2 c there
+        # q(1) < 0, and the statement form is -2 c there
         return -1 if C else 0
     num, e = _dyadic(r)
-    return _exact_sign(W * ((1 << e) - num) ** m - (C * num << e * (m - 1)),
-                       B << e * m, num, e, p + 1)
+    return _exact_sign(W * ((1 << e) - num) ** m - (C * num << e * (m - 1))
+                       + (A * num * num << e * (m - 2)), B << e * m, num, e, p + 1)
 
 
-def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
-                 statement_form: bool = False) -> RootResult:
-    """Locate the unique root of the radius equation in (0, 1).
+def _bracket(terms: tuple, tol: float) -> tuple[float, float] | None:
+    """The certified bracket (lo, hi) of the root in (0, 1) of the
+    equation with the exact coefficients terms (_factor_terms), or None
+    when there is no root.
 
     The equation factors as (1 - r) q(r), and q decreases strictly from
-    q(0) = w > 0 to q(1) = -c p < 0, so it has exactly one root in
-    (0, 1) (module docstring; for p = inf and statement_form the
-    equation itself decreases strictly).  The bracket returned is the
-    one a bisection of [0, 1] on the exact sign of q reaches: width
-    <= tol, or two adjacent floats when tol is below their spacing, with
-    endpoints proved exactly: positive at lo and negative at hi, or
-    exactly zero on a zero-width bracket.
+    q(0) = w > 0 to below 0 at 1, so it has exactly one root in (0, 1)
+    (module docstring; the statement form decreases strictly itself).
+    The bracket returned is the one a bisection of [0, 1] on the exact
+    sign of q reaches: width <= tol, or two adjacent floats when tol is
+    below their spacing, with endpoints proved exactly: positive at lo
+    and negative at hi, or exactly zero on a zero-width bracket.  It
+    depends on terms and tol alone.
 
     The proof decides the sign of the equation at a float r = N / 2^e,
     which on (0, 1) is the sign of q, in integers: with the family's
-    exact coefficients w = W / 2^s, c = C / 2^s and b = B / 2^s
-    (_factor_terms), 2^(s + e m) times the equation is
+    exact coefficients w = W / 2^s, c = C / 2^s, a = A / 2^s and
+    b = B / 2^s (_factor_terms), 2^(s + e m) times the equation is
 
-        W (2^e - N)^m - C N 2^(e (m-1)) + B 2^(e m) r^(p+1),
+        W (2^e - N)^m - C N 2^(e (m-1)) + A N^2 2^(e (m-2)) + B 2^(e m) r^(p+1),
 
     and r^(p+1) is formed exactly when it has at most 4 * 256 bits (a
     table row's has at most 9 * 40), else enclosed between integers over
     2^256, refined only until the sign is certain, so the cost grows
     with log p rather than with the 53 p bits of the exact power.  Two
-    cases need no power: at r = 1 the sign is that of q(1) = -c p, and
-    where the first two terms cancel exactly it is the sign of B.  The
+    cases need no power: at r = 1 the sign is that of q(1) < 0, and
+    where the first three terms cancel exactly it is the sign of B.  The
     proof reads the exact coefficients, so it holds for the equation
     itself, not for its float-rounded coefficients.
 
@@ -422,16 +445,14 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     level-L dyadic is one of the walk's midpoints, so the walk stops
     there on (root, root).  The estimate chooses which signs are
     computed, never a decision, so the bracket is that of the all-exact
-    bisection whatever the floats do.  The root is the bracket's
-    midpoint.  When the exact coefficient c vanishes the equation has no
-    root in (0, 1) (the left side stays positive), and the radius is the
-    cap alone.
+    bisection whatever the floats do.  When the exact coefficient c
+    vanishes the equation has no root in (0, 1) (the left side stays
+    positive).
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
-    terms = _factor_terms(fam, statement_form)
     if terms[1] == 0:  # c = 0
-        return RootResult(fam, None, None, fam.cap)
+        return None
     tol_level = 1 - math.frexp(tol)[1]  # J
     # The step that ends the iteration is below 2^-(j + 4), j = max(min(J,
     # 52), 26), and Newton's error after it is about its square, below
@@ -469,8 +490,70 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
             hi = mid
         else:
             lo = hi = mid
-    root = 0.5 * (lo + hi)
-    return RootResult(fam, RInterval(lo, hi), root, min(root, fam.cap))
+    return lo, hi
+
+
+def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
+                 statement_form: bool = False) -> RootResult:
+    """Locate the unique root of the radius equation in (0, 1): the
+    certified bracket of _bracket, its midpoint as the root, and the
+    radius min(root, cap); when the exact coefficient c vanishes there
+    is no root, and the radius is the cap alone."""
+    bracket = _bracket(_factor_terms(fam.tag, fam.param, fam.k, fam.p, statement_form), tol)
+    if bracket is None:
+        return RootResult(fam, None, None, fam.cap)
+    root = 0.5 * (bracket[0] + bracket[1])
+    return RootResult(fam, RInterval(*bracket), root, min(root, fam.cap))
+
+
+# The (k, p) grid of radius_table.
+_TABLE_KS = (0.0, 0.25, 0.5, 1.0)
+_TABLE_PS = (2, 3, 5, 8)
+
+
+def radius_table(families=FAMILY_TAGS, tol: float = 1e-12) -> list:
+    """The radius table: for every k in 0, 1/4, 1/2, 1 and every p in
+    2, 3, 5, 8, one row per family of families (FAMILIES tags, in that
+    order) and parameter value the family sweeps.
+
+    A row is the dict {"family", "k", "p", "lambda", "gamma", "beta"
+    (None where the parameter is another family's), "root",
+    "bracket_lo", "bracket_hi" (None when there is no root), "cap",
+    "radius", "binding"} with the values solve_radius gives for its
+    family.  Each row is built from its FAMILIES row alone, and each
+    distinct equation is solved once: rows with one _factor_terms tuple
+    share one _bracket, which depends on the tuple and tol alone.  Rows
+    coincide where their equations do: general lambda and convex beta
+    at one value, both at 1 with omega-gamma at gamma 0, and at k = 0,
+    where the r^(p+1) term vanishes, every p.  The full table has 144
+    rows and 78 distinct equations.  The brackets are kept for this
+    call only.
+    """
+    labels = {spec.label: None for spec in FAMILIES.values() if spec.attr}
+    brackets, rows = {}, []
+    for k, p, tag in itertools.product(_TABLE_KS, _TABLE_PS, families):
+        spec = FAMILIES[tag]
+        for x in spec.sweep:
+            terms = _factor_terms(tag, x, k, p)
+            if terms not in brackets:
+                brackets[terms] = _bracket(terms, tol)
+            bracket, cap = brackets[terms], spec.cap(x)
+            root = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
+            radius = cap if root is None else min(root, cap)
+            rows.append({
+                "family": tag,
+                "k": k,
+                "p": p,
+                **labels,
+                **({spec.label: x} if spec.attr else {}),
+                "root": root,
+                "bracket_lo": None if bracket is None else bracket[0],
+                "bracket_hi": None if bracket is None else bracket[1],
+                "cap": cap,
+                "radius": radius,
+                "binding": "root" if radius < cap else "cap",
+            })
+    return rows
 
 
 def root_result_to_json(res: RootResult) -> dict:

@@ -51,15 +51,33 @@ def test_solve_proves_the_root_of_the_exact_equation(capsys):
     code, out, _ = run(capsys, "solve", "--family", "general", "--lambda", repr(lam),
                        "--k", repr(k), "--p", "2", "--tol", "1e-18", "--json")
     assert code == 0
-    c = Fraction(lam) * Fraction(k)
+    c, kc = Fraction(lam), Fraction(lam) * Fraction(k)
 
     def q(r):
-        # (1 - r)^2 - c r + c r^3 = (1 - r) q(r)
+        # (1 - r)^2 - c r + (c - kc) r^2 + kc r^3 = (1 - r) q(r)
         r = Fraction(r)
-        return 1 - r - c * r * (1 + r)
+        return 1 - r - c * r - kc * r * r
 
     lo, hi = json.loads(out)["bracket"]
     assert q(lo) > 0 > q(hi)
+
+
+@pytest.mark.parametrize("args, margin", [
+    (("--beta", "2", "--k", "0.5", "--p", "2"), 1.086e-2),
+    (("--beta", "3", "--k", "0.25", "--p", "3"), 7.507e-3),
+])
+def test_poly_convex_passes_at_its_radius_for_k_below_one(tmp_path, capsys, args, margin):
+    # with the base layer's coefficient beta rather than k beta in the
+    # radius equation, these campaigns pass; at the old radii they passed
+    # 147 and 120 of 200 trials
+    out = str(tmp_path / "report.json")
+    code, text, _ = run(capsys, "verify", "poly-convex", *args, "--trials", "200", "--dim", "2",
+                        "--degree", "64", "--seed", "1", "--out", out)
+    assert code == 0 and text.startswith("PASS")
+    with open(out) as fh:
+        report = json.load(fh)
+    assert report["pass_count"] == 200
+    assert report["min_margin"] == pytest.approx(margin, rel=1e-3)
 
 
 def test_solve_huge_order_matches_the_limit(capsys):
@@ -230,7 +248,8 @@ def test_verify_csv_path_without_format_writes_csv(tmp_path, capsys):
     assert code == 0
     with open(out, newline="") as fh:
         reader = csv.DictReader(fh)
-        assert reader.fieldnames == ["index", "seed", "params", "worst_margin", "passed"]
+        assert reader.fieldnames == ["index", "seed", "params", "worst_margin", "passed",
+                                     "certified", "width"]
         assert len(list(reader)) == 3
 
 

@@ -181,13 +181,13 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
     assert len(calls) == 1
     pairs, m_bound, margins = calls[0]
     assert len(pairs) == b and m_bound == (2.0 if suite == "quasi" else 1.0)
-    assert margins == [r.worst_margin for r in report.records]
+    assert margins == [(r.worst_margin, r.certified, r.width) for r in report.records]
     if suite in ("subordination", "quasi"):
         assert {r.params["target"] for r in report.records} == {"schur", "convex", "starlike"}
     r_max = (report.config["radius"] - harness.POLY_GRID_GAP if suite.startswith("poly-")
              else report.config["r_max"])
     grid = default_grid(r_max)
-    for (value, bound), worst in zip(pairs, margins):
+    for (value, bound), (worst, certified, width) in zip(pairs, margins):
         assert (bound is None) == (suite == "von-neumann" or suite.startswith("poly-"))
         if isinstance(value, PolyanalyticFn):
             upper = bohr_sum_poly(value, grid)[1]
@@ -195,7 +195,8 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
             upper = majorant(value).bohr_grid(grid)[1]
         lower = 1.0 if bound is None else majorant(bound).bohr_grid(grid)[0]
         assert worst == float(np.min(m_bound * lower - upper))
-        assert margin([(value, bound)], m_bound, harness._BohrGrid(grid)) == [worst]
+        assert margin([(value, bound)], m_bound, harness._BohrGrid(grid)) == [
+            (worst, certified, width)]
 
 
 def test_low_degree_equality_case_fails_by_the_tail_allowance(tmp_path):
@@ -329,8 +330,9 @@ MARGIN_KEYS = {
 
 
 def _replay_margin(suite, instance, config):
-    """A failed trial's margin, recomputed with the campaigns' own margin
-    rule from its decoded instance and the failure file's config alone."""
+    """A failed trial's (margin, certified, width), recomputed with the
+    campaigns' own margin rule from its decoded instance and the failure
+    file's config alone."""
     value_key, bound_key = MARGIN_KEYS[suite]
     if suite.startswith("poly-"):
         value = polyanalytic_from_json(instance[value_key])
@@ -358,7 +360,40 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite):
         assert dump["config"] == json.loads(json.dumps(report.config))
         assert dump["record"]["worst_margin"] == record.worst_margin
         assert set(dump["instance"]) == INSTANCE_KEYS[suite]
-        assert _replay_margin(suite, dump["instance"], dump["config"]) == record.worst_margin
+        assert _replay_margin(suite, dump["instance"], dump["config"]) == (
+            record.worst_margin, record.certified, record.width)
+        assert (dump["record"]["certified"], dump["record"]["width"]) == (record.certified,
+                                                                          record.width)
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_records_say_which_sides_are_certified(tmp_path, suite):
+    # an upper end is proven only when every series summed carries a tail
+    # bound: von-neumann's composition does, subordination's f does for
+    # Schur and convex targets, and quasi's product and the poly suites'
+    # higher layers never do.  At degree 8 the tail allowance
+    # r^9 / (1 - r) is well above rounding: it is von-neumann's enclosure
+    # width at r_max, where its margin is worst as the Bohr sum grows in
+    # r, and a series without a tail bound adds no width, so
+    # poly-starlike's, none of whose layers has one, is 0
+    cfg = small_config(tmp_path, suite, trials=12, degree=8, seed=3)
+    report = _run_suite(cfg)
+    expected = [suite == "von-neumann"
+                or suite == "subordination" and r.params["target"] != "starlike"
+                for r in report.records]
+    assert [r.certified for r in report.records] == expected
+    assert 0 < report.certified_count == sum(expected) < 12 or suite != "subordination"
+    with open(cfg.out) as fh:
+        payload = json.load(fh)
+    assert payload["certified_count"] == report.certified_count
+    assert [(r["certified"], r["width"]) for r in payload["records"]] == [
+        (r.certified, r.width) for r in report.records]
+    for r in report.records:
+        assert r.width >= 0.0
+        if suite == "von-neumann":
+            assert r.width == pytest.approx((1 / 3) ** 9 / (2 / 3), rel=1e-9)
+        elif suite == "poly-starlike":
+            assert r.width == 0.0
 
 
 # ---------------------------------------------------------------- reports
@@ -395,7 +430,8 @@ def _written_report(path, fmt):
     report.write(path, fmt)
     return report.describe(), [
         {"index": r.index, "seed": r.seed, "params": r.params,
-         "worst_margin": r.worst_margin, "passed": r.passed}
+         "worst_margin": r.worst_margin, "passed": r.passed, "certified": r.certified,
+         "width": r.width}
         for r in report.records
     ]
 
@@ -473,8 +509,10 @@ def test_radius_table_rows_and_files(tmp_path):
     assert row["root"] == pytest.approx(math.sqrt(2) - 1, abs=1e-11)
     assert row["radius"] == pytest.approx(1 / 3)
     assert row["binding"] == "cap"
-    zero = by_key[("half-plane", 0.0, 2, None)]
-    assert zero["root"] is None and zero["radius"] == 0.5
+    # k = 0 leaves the base layer: 2 (1 - r) = r, beyond the cap 1/2
+    base = by_key[("half-plane", 0.0, 2, None)]
+    assert base["root"] == pytest.approx(2 / 3, abs=1e-11)
+    assert base["radius"] == 0.5 and base["binding"] == "cap"
 
     out_json = str(tmp_path / "table.json")
     emit_radius_table(("starlike",), out=out_json)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab import harness, radii
+from bohrlab import radii
 from bohrlab.harness import emit_radius_table
 from bohrlab.radii import (
     FAMILIES,
@@ -26,6 +26,8 @@ from bohrlab.radii import (
     starlike_sub,
 )
 from bohrlab.radii import _equation_sign, _exact_sign, _factor_terms, _power_bounds
+from bohrlab.series import scalar_series
+from bohrlab.zoo import PolyanalyticFn, bohr_sum_poly
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 # smallest positive root of (1 - r)^3 = r, from an independent
@@ -149,12 +151,63 @@ def test_solve_limit_family():
 
 
 def test_solve_no_root_when_coefficient_vanishes():
-    for fam in (general_sc(1.0, 0.0, 2), general_sc(0.0, 1.0, 2), omega_gamma(0.2, 0.0, 3),
-                half_plane(0.0, 2), convex_sub(1.0, 0.0, 2), starlike_sub(0.0, 5)):
+    # the coefficient c is lambda, so only the general family at lambda 0
+    # has none; k = 0 drops the higher layers, not the base layer's c
+    for fam in (general_sc(0.0, 1.0, 2), general_sc(0.0, 0.0, 2), general_sc(0.0, 0.5, 7),
+                general_sc(0.0, 1.0, math.inf)):
         res = solve_radius(fam)
         assert res.root is None and res.bracket is None
         assert res.radius == res.family.cap
         assert res.binding == "cap"
+
+
+@pytest.mark.parametrize("p", (2, 5, math.inf))
+def test_k_zero_leaves_the_base_layer_equation(p):
+    # at k = 0 the equation is (1 - r) (w (1 - r)^(m-1) - c r) for every
+    # p: the base layer's Bohr bound c r / (w (1 - r)^(m-1)) equals 1
+    roots = {general_sc(0.5, 0.0, p): 1 / 1.5, omega_gamma(0.25, 0.0, p): 1.25 / 2.25,
+             half_plane(0.0, p): 2 / 3, convex_sub(3.0, 0.0, p): 1 / 4,
+             starlike_sub(0.0, p): (3 - math.sqrt(5)) / 2}
+    for fam, root in roots.items():
+        res = solve_radius(fam)
+        assert res.root == pytest.approx(root, abs=1e-12)
+        assert res.radius == min(res.root, fam.cap)
+
+
+def layered_extremal_sum(fam, r):
+    """B(r) (1 + k (r - r^p) / (1 - r)), exactly: the layered sum of the
+    instance whose base layer has the Bohr sum B(r) = c r / (w (1 - r)^(m-1))
+    and whose ratios are all k I, so f_l = k f_0."""
+    r = Fraction(r)
+    w, m, c, k = exact_coefficients(fam)
+    return c * r / (w * (1 - r) ** (m - 1)) * (1 + k * (r - r ** int(fam.p)) / (1 - r))
+
+
+@pytest.mark.parametrize("make", [
+    lambda k, p: general_sc(0.5, k, p), lambda k, p: omega_gamma(0.5, k, p), half_plane,
+    lambda k, p: convex_sub(3.0, k, p), starlike_sub,
+], ids=FAMILY_TAGS)
+def test_extremal_witness_meets_the_radius(make):
+    # The extremal instance's layered sum crosses 1 at the root: it is
+    # below 1 at the bracket's proven low end, and just beyond the root
+    # its certified lower sum, the partial sums of a scalar series with
+    # the coefficients of B(r) and of its k-multiples, exceeds 1.  So the
+    # root is sharp, and the sum is at most 1 (within the bracket's
+    # width) at the radius min(root, cap); where the root binds (convex,
+    # and starlike at k >= 0.8, p >= 3), so is the radius.
+    degree = 400
+    for k in (0.25, 0.5, 0.8, 1.0):
+        for p in (2, 3, 8):
+            fam = make(k, p)
+            res = solve_radius(fam)
+            low = layered_extremal_sum(fam, res.bracket.lo)
+            assert low < 1 or low == 1 and res.bracket.width == 0  # an exact hit
+            assert layered_extremal_sum(fam, res.radius) <= 1 + 1e-11
+            w, m, c, _ = exact_coefficients(fam)
+            n = np.arange(degree + 1)
+            base = scalar_series(float(c / w) * np.where(m == 2, n > 0, n))
+            fn = PolyanalyticFn((base,) + (scalar_series(k * base.coeffs[:, 0, 0]),) * (p - 1), k)
+            assert bohr_sum_poly(fn, [res.root + 1e-6])[0][0] > 1
 
 
 def test_solve_bracket_certifies_sign_change():
@@ -211,7 +264,7 @@ def test_json_shape():
     assert payload["radius"] == min(payload["root"], payload["cap"])
     limit = root_result_to_json(solve_radius(starlike_sub(1.0, math.inf)))
     assert limit["family"]["p"] == "inf"
-    none = root_result_to_json(solve_radius(half_plane(0.0, 2)))
+    none = root_result_to_json(solve_radius(general_sc(0.0, 1.0, 2)))
     assert none["root"] is None and none["bracket"] is None
 
 
@@ -322,7 +375,8 @@ def test_solve_huge_order_next_to_an_exact_limit_root(statement_form):
 def test_solve_huge_order_proves_its_bracket(fam, statement_form, p, tol):
     # The exact power r^p of a float has about 53 p bits, too many to form
     # here, so the sign change is checked with bounds on the order instead:
-    # the factor q decreases in p towards q_inf = w (1 - r)^(m-1) - c r / (1 - r),
+    # the factor q decreases in p towards
+    # q_inf = w (1 - r)^(m-1) - c r - k c r^2 / (1 - r),
     # and the statement form s grows with p towards s_inf.  For p >= 256
     #     q_inf(r) <= q_p(r) <= q_256(r),   s_256(r) <= s_p(r) <= s_inf(r),
     # and exact_factor at p = inf is (1 - r) q_inf(r), of the sign of q_inf.
@@ -364,41 +418,50 @@ def problems(draw, orders=ORDERS):
 
 
 def exact_coefficients(fam, statement_form=False):
-    """(w, m, c) of the equation solved, with the family's parameters
-    taken exactly, so c = k * lambda is the exact product rather than
-    its float."""
+    """(w, m, c, k) of the equation solved, with the family's parameters
+    taken exactly, so k * c is the exact product rather than its float."""
     k = Fraction(fam.k)
     if statement_form:
-        return 1, 2, Fraction(fam.lam)
+        return 1, 2, Fraction(fam.lam), None
     if fam.tag == "general":
-        return 1, 2, k * Fraction(fam.lam)
+        return 1, 2, Fraction(fam.lam), k
     if fam.tag == "omega-gamma":
-        return 1 + Fraction(fam.gamma), 2, k
+        return 1 + Fraction(fam.gamma), 2, 1, k
     if fam.tag == "half-plane":
-        return 2, 2, k
+        return 2, 2, 1, k
     if fam.tag == "convex":
-        return 1, 2, k * Fraction(fam.beta)
-    return 1, 3, k
+        return 1, 2, Fraction(fam.beta), k
+    return 1, 3, 1, k
 
 
 def exact_factor(fam, r, statement_form=False):
-    """The decreasing function whose root the solver brackets, in exact
-    arithmetic with the geometric sum written out term by term."""
+    """The decreasing function q whose root the solver brackets (radii's
+    module docstring), in exact arithmetic with the geometric sum written
+    out term by term:
+
+        q(r) = w (1 - r)^(m-1) - c r - k c r^2 (1 + r + ... + r^(p-2)),
+
+    or - k c r^2 / (1 - r) for p = inf, where q(1) has the sign of -c."""
     r = Fraction(r)
     finite = fam.p != math.inf
-    w, m, c = exact_coefficients(fam, statement_form)
+    w, m, c, k = exact_coefficients(fam, statement_form)
     if statement_form:
         return (1 - r) ** 2 - c * r - (c * r ** (int(fam.p) + 1) if finite else 0)
     if not finite:
-        return w * (1 - r) ** m - c * r
-    # 1 + r + ... + r^(p-1) over the common denominator d^(p-1) of its
+        return -c if r == 1 else w * (1 - r) ** (m - 1) - c * r - k * c * r * r / (1 - r)
+    # 1 + r + ... + r^(p-2) over the common denominator d^(p-2) of its
     # terms, so a tiny r (d up to 2^1074) needs no gcd per term
     n, d, p = r.numerator, r.denominator, int(fam.p)
     top, d_power = 0, 1
-    for _ in range(p):
-        # top = n^k + n^(k-1) d + ... + d^k after k + 1 steps
+    for _ in range(p - 1):
+        # top = n^j + n^(j-1) d + ... + d^j after j + 1 steps
         top, d_power = top * n + d_power, d_power * d
-    return w * (1 - r) ** (m - 1) - c * r * Fraction(top, d ** (p - 1))
+    return w * (1 - r) ** (m - 1) - c * r - k * c * r * r * Fraction(top, d ** (p - 2))
+
+
+def terms(fam, statement_form=False):
+    """The exact integer coefficients the solver reads for fam."""
+    return _factor_terms(fam.tag, fam.param, fam.k, fam.p, statement_form)
 
 
 def test_exact_factor_has_the_sign_of_the_equation():
@@ -428,8 +491,8 @@ EDGE_RADII = (5e-324, 1.0 - 2.0 ** -53, 1.0)
        st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_RADII)))
 def test_integer_sign_agrees_with_exact_factor(problem, r):
     fam, statement_form = problem
-    terms = _factor_terms(fam, statement_form)
-    assert _equation_sign(terms, r) == sign(exact_factor(fam, r, statement_form))
+    assert _equation_sign(terms(fam, statement_form), r) == sign(
+        exact_factor(fam, r, statement_form))
 
 
 @pytest.mark.parametrize("r", EDGE_RADII)
@@ -440,22 +503,22 @@ def test_integer_sign_at_edge_radii(r, p):
              (convex_sub(0.8, 0.9, p), False), (starlike_sub(1.0, p), False),
              (starlike_sub(0.0, p), False), (general_sc(0.0, 1.0, p), True)]
     for fam, statement_form in cases:
-        terms = _factor_terms(fam, statement_form)
-        assert _equation_sign(terms, r) == sign(exact_factor(fam, r, statement_form))
+        assert _equation_sign(terms(fam, statement_form), r) == sign(
+            exact_factor(fam, r, statement_form))
 
 
 def test_integer_sign_where_the_first_terms_cancel():
     # w (1 - r)^2 - c r vanishes at r = 1/2 for lambda = 1/2, k = 1, so the
     # sign is that of the tail term b r^(p+1): +, or - for statement_form
     fam = general_sc(0.5, 1.0, 10 ** 9)
-    assert _equation_sign(_factor_terms(fam, False), 0.5) == 1
-    assert _equation_sign(_factor_terms(fam, True), 0.5) == -1
+    assert _equation_sign(terms(fam), 0.5) == 1
+    assert _equation_sign(terms(fam, True), 0.5) == -1
     small = dataclasses.replace(fam, p=256)
     assert sign(exact_factor(small, 0.5)) == 1
     assert sign(exact_factor(small, 0.5, True)) == -1
     limit = dataclasses.replace(fam, p=math.inf)
     for statement_form in (False, True):
-        assert _equation_sign(_factor_terms(limit, statement_form), 0.5) == 0
+        assert _equation_sign(terms(limit, statement_form), 0.5) == 0
         assert exact_factor(limit, 0.5, statement_form) == 0
 
 
@@ -509,35 +572,71 @@ def test_placed_cell_with_a_zero_end_is_the_root(guess, tol):
 
 
 def test_radius_table_proves_each_bracket_with_two_signs(monkeypatch):
-    # a cost guard without timing: at tol 1e-12 every row's placed cell is
-    # confirmed at once, with two exact signs (one where the root is the
-    # cell end 1/2), and at tol 1e-300 the walk goes on inside the cell
-    # placed at the root's float spacing for a sign or two more, down to
-    # adjacent floats
-    signs, rows = [], []
+    # a cost guard without timing, per distinct equation: the table's 144
+    # rows hold 78 equations, each solved once; at tol 1e-12 every placed
+    # cell is confirmed at once, with two exact signs (one where the root
+    # is the cell end 1/2), and at tol 1e-300 the walk goes on inside the
+    # cell placed at the root's float spacing for a sign or two more,
+    # down to adjacent floats
+    signs, solves = [], []
 
     def counted(terms, r):
         signs.append(r)
         return equation_sign(terms, r)
 
-    def solve(fam, tol=1e-12, **kw):
+    def solve(terms, tol):
         before = len(signs)
-        res = solve_radius(fam, tol, **kw)
-        rows.append((res.bracket, len(signs) - before))
-        return res
+        bracket = bracket_of(terms, tol)
+        solves.append((terms, bracket, len(signs) - before))
+        return bracket
 
-    equation_sign = radii._equation_sign
+    equation_sign, bracket_of = radii._equation_sign, radii._bracket
     monkeypatch.setattr(radii, "_equation_sign", counted)
-    monkeypatch.setattr(harness, "solve_radius", solve)
-    assert len(emit_radius_table()) == len(rows) == 144
-    solved = [(bracket, calls) for bracket, calls in rows if bracket is not None]
-    assert len(solved) == 108
-    for bracket, calls in solved:
-        assert calls == (1 if bracket.lo == bracket.hi else 2)
-    assert sum(bracket.lo == bracket.hi for bracket, _ in solved) == 1
-    rows.clear()
-    assert len(emit_radius_table(tol=1e-300)) == len(rows) == 144
-    assert max(calls for _, calls in rows) <= 4
+    monkeypatch.setattr(radii, "_bracket", solve)
+    assert len(emit_radius_table()) == 144
+    assert len(solves) == len({terms for terms, _, _ in solves}) == 78
+    for _, bracket, calls in solves:
+        assert calls == (1 if bracket[0] == bracket[1] else 2)
+    assert sum(bracket[0] == bracket[1] for _, bracket, _ in solves) == 3
+    solves.clear()
+    assert len(emit_radius_table(tol=1e-300)) == 144
+    assert len(solves) == 78
+    assert max(calls for _, _, calls in solves) <= 4
+
+
+def test_radius_table_rows_are_solve_radius():
+    # a row shares its bracket with every row of its equation; each must
+    # still be exactly what solve_radius gives for the row's family
+    for tol in (1e-12, 1e-300):
+        for row in radii.radius_table(tol=tol):
+            spec = FAMILIES[row["family"]]
+            fam = RadiusFamily(row["family"], k=row["k"], p=row["p"],
+                               **({spec.attr: row[spec.label]} if spec.attr else {}))
+            res = solve_radius(fam, tol)
+            assert (row["bracket_lo"], row["bracket_hi"]) == (res.bracket.lo, res.bracket.hi)
+            assert (row["root"], row["cap"], row["radius"], row["binding"]) == (
+                res.root, fam.cap, res.radius, res.binding)
+            assert {label: row[label] for label in ("lambda", "gamma", "beta")} == {
+                s.label: getattr(fam, s.attr) for s in FAMILIES.values() if s.attr}
+
+
+def test_radius_table_solves_afresh_on_every_call(monkeypatch):
+    # the brackets live for one call: a second table in the same process
+    # makes the same exact solves as the first, so no cache outlives a call
+    solves = []
+
+    def solve(terms, tol):
+        solves.append(terms)
+        return bracket_of(terms, tol)
+
+    bracket_of = radii._bracket
+    monkeypatch.setattr(radii, "_bracket", solve)
+    counts = []
+    for _ in range(2):
+        solves.clear()
+        emit_radius_table()
+        counts.append(len(solves))
+    assert counts == [78, 78]
 
 
 @pytest.mark.parametrize("tol", (1e-12, 2.0 ** -52))

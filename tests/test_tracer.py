@@ -28,8 +28,9 @@ def test_benchmark_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
         tracer.uninstall()
     assert bohrlab.series.compose is compose and bohrlab.series.Majorant.bohr is bohr
     called = {tracer.names[i] for i in tracer.name_id}
-    # the margins' norms must go through the public op_norms, or their
-    # time would count as harness self time
+    # the margins' norms must go through the public op_norms, and the
+    # table's solves through the public radii.radius_table, or their time
+    # would count as harness self time
     assert {"cli.main", "harness.run_von_neumann", "harness.Report.write", "series.compose",
             "zoo.expand", "opmat.op_norms", "harness.emit_radius_table",
-            "radii.solve_radius"} <= called
+            "radii.radius_table"} <= called
