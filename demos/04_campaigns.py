@@ -24,9 +24,8 @@ from bohrlab import (
     build_polyanalytic,
     gen_schur_matrix,
     general_sc,
-    run_polyanalytic,
+    run_campaign,
     run_sharpness_scan,
-    run_subordination,
     scale,
     solve_radius,
     with_coeff_bound,
@@ -35,12 +34,12 @@ from bohrlab import (
 # --- a subordination campaign ---------------------------------------------------
 
 cfg = CampaignConfig(suite="subordination", trials=100, seed=11, dim=3, degree=64)
-report = run_subordination(cfg)
+report = run_campaign(cfg)
 print(f"subordination: {report.pass_count}/{report.trials} passed, "
       f"min margin {report.min_margin:.3e}, wall {report.wall_time_s:.2f}s")
 
 # reports serialize; re-running with the same seed reproduces every margin
-again = run_subordination(cfg)
+again = run_campaign(cfg)
 assert [r.worst_margin for r in report.records] == [r.worst_margin for r in again.records]
 print("re-run with the same seed is bit-identical")
 
@@ -67,7 +66,7 @@ print(f"  upper ends certified: {certified}")
 # --- the same thing as a campaign --------------------------------------------------
 
 cfg = CampaignConfig(suite="poly-general", trials=100, seed=23, dim=3, degree=64)
-report = run_polyanalytic(cfg, fam)
+report = run_campaign(cfg, lam=fam.lam, k=fam.k, p=fam.p)
 print(f"poly-general k={k}: {report.pass_count}/{report.trials} passed, "
       f"min margin {report.min_margin:.3e}")
 

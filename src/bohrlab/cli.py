@@ -20,16 +20,7 @@ import json
 import math
 import sys
 
-from .harness import (
-    BASE_LAYERS,
-    CampaignConfig,
-    emit_radius_table,
-    run_polyanalytic,
-    run_quasi_subordination,
-    run_sharpness_scan,
-    run_subordination,
-    run_von_neumann,
-)
+from .harness import SUITES, CampaignConfig, emit_radius_table, run_campaign, run_sharpness_scan
 from .radii import FAMILIES, FAMILY_TAGS, RadiusFamily, root_result_to_json, solve_radius
 
 
@@ -39,22 +30,19 @@ def _parse_p(text: str):
     return int(text)
 
 
-def _family(tag: str, args, default: float | None = None) -> RadiusFamily:
-    """The family from --k, --p and every family parameter option the
-    command has.  The tag's own parameter falls back to default and is
-    required when that is None; RadiusFamily rejects another family's."""
-    attr, label = FAMILIES[tag].attr, FAMILIES[tag].label
-    params = {s.attr: getattr(args, s.attr, None) for s in FAMILIES.values() if s.attr}
-    if attr and params[attr] is None:
-        if default is None:
-            raise ValueError(f"--family {tag} needs --{label}")
-        params[attr] = default
-    return RadiusFamily(tag, k=args.k, p=args.p, **params)
+def _family(tag: str, args) -> RadiusFamily:
+    """The family from the given --k, --p and family parameter options.
+    RadiusFamily checks them: it needs the tag's own parameter, rejects
+    another family's and gives an omitted --k or --p its default."""
+    names = ["k", "p"] + [s.attr for s in FAMILIES.values() if s.attr]
+    return RadiusFamily(tag, **{name: getattr(args, name) for name in names
+                                if getattr(args, name) is not None})
 
 
 def _add_family_options(parser):
-    parser.add_argument("--k", type=float, default=1.0, help="derivative-ratio bound in [0, 1]")
-    parser.add_argument("--p", type=_parse_p, default=2,
+    # no defaults: solve takes RadiusFamily's, verify its suite's
+    parser.add_argument("--k", type=float, default=None, help="derivative-ratio bound in [0, 1]")
+    parser.add_argument("--p", type=_parse_p, default=None,
                         help="polyanalytic order (integer >= 2, or 'inf')")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="coefficient-growth constant (general family)")
@@ -80,18 +68,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# Campaign runner per verify suite, called with the config and the parsed
-# arguments; one poly-* suite per base layer, its parameter defaulting to 1.
-SUITES = {
-    "subordination": lambda config, args: run_subordination(config),
-    "quasi": lambda config, args: run_quasi_subordination(
-        config, m_bound=args.m_bound, beta=args.quasi_beta),
-    "von-neumann": lambda config, args: run_von_neumann(config),
-    **{f"poly-{tag}": lambda config, args, tag=tag: run_polyanalytic(
-        config, _family(tag, args, 1.0)) for tag in BASE_LAYERS},
-}
-
-
 def _cmd_verify(args) -> int:
     config = CampaignConfig(
         suite=args.suite,
@@ -103,7 +79,10 @@ def _cmd_verify(args) -> int:
         out=args.out,
         fmt=args.format,
     )
-    report = SUITES[args.suite](config, args)
+    # every suite option given, so run_campaign rejects one the suite does not read
+    options = {name: getattr(args, name) for suite in SUITES.values() for name in suite.options
+               if getattr(args, name) is not None}
+    report = run_campaign(config, **options)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"{status} suite={report.suite} trials={report.trials} "
@@ -171,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None, help="write the report to this path")
     verify.add_argument("--format", choices=("json", "csv"), default=None,
                         help="report format (default: csv for a .csv path, else json)")
-    verify.add_argument("--m-bound", dest="m_bound", type=float, default=1.5,
+    verify.add_argument("--m-bound", dest="m_bound", type=float, default=None,
                         help="multiplier sup bound (quasi suite)")
-    verify.add_argument("--quasi-beta", dest="quasi_beta", type=float, default=0.9,
+    verify.add_argument("--quasi-beta", dest="quasi_beta", type=float, default=None,
                         help="disk radius the multiplier is bounded on (quasi suite)")
     _add_family_options(verify)
     verify.set_defaults(func=_cmd_verify)

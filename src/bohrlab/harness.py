@@ -17,6 +17,9 @@ product carries no tail certificate) or for any poly-* trial (the
 higher layers carry none).  Floating-point rounding is enclosed on
 neither side.
 
+SUITES is the one definition of each suite (Suite): run_campaign runs
+one, and replay recomputes a failure file's margin, from it alone.
+
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
 its random draws and then builds its functions from their series, and
@@ -32,11 +35,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -48,6 +53,7 @@ from .series import (
     compose,
     majorant,
     mul,
+    series_from_json,
     series_to_json,
     with_coeff_bound,
 )
@@ -60,6 +66,7 @@ from .zoo import (
     draw_schur,
     expand,
     mobius_extremal,
+    polyanalytic_from_json,
     polyanalytic_to_json,
     random_blaschke_spec,
     starlike_from_q,
@@ -70,12 +77,11 @@ __all__ = [
     "TrialRecord",
     "Report",
     "SharpnessScan",
+    "Suite",
+    "SUITES",
     "default_grid",
-    "run_subordination",
-    "run_quasi_subordination",
-    "run_von_neumann",
-    "run_polyanalytic",
-    "BASE_LAYERS",
+    "run_campaign",
+    "replay",
     "run_sharpness_scan",
     "emit_radius_table",
 ]
@@ -113,15 +119,14 @@ class CampaignConfig:
             raise ValueError("dim must lie in 1..16")
         if not 1 <= self.degree <= 256:
             raise ValueError("degree must lie in 1..256")
+        if self.suite not in SUITES:
+            raise ValueError(f"unknown suite {self.suite!r}; suites: {', '.join(SUITES)}")
         if not math.isfinite(self.tolerance):
             raise ValueError("tolerance must be finite")
         object.__setattr__(self, "fmt", _format(self.out, self.fmt))
         # the report and any failure replay files go to out's directory
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(f"output directory {os.path.dirname(self.out)!r} does not exist")
-
-    def describe(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,7 +166,9 @@ class Report:
         return self.pass_count == self.trials
 
     def describe(self) -> dict:
-        return {**dataclasses.asdict(self), "trials": self.trials}
+        """The report as plain dicts, sharing the records' params."""
+        return {**vars(self), "records": [dict(vars(r)) for r in self.records],
+                "trials": self.trials}
 
     def write(self, path: str, fmt: str | None = None) -> None:
         """Write JSON (full report) or CSV (one row per trial)."""
@@ -252,41 +259,34 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     return margins
 
 
-def _run_campaign(config: CampaignConfig, r_max: float, draw, extra_config: dict,
-                  m_bound: float = 1.0) -> Report:
-    """Shared driver: run the trials in index order on default_grid(r_max),
-    form their margins, dump failed instances, assemble the report.
-
-    draw(rng) makes a trial's random draws and returns (params, draws,
-    finish): the drawn parameters, a list of Schur draws and Blaschke
-    specs, and a function from their series (zoo.expand's, in the same
-    order) to (value, bound, instance): the function whose Bohr sum is
-    bounded and the one bounding it (None for the bound 1), both
-    entries of instance, a dict from names to MatrixSeries or
-    PolyanalyticFn.  The trials run in blocks of _BLOCK_ENTRIES
-    coefficient entries: all of a block is drawn, then expanded in one
-    call, then finished trial by trial.  One _margin call on the
-    campaign's _BohrGrid then forms the block's margins; a trial passes
-    when its margin is >= -tolerance.  A failed trial writes {"suite",
-    "config", "record", "instance"} to _failure_path, with the instance
-    encoded by series_to_json / polyanalytic_to_json, and "config" the
-    same config echo as the report: the campaign's config plus
-    extra_config, the suite's own parameters, so the margin can be
-    recomputed from the file alone.
+def run_campaign(config: CampaignConfig, **options) -> Report:
+    """Run config.suite's campaign with options, the suite's own options
+    (one it does not read is an error, one not given takes its default).
+    A failed trial writes {"suite", "config", "record", "instance"} to
+    _failure_path, "config" being the report's config echo: the
+    campaign's config plus the suite's own entries.
     """
+    suite = SUITES[config.suite]
+    for name in options:
+        if name not in suite.options:
+            readers = " or ".join(s.name for s in SUITES.values() if name in s.options)
+            raise ValueError(f"{name} only applies to the {readers} suite, not to {suite.name}"
+                             if readers else f"no suite reads {name}")
+    extra, draw = suite.prepare(config, **{**suite.options, **options})
     start = time.perf_counter()
-    grid = _BohrGrid(default_grid(r_max))
-    echo = {**config.describe(), **extra_config}
+    echo = {**vars(config), **extra}
+    grid = _BohrGrid(default_grid(suite.r_max(echo)))
+    m_bound = suite.m_bound(echo)
     block = max(1, _BLOCK_ENTRIES // (config.dim**2 * (config.degree + 1)))
     records = []
     for first in range(0, config.trials, block):
         indices = range(first, min(first + block, config.trials))
         drawn = [draw(_trial_rng(config.seed, index)) for index in indices]
         series = iter(expand([d for _, draws, _ in drawn for d in draws], config.degree))
-        finished = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
-        margins = _margin([(value, bound) for value, bound, _ in finished], m_bound, grid)
-        for index, (params, _, _), (_, _, instance), (margin, certified, width) in zip(
-                indices, drawn, finished, margins):
+        instances = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
+        margins = _margin([suite.compared(instance) for instance in instances], m_bound, grid)
+        for index, (params, _, _), instance, (margin, certified, width) in zip(
+                indices, drawn, instances, margins):
             record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance,
                                  certified, width)
             records.append(record)
@@ -294,7 +294,7 @@ def _run_campaign(config: CampaignConfig, r_max: float, draw, extra_config: dict
                 dump = {
                     "suite": config.suite,
                     "config": echo,
-                    "record": dataclasses.asdict(record),
+                    "record": vars(record),
                     "instance": {name: _instance_to_json(obj) for name, obj in instance.items()},
                 }
                 with open(_failure_path(config, record.index), "w") as fh:
@@ -312,6 +312,16 @@ def _run_campaign(config: CampaignConfig, r_max: float, draw, extra_config: dict
     if config.out:
         report.write(config.out, config.fmt)
     return report
+
+
+def replay(dump: dict) -> tuple:
+    """A failure file's (margin, certified, width), recomputed by _margin
+    from the decoded file alone."""
+    suite, echo = SUITES[dump["suite"]], dump["config"]
+    instance = {name: polyanalytic_from_json(payload) if "components" in payload
+                else series_from_json(payload) for name, payload in dump["instance"].items()}
+    grid = _BohrGrid(default_grid(suite.r_max(echo)))
+    return _margin([suite.compared(instance)], suite.m_bound(echo), grid)[0]
 
 
 def _draw_target(rng: np.random.Generator, config: CampaignConfig):
@@ -337,40 +347,24 @@ def _inner(rng: np.random.Generator) -> BlaschkeSpec:
     return random_blaschke_spec(rng, fix_origin=True)
 
 
-def run_subordination(config: CampaignConfig) -> Report:
-    """f subordinate to g implies Bohr(f, r) <= Bohr(g, r) for r <= 1/3.
-
-    Each trial draws a target g and an origin-fixed inner map phi, forms
-    f = g(phi) (which is subordinate by construction), reattaches the
-    structurally justified tail bound, and compares certified endpoints
-    over the grid.
-    """
+def _prepare_subordination(config: CampaignConfig):
     def draw(rng):
         params, draws, target = _draw_target(rng, config)
 
         def finish(phi, *target_series):
             g, f_bound = target(*target_series)
-            f = with_coeff_bound(compose(g, phi), f_bound)
-            return f, g, {"g": g, "phi": phi, "f": f}
+            return {"g": g, "phi": phi, "f": with_coeff_bound(compose(g, phi), f_bound)}
 
         return params, [_inner(rng)] + draws, finish
 
-    return _run_campaign(config, 1.0 / 3.0, draw, {"r_max": 1.0 / 3.0})
+    return {"r_max": 1.0 / 3.0}, draw
 
 
-def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
-                            beta: float = 0.9) -> Report:
-    """Quasi-subordination: f = h * (g o phi) with ||h|| <= m_bound on
-    |z| < beta implies Bohr(f, r) <= m_bound * Bohr(g, r) for r <= beta/3.
-
-    h is built as m_bound * s(z / beta) from a random Schur function s,
-    so the sup bound on the beta-disk holds structurally; it carries no
-    tail bound, as its coefficients may grow like beta^-n.
-    """
-    if not 0.0 < m_bound < math.inf or not 0.0 < beta <= 1.0:
-        raise ValueError("need a finite m_bound > 0 and beta in (0, 1]")
+def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
+    if not 0.0 < m_bound < math.inf or not 0.0 < quasi_beta <= 1.0:
+        raise ValueError("need a finite m_bound > 0 and quasi_beta in (0, 1]")
     # coefficient n of m_bound * s(z / beta) is m_bound beta^-n s_n
-    weights = m_bound * beta ** -np.arange(config.degree + 1.0)
+    weights = m_bound * quasi_beta ** -np.arange(config.degree + 1.0)
 
     def draw(rng):
         params, draws, target = _draw_target(rng, config)
@@ -378,26 +372,21 @@ def run_quasi_subordination(config: CampaignConfig, m_bound: float = 1.5,
         def finish(phi, s, *target_series):
             g, _ = target(*target_series)
             h = MatrixSeries(s.coeffs * weights[:, None, None])
-            f = mul(h, compose(g, phi))
-            return f, g, {"g": g, "phi": phi, "h": h, "f": f}
+            return {"g": g, "phi": phi, "h": h, "f": mul(h, compose(g, phi))}
 
         return params, [_inner(rng), draw_schur(rng, config.dim, scalar_head=True)] + draws, finish
 
-    return _run_campaign(config, beta / 3.0, draw,
-                         {"m_bound": m_bound, "beta": beta, "r_max": beta / 3.0}, m_bound)
+    return {"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0}, draw
 
 
-def run_von_neumann(config: CampaignConfig) -> Report:
-    """Composition with an inner map keeps the Bohr sum of a contraction
-    below 1 for r <= 1/3: Bohr(f o phi, r) <= sup ||f|| = 1."""
+def _prepare_von_neumann(config: CampaignConfig):
     def finish(f, phi):
-        comp = with_coeff_bound(compose(f, phi), 1.0)
-        return comp, None, {"f": f, "phi": phi, "composition": comp}
+        return {"f": f, "phi": phi, "composition": with_coeff_bound(compose(f, phi), 1.0)}
 
     def draw(rng):
         return {}, [draw_schur(rng, config.dim, scalar_head=True), _inner(rng)], finish
 
-    return _run_campaign(config, 1.0 / 3.0, draw, {"r_max": 1.0 / 3.0})
+    return {"r_max": 1.0 / 3.0}, draw
 
 
 # A base layer's generator returns its one draw and the function from
@@ -422,30 +411,13 @@ def _starlike_layer(rng, fam: RadiusFamily, config: CampaignConfig):
 # default tolerance; a campaign's tolerance is its pass threshold only.
 POLY_GRID_GAP = 1e-8
 
-# Base-layer generator per radius family, matching the family's hypothesis;
-# its keys are the families with a poly-* suite.  Disk evidence: the general
-# family is exercised with an origin-fixed contraction, a lambda = 1
-# instance, so run_polyanalytic rejects lambda < 1; convex/starlike use
-# subordination to their models.
-BASE_LAYERS = {"general": _general_layer, "convex": _convex_layer, "starlike": _starlike_layer}
 
-
-def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
-    """Layered Bohr sum stays <= 1 up to the family's computed radius.
-
-    Each trial draws a base layer matching the family hypothesis and
-    p - 1 ratio functions of norm <= k (scaled Schur functions), builds
-    F, and checks the certified layered sum on a grid that stops
-    POLY_GRID_GAP short of the solved radius.  Orders above 64 are
-    rejected, as dim and degree are capped: every layer is allocated,
-    while at the radii here (<= 1/3) the top one weighs at most 3^-63.
-    """
+def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **param):
+    fam = RadiusFamily(tag, k=k, p=p, **param)
+    # every layer is allocated, while at radii <= 1/3 layer 63 weighs at most 3^-63
     if not fam.p <= 64:
         raise ValueError("campaigns need a finite order p <= 64")
-    base_layer = BASE_LAYERS.get(fam.tag)
-    if base_layer is None:
-        raise ValueError(f"no instance generator for family {fam.tag!r}")
-    if fam.tag == "general" and fam.lam < 1.0:
+    if tag == "general" and fam.lam < 1.0:
         raise ValueError("poly-general draws origin-fixed contractions, which meet the "
                          "general hypothesis only for lambda >= 1")
     p = int(fam.p)
@@ -458,14 +430,61 @@ def run_polyanalytic(config: CampaignConfig, fam: RadiusFamily) -> Report:
         order = max(w.order for w in omegas)
 
         def finish(f, *omegas):
-            fn = build_polyanalytic(layer(f), [MatrixSeries(fam.k * w.coeffs, fam.k)
-                                               for w in omegas], fam.k)
-            return fn, None, {"fn": fn}
+            return {"fn": build_polyanalytic(layer(f), [MatrixSeries(fam.k * w.coeffs, fam.k)
+                                                        for w in omegas], fam.k)}
 
         return {}, [base] + [dataclasses.replace(w, order=order) for w in omegas], finish
 
-    return _run_campaign(config, radius - POLY_GRID_GAP, draw,
-                         {"family": fam.describe(), "radius": radius})
+    return {"family": fam.describe(), "radius": radius}, draw
+
+
+@dataclasses.dataclass(frozen=True)
+class Suite:
+    """One verify suite: its name, hypothesis (doc), and the options it
+    reads with their defaults.  prepare(config, **options) checks them
+    and returns the suite's config echo entries and draw(rng), which
+    returns a trial's (params, draws, finish): finish maps the draws'
+    series (zoo.expand's) to the trial's instance, a dict of functions
+    by name.  r_max and m_bound read the grid's end and the bound's
+    multiplier from the config echo; the margin compares the instance
+    entries value and bound (None for the bound 1).
+    """
+
+    name: str
+    doc: str
+    options: dict
+    prepare: Callable
+    value: str
+    bound: str | None
+    r_max: Callable = lambda echo: echo["r_max"]
+    m_bound: Callable = lambda echo: 1.0
+
+    def compared(self, instance: dict) -> tuple:
+        """The (value, bound) pair of instance the margin compares."""
+        return instance[self.value], None if self.bound is None else instance[self.bound]
+
+
+SUITES = {suite.name: suite for suite in (
+    Suite("subordination", "f subordinate to g implies Bohr(f, r) <= Bohr(g, r) for r <= 1/3; "
+          "f = g(phi) is subordinate by construction to a random target g, for a random "
+          "origin-fixed inner map phi.", {}, _prepare_subordination, "f", "g"),
+    Suite("quasi", "f = h * (g o phi) with ||h|| <= m_bound on |z| < beta implies Bohr(f, r) <= "
+          "m_bound * Bohr(g, r) for r <= beta/3; h = m_bound * s(z / beta) for a random Schur "
+          "function s meets its sup bound structurally, but carries no tail bound, as its "
+          "coefficients may grow like beta^-n.", {"m_bound": 1.5, "quasi_beta": 0.9},
+          _prepare_quasi, "f", "g", m_bound=lambda echo: echo["m_bound"]),
+    Suite("von-neumann", "Composition with an inner map keeps the Bohr sum of a contraction "
+          "below 1 for r <= 1/3: Bohr(f o phi, r) <= sup ||f|| = 1.",
+          {}, _prepare_von_neumann, "composition", None),
+    *(Suite(f"poly-{tag}", "F's layered Bohr sum stays <= 1 up to the family's computed "
+            "radius, for a base layer meeting the family's hypothesis and p - 1 ratio functions "
+            "of norm <= k (scaled Schur functions).",
+            {"k": 1.0, "p": 2, **param}, functools.partial(_prepare_poly, tag, layer), "fn", None,
+            r_max=lambda echo: echo["radius"] - POLY_GRID_GAP)
+      for tag, param, layer in (("general", {"lam": 1.0}, _general_layer),
+                                ("convex", {"beta": 1.0}, _convex_layer),
+                                ("starlike", {}, _starlike_layer))),
+)}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -85,7 +85,7 @@ def test_criterion_03_subordination_campaign():
     t0 = time.perf_counter()
     cfg = B.CampaignConfig(suite="subordination", trials=500, seed=3, dim=3,
                            degree=64, tolerance=1e-8)
-    rep = B.run_subordination(cfg)
+    rep = B.run_campaign(cfg)
     _report(3, rep.passed, f"{rep.pass_count}/{rep.trials} trials, min margin "
                            f"{rep.min_margin:.2e} ({time.perf_counter() - t0:.1f}s)")
 
@@ -96,7 +96,7 @@ def test_criterion_04_quasi_subordination_campaigns():
     for m_bound, beta in ((1.0, 1.0), (1.5, 0.9), (2.0, 0.5)):
         cfg = B.CampaignConfig(suite="quasi", trials=200, seed=4, dim=3,
                                degree=64, tolerance=1e-8)
-        rep = B.run_quasi_subordination(cfg, m_bound=m_bound, beta=beta)
+        rep = B.run_campaign(cfg, m_bound=m_bound, quasi_beta=beta)
         results.append((m_bound, beta, rep))
     ok = all(rep.passed for _, _, rep in results)
     detail = "; ".join(f"(M={m},beta={b}): {rep.pass_count}/200 min {rep.min_margin:.1e}"
@@ -108,7 +108,7 @@ def test_criterion_05_von_neumann_campaign():
     t0 = time.perf_counter()
     cfg = B.CampaignConfig(suite="von-neumann", trials=500, seed=5, dim=3,
                            degree=64, tolerance=1e-8)
-    rep = B.run_von_neumann(cfg)
+    rep = B.run_campaign(cfg)
     _report(5, rep.passed, f"{rep.pass_count}/{rep.trials} trials, min margin "
                            f"{rep.min_margin:.2e} ({time.perf_counter() - t0:.1f}s)")
 
@@ -189,16 +189,16 @@ def test_criterion_09_polyanalytic_campaigns():
     families = []
     for k in (0.25, 0.5, 1.0):
         for p in (2, 3, 5):
-            families.append(B.general_sc(1.0, k, p))
-            families.append(B.convex_sub(0.5, k, p))
-            families.append(B.convex_sub(1.0, k, p))
-            families.append(B.starlike_sub(k, p))
+            families.append(("general", dict(lam=1.0, k=k, p=p)))
+            families.append(("convex", dict(beta=0.5, k=k, p=p)))
+            families.append(("convex", dict(beta=1.0, k=k, p=p)))
+            families.append(("starlike", dict(k=k, p=p)))
     total = passed = 0
     worst = math.inf
-    for fam in families:
-        cfg = B.CampaignConfig(suite=f"poly-{fam.tag}", trials=200, seed=9, dim=3,
+    for tag, options in families:
+        cfg = B.CampaignConfig(suite=f"poly-{tag}", trials=200, seed=9, dim=3,
                                degree=64, tolerance=1e-8)
-        rep = B.run_polyanalytic(cfg, fam)
+        rep = B.run_campaign(cfg, **options)
         total += rep.trials
         passed += rep.pass_count
         worst = min(worst, rep.min_margin)

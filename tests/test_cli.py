@@ -155,6 +155,11 @@ def test_family_and_suite_choices():
     ("verify", "poly-general", "--trials", "1", "--beta", "7"),
     ("verify", "poly-convex", "--trials", "1", "--lambda", "5"),
     ("verify", "poly-starlike", "--trials", "1", "--beta", "1"),
+    # an option its suite does not read
+    ("verify", "quasi", "--trials", "1", "--beta", "2", "--k", "0"),
+    ("verify", "subordination", "--trials", "1", "--k", "0.3"),
+    ("verify", "von-neumann", "--trials", "1", "--lambda", "3", "--p", "7"),
+    ("verify", "poly-starlike", "--trials", "1", "--m-bound", "2", "--quasi-beta", "0.5"),
 ])
 def test_other_family_parameter_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

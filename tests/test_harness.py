@@ -11,32 +11,18 @@ import numpy as np
 import pytest
 
 from bohrlab import harness
-from bohrlab.cli import SUITES, build_parser
 from bohrlab.harness import (
+    SUITES,
     CampaignConfig,
     default_grid,
     emit_radius_table,
-    run_polyanalytic,
-    run_quasi_subordination,
+    replay,
+    run_campaign,
     run_sharpness_scan,
-    run_subordination,
-    run_von_neumann,
 )
-from bohrlab.radii import (
-    FAMILIES,
-    RadiusFamily,
-    convex_sub,
-    general_sc,
-    radius_poly_eval,
-    starlike_sub,
-)
+from bohrlab.radii import FAMILIES, RadiusFamily, radius_poly_eval
 from bohrlab.series import majorant, series_from_json
-from bohrlab.zoo import (
-    PolyanalyticFn,
-    bohr_sum_poly,
-    build_polyanalytic,
-    polyanalytic_from_json,
-)
+from bohrlab.zoo import PolyanalyticFn, bohr_sum_poly, build_polyanalytic
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
 CAMPAIGN_RECORDS = os.path.join(os.path.dirname(__file__), "campaign_records.csv")
@@ -55,33 +41,38 @@ def small_config(tmp_path, suite, **kw):
 
 def test_out_directory_must_exist(tmp_path):
     with pytest.raises(ValueError, match="directory"):
-        CampaignConfig(suite="s", out=str(tmp_path / "missing" / "r.json"))
-    CampaignConfig(suite="s", out="r.json")
+        CampaignConfig(suite="subordination", out=str(tmp_path / "missing" / "r.json"))
+    CampaignConfig(suite="subordination", out="r.json")
 
 
 def test_config_validation():
-    ok = dict(suite="s", trials=1, dim=1, degree=1)
+    ok = dict(suite="subordination", trials=1, dim=1, degree=1)
     CampaignConfig(**ok)
     with pytest.raises(ValueError):
-        CampaignConfig(suite="s", trials=0)
+        CampaignConfig(suite="subordination", trials=0)
     with pytest.raises(ValueError):
-        CampaignConfig(suite="s", dim=0)
+        CampaignConfig(suite="subordination", dim=0)
     with pytest.raises(ValueError):
-        CampaignConfig(suite="s", dim=17)
+        CampaignConfig(suite="subordination", dim=17)
     with pytest.raises(ValueError):
-        CampaignConfig(suite="s", degree=257)
+        CampaignConfig(suite="subordination", degree=257)
     with pytest.raises(ValueError):
-        CampaignConfig(suite="s", fmt="xml")
+        CampaignConfig(suite="subordination", fmt="xml")
     with pytest.raises(ValueError):
-        CampaignConfig(suite="s", tolerance=math.inf)
+        CampaignConfig(suite="subordination", tolerance=math.inf)
+
+
+def test_config_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'no-such-suite'"):
+        CampaignConfig(suite="no-such-suite", trials=2)
 
 
 def test_format_is_the_option_else_the_extension():
-    assert CampaignConfig(suite="s").fmt == "json"
-    assert CampaignConfig(suite="s", out="r.json").fmt == "json"
-    assert CampaignConfig(suite="s", out="r.csv").fmt == "csv"
-    assert CampaignConfig(suite="s", out="r.csv", fmt="json").fmt == "json"
-    assert CampaignConfig(suite="s", out="r.txt", fmt="csv").fmt == "csv"
+    assert CampaignConfig(suite="subordination").fmt == "json"
+    assert CampaignConfig(suite="subordination", out="r.json").fmt == "json"
+    assert CampaignConfig(suite="subordination", out="r.csv").fmt == "csv"
+    assert CampaignConfig(suite="subordination", out="r.csv", fmt="json").fmt == "json"
+    assert CampaignConfig(suite="subordination", out="r.txt", fmt="csv").fmt == "csv"
 
 
 def test_default_grid():
@@ -96,16 +87,11 @@ def test_default_grid():
 
 def test_reports_are_reproducible(tmp_path):
     cfg = small_config(tmp_path, "subordination")
-    a = run_subordination(cfg)
-    b = run_subordination(cfg)
+    a = run_campaign(cfg)
+    b = run_campaign(cfg)
     da, db = a.describe(), b.describe()
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
-
-
-def _run_suite(config):
-    """Run config's verify suite with the command line's defaults."""
-    return SUITES[config.suite](config, build_parser().parse_args(["verify", config.suite]))
 
 
 def test_campaign_records_are_pinned(tmp_path):
@@ -116,7 +102,7 @@ def test_campaign_records_are_pinned(tmp_path):
     with open(CAMPAIGN_RECORDS, newline="") as fh:
         expected = list(csv.DictReader(fh))
     actual = [(suite, record) for suite in SUITES for seed in (1, 2)
-              for record in _run_suite(small_config(tmp_path, suite, seed=seed)).records]
+              for record in run_campaign(small_config(tmp_path, suite, seed=seed)).records]
     assert len(actual) == len(expected) == 120
     for (suite, record), row in zip(actual, expected):
         assert (suite, record.seed, record.index, record.passed) == (
@@ -152,8 +138,8 @@ def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suit
     runs = {}
     for k in (2 * b + 1, 1, b - 1, b, b + 1):
         compared.clear()
-        records = _run_suite(small_config(tmp_path, suite, trials=k, dim=dim, degree=degree,
-                                          seed=11)).records
+        records = run_campaign(small_config(tmp_path, suite, trials=k, dim=dim, degree=degree,
+                                            seed=11)).records
         assert len(compared) == k
         runs[k] = records, [r.worst_margin.hex() for r in records], list(compared)
     full = runs[2 * b + 1]
@@ -176,8 +162,7 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
 
     monkeypatch.setattr(harness, "_margin", recording_margin)
     config = small_config(tmp_path, suite, trials=b, dim=dim, degree=degree, seed=3)
-    args = build_parser().parse_args(["verify", suite, "--m-bound", "2"])
-    report = SUITES[suite](config, args)
+    report = run_campaign(config, **({"m_bound": 2.0} if suite == "quasi" else {}))
     assert len(calls) == 1
     pairs, m_bound, margins = calls[0]
     assert len(pairs) == b and m_bound == (2.0 if suite == "quasi" else 1.0)
@@ -208,7 +193,7 @@ def test_low_degree_equality_case_fails_by_the_tail_allowance(tmp_path):
     # exceeds the tolerance 1e-8, and the trial fails by exactly it
     cfg = CampaignConfig(suite="subordination", trials=4, seed=5, dim=2, degree=16,
                          out=str(tmp_path / "report.json"))
-    report = run_subordination(cfg)
+    report = run_campaign(cfg)
     record = report.records[1]
     assert record.params == {"target": "schur"} and not record.passed
     assert record.worst_margin == pytest.approx(-(1 / 3) ** 17 / (1 - 1 / 3), rel=1e-6)
@@ -221,7 +206,7 @@ def test_low_degree_equality_case_fails_by_the_tail_allowance(tmp_path):
 # ---------------------------------------------------------------- campaigns
 
 def test_subordination_campaign_passes(tmp_path):
-    report = run_subordination(small_config(tmp_path, "subordination"))
+    report = run_campaign(small_config(tmp_path, "subordination"))
     assert report.passed
     assert report.pass_count == report.trials == 10
     assert report.min_margin >= -1e-8
@@ -231,33 +216,39 @@ def test_subordination_campaign_passes(tmp_path):
 def test_quasi_campaign_passes_across_parameters(tmp_path):
     for m_bound, beta in ((1.0, 1.0), (1.5, 0.9), (2.0, 0.5)):
         cfg = small_config(tmp_path, "quasi")
-        report = run_quasi_subordination(cfg, m_bound=m_bound, beta=beta)
+        report = run_campaign(cfg, m_bound=m_bound, quasi_beta=beta)
         assert report.passed, (m_bound, beta)
         assert report.config["m_bound"] == m_bound
         assert report.config["r_max"] == pytest.approx(beta / 3)
     with pytest.raises(ValueError):
-        run_quasi_subordination(small_config(tmp_path, "quasi"), beta=1.5)
+        run_campaign(small_config(tmp_path, "quasi"), quasi_beta=1.5)
 
 
 def test_von_neumann_campaign_passes(tmp_path):
-    report = run_von_neumann(small_config(tmp_path, "von-neumann"))
+    report = run_campaign(small_config(tmp_path, "von-neumann"))
     assert report.passed
     # composed contractions keep their Bohr sum at most 1 up to 1/3
     assert report.min_margin >= -1e-8
 
 
+# a poly suite's options per family: the family parameter, k and p
+POLY_OPTIONS = (("general", dict(lam=1.0, k=1.0, p=3)), ("convex", dict(beta=0.5, k=0.5, p=2)),
+                ("starlike", dict(k=1.0, p=2)))
+
+
 def test_polyanalytic_campaigns_pass(tmp_path):
-    for fam in (general_sc(1.0, 1.0, 3), convex_sub(0.5, 0.5, 2), starlike_sub(1.0, 2)):
+    for tag, options in POLY_OPTIONS:
+        fam = RadiusFamily(tag, **options)
         cfg = small_config(tmp_path, f"poly-{fam.tag}")
-        report = run_polyanalytic(cfg, fam)
+        report = run_campaign(cfg, **options)
         assert report.passed, fam
         assert report.config["family"]["tag"] == fam.tag
         assert 0 < report.config["radius"] <= fam.cap
 
 
 def test_polyanalytic_zero_ratio_margin_is_base_only(tmp_path):
-    fam = general_sc(1.0, 0.0, 2)
-    report = run_polyanalytic(small_config(tmp_path, "poly-zero"), fam)
+    fam = RadiusFamily("general", lam=1.0, k=0.0, p=2)
+    report = run_campaign(small_config(tmp_path, "poly-general"), lam=1.0, k=0.0, p=2)
     assert report.passed
     # with k = 0 the higher layer vanishes and the radius is the cap
     assert report.config["radius"] == pytest.approx(fam.cap)
@@ -271,10 +262,10 @@ def test_polyanalytic_margin_is_the_layered_sum_on_the_grid(tmp_path, monkeypatc
         return built[-1]
 
     monkeypatch.setattr(harness, "build_polyanalytic", build)
-    for fam in (general_sc(1.0, 1.0, 3), convex_sub(0.5, 0.5, 2), starlike_sub(1.0, 2)):
+    for tag, options in POLY_OPTIONS:
         built.clear()
-        cfg = small_config(tmp_path, f"poly-{fam.tag}", trials=4)
-        report = run_polyanalytic(cfg, fam)
+        cfg = small_config(tmp_path, f"poly-{tag}", trials=4)
+        report = run_campaign(cfg, **options)
         grid = default_grid(report.config["radius"] - harness.POLY_GRID_GAP)
         assert [r.worst_margin for r in report.records] == [
             float(np.min(1.0 - bohr_sum_poly(fn, grid)[1])) for fn in built]
@@ -283,13 +274,13 @@ def test_polyanalytic_margin_is_the_layered_sum_on_the_grid(tmp_path, monkeypatc
 def test_polyanalytic_general_rejects_lambda_below_one(tmp_path):
     cfg = small_config(tmp_path, "poly-general")
     with pytest.raises(ValueError, match="lambda >= 1"):
-        run_polyanalytic(cfg, general_sc(0.5, 1.0, 3))
+        run_campaign(cfg, lam=0.5, k=1.0, p=3)
     assert not os.path.exists(cfg.out)
 
 
 def test_polyanalytic_rejects_limit_order(tmp_path):
     with pytest.raises(ValueError):
-        run_polyanalytic(small_config(tmp_path, "poly-inf"), starlike_sub(1.0, math.inf))
+        run_campaign(small_config(tmp_path, "poly-starlike"), k=1.0, p=math.inf)
 
 
 # ---------------------------------------------------------------- failure path
@@ -297,7 +288,7 @@ def test_polyanalytic_rejects_limit_order(tmp_path):
 def test_failing_trials_dump_replay_files(tmp_path):
     # an impossible tolerance forces every positive-margin trial to fail
     cfg = small_config(tmp_path, "subordination", trials=5, tolerance=-10.0)
-    report = run_subordination(cfg)
+    report = run_campaign(cfg)
     assert not report.passed
     assert report.pass_count == 0
     assert report.trials == 5  # the campaign kept going
@@ -316,33 +307,10 @@ INSTANCE_KEYS = {
     "subordination": {"g", "phi", "f"},
     "quasi": {"g", "phi", "h", "f"},
     "von-neumann": {"f", "phi", "composition"},
-    **{f"poly-{tag}": {"fn"} for tag in harness.BASE_LAYERS},
+    "poly-general": {"fn"},
+    "poly-convex": {"fn"},
+    "poly-starlike": {"fn"},
 }
-
-
-# the instance entries each suite compares: (value, bound), None for the bound 1
-MARGIN_KEYS = {
-    "subordination": ("f", "g"),
-    "quasi": ("f", "g"),
-    "von-neumann": ("composition", None),
-    **{f"poly-{tag}": ("fn", None) for tag in harness.BASE_LAYERS},
-}
-
-
-def _replay_margin(suite, instance, config):
-    """A failed trial's (margin, certified, width), recomputed with the
-    campaigns' own margin rule from its decoded instance and the failure
-    file's config alone."""
-    value_key, bound_key = MARGIN_KEYS[suite]
-    if suite.startswith("poly-"):
-        value = polyanalytic_from_json(instance[value_key])
-        r_max = config["radius"] - harness.POLY_GRID_GAP
-    else:
-        value = series_from_json(instance[value_key])
-        r_max = config["r_max"]
-    bound = None if bound_key is None else series_from_json(instance[bound_key])
-    grid = harness._BohrGrid(default_grid(r_max))
-    return harness._margin([(value, bound)], config.get("m_bound", 1.0), grid)[0]
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
@@ -350,7 +318,7 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite):
     # an impossible tolerance fails every trial; each file holds the
     # suite's own parameters, so it replays without the report
     cfg = small_config(tmp_path, suite, trials=3, degree=16, tolerance=-10.0)
-    report = _run_suite(cfg)
+    report = run_campaign(cfg)
     assert report.pass_count == 0
     for record in report.records:
         with open(tmp_path / f"{suite}-failure-{record.index:05d}.json") as fh:
@@ -360,8 +328,7 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite):
         assert dump["config"] == json.loads(json.dumps(report.config))
         assert dump["record"]["worst_margin"] == record.worst_margin
         assert set(dump["instance"]) == INSTANCE_KEYS[suite]
-        assert _replay_margin(suite, dump["instance"], dump["config"]) == (
-            record.worst_margin, record.certified, record.width)
+        assert replay(dump) == (record.worst_margin, record.certified, record.width)
         assert (dump["record"]["certified"], dump["record"]["width"]) == (record.certified,
                                                                           record.width)
 
@@ -377,7 +344,7 @@ def test_records_say_which_sides_are_certified(tmp_path, suite):
     # r, and a series without a tail bound adds no width, so
     # poly-starlike's, none of whose layers has one, is 0
     cfg = small_config(tmp_path, suite, trials=12, degree=8, seed=3)
-    report = _run_suite(cfg)
+    report = run_campaign(cfg)
     expected = [suite == "von-neumann"
                 or suite == "subordination" and r.params["target"] != "starlike"
                 for r in report.records]
@@ -400,7 +367,7 @@ def test_records_say_which_sides_are_certified(tmp_path, suite):
 
 def test_report_json_file(tmp_path):
     cfg = small_config(tmp_path, "von-neumann", trials=4)
-    report = run_von_neumann(cfg)
+    report = run_campaign(cfg)
     with open(cfg.out) as fh:
         payload = json.load(fh)
     assert payload["suite"] == "von-neumann"
@@ -413,7 +380,7 @@ def test_report_csv_file(tmp_path):
     out = str(tmp_path / "rep.csv")
     cfg = CampaignConfig(suite="subordination", trials=6, seed=1, dim=2, degree=16,
                          out=out, fmt="csv")
-    run_subordination(cfg)
+    run_campaign(cfg)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6
@@ -426,7 +393,7 @@ def _written_report(path, fmt):
     # out keeps the campaign's own report and any replay files next to path
     cfg = CampaignConfig(suite="subordination", trials=4, seed=5, dim=2, degree=16,
                          out=os.path.join(os.path.dirname(path), "campaign.json"))
-    report = run_subordination(cfg)
+    report = run_campaign(cfg)
     report.write(path, fmt)
     return report.describe(), [
         {"index": r.index, "seed": r.seed, "params": r.params,
