@@ -13,6 +13,7 @@ Run:  python3 demos/03_radius_equations.py
 import math
 
 from bohrlab import (
+    convex_sub,
     emit_radius_table,
     general_sc,
     half_plane,
@@ -54,6 +55,12 @@ for p in (2, 3, 5, 8, 20, math.inf):
 print("\ngeneral family, p=3, root as a function of lambda:")
 for lam in (0.25, 0.5, 1.0):
     print(f"  lambda={lam}: root {solve_radius(general_sc(lam, 1.0, 3)).root:.10f}")
+
+# and grow as the ratio bound k drops below 1; here the root binds
+print("\nconvex family, beta=2, p=2, radius as a function of k:")
+for k in (0.5, 1.0):
+    res = solve_radius(convex_sub(2.0, k, 2))
+    print(f"  k={k}: radius {res.radius:.6f} ({res.binding} binds, cap {res.family.cap:.6f})")
 
 # --- everything at once -----------------------------------------------------------------
 

@@ -20,15 +20,14 @@ import numpy as np
 
 from bohrlab import (
     CampaignConfig,
+    MatrixSeries,
     bohr_sum_poly,
     build_polyanalytic,
     gen_schur_matrix,
     general_sc,
     run_campaign,
     run_sharpness_scan,
-    scale,
     solve_radius,
-    with_coeff_bound,
 )
 
 # --- a subordination campaign ---------------------------------------------------
@@ -49,8 +48,7 @@ print("re-run with the same seed is bit-identical")
 # derivative ratio of norm <= k
 k = 0.5
 f0 = gen_schur_matrix(seed=21, dim=3, degree=64, fix_origin=True)
-omega = with_coeff_bound(scale(gen_schur_matrix(seed=22, dim=3, degree=64,
-                                                scalar_head=True), k), k)
+omega = MatrixSeries(k * gen_schur_matrix(seed=22, dim=3, degree=64, scalar_head=True).coeffs, k)
 fn = build_polyanalytic(f0, [omega], k)
 
 fam = general_sc(lam=1.0, k=k, p=fn.p)

@@ -3,7 +3,7 @@ analytic and polyanalytic functions.
 
 The layers, bottom up:
 
-* opmat   dense complex matrices, spectral norm, adjoint, |A|
+* opmat   dense complex matrices, spectral norm, |A|
 * series  truncated matrix power series with certified Bohr enclosures
 * zoo     function families (Blaschke, Schur, convex, starlike, layered)
 * radii   radius equations with bracketed bisection roots and caps

@@ -199,11 +199,11 @@ def _write(path: str, fmt: str | None, payload, header: list, rows) -> None:
             csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
-def default_grid(r_max: float, points: int = 20) -> tuple:
-    """points equispaced radii in (0, r_max]."""
+def default_grid(r_max: float) -> tuple:
+    """20 equispaced radii in (0, r_max]."""
     if not 0.0 < r_max < 1.0:
         raise ValueError("r_max must lie in (0, 1)")
-    return tuple(r_max * i / points for i in range(1, points + 1))
+    return tuple(r_max * i / 20 for i in range(1, 21))
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -232,6 +232,14 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     radius where the margin is attained): value's hi - lo plus m_bound
     times bound's.  A series without a tail bound has hi == lo and adds
     nothing, so an uncertified side's width understates it.
+
+    Against the bound 1 the grid is one radius, r_max (Suite.grid: the
+    last of default_grid's), and that radius proves the margin on all
+    of [0, r_max].  The upper sum of value is
+    sum_l r^l (sum_n ||A_{l,n}|| r^n + C_l r^(N+1) / (1 - r)), with
+    C_l = 0 for a layer without a tail bound: a sum of nonnegative
+    terms, each nondecreasing in r on [0, 1).  So hi is nondecreasing
+    and 1 - hi is smallest at r_max (rounding aside).
 
     value is a MatrixSeries or a PolyanalyticFn (its layered sum), bound
     a MatrixSeries or None.  The norms of every series the block
@@ -275,7 +283,7 @@ def run_campaign(config: CampaignConfig, **options) -> Report:
     extra, draw = suite.prepare(config, **{**suite.options, **options})
     start = time.perf_counter()
     echo = {**vars(config), **extra}
-    grid = _BohrGrid(default_grid(suite.r_max(echo)))
+    grid = suite.grid(echo)
     m_bound = suite.m_bound(echo)
     block = max(1, _BLOCK_ENTRIES // (config.dim**2 * (config.degree + 1)))
     records = []
@@ -320,8 +328,7 @@ def replay(dump: dict) -> tuple:
     suite, echo = SUITES[dump["suite"]], dump["config"]
     instance = {name: polyanalytic_from_json(payload) if "components" in payload
                 else series_from_json(payload) for name, payload in dump["instance"].items()}
-    grid = _BohrGrid(default_grid(suite.r_max(echo)))
-    return _margin([suite.compared(instance)], suite.m_bound(echo), grid)[0]
+    return _margin([suite.compared(instance)], suite.m_bound(echo), suite.grid(echo))[0]
 
 
 def _draw_target(rng: np.random.Generator, config: CampaignConfig):
@@ -458,6 +465,13 @@ class Suite:
     bound: str | None
     r_max: Callable = lambda echo: echo["r_max"]
     m_bound: Callable = lambda echo: 1.0
+
+    def grid(self, echo: dict) -> _BohrGrid:
+        """The radii a campaign's margins are taken over: default_grid
+        up to r_max, or against the bound 1 its last radius alone, where
+        the margin is smallest (_margin)."""
+        radii = default_grid(self.r_max(echo))
+        return _BohrGrid(radii if self.bound is not None else radii[-1:])
 
     def compared(self, instance: dict) -> tuple:
         """The (value, bound) pair of instance the margin compares."""

@@ -1,8 +1,7 @@
 """Dense complex matrices used as finite-dimensional operators.
 
 Matrices are plain numpy arrays of shape (d, d) and dtype complex128.
-Everything here is pure: arguments are never mutated, so the functions
-are safe to call from worker threads.
+Everything here is pure: arguments are never mutated.
 
 Spectral quantities go through the Hermitian eigensolver on the Gram
 matrix a*a rather than an SVD.  eigvalsh is deterministic for identical
@@ -16,10 +15,8 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "as_matrix",
-    "identity",
     "op_norm",
     "op_norms",
-    "adjoint",
     "abs_op",
     "matrix_to_json",
     "matrix_from_json",
@@ -42,13 +39,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def identity(dim: int) -> np.ndarray:
-    """The dim x dim identity matrix."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    return np.eye(dim, dtype=np.complex128)
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:
@@ -74,11 +64,6 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
 def op_norm(a) -> float:
     """Operator (spectral) norm of a single matrix."""
     return float(op_norms(as_matrix(a)[np.newaxis])[0])
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
 
 
 def abs_op(a) -> np.ndarray:

@@ -19,23 +19,16 @@ import math
 
 import numpy as np
 
-from .opmat import as_matrix, op_norms
+from .opmat import op_norms
 
 __all__ = [
     "MatrixSeries",
     "Majorant",
     "RInterval",
     "scalar_series",
-    "constant_series",
-    "zero_series",
-    "identity_series",
-    "add",
     "mul",
     "compose",
     "derivative",
-    "integrate0",
-    "scale",
-    "pad_to",
     "with_coeff_bound",
     "majorant",
     "bohr_sum",
@@ -74,7 +67,7 @@ class MatrixSeries:
     """Coefficients A_0..A_N of sum_n A_n z^n, plus an optional tail bound.
 
     coeffs has shape (N+1, d, d); the array is copied on construction
-    and frozen, so instances can be shared across threads.  coeff_bound,
+    and frozen.  coeff_bound,
     when present, asserts ||A_n|| <= coeff_bound for all n > N (the
     stored coefficients are exact and need no bound).
     """
@@ -125,62 +118,6 @@ def scalar_series(values, coeff_bound: float | None = None) -> MatrixSeries:
     return MatrixSeries(v.reshape(-1, 1, 1), coeff_bound)
 
 
-def constant_series(a, degree: int = 0, coeff_bound: float | None = 0.0) -> MatrixSeries:
-    """The constant function z -> a, stored to the requested degree.
-
-    All non-constant coefficients are exactly zero, so the default tail
-    certificate is 0.
-    """
-    m = as_matrix(a)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    coeffs = np.zeros((degree + 1,) + m.shape, dtype=np.complex128)
-    coeffs[0] = m
-    return MatrixSeries(coeffs, coeff_bound)
-
-
-def zero_series(dim: int, degree: int = 0) -> MatrixSeries:
-    """The zero function with the given dimension and degree."""
-    if dim < 1 or degree < 0:
-        raise ValueError("zero_series needs dim >= 1 and degree >= 0")
-    return MatrixSeries(np.zeros((degree + 1, dim, dim), dtype=np.complex128), 0.0)
-
-
-def identity_series(dim: int, degree: int = 0) -> MatrixSeries:
-    """The constant function z -> I."""
-    return constant_series(np.eye(dim, dtype=np.complex128), degree)
-
-
-def _truncate(f: MatrixSeries, degree: int) -> MatrixSeries:
-    """Drop coefficients above ``degree``, keeping the certificate sound.
-
-    Dropped stored coefficients may exceed the old tail bound, so the
-    new bound is max(old bound, norms of the dropped coefficients).
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if degree >= f.degree:
-        return f
-    bound = f.coeff_bound
-    if bound is not None:
-        dropped = op_norms(f.coeffs[degree + 1 :])
-        bound = max(bound, float(dropped.max()))
-    return MatrixSeries(f.coeffs[: degree + 1], bound)
-
-
-def pad_to(f: MatrixSeries, degree: int) -> MatrixSeries:
-    """Extend with explicit zero coefficients up to ``degree``.
-
-    Only sound when the caller knows those coefficients really vanish
-    (e.g. for polynomials); the tail certificate is kept as is.
-    """
-    if degree <= f.degree:
-        return f
-    coeffs = np.zeros((degree + 1, f.dim, f.dim), dtype=np.complex128)
-    coeffs[: f.degree + 1] = f.coeffs
-    return MatrixSeries(coeffs, f.coeff_bound)
-
-
 def with_coeff_bound(f: MatrixSeries, bound: float | None) -> MatrixSeries:
     """Replace the tail certificate.
 
@@ -189,30 +126,6 @@ def with_coeff_bound(f: MatrixSeries, bound: float | None) -> MatrixSeries:
     say), not something the arithmetic can check.
     """
     return MatrixSeries(f.coeffs, bound)
-
-
-def scale(f: MatrixSeries, alpha: complex) -> MatrixSeries:
-    """The series alpha * f; the tail bound scales by |alpha|."""
-    alpha = complex(alpha)
-    bound = None if f.coeff_bound is None else abs(alpha) * f.coeff_bound
-    return MatrixSeries(f.coeffs * alpha, bound)
-
-
-def add(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
-    """Coefficientwise sum, truncated to min(deg f, deg g).
-
-    Tail bounds add (triangle inequality) when both operands carry one;
-    otherwise the result carries none.
-    """
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    n = min(f.degree, g.degree)
-    ft, gt = _truncate(f, n), _truncate(g, n)
-    if ft.coeff_bound is None or gt.coeff_bound is None:
-        bound = None
-    else:
-        bound = ft.coeff_bound + gt.coeff_bound
-    return MatrixSeries(ft.coeffs + gt.coeffs, bound)
 
 
 def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
@@ -336,18 +249,6 @@ def derivative(f: MatrixSeries) -> MatrixSeries:
         return MatrixSeries(np.zeros((1, f.dim, f.dim), dtype=np.complex128), None)
     n = np.arange(1, f.degree + 1, dtype=np.float64)
     return MatrixSeries(f.coeffs[1:] * n[:, None, None], None)
-
-
-def integrate0(f: MatrixSeries, a0) -> MatrixSeries:
-    """Termwise antiderivative with prescribed constant term a0."""
-    m = as_matrix(a0)
-    if m.shape[0] != f.dim:
-        raise ValueError("constant term dimension does not match the series")
-    out = np.empty((f.degree + 2, f.dim, f.dim), dtype=np.complex128)
-    out[0] = m
-    n = np.arange(1, f.degree + 2, dtype=np.float64)
-    out[1:] = f.coeffs / n[:, None, None]
-    return MatrixSeries(out, None)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

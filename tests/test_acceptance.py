@@ -53,8 +53,8 @@ def test_criterion_01_bohr_operator_algebra():
         f = _bounded_series(rng, d, 32)
         g = _bounded_series(rng, d, 32)
         al = 2.0 * complex(rng.normal(), rng.normal())
-        s, p, af = B.add(f, g), B.mul(f, g), B.scale(f, al)
-        eye = B.majorant(B.pad_to(B.identity_series(d), 32))
+        s, p, af = B.MatrixSeries(f.coeffs + g.coeffs), B.mul(f, g), B.MatrixSeries(al * f.coeffs)
+        eye = B.majorant(B.MatrixSeries(np.concatenate([np.eye(d)[None], np.zeros((32, d, d))])))
         mf, mg, ms, mp, ma = map(B.majorant, (f, g, s, p, af))
         for r in radii:
             lf, lg = mf.bohr(r).lo, mg.bohr(r).lo
@@ -121,7 +121,7 @@ def test_criterion_06_scalar_head_coefficient_bound():
         f = B.gen_schur_matrix([202606, i], d, 64, scalar_head=True)
         a0 = f.coeff(0)
         absa = B.abs_op(a0)
-        cap = B.op_norm(B.identity(d) - absa @ absa)
+        cap = B.op_norm(np.eye(d) - absa @ absa)
         worst = min(worst, cap - float(op_norms(f.coeffs[1:]).max()))
     ok = worst >= -1e-8
     _report(6, ok, f"500 scalar-head contractions, min margin ||I-|A0|^2|| - max||A_n|| "

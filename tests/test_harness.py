@@ -151,20 +151,22 @@ def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suit
 def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeypatch, suite):
     # one block of trials, its margins formed in one _margin call, must
     # equal each pair's margin from majorant(...).bohr_grid and
-    # bohr_sum_poly; the replay's one-pair block must equal it too
+    # bohr_sum_poly on the 20-point grid; the replay's one-pair block
+    # must equal it too.  Against the bound 1 the call takes the grid's
+    # last radius alone
     dim, degree = 3, 64
     b = max(1, harness._BLOCK_ENTRIES // (dim**2 * (degree + 1)))
     calls, margin = [], harness._margin
 
     def recording_margin(pairs, m_bound, grid):
-        calls.append((pairs, m_bound, margin(pairs, m_bound, grid)))
-        return calls[-1][2]
+        calls.append((pairs, m_bound, grid.r, margin(pairs, m_bound, grid)))
+        return calls[-1][3]
 
     monkeypatch.setattr(harness, "_margin", recording_margin)
     config = small_config(tmp_path, suite, trials=b, dim=dim, degree=degree, seed=3)
     report = run_campaign(config, **({"m_bound": 2.0} if suite == "quasi" else {}))
     assert len(calls) == 1
-    pairs, m_bound, margins = calls[0]
+    pairs, m_bound, radii, margins = calls[0]
     assert len(pairs) == b and m_bound == (2.0 if suite == "quasi" else 1.0)
     assert margins == [(r.worst_margin, r.certified, r.width) for r in report.records]
     if suite in ("subordination", "quasi"):
@@ -172,6 +174,7 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
     r_max = (report.config["radius"] - harness.POLY_GRID_GAP if suite.startswith("poly-")
              else report.config["r_max"])
     grid = default_grid(r_max)
+    assert tuple(radii) == (grid[-1:] if SUITES[suite].bound is None else grid)
     for (value, bound), (worst, certified, width) in zip(pairs, margins):
         assert (bound is None) == (suite == "von-neumann" or suite.startswith("poly-"))
         if isinstance(value, PolyanalyticFn):

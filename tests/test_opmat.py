@@ -1,13 +1,11 @@
-"""Matrix layer: norms, adjoints, absolute values, JSON round trips."""
+"""Matrix layer: norms, absolute values, JSON round trips."""
 
 import numpy as np
 import pytest
 
 from bohrlab.opmat import (
     abs_op,
-    adjoint,
     as_matrix,
-    identity,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -21,7 +19,7 @@ def random_matrix(rng, d):
 
 def test_identity_norm_is_one():
     for d in range(1, 6):
-        assert op_norm(identity(d)) == 1.0
+        assert op_norm(np.eye(d)) == 1.0
 
 
 def test_norm_known_values():
@@ -38,12 +36,6 @@ def test_norm_rejects_bad_input():
         op_norm([[np.nan, 0], [0, 1]])
     with pytest.raises(ValueError):
         op_norm([[np.inf]])
-
-
-def test_adjoint_examples():
-    assert np.array_equal(adjoint([[1j]]), [[-1j]])
-    a = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.array_equal(adjoint(a), a.conj().T)
 
 
 def test_abs_op_known_values():
@@ -65,7 +57,7 @@ def test_norm_invariants_random():
         na, nb = op_norm(a), op_norm(b)
         assert op_norm(a + b) <= na + nb + 1e-10
         assert op_norm(a @ b) <= na * nb + 1e-10
-        assert op_norm(adjoint(a)) == pytest.approx(na, abs=1e-10)
+        assert op_norm(a.conj().T) == pytest.approx(na, abs=1e-10)
         assert op_norm(abs_op(a)) == pytest.approx(na, abs=1e-10)
 
 

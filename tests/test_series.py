@@ -1,32 +1,32 @@
-"""Series arithmetic, Bohr enclosures, and the operator-algebra laws."""
+"""Series arithmetic, Bohr enclosures, the operator-algebra laws and the
+JSON round trips of series and layered functions."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bohrlab.opmat import op_norms
 from bohrlab.series import (
     MatrixSeries,
     RInterval,
-    add,
     bohr_sum,
     compose,
-    constant_series,
     derivative,
-    identity_series,
-    integrate0,
     majorant,
     mul,
-    pad_to,
     scalar_series,
-    scale,
     series_from_json,
     series_to_json,
-    with_coeff_bound,
-    zero_series,
 )
-from bohrlab.series import _truncate
+from bohrlab.zoo import PolyanalyticFn, polyanalytic_from_json, polyanalytic_to_json
+
+SETTINGS = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+dims = st.integers(1, 3)
 
 
 def random_series(rng, d, degree, norms_leq_one=False, coeff_bound=None):
@@ -35,6 +35,11 @@ def random_series(rng, d, degree, norms_leq_one=False, coeff_bound=None):
         scale_to = rng.uniform(0.0, 1.0, degree + 1)
         c = c * (scale_to / np.maximum(op_norms(c), 1e-300))[:, None, None]
     return MatrixSeries(c, coeff_bound)
+
+
+def identity_coeffs(d, degree):
+    """Coefficients of the constant function z -> I through degree."""
+    return np.concatenate([np.eye(d)[None], np.zeros((degree, d, d))])
 
 
 # ---------------------------------------------------------------- construction
@@ -72,7 +77,7 @@ def test_rinterval_validation():
 def test_eval_polynomial():
     f = scalar_series([1, 1, 1])
     assert f.eval(0.5)[0, 0] == pytest.approx(1.75)
-    g = identity_series(3, degree=2)
+    g = MatrixSeries(identity_coeffs(3, 2))
     assert np.array_equal(g.eval(0.9), np.eye(3))
 
 
@@ -82,51 +87,15 @@ def test_eval_at_zero_is_constant_term():
     assert np.array_equal(f.eval(0.0), f.coeff(0))
 
 
-# ---------------------------------------------------------------- add / mul
-
-def test_add_basic():
-    z = scalar_series([0, 1])
-    two_z = add(z, z)
-    assert np.array_equal(two_z.coeffs[:, 0, 0], [0, 2])
-
-
-def test_add_bounds_sum():
-    rng = np.random.default_rng(6)
-    f = random_series(rng, 2, 5, coeff_bound=0.5)
-    g = random_series(rng, 2, 5, coeff_bound=0.25)
-    assert add(f, g).coeff_bound == pytest.approx(0.75)
-    assert add(f, with_coeff_bound(g, None)).coeff_bound is None
-
-
-def test_add_truncates_to_min_degree():
-    f = scalar_series([1, 2, 3, 4])
-    g = scalar_series([1, 1])
-    s = add(f, g)
-    assert s.degree == 1
-    assert np.array_equal(s.coeffs[:, 0, 0], [2, 3])
-
-
-def test_add_dim_mismatch():
-    with pytest.raises(ValueError):
-        add(zero_series(2, 3), zero_series(3, 3))
-
-
-def test_truncate_keeps_certificate_sound():
-    # dropping a stored coefficient larger than the old tail bound must
-    # grow the bound to cover it
-    f = scalar_series([0, 1, 0, 5], coeff_bound=1.0)
-    t = _truncate(f, 1)
-    assert t.degree == 1
-    assert t.coeff_bound == pytest.approx(5.0)
-
+# ---------------------------------------------------------------- mul
 
 def test_mul_identity_and_difference_of_squares():
     rng = np.random.default_rng(7)
     f = random_series(rng, 2, 6)
-    prod = mul(f, pad_to(identity_series(2), 6))
+    prod = mul(f, MatrixSeries(identity_coeffs(2, 6)))
     assert np.allclose(prod.coeffs, f.coeffs, atol=1e-14)
-    a = pad_to(scalar_series([1, 1]), 2)
-    b = pad_to(scalar_series([1, -1]), 2)
+    a = scalar_series([1, 1, 0])
+    b = scalar_series([1, -1, 0])
     assert np.array_equal(mul(a, b).coeffs[:, 0, 0], [1, 0, -1])
 
 
@@ -157,12 +126,12 @@ def test_compose_requires_scalar_origin_fixed_inner():
     with pytest.raises(ValueError):
         compose(g, scalar_series([0.5, 1, 0]))
     with pytest.raises(ValueError):
-        compose(g, identity_series(2, degree=2))
+        compose(g, MatrixSeries(identity_coeffs(2, 2)))
 
 
 def test_compose_with_z_squared():
     g = scalar_series([0, 1, 1, 1, 1])
-    phi = pad_to(scalar_series([0, 0, 1]), 4)
+    phi = scalar_series([0, 0, 1, 0, 0])
     c = compose(g, phi)
     assert np.array_equal(c.coeffs[:, 0, 0], [0, 0, 1, 0, 1])
 
@@ -199,27 +168,29 @@ def test_compose_matches_pointwise_composition():
 
 # ---------------------------------------------------------------- calculus
 
-def test_derivative_and_integral_examples():
+def test_derivative_examples():
     f = scalar_series([1, 2, 3])
     df = derivative(f)
     assert np.array_equal(df.coeffs[:, 0, 0], [2, 6])
-    back = integrate0(df, f.coeff(0))
-    assert np.allclose(back.coeffs, f.coeffs, atol=1e-15)
-    assert derivative(constant_series(np.eye(2))).degree == 0
-    assert np.array_equal(derivative(constant_series(np.eye(2))).coeffs, np.zeros((1, 2, 2)))
+    constant = MatrixSeries(np.eye(2)[None], 0.0)
+    assert derivative(constant).degree == 0
+    assert np.array_equal(derivative(constant).coeffs, np.zeros((1, 2, 2)))
 
 
-def test_derivative_integral_round_trip_random():
-    rng = np.random.default_rng(11)
-    f = random_series(rng, 3, 20)
-    back = integrate0(derivative(f), f.coeff(0))
-    assert np.allclose(back.coeffs[:21], f.coeffs, atol=1e-12)
+@SETTINGS
+@given(seeds, dims, st.integers(1, 24), st.sampled_from((None, 1.0)))
+def test_derivative_is_the_closed_form(seed, d, degree, bound):
+    # coefficient n - 1 of f' is n A_n, and no tail bound survives
+    f = random_series(np.random.default_rng(seed), d, degree, coeff_bound=bound)
+    df = derivative(f)
+    assert df.coeff_bound is None
+    assert np.array_equal(df.coeffs, [n * f.coeff(n) for n in range(1, degree + 1)])
 
 
 # ---------------------------------------------------------------- bohr sums
 
 def test_bohr_constant_series():
-    f = constant_series(2.0 * np.eye(2))
+    f = MatrixSeries(2.0 * np.eye(2)[None], 0.0)
     iv = bohr_sum(f, 0.9)
     assert iv.lo == pytest.approx(2.0) and iv.hi == pytest.approx(2.0)
     assert iv.certified
@@ -282,29 +253,29 @@ def test_majorant_values():
 
 # ------------------------------------------------------ operator-algebra laws
 
-def test_bohr_algebra_laws_random():
-    rng = np.random.default_rng(12)
-    radii = (0.1, 0.5, 0.9, 0.99)
-    for _ in range(200):
-        d = int(rng.integers(1, 4))
-        f = random_series(rng, d, 16, norms_leq_one=True)
-        g = random_series(rng, d, 16, norms_leq_one=True)
-        al = complex(rng.normal(), rng.normal())
-        s, p, af = add(f, g), mul(f, g), scale(f, al)
-        eye = majorant(pad_to(identity_series(d), 16))
-        mf, mg, ms, mp, ma = map(majorant, (f, g, s, p, af))
-        for r in radii:
-            lf, lg = mf.bohr(r).lo, mg.bohr(r).lo
-            assert lf >= 0.0
-            assert ms.bohr(r).lo <= lf + lg + 1e-10
-            assert mp.bohr(r).lo <= lf * lg + 1e-10
-            assert ma.bohr(r).lo == pytest.approx(abs(al) * lf, abs=1e-10)
-            assert eye.bohr(r).lo == pytest.approx(1.0, abs=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(seeds, dims, st.complex_numbers(max_magnitude=4.0))
+def test_bohr_algebra_laws_random(seed, d, al):
+    # subadditive and submultiplicative, absolutely homogeneous, and 1 at
+    # the identity; f + g and al f are formed coefficientwise
+    rng = np.random.default_rng(seed)
+    f = random_series(rng, d, 16, norms_leq_one=True)
+    g = random_series(rng, d, 16, norms_leq_one=True)
+    s, p, af = MatrixSeries(f.coeffs + g.coeffs), mul(f, g), MatrixSeries(al * f.coeffs)
+    eye = majorant(MatrixSeries(identity_coeffs(d, 16)))
+    mf, mg, ms, mp, ma = map(majorant, (f, g, s, p, af))
+    for r in (0.1, 0.5, 0.9, 0.99):
+        lf, lg = mf.bohr(r).lo, mg.bohr(r).lo
+        assert lf >= 0.0
+        assert ms.bohr(r).lo <= lf + lg + 1e-10
+        assert mp.bohr(r).lo <= lf * lg + 1e-10
+        assert ma.bohr(r).lo == pytest.approx(abs(al) * lf, abs=1e-10)
+        assert eye.bohr(r).lo == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bohr_zero_iff_all_coefficients_vanish():
     rng = np.random.default_rng(13)
-    z = zero_series(3, 10)
+    z = MatrixSeries(np.zeros((11, 3, 3)), 0.0)
     assert bohr_sum(z, 0.5).hi == 0.0
     f = random_series(rng, 3, 10)
     # at any positive radius a nonzero series has positive Bohr sum
@@ -328,14 +299,37 @@ def test_tail_certificate_is_conservative():
 
 # ---------------------------------------------------------------- serialization
 
-def test_json_round_trip_exact():
-    rng = np.random.default_rng(15)
-    for bound in (None, 0.75):
-        f = random_series(rng, 3, 7, coeff_bound=bound)
-        payload = json.loads(json.dumps(series_to_json(f)))
-        back = series_from_json(payload)
-        assert np.array_equal(back.coeffs, f.coeffs)
-        assert back.coeff_bound == f.coeff_bound
+finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+bounds = st.none() | st.floats(0.0, allow_infinity=False)
+
+
+@st.composite
+def series(draw, d=None):
+    """A series of any finite coefficients, with or without a tail bound."""
+    d = draw(dims) if d is None else d
+    shape = (draw(st.integers(1, 6)), d, d)
+    return MatrixSeries(draw(hnp.arrays(np.complex128, shape, elements=finite)), draw(bounds))
+
+
+def assert_same_series(back, f):
+    assert back.coeffs.tobytes() == f.coeffs.tobytes()
+    assert back.coeff_bound == f.coeff_bound
+
+
+@SETTINGS
+@given(series())
+def test_json_round_trip_exact(f):
+    assert_same_series(series_from_json(json.loads(json.dumps(series_to_json(f)))), f)
+
+
+@SETTINGS
+@given(dims.flatmap(lambda d: st.lists(series(d), min_size=2, max_size=4)), st.floats(0.0, 1.0))
+def test_polyanalytic_json_round_trip_exact(components, k):
+    fn = PolyanalyticFn(tuple(components), k)
+    back = polyanalytic_from_json(json.loads(json.dumps(polyanalytic_to_json(fn))))
+    assert (back.p, back.k) == (fn.p, fn.k)
+    for a, b in zip(back.components, fn.components):
+        assert_same_series(a, b)
 
 
 def test_json_rejects_inconsistent_payload():
