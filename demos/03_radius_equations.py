@@ -13,19 +13,15 @@ Run:  python3 demos/03_radius_equations.py
 import math
 
 from bohrlab import (
-    convex_sub,
+    RadiusFamily,
     emit_radius_table,
-    general_sc,
-    half_plane,
-    omega_gamma,
     radius_poly_eval,
     solve_radius,
-    starlike_sub,
 )
 
 # --- one family in detail ------------------------------------------------------
 
-fam = omega_gamma(gamma=0.0, k=1.0, p=2)
+fam = RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0)
 res = solve_radius(fam)
 print("omega-gamma(0), k=1, p=2:")
 print(f"  bracket  [{res.bracket.lo:.15f}, {res.bracket.hi:.15f}]")
@@ -40,26 +36,27 @@ print("  sign change:", radius_poly_eval(fam, lo) > 0 > radius_poly_eval(fam, hi
 # --- caps vs roots ----------------------------------------------------------------
 
 print("\nwhen the polynomial root lands beyond the cap, the cap wins:")
-res = solve_radius(half_plane(1.0, 2))
+res = solve_radius(RadiusFamily("half-plane", k=1.0, p=2))
 print(f"  half-plane p=2: root {res.root:.6f} > cap {res.family.cap}; radius {res.radius}")
 
 # --- order dependence ----------------------------------------------------------------
 
 print("\nroots shrink as the layer count p grows, toward the limiting equation:")
 for p in (2, 3, 5, 8, 20, math.inf):
-    res = solve_radius(starlike_sub(1.0, p))
+    res = solve_radius(RadiusFamily("starlike", k=1.0, p=p))
     tag = "inf" if p == math.inf else p
     print(f"  p={tag:>3}: root {res.root:.12f}")
 
 # and shrink as the growth constant does
 print("\ngeneral family, p=3, root as a function of lambda:")
 for lam in (0.25, 0.5, 1.0):
-    print(f"  lambda={lam}: root {solve_radius(general_sc(lam, 1.0, 3)).root:.10f}")
+    res = solve_radius(RadiusFamily("general", k=1.0, p=3, lam=lam))
+    print(f"  lambda={lam}: root {res.root:.10f}")
 
 # and grow as the ratio bound k drops below 1; here the root binds
 print("\nconvex family, beta=2, p=2, radius as a function of k:")
 for k in (0.5, 1.0):
-    res = solve_radius(convex_sub(2.0, k, 2))
+    res = solve_radius(RadiusFamily("convex", k=k, p=2, beta=2.0))
     print(f"  k={k}: radius {res.radius:.6f} ({res.binding} binds, cap {res.family.cap:.6f})")
 
 # --- everything at once -----------------------------------------------------------------

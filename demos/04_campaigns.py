@@ -21,10 +21,10 @@ import numpy as np
 from bohrlab import (
     CampaignConfig,
     MatrixSeries,
+    RadiusFamily,
     bohr_sum_poly,
     build_polyanalytic,
     gen_schur_matrix,
-    general_sc,
     run_campaign,
     run_sharpness_scan,
     solve_radius,
@@ -51,7 +51,7 @@ f0 = gen_schur_matrix(seed=21, dim=3, degree=64, fix_origin=True)
 omega = MatrixSeries(k * gen_schur_matrix(seed=22, dim=3, degree=64, scalar_head=True).coeffs, k)
 fn = build_polyanalytic(f0, [omega], k)
 
-fam = general_sc(lam=1.0, k=k, p=fn.p)
+fam = RadiusFamily("general", k=k, p=fn.p, lam=1.0)
 radius = solve_radius(fam).radius
 print(f"\nlayered function of order {fn.p}; certified radius {radius:.6f}")
 radii = np.linspace(0.05, radius - 1e-9, 5)

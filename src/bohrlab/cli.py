@@ -8,8 +8,9 @@ Subcommands:
   table   solve the radius equation over a parameter sweep
 
 Exit code 0 means every assertion the invocation made passed; 1 means a
-campaign or scan found a violation; 2 means the invocation itself was
-invalid.
+campaign or scan could not certify one, which is not a violation found:
+at a low degree the tail allowance alone fails trials whose lower ends
+pass; 2 means the invocation was invalid or its numerics failed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import sys
 
 from .harness import SUITES, CampaignConfig, emit_radius_table, run_campaign, run_sharpness_scan
+from .opmat import NumericalError
 from .radii import FAMILIES, FAMILY_TAGS, RadiusFamily, root_result_to_json, solve_radius
 
 
@@ -77,7 +79,6 @@ def _cmd_verify(args) -> int:
         degree=args.degree,
         tolerance=args.tol,
         out=args.out,
-        fmt=args.format,
     )
     # every suite option given, so run_campaign rejects one the suite does not read
     options = {name: getattr(args, name) for suite in SUITES.values() for name in suite.options
@@ -116,7 +117,7 @@ def _cmd_table(args) -> int:
     families = None
     if args.families is not None:
         families = tuple(t.strip() for t in args.families.split(",") if t.strip())
-    rows = emit_radius_table(families, out=args.out, fmt=args.format, tol=args.tol)
+    rows = emit_radius_table(families, out=args.out, tol=args.tol)
     if args.out:
         print(f"{len(rows)} rows written to {args.out}")
     else:
@@ -147,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--degree", type=int, default=64)
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--tol", type=float, default=1e-8)
-    verify.add_argument("--out", default=None, help="write the report to this path")
-    verify.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="report format (default: csv for a .csv path, else json)")
+    verify.add_argument("--out", default=None,
+                        help="write the report to this path (CSV for a .csv path, else JSON)")
     verify.add_argument("--m-bound", dest="m_bound", type=float, default=None,
                         help="multiplier sup bound (quasi suite)")
     verify.add_argument("--quasi-beta", dest="quasi_beta", type=float, default=None,
@@ -168,9 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="radius table over a parameter sweep")
     table.add_argument("--families", default=None,
                        help="comma-separated family tags (default: all)")
-    table.add_argument("--out", default=None, help="write CSV or JSON here")
-    table.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="table format (default: csv for a .csv path, else json)")
+    table.add_argument("--out", default=None, help="write here (CSV for a .csv path, else JSON)")
     table.add_argument("--tol", type=float, default=1e-12)
     table.set_defaults(func=_cmd_table)
 
@@ -188,7 +186,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,9 @@ for every von-neumann trial and for subordination trials with Schur or
 convex targets, but not for starlike targets, for any quasi trial (the
 product carries no tail certificate) or for any poly-* trial (the
 higher layers carry none).  Floating-point rounding is enclosed on
-neither side.
+neither side.  A failed trial is one the campaign could not certify,
+not a violation found: at a low degree the tail allowance alone fails
+trials whose lower ends pass (worst_margin + width >= 0).
 
 SUITES is the one definition of each suite (Suite): run_campaign runs
 one, and replay recomputes a failure file's margin, from it alone.
@@ -94,8 +96,8 @@ _SEED_MASK = (1 << 64) - 1
 # but added 1.5 MB of peak memory instead of 0.85 MB.
 _BLOCK_ENTRIES = 2**13
 
-# run_sharpness_scan's largest grid: its Vandermonde holds steps x
-# (degree + 1) floats, 52 MB at the default degree 64.
+# run_sharpness_scan's largest grid: its Vandermonde holds steps x 65
+# floats (the witness has degree 64), 52 MB.
 _MAX_STEPS = 10**5
 
 
@@ -110,7 +112,6 @@ class CampaignConfig:
     degree: int = 64
     tolerance: float = 1e-8
     out: str | None = None
-    fmt: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -123,7 +124,6 @@ class CampaignConfig:
             raise ValueError(f"unknown suite {self.suite!r}; suites: {', '.join(SUITES)}")
         if not math.isfinite(self.tolerance):
             raise ValueError("tolerance must be finite")
-        object.__setattr__(self, "fmt", _format(self.out, self.fmt))
         # the report and any failure replay files go to out's directory
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(f"output directory {os.path.dirname(self.out)!r} does not exist")
@@ -170,33 +170,24 @@ class Report:
         return {**vars(self), "records": [dict(vars(r)) for r in self.records],
                 "trials": self.trials}
 
-    def write(self, path: str, fmt: str | None = None) -> None:
-        """Write JSON (full report) or CSV (one row per trial)."""
-        _write(path, fmt, self.describe(),
+    def write(self, path: str) -> None:
+        """Write CSV (one row per trial) to a .csv path, else the JSON report."""
+        _write(path, self.describe(),
                ["index", "seed", "params", "worst_margin", "passed", "certified", "width"],
                ([r.index, r.seed, json.dumps(r.params, sort_keys=True), repr(r.worst_margin),
                  r.passed, r.certified, repr(r.width)] for r in self.records))
 
 
-def _format(path: str | None, fmt: str | None) -> str:
-    """The output format: fmt when given, else CSV for a .csv path and
-    JSON otherwise (also when there is no path)."""
-    fmt = fmt or ("csv" if path and path.endswith(".csv") else "json")
-    if fmt not in ("json", "csv"):
-        raise ValueError("format must be 'json' or 'csv'")
-    return fmt
-
-
-def _write(path: str, fmt: str | None, payload, header: list, rows) -> None:
-    """Write payload as indented JSON, or header and rows as CSV, in the
-    format _format picks."""
-    fmt = _format(path, fmt)
-    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
-        if fmt == "json":
+def _write(path: str, payload, header: list, rows) -> None:
+    """Write header and rows as CSV to a path ending in .csv, and
+    payload as indented JSON to any other path."""
+    as_csv = path.endswith(".csv")
+    with open(path, "w", newline="" if as_csv else None) as fh:
+        if as_csv:
+            csv.writer(fh).writerows(itertools.chain([header], rows))
+        else:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        else:
-            csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
 def default_grid(r_max: float) -> tuple:
@@ -318,7 +309,7 @@ def run_campaign(config: CampaignConfig, **options) -> Report:
         wall_time_s=time.perf_counter() - start,
     )
     if config.out:
-        report.write(config.out, config.fmt)
+        report.write(config.out)
     return report
 
 
@@ -371,7 +362,11 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
     if not 0.0 < m_bound < math.inf or not 0.0 < quasi_beta <= 1.0:
         raise ValueError("need a finite m_bound > 0 and quasi_beta in (0, 1]")
     # coefficient n of m_bound * s(z / beta) is m_bound beta^-n s_n
-    weights = m_bound * quasi_beta ** -np.arange(config.degree + 1.0)
+    with np.errstate(over="ignore"):
+        weights = m_bound * quasi_beta ** -np.arange(config.degree + 1.0)
+    if not math.isfinite(weights[-1]):
+        raise ValueError(f"m_bound * quasi_beta^-degree overflows at m_bound {m_bound}, "
+                         f"quasi_beta {quasi_beta}, degree {config.degree}")
 
     def draw(rng):
         params, draws, target = _draw_target(rng, config)
@@ -514,9 +509,9 @@ class SharpnessScan:
 
 
 def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
-                       steps: int = 200, degree: int = 64) -> SharpnessScan:
-    """Tabulate the Bohr sum of the disk automorphism witness on a grid
-    and locate where it first exceeds 1.
+                       steps: int = 200) -> SharpnessScan:
+    """Tabulate the Bohr sum of the disk automorphism witness, to degree
+    64, on a grid and locate where it first exceeds 1.
 
     The crossing, refined by bisection on the truncated sum, sits at
     1/(1 + 2a); as a -> 1 it approaches 1/3 from above, which is what
@@ -530,7 +525,7 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
         raise ValueError("need 0 <= r_min < r_max < 1")
     if not 2 <= steps <= _MAX_STEPS:
         raise ValueError(f"steps must lie in 2..{_MAX_STEPS}")
-    f = mobius_extremal(a, degree)
+    f = mobius_extremal(a, 64)
     m = majorant(f)
     rs = np.linspace(r_min, r_max, steps)
     vals = m.bohr_grid(rs)[0]
@@ -556,14 +551,12 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
     )
 
 
-def emit_radius_table(families=None, out: str | None = None,
-                      fmt: str | None = None, tol: float = 1e-12) -> list:
+def emit_radius_table(families=None, out: str | None = None, tol: float = 1e-12) -> list:
     """The radius table of radii.radius_table: one row per (family,
     parameters) combination, with root, certified bracket, cap, usable
     radius, and which of root/cap binds.  families lists the tags in the
-    order wanted, each once (default: all).  Written as CSV or JSON when
-    out is given (format inferred from the extension unless fmt is
-    passed).
+    order wanted, each once (default: all).  Written when out is given:
+    CSV to a .csv path, else JSON.
     """
     families = FAMILY_TAGS if families is None else tuple(families)
     unknown = [f for f in families if f not in FAMILY_TAGS]
@@ -573,5 +566,5 @@ def emit_radius_table(families=None, out: str | None = None,
         raise ValueError(f"families must list at least one tag and none twice: {list(families)}")
     rows = radius_table(families, tol)
     if out:
-        _write(out, fmt, rows, list(rows[0]), (list(row.values()) for row in rows))
+        _write(out, rows, list(rows[0]), (list(row.values()) for row in rows))
     return rows

@@ -47,18 +47,29 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     The 1x1 case short-circuits to plain absolute value.  Otherwise the
     top eigenvalue of the Gram matrix is clamped at zero before the
     square root so eigenvalue noise of order -1e-16 cannot produce NaN.
+    A matrix whose largest entry (real or imaginary part) lies outside
+    [2^-400, 2^400], where its Gram matrix would overflow or underflow,
+    is first scaled by a power of two (exact) and its norm scaled back.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
         raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
     if stack.shape[-1] == 1:
         return np.abs(stack[..., 0, 0])
+    peak = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(-2, -1))
+    outside = (peak > 2.0**400) | ((peak > 0.0) & (peak < 2.0**-400))
+    shift = None
+    if outside.any():
+        # the largest entry moves into [1/2, 1), a subnormal one above 2^-75
+        shift = np.where(outside, np.maximum(np.frexp(peak)[1], -1000), 0)
+        stack = stack * np.ldexp(1.0, -shift)[..., None, None]
     gram = np.conj(np.swapaxes(stack, -1, -2)) @ stack
     try:
         eigs = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on Gram matrices: {exc}") from exc
-    return np.sqrt(np.maximum(eigs[..., -1], 0.0))
+    norms = np.sqrt(np.maximum(eigs[..., -1], 0.0))
+    return norms if shift is None else np.ldexp(norms, shift)
 
 
 def op_norm(a) -> float:

@@ -81,11 +81,6 @@ __all__ = [
     "FAMILY_TAGS",
     "RadiusFamily",
     "RootResult",
-    "general_sc",
-    "omega_gamma",
-    "half_plane",
-    "convex_sub",
-    "starlike_sub",
     "radius_poly_eval",
     "solve_radius",
     "radius_table",
@@ -115,7 +110,8 @@ class FamilySpec:
 
 
 FAMILIES = {
-    "general": FamilySpec((1, 0), 2, (0, 1), lambda x: 1.0 / (1.0 + 2.0 * x),
+    # 1/(1 + 2 lambda), written so that it stays positive when 2 lambda overflows
+    "general": FamilySpec((1, 0), 2, (0, 1), lambda x: 0.5 / (0.5 + x),
                           (0.5, 1.0), "lam", "lambda", lambda x: 0.0 <= x < math.inf,
                           "general family needs a finite lambda >= 0"),
     "omega-gamma": FamilySpec((1, 1), 2, (1, 0), lambda x: (1.0 + x) / (3.0 + x),
@@ -155,8 +151,9 @@ def _check_p(p) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class RadiusFamily:
-    """One instance of a radius equation; build via the constructors
-    general_sc, omega_gamma, half_plane, convex_sub, starlike_sub."""
+    """One instance of a radius equation: a FAMILIES tag, ratio bound k,
+    order p and the family's own parameter (lam, gamma or beta; none for
+    half-plane and starlike), e.g. RadiusFamily("convex", k=0.5, beta=2.0)."""
 
     tag: str
     k: float = 1.0
@@ -202,48 +199,17 @@ class RadiusFamily:
         return out
 
 
-def general_sc(lam: float, k: float = 1.0, p=2) -> RadiusFamily:
-    """Simply connected domain with coefficient-growth constant lambda."""
-    return RadiusFamily("general", k=k, p=p, lam=lam)
-
-
-def omega_gamma(gamma: float, k: float = 1.0, p=2) -> RadiusFamily:
-    """The slit-widened disk scale Omega_gamma, gamma in [0, 1)."""
-    return RadiusFamily("omega-gamma", k=k, p=p, gamma=gamma)
-
-
-def half_plane(k: float = 1.0, p=2) -> RadiusFamily:
-    """Shifted half-plane variant (weight 2)."""
-    return RadiusFamily("half-plane", k=k, p=p)
-
-
-def convex_sub(beta: float, k: float = 1.0, p=2) -> RadiusFamily:
-    """Base layer subordinate to a convex map with derivative norm beta."""
-    return RadiusFamily("convex", k=k, p=p, beta=beta)
-
-
-def starlike_sub(k: float = 1.0, p=2) -> RadiusFamily:
-    """Base layer subordinate to a normalized starlike map."""
-    return RadiusFamily("starlike", k=k, p=p)
-
-
-def radius_poly_eval(fam: RadiusFamily, r, *, statement_form: bool = False):
+def radius_poly_eval(fam: RadiusFamily, r):
     """Left-hand side of the family's radius equation at r (scalar or
     array) in [0, 1]; nan is rejected like any other r outside it.
 
     A view of _factor_terms, the equation's one definition, in floats
     (_float_equation).
-
-    statement_form selects the historically displayed variant of the
-    general equation, (1-r)^2 - lambda r - lambda r^(p+1); it omits k
-    and flips the sign of the tail term.  The default form is the one
-    the underlying layer-by-layer estimate actually produces; the
-    variant is kept only for comparison and refuses other families.
     """
     r = np.asarray(r, dtype=np.float64)
     if np.any(~((r >= 0.0) & (r <= 1.0))):
         raise ValueError("radius equation is evaluated on [0, 1]")
-    f = _float_equation(_factor_terms(fam.tag, fam.param, fam.k, fam.p, statement_form))[0]
+    f = _float_equation(_factor_terms(fam.tag, fam.param, fam.k, fam.p))[0]
     out = np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
     return out if out.ndim else float(out)
 
@@ -307,8 +273,9 @@ def _factor_terms(tag: str, x: float | None, k: float, p, statement_form: bool =
 def _float_equation(terms: tuple) -> tuple[Callable, Callable]:
     """The equation w (1 - r)^m - c r + a r^2 + b r^(p+1) of _factor_terms
     in floats, and its derivative.  Its coefficients are the exact ones,
-    each rounded once (int / int division rounds correctly).  On (0, 1) the equation has the sign of q (module docstring), which is
-    all the solver's Newton estimate reads."""
+    each rounded once (int / int division rounds correctly).  On (0, 1)
+    the equation has the sign of q (module docstring), which is all the
+    solver's Newton estimate reads."""
     W, C, A, B, s, m, p = terms
     w, c, a, b = (v / (1 << s) for v in (W, C, A, B))
     return (lambda r: w * (1 - r) ** m - c * r + a * r * r + b * r ** (p + 1),
@@ -498,7 +465,9 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     """Locate the unique root of the radius equation in (0, 1): the
     certified bracket of _bracket, its midpoint as the root, and the
     radius min(root, cap); when the exact coefficient c vanishes there
-    is no root, and the radius is the cap alone."""
+    is no root, and the radius is the cap alone.  statement_form solves
+    the general family's historically displayed equation instead (module
+    docstring), for comparison."""
     bracket = _bracket(_factor_terms(fam.tag, fam.param, fam.k, fam.p, statement_form), tol)
     if bracket is None:
         return RootResult(fam, None, None, fam.cap)

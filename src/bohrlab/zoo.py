@@ -171,13 +171,12 @@ def _realization_series(a, b, c, d, degree: int) -> np.ndarray:
     return out[:, : degree + 1]
 
 
-def random_blaschke_spec(rng, max_zeros: int = 4, fix_origin: bool = False,
-                         max_radius: float = 0.9) -> BlaschkeSpec:
-    """Random spec: 1..max_zeros zeros uniform on |a| <= max_radius,
-    uniform rotation; with fix_origin the first zero is pinned at 0."""
+def random_blaschke_spec(rng, fix_origin: bool = False) -> BlaschkeSpec:
+    """Random spec: 1..4 zeros uniform on |a| <= 0.9, uniform rotation;
+    with fix_origin the first zero is pinned at 0."""
     rng = np.random.default_rng(rng)
-    count = int(rng.integers(1, max_zeros + 1))
-    radii = max_radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+    count = int(rng.integers(1, 5))
+    radii = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, count))
     angles = rng.uniform(0.0, 2.0 * np.pi, count)
     zeros = list(radii * np.exp(1j * angles))
     if fix_origin:

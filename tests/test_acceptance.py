@@ -130,16 +130,16 @@ def test_criterion_06_scalar_head_coefficient_bound():
 
 def test_criterion_07_bracketed_root_and_caps():
     t0 = time.perf_counter()
-    res = B.solve_radius(B.omega_gamma(0.0, 1.0, 2), tol=1e-12)
+    res = B.solve_radius(B.RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0), tol=1e-12)
     target = math.sqrt(2.0) - 1.0
     checks = [
         res.bracket is not None and res.bracket.width <= 1e-12,
         res.bracket is not None and target in res.bracket,
         abs(res.radius - 1.0 / 3.0) <= 1e-15,
-        abs(B.omega_gamma(0.0, 1.0, 2).cap - 1.0 / 3.0) <= 1e-15,
-        abs(B.omega_gamma(0.25, 1.0, 2).cap - 5.0 / 13.0) <= 1e-15,
-        abs(B.omega_gamma(0.5, 1.0, 2).cap - 3.0 / 7.0) <= 1e-15,
-        B.half_plane(1.0, 2).cap == 0.5,
+        abs(B.RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0).cap - 1.0 / 3.0) <= 1e-15,
+        abs(B.RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.25).cap - 5.0 / 13.0) <= 1e-15,
+        abs(B.RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.5).cap - 3.0 / 7.0) <= 1e-15,
+        B.RadiusFamily("half-plane", k=1.0, p=2).cap == 0.5,
     ]
     ok = all(checks)
     _report(7, ok, f"bracket [{res.bracket.lo:.15f}, {res.bracket.hi:.15f}] contains "
@@ -156,11 +156,11 @@ def test_criterion_08_root_existence_monotonicity_limit():
         return res.root
 
     makers = {
-        "general": lambda k, p: B.general_sc(1.0, k, p),
-        "omega-gamma": lambda k, p: B.omega_gamma(0.25, k, p),
-        "half-plane": B.half_plane,
-        "convex": lambda k, p: B.convex_sub(1.0, k, p),
-        "starlike": B.starlike_sub,
+        "general": lambda k, p: B.RadiusFamily("general", k=k, p=p, lam=1.0),
+        "omega-gamma": lambda k, p: B.RadiusFamily("omega-gamma", k=k, p=p, gamma=0.25),
+        "half-plane": lambda k, p: B.RadiusFamily("half-plane", k=k, p=p),
+        "convex": lambda k, p: B.RadiusFamily("convex", k=k, p=p, beta=1.0),
+        "starlike": lambda k, p: B.RadiusFamily("starlike", k=k, p=p),
     }
     ok = True
     # existence and monotonicity in p for every family at k = 1
@@ -171,8 +171,8 @@ def test_criterion_08_root_existence_monotonicity_limit():
     for make in makers.values():
         seq = [root(make(k, 3)) for k in (0.25, 0.5, 1.0)]
         ok = ok and all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
-    lam_seq = [root(B.general_sc(lam, 1.0, 3)) for lam in (0.25, 0.5, 1.0)]
-    beta_seq = [root(B.convex_sub(beta, 1.0, 3)) for beta in (0.25, 0.5, 1.0)]
+    lam_seq = [root(B.RadiusFamily("general", k=1.0, p=3, lam=x)) for x in (0.25, 0.5, 1.0)]
+    beta_seq = [root(B.RadiusFamily("convex", k=1.0, p=3, beta=x)) for x in (0.25, 0.5, 1.0)]
     for seq in (lam_seq, beta_seq):
         ok = ok and all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
     # finite orders converge to the limiting equation

@@ -3,12 +3,14 @@
 import argparse
 import csv
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from bohrlab import harness
 from bohrlab.cli import build_parser, main
+from bohrlab.opmat import NumericalError
 from bohrlab.radii import FAMILY_TAGS
 
 HUGE_ORDER = "1" + "0" * 400
@@ -204,6 +206,50 @@ def test_quasi_rejects_infinite_multiplier_bound(capsys):
     assert "m_bound" in err
 
 
+@pytest.mark.parametrize("argv", [["--quasi-beta", "0.1", "--degree", "256"],
+                                  ["--m-bound", "1e300", "--degree", "16"]])
+def test_quasi_far_outside_the_float_range_passes(capsys, argv):
+    # h's coefficients reach 1e256 and 1e300, whose Gram matrices would
+    # overflow; op_norms rescales them
+    code, out, _ = run(capsys, "verify", "quasi", "--trials", "3", "--dim", "3", *argv)
+    assert code == 0 and out.startswith("PASS")
+
+
+def test_quasi_overflowing_weights_are_a_usage_error(capsys):
+    # 1.5 * 0.05^-256 is about 1e333: rejected before any work, without
+    # numpy's overflow warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "quasi", "--quasi-beta", "0.05",
+                             "--degree", "256")
+    assert code == 2 and not out and not caught
+    assert err.startswith("error:") and "quasi_beta" in err and "degree" in err
+
+
+def test_numerical_failure_is_exit_2_not_a_violation(capsys, monkeypatch):
+    def fail(stack):
+        raise NumericalError("eigensolver failed on Gram matrices")
+
+    monkeypatch.setattr(harness, "op_norms", fail)
+    code, _, err = run(capsys, "verify", "von-neumann", "--trials", "1", "--dim", "2")
+    assert code == 2
+    assert err.startswith("error: eigensolver failed")
+
+
+def test_low_degree_failure_is_the_tail_allowance(tmp_path, capsys):
+    # exit 1 means a trial was not certified, not that the inequality
+    # failed: at degree 1, 53 of 200 von-neumann trials fail only by the
+    # certified tail allowance, and each lower end satisfies the bound
+    out = str(tmp_path / "report.json")
+    code, _, _ = run(capsys, "verify", "von-neumann", "--seed", "1", "--degree", "1",
+                     "--out", out)
+    assert code == 1
+    with open(out) as fh:
+        failed = [r for r in json.load(fh)["records"] if not r["passed"]]
+    assert len(failed) == 53
+    assert all(r["worst_margin"] + r["width"] >= 0 for r in failed)
+
+
 def test_solve_rejects_unknown_family(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--family", "banana"])
@@ -237,16 +283,7 @@ def test_verify_quasi_and_poly_suites(tmp_path, capsys):
 
 
 def test_verify_csv_report(tmp_path, capsys):
-    out = str(tmp_path / "report.csv")
-    code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "3", "--dim", "1",
-                     "--degree", "16", "--out", out, "--format", "csv")
-    assert code == 0
-    with open(out, newline="") as fh:
-        assert len(list(csv.DictReader(fh))) == 3
-
-
-def test_verify_csv_path_without_format_writes_csv(tmp_path, capsys):
-    # without --format the extension decides, as for table
+    # the --out path picks the format, as for table: CSV for a .csv path
     out = str(tmp_path / "r.csv")
     code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "3", "--dim", "1",
                      "--degree", "16", "--out", out)
@@ -256,6 +293,13 @@ def test_verify_csv_path_without_format_writes_csv(tmp_path, capsys):
         assert reader.fieldnames == ["index", "seed", "params", "worst_margin", "passed",
                                      "certified", "width"]
         assert len(list(reader)) == 3
+    # and JSON for any other
+    out = str(tmp_path / "r.txt")
+    code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "3", "--dim", "1",
+                     "--degree", "16", "--out", out)
+    assert code == 0
+    with open(out) as fh:
+        assert len(json.load(fh)["records"]) == 3
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):

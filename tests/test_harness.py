@@ -57,8 +57,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(suite="subordination", degree=257)
     with pytest.raises(ValueError):
-        CampaignConfig(suite="subordination", fmt="xml")
-    with pytest.raises(ValueError):
         CampaignConfig(suite="subordination", tolerance=math.inf)
 
 
@@ -67,12 +65,20 @@ def test_config_rejects_an_unknown_suite():
         CampaignConfig(suite="no-such-suite", trials=2)
 
 
-def test_format_is_the_option_else_the_extension():
-    assert CampaignConfig(suite="subordination").fmt == "json"
-    assert CampaignConfig(suite="subordination", out="r.json").fmt == "json"
-    assert CampaignConfig(suite="subordination", out="r.csv").fmt == "csv"
-    assert CampaignConfig(suite="subordination", out="r.csv", fmt="json").fmt == "json"
-    assert CampaignConfig(suite="subordination", out="r.txt", fmt="csv").fmt == "csv"
+def test_format_follows_the_extension(tmp_path):
+    # a campaign writes its report as CSV to a .csv path and as JSON to
+    # any other, and its config echo names no format
+    for name in ("r.csv", "r.json", "r.txt"):
+        out = str(tmp_path / name)
+        report = run_campaign(CampaignConfig(suite="von-neumann", trials=2, dim=1, degree=8,
+                                             out=out))
+        assert "fmt" not in report.config
+        with open(out) as fh:
+            text = fh.read()
+        if name == "r.csv":
+            assert text.startswith("index,seed,params,")
+        else:
+            assert json.loads(text)["config"]["out"] == out
 
 
 def test_default_grid():
@@ -381,8 +387,7 @@ def test_report_json_file(tmp_path):
 
 def test_report_csv_file(tmp_path):
     out = str(tmp_path / "rep.csv")
-    cfg = CampaignConfig(suite="subordination", trials=6, seed=1, dim=2, degree=16,
-                         out=out, fmt="csv")
+    cfg = CampaignConfig(suite="subordination", trials=6, seed=1, dim=2, degree=16, out=out)
     run_campaign(cfg)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -392,12 +397,12 @@ def test_report_csv_file(tmp_path):
     float(rows[0]["worst_margin"])
 
 
-def _written_report(path, fmt):
+def _written_report(path):
     # out keeps the campaign's own report and any replay files next to path
     cfg = CampaignConfig(suite="subordination", trials=4, seed=5, dim=2, degree=16,
                          out=os.path.join(os.path.dirname(path), "campaign.json"))
     report = run_campaign(cfg)
-    report.write(path, fmt)
+    report.write(path)
     return report.describe(), [
         {"index": r.index, "seed": r.seed, "params": r.params,
          "worst_margin": r.worst_margin, "passed": r.passed, "certified": r.certified,
@@ -406,8 +411,8 @@ def _written_report(path, fmt):
     ]
 
 
-def _written_table(path, fmt):
-    rows = emit_radius_table(("general", "half-plane"), out=path, fmt=fmt)
+def _written_table(path):
+    rows = emit_radius_table(("general", "half-plane"), out=path)
     return rows, rows
 
 
@@ -423,12 +428,14 @@ def _cell_matches(text, value):
 
 @pytest.mark.parametrize("write", [_written_report, _written_table])
 def test_report_and_table_files_round_trip(tmp_path, write):
-    payload, _ = write(str(tmp_path / "out.json"), None)
-    with open(tmp_path / "out.json") as fh:
-        assert json.load(fh) == payload
+    # JSON to any path that does not end in .csv
+    for name in ("out.json", "out.txt"):
+        payload, _ = write(str(tmp_path / name))
+        with open(tmp_path / name) as fh:
+            assert json.load(fh) == payload
 
-    _, rows = write(str(tmp_path / "out.txt"), "csv")
-    with open(tmp_path / "out.txt", newline="") as fh:
+    _, rows = write(str(tmp_path / "out.csv"))
+    with open(tmp_path / "out.csv", newline="") as fh:
         reader = csv.DictReader(fh)
         loaded = list(reader)
     assert reader.fieldnames == list(rows[0])
@@ -436,10 +443,6 @@ def test_report_and_table_files_round_trip(tmp_path, write):
     for got, want in zip(loaded, rows):
         for key, value in want.items():
             assert _cell_matches(got[key], value), (key, got[key], value)
-
-    with pytest.raises(ValueError):
-        write(str(tmp_path / "out.xml"), "xml")
-    assert not (tmp_path / "out.xml").exists()
 
 
 # ---------------------------------------------------------------- sharpness

@@ -29,6 +29,26 @@ def test_norm_known_values():
     assert op_norm([[2.5j]]) == pytest.approx(2.5, abs=0)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200, 1e300, 5e-324])
+def test_norm_outside_the_gram_range(scale):
+    # the Gram matrix squares the entries, which would underflow or
+    # overflow here; the norms are the closed forms 3 s and 5 s
+    for matrix, norm in ((np.diag([1, 3]), 3), (np.array([[3, 4j], [0, 0]]), 5)):
+        assert op_norm(scale * matrix) == pytest.approx(norm * scale, rel=1e-15, abs=0)
+
+
+def test_rescaling_leaves_the_rest_of_a_stack_alone():
+    rng = np.random.default_rng(7)
+    stack = np.array([random_matrix(rng, 3) for _ in range(4)])
+    norms = op_norms(stack)
+    stack[1] *= 1e250
+    stack[2] *= 1e-250
+    mixed = op_norms(stack)
+    assert mixed[0] == norms[0] and mixed[3] == norms[3]
+    assert mixed[1] == pytest.approx(1e250 * norms[1], rel=1e-14)
+    assert mixed[2] == pytest.approx(1e-250 * norms[2], rel=1e-14, abs=0)
+
+
 def test_norm_rejects_bad_input():
     with pytest.raises(ValueError):
         op_norm(np.ones((2, 3)))

@@ -16,16 +16,17 @@ from bohrlab.radii import (
     FAMILIES,
     FAMILY_TAGS,
     RadiusFamily,
-    convex_sub,
-    general_sc,
-    half_plane,
-    omega_gamma,
     radius_poly_eval,
     root_result_to_json,
     solve_radius,
-    starlike_sub,
 )
-from bohrlab.radii import _equation_sign, _exact_sign, _factor_terms, _power_bounds
+from bohrlab.radii import (
+    _equation_sign,
+    _exact_sign,
+    _factor_terms,
+    _float_equation,
+    _power_bounds,
+)
 from bohrlab.series import scalar_series
 from bohrlab.zoo import PolyanalyticFn, bohr_sum_poly
 
@@ -44,17 +45,17 @@ def test_family_validation():
     with pytest.raises(ValueError):
         RadiusFamily("nope")
     with pytest.raises(ValueError):
-        general_sc(-0.5)
+        RadiusFamily("general", lam=-0.5)
     with pytest.raises(ValueError):
-        general_sc(1.0, k=1.5)
+        RadiusFamily("general", k=1.5, lam=1.0)
     with pytest.raises(ValueError):
-        omega_gamma(1.0)
+        RadiusFamily("omega-gamma", gamma=1.0)
     with pytest.raises(ValueError):
-        convex_sub(0.0)
+        RadiusFamily("convex", beta=0.0)
     with pytest.raises(ValueError):
-        starlike_sub(1.0, p=1)
+        RadiusFamily("starlike", k=1.0, p=1)
     with pytest.raises(ValueError):
-        starlike_sub(1.0, p=2.5)
+        RadiusFamily("starlike", k=1.0, p=2.5)
     with pytest.raises(ValueError):
         RadiusFamily("starlike", beta=1.0)
 
@@ -63,15 +64,15 @@ def test_family_rejects_non_finite_parameters():
     # the solver proves its bracket in exact rationals, which need finite inputs
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            general_sc(bad)
+            RadiusFamily("general", lam=bad)
         with pytest.raises(ValueError):
-            convex_sub(bad)
+            RadiusFamily("convex", beta=bad)
 
 
 def test_order_too_large_for_a_float_is_a_value_error():
     # float(10**400) overflows; an OverflowError would escape the CLI's error handling
     with pytest.raises(ValueError, match="too large"):
-        starlike_sub(1.0, p=10 ** 400)
+        RadiusFamily("starlike", k=1.0, p=10 ** 400)
 
 
 def test_every_sweep_value_builds_a_family():
@@ -83,21 +84,22 @@ def test_every_sweep_value_builds_a_family():
 
 
 def test_eval_known_values():
-    fam = general_sc(1.0, 1.0, 2)
+    fam = RadiusFamily("general", k=1.0, p=2, lam=1.0)
     assert radius_poly_eval(fam, 0.0) == 1.0
     assert radius_poly_eval(fam, 1.0) == 0.0
     # (1 + gamma)(1-r)^2 - r + r^3 at gamma=0, r=0.4: 0.36 - 0.4 + 0.064
-    assert radius_poly_eval(omega_gamma(0.0, 1.0, 2), 0.4) == pytest.approx(0.024, abs=1e-15)
+    fam = RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0)
+    assert radius_poly_eval(fam, 0.4) == pytest.approx(0.024, abs=1e-15)
     # half-plane doubles the weight
-    assert radius_poly_eval(half_plane(1.0, 2), 0.0) == 2.0
+    assert radius_poly_eval(RadiusFamily("half-plane", k=1.0, p=2), 0.0) == 2.0
     # starlike cubes the (1 - r) factor
-    assert radius_poly_eval(starlike_sub(1.0, 2), 0.5) == pytest.approx(
+    assert radius_poly_eval(RadiusFamily("starlike", k=1.0, p=2), 0.5) == pytest.approx(
         0.125 - 0.5 + 0.125, abs=1e-15
     )
 
 
 def test_eval_vectorized_and_validated():
-    fam = convex_sub(1.0, 1.0, 3)
+    fam = RadiusFamily("convex", k=1.0, p=3, beta=1.0)
     rs = np.array([0.0, 0.5, 1.0])
     vals = radius_poly_eval(fam, rs)
     assert vals.shape == (3,)
@@ -108,11 +110,11 @@ def test_eval_vectorized_and_validated():
 
 
 def test_statement_form_variant():
-    fam = general_sc(1.0, 1.0, 2)
+    fam = RadiusFamily("general", k=1.0, p=2, lam=1.0)
     # (1-r)^2 - r - r^3 at r = 0.3: 0.49 - 0.3 - 0.027
-    assert radius_poly_eval(fam, 0.3, statement_form=True) == pytest.approx(0.163, abs=1e-15)
-    with pytest.raises(ValueError):
-        radius_poly_eval(starlike_sub(1.0, 2), 0.3, statement_form=True)
+    assert _float_equation(terms(fam, True))[0](0.3) == pytest.approx(0.163, abs=1e-15)
+    with pytest.raises(ValueError, match="statement_form only applies"):
+        solve_radius(RadiusFamily("starlike", k=1.0, p=2), statement_form=True)
     res = solve_radius(fam, statement_form=True)
     assert res.root is not None
     # the variant's tail term is subtracted, so its root sits below the
@@ -121,7 +123,7 @@ def test_statement_form_variant():
 
 
 def test_solve_omega_gamma_zero_bracket():
-    res = solve_radius(omega_gamma(0.0, 1.0, 2))
+    res = solve_radius(RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0))
     assert res.bracket is not None
     assert res.bracket.width <= 1e-12
     assert SQRT2M1 in res.bracket
@@ -131,30 +133,30 @@ def test_solve_omega_gamma_zero_bracket():
 
 def test_solve_starlike_p2_exact_third():
     # (1-r)^3 - r + r^3 factors through (1 - 3r), so the root is 1/3
-    res = solve_radius(starlike_sub(1.0, 2))
+    res = solve_radius(RadiusFamily("starlike", k=1.0, p=2))
     assert res.root == pytest.approx(1.0 / 3.0, abs=1e-11)
     assert res.radius == pytest.approx(1.0 / 3.0, abs=1e-11)
 
 
 def test_solve_half_plane_root_beyond_cap():
-    res = solve_radius(half_plane(1.0, 2))
+    res = solve_radius(RadiusFamily("half-plane", k=1.0, p=2))
     assert res.root == pytest.approx((math.sqrt(17.0) - 3.0) / 2.0, abs=1e-11)
     assert res.radius == 0.5
     assert res.binding == "cap"
 
 
 def test_solve_limit_family():
-    res = solve_radius(starlike_sub(1.0, math.inf))
+    res = solve_radius(RadiusFamily("starlike", k=1.0, p=math.inf))
     assert res.root == pytest.approx(STARLIKE_LIMIT_ROOT, abs=1e-9)
-    assert radius_poly_eval(starlike_sub(1.0, math.inf), 0.317) > 0
-    assert radius_poly_eval(starlike_sub(1.0, math.inf), 0.318) < 0
+    assert radius_poly_eval(RadiusFamily("starlike", k=1.0, p=math.inf), 0.317) > 0
+    assert radius_poly_eval(RadiusFamily("starlike", k=1.0, p=math.inf), 0.318) < 0
 
 
 def test_solve_no_root_when_coefficient_vanishes():
     # the coefficient c is lambda, so only the general family at lambda 0
     # has none; k = 0 drops the higher layers, not the base layer's c
-    for fam in (general_sc(0.0, 1.0, 2), general_sc(0.0, 0.0, 2), general_sc(0.0, 0.5, 7),
-                general_sc(0.0, 1.0, math.inf)):
+    for k, p in ((1.0, 2), (0.0, 2), (0.5, 7), (1.0, math.inf)):
+        fam = RadiusFamily("general", k=k, p=p, lam=0.0)
         res = solve_radius(fam)
         assert res.root is None and res.bracket is None
         assert res.radius == res.family.cap
@@ -165,9 +167,11 @@ def test_solve_no_root_when_coefficient_vanishes():
 def test_k_zero_leaves_the_base_layer_equation(p):
     # at k = 0 the equation is (1 - r) (w (1 - r)^(m-1) - c r) for every
     # p: the base layer's Bohr bound c r / (w (1 - r)^(m-1)) equals 1
-    roots = {general_sc(0.5, 0.0, p): 1 / 1.5, omega_gamma(0.25, 0.0, p): 1.25 / 2.25,
-             half_plane(0.0, p): 2 / 3, convex_sub(3.0, 0.0, p): 1 / 4,
-             starlike_sub(0.0, p): (3 - math.sqrt(5)) / 2}
+    roots = {RadiusFamily("general", k=0.0, p=p, lam=0.5): 1 / 1.5,
+             RadiusFamily("omega-gamma", k=0.0, p=p, gamma=0.25): 1.25 / 2.25,
+             RadiusFamily("half-plane", k=0.0, p=p): 2 / 3,
+             RadiusFamily("convex", k=0.0, p=p, beta=3.0): 1 / 4,
+             RadiusFamily("starlike", k=0.0, p=p): (3 - math.sqrt(5)) / 2}
     for fam, root in roots.items():
         res = solve_radius(fam)
         assert res.root == pytest.approx(root, abs=1e-12)
@@ -184,8 +188,11 @@ def layered_extremal_sum(fam, r):
 
 
 @pytest.mark.parametrize("make", [
-    lambda k, p: general_sc(0.5, k, p), lambda k, p: omega_gamma(0.5, k, p), half_plane,
-    lambda k, p: convex_sub(3.0, k, p), starlike_sub,
+    lambda k, p: RadiusFamily("general", k=k, p=p, lam=0.5),
+    lambda k, p: RadiusFamily("omega-gamma", k=k, p=p, gamma=0.5),
+    lambda k, p: RadiusFamily("half-plane", k=k, p=p),
+    lambda k, p: RadiusFamily("convex", k=k, p=p, beta=3.0),
+    lambda k, p: RadiusFamily("starlike", k=k, p=p),
 ], ids=FAMILY_TAGS)
 def test_extremal_witness_meets_the_radius(make):
     # The extremal instance's layered sum crosses 1 at the root: it is
@@ -211,8 +218,11 @@ def test_extremal_witness_meets_the_radius(make):
 
 
 def test_solve_bracket_certifies_sign_change():
-    for fam in (general_sc(0.7, 0.6, 3), omega_gamma(0.4, 1.0, 4), half_plane(0.5, 2),
-                convex_sub(0.8, 0.9, 5), starlike_sub(0.3, 2)):
+    for fam in (RadiusFamily("general", k=0.6, p=3, lam=0.7),
+                RadiusFamily("omega-gamma", k=1.0, p=4, gamma=0.4),
+                RadiusFamily("half-plane", k=0.5, p=2),
+                RadiusFamily("convex", k=0.9, p=5, beta=0.8),
+                RadiusFamily("starlike", k=0.3, p=2)):
         res = solve_radius(fam)
         lo = radius_poly_eval(fam, res.bracket.lo)
         hi = radius_poly_eval(fam, res.bracket.hi)
@@ -223,18 +233,28 @@ def test_solve_bracket_certifies_sign_change():
 
 def test_solve_tol_validation():
     with pytest.raises(ValueError):
-        solve_radius(starlike_sub(1.0, 2), tol=0.0)
+        solve_radius(RadiusFamily("starlike", k=1.0, p=2), tol=0.0)
 
 
 def test_caps():
-    assert omega_gamma(0.0, 1.0, 2).cap == pytest.approx(1.0 / 3.0)
-    assert omega_gamma(0.25, 1.0, 2).cap == pytest.approx(5.0 / 13.0)
-    assert omega_gamma(0.5, 1.0, 2).cap == pytest.approx(3.0 / 7.0)
-    assert half_plane(1.0, 2).cap == 0.5
-    assert general_sc(1.0, 1.0, 2).cap == pytest.approx(1.0 / 3.0)
-    assert general_sc(0.5, 1.0, 2).cap == pytest.approx(0.5)
-    assert convex_sub(2.0, 1.0, 2).cap == pytest.approx(1.0 / 3.0)
-    assert starlike_sub(1.0, 2).cap == pytest.approx(1.0 / 3.0)
+    assert RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0).cap == pytest.approx(1.0 / 3.0)
+    assert RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.25).cap == pytest.approx(5.0 / 13.0)
+    assert RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.5).cap == pytest.approx(3.0 / 7.0)
+    assert RadiusFamily("half-plane", k=1.0, p=2).cap == 0.5
+    assert RadiusFamily("general", k=1.0, p=2, lam=1.0).cap == pytest.approx(1.0 / 3.0)
+    assert RadiusFamily("general", k=1.0, p=2, lam=0.5).cap == pytest.approx(0.5)
+    assert RadiusFamily("convex", k=1.0, p=2, beta=2.0).cap == pytest.approx(1.0 / 3.0)
+    assert RadiusFamily("starlike", k=1.0, p=2).cap == pytest.approx(1.0 / 3.0)
+
+
+def test_general_cap_stays_positive_for_huge_lambda():
+    # 1/(1 + 2 lambda) overflows in its denominator above about 9e307
+    # and read 0; the cap is the same float wherever 1 + 2 lambda is finite
+    for lam in (0.0, 0.3, 1.0, 7.25, 1e300, 8e307):
+        assert RadiusFamily("general", lam=lam).cap == 1.0 / (1.0 + 2.0 * lam)
+    fam = RadiusFamily("general", lam=1e308)
+    assert fam.cap == 0.5 / 1e308 > 0
+    assert solve_radius(fam).radius == fam.cap
 
 
 def test_root_monotone_in_coefficient_and_order():
@@ -243,40 +263,34 @@ def test_root_monotone_in_coefficient_and_order():
 
     ks = (0.25, 0.5, 1.0)
     seqs = [
-        [root(general_sc(1.0, k, 3)) for k in ks],
-        [root(general_sc(lam, 1.0, 3)) for lam in ks],
-        [root(convex_sub(beta, 1.0, 3)) for beta in ks],
-        [root(starlike_sub(k, 4)) for k in ks],
-        [root(half_plane(1.0, p)) for p in range(2, 7)],
-        [root(starlike_sub(1.0, p)) for p in range(2, 7)],
+        [root(RadiusFamily("general", k=k, p=3, lam=1.0)) for k in ks],
+        [root(RadiusFamily("general", k=1.0, p=3, lam=lam)) for lam in ks],
+        [root(RadiusFamily("convex", k=1.0, p=3, beta=beta)) for beta in ks],
+        [root(RadiusFamily("starlike", k=k, p=4)) for k in ks],
+        [root(RadiusFamily("half-plane", k=1.0, p=p)) for p in range(2, 7)],
+        [root(RadiusFamily("starlike", k=1.0, p=p)) for p in range(2, 7)],
     ]
     for seq in seqs:
         assert all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
 
 
 def test_json_shape():
-    res = solve_radius(omega_gamma(0.25, 0.5, 3))
+    res = solve_radius(RadiusFamily("omega-gamma", k=0.5, p=3, gamma=0.25))
     payload = root_result_to_json(res)
     assert payload["family"]["tag"] == "omega-gamma"
     assert payload["family"]["gamma"] == 0.25
     assert payload["family"]["p"] == 3
     assert payload["bracket"][0] <= payload["root"] <= payload["bracket"][1]
     assert payload["radius"] == min(payload["root"], payload["cap"])
-    limit = root_result_to_json(solve_radius(starlike_sub(1.0, math.inf)))
+    limit = root_result_to_json(solve_radius(RadiusFamily("starlike", k=1.0, p=math.inf)))
     assert limit["family"]["p"] == "inf"
-    none = root_result_to_json(solve_radius(general_sc(0.0, 1.0, 2)))
+    none = root_result_to_json(solve_radius(RadiusFamily("general", k=1.0, p=2, lam=0.0)))
     assert none["root"] is None and none["bracket"] is None
-
-
-def test_family_tags_cover_constructors():
-    tags = {f.tag for f in (general_sc(1.0), omega_gamma(0.0), half_plane(),
-                            convex_sub(1.0), starlike_sub())}
-    assert tags == set(FAMILY_TAGS)
 
 
 def test_solve_large_tol_still_brackets_the_root():
     # a grid restricted to [tol, 1 - tol] = [0.4, 0.6] misses this root
-    res = solve_radius(starlike_sub(1.0, 5), tol=0.4)
+    res = solve_radius(RadiusFamily("starlike", k=1.0, p=5), tol=0.4)
     assert STARLIKE_P5_ROOT in res.bracket
     assert res.bracket.width <= 0.4
 
@@ -284,13 +298,13 @@ def test_solve_large_tol_still_brackets_the_root():
 def test_solve_tiny_tol_finds_the_root_not_one():
     # the factor (1 - r) of the equation vanishes at r = 1; that zero is
     # not a root of the radius problem
-    res = solve_radius(starlike_sub(1.0, 5), tol=1e-17)
+    res = solve_radius(RadiusFamily("starlike", k=1.0, p=5), tol=1e-17)
     assert res.root == pytest.approx(STARLIKE_P5_ROOT, abs=1e-15)
     assert res.binding == "root"
 
 
 def test_solve_tol_below_float_spacing_ends_on_adjacent_floats():
-    fam = starlike_sub(1.0, 5)
+    fam = RadiusFamily("starlike", k=1.0, p=5)
     res = solve_radius(fam, tol=1e-300)
     assert res.bracket.hi == np.nextafter(res.bracket.lo, 1.0)
     assert exact_factor(fam, res.bracket.lo) > 0 > exact_factor(fam, res.bracket.hi)
@@ -351,7 +365,7 @@ def test_solve_huge_order_next_to_an_exact_limit_root(statement_form):
     # (1 - r)^2 = r / 2 at r = 1/2, so at p = inf both forms vanish there
     # exactly, and at finite p they are +-r^(p+1) / 2 times a positive
     # factor: 2^-(p+1) away from 0, but of a known sign.
-    fam = general_sc(0.5, 1.0, 10 ** 9)
+    fam = RadiusFamily("general", k=1.0, p=10 ** 9, lam=0.5)
     res = solve_radius(fam, statement_form=statement_form)
     assert res.bracket.width <= 1e-12
     if statement_form:
@@ -367,8 +381,9 @@ def test_solve_huge_order_next_to_an_exact_limit_root(statement_form):
 
 
 @pytest.mark.parametrize("fam, statement_form", [
-    (starlike_sub(1.0), False), (half_plane(0.5), False),
-    (omega_gamma(0.5, 1.0), False), (general_sc(1.0, 1.0), True),
+    (RadiusFamily("starlike", k=1.0), False), (RadiusFamily("half-plane", k=0.5), False),
+    (RadiusFamily("omega-gamma", k=1.0, gamma=0.5), False),
+    (RadiusFamily("general", k=1.0, lam=1.0), True),
 ], ids=["starlike", "half-plane", "omega-gamma", "general-statement"])
 @pytest.mark.parametrize("p", HUGE_ORDERS)
 @pytest.mark.parametrize("tol", (1e-12, 1e-300))
@@ -467,12 +482,15 @@ def terms(fam, statement_form=False):
 def test_exact_factor_has_the_sign_of_the_equation():
     # away from the root and from r = 1 the float equation, which is
     # (1 - r) times the factor, has a sign that rounding cannot flip
-    cases = [(general_sc(0.7, 0.6, 3), False), (general_sc(1.0, 1.0, 4), True),
-             (omega_gamma(0.5, 1.0, 2), False), (half_plane(0.5, 7), False),
-             (convex_sub(0.8, 0.9, math.inf), False), (starlike_sub(1.0, 5), False)]
+    cases = [(RadiusFamily("general", k=0.6, p=3, lam=0.7), False),
+             (RadiusFamily("general", k=1.0, p=4, lam=1.0), True),
+             (RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.5), False),
+             (RadiusFamily("half-plane", k=0.5, p=7), False),
+             (RadiusFamily("convex", k=0.9, p=math.inf, beta=0.8), False),
+             (RadiusFamily("starlike", k=1.0, p=5), False)]
     for fam, statement_form in cases:
         for r in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 0.875):
-            value = radius_poly_eval(fam, r, statement_form=statement_form)
+            value = _float_equation(terms(fam, statement_form))[0](r)
             if abs(value) > 1e-6:
                 assert (exact_factor(fam, r, statement_form) > 0) == (value > 0)
 
@@ -498,10 +516,14 @@ def test_integer_sign_agrees_with_exact_factor(problem, r):
 @pytest.mark.parametrize("r", EDGE_RADII)
 @pytest.mark.parametrize("p", (2, 5, math.inf))
 def test_integer_sign_at_edge_radii(r, p):
-    cases = [(general_sc(0.7, 0.6, p), False), (general_sc(1.0, 1.0, p), True),
-             (omega_gamma(0.5, 1.0, p), False), (half_plane(0.5, p), False),
-             (convex_sub(0.8, 0.9, p), False), (starlike_sub(1.0, p), False),
-             (starlike_sub(0.0, p), False), (general_sc(0.0, 1.0, p), True)]
+    cases = [(RadiusFamily("general", k=0.6, p=p, lam=0.7), False),
+             (RadiusFamily("general", k=1.0, p=p, lam=1.0), True),
+             (RadiusFamily("omega-gamma", k=1.0, p=p, gamma=0.5), False),
+             (RadiusFamily("half-plane", k=0.5, p=p), False),
+             (RadiusFamily("convex", k=0.9, p=p, beta=0.8), False),
+             (RadiusFamily("starlike", k=1.0, p=p), False),
+             (RadiusFamily("starlike", k=0.0, p=p), False),
+             (RadiusFamily("general", k=1.0, p=p, lam=0.0), True)]
     for fam, statement_form in cases:
         assert _equation_sign(terms(fam, statement_form), r) == sign(
             exact_factor(fam, r, statement_form))
@@ -510,7 +532,7 @@ def test_integer_sign_at_edge_radii(r, p):
 def test_integer_sign_where_the_first_terms_cancel():
     # w (1 - r)^2 - c r vanishes at r = 1/2 for lambda = 1/2, k = 1, so the
     # sign is that of the tail term b r^(p+1): +, or - for statement_form
-    fam = general_sc(0.5, 1.0, 10 ** 9)
+    fam = RadiusFamily("general", k=1.0, p=10 ** 9, lam=0.5)
     assert _equation_sign(terms(fam), 0.5) == 1
     assert _equation_sign(terms(fam, True), 0.5) == -1
     small = dataclasses.replace(fam, p=256)
@@ -561,10 +583,10 @@ def test_bracket_survives_a_wrong_newton_estimate(problem, tol, guess):
 @pytest.mark.parametrize("guess", (0.25, 0.5 - 2.0 ** -41, 0.5, 0.5 + 2.0 ** -41, 0.75))
 @pytest.mark.parametrize("tol", (0.4, 1e-12))
 def test_placed_cell_with_a_zero_end_is_the_root(guess, tol):
-    # the root of omega_gamma(0.5, 1, 2) is 1/2 exactly: a cell with 1/2
+    # the root of RadiusFamily("omega-gamma", k=1, p=2, gamma=0.5) is 1/2 exactly: a cell with 1/2
     # as an end proves it a zero at once, and from any other the search
     # and the walk reach 1/2 as a midpoint, a zero-width bracket
-    fam = omega_gamma(0.5, 1.0, 2)
+    fam = RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.5)
     with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess):
         res = solve_radius(fam, tol)
     assert res.bracket.lo == res.bracket.hi == 0.5
@@ -645,7 +667,7 @@ def test_wrong_newton_estimate_costs_a_few_exact_signs(tol):
     # doubling search then needs one more sign below the root or none
     # above it; a guess at 0 or 1 (Newton failing outright) pays the
     # doubling search and the walk over up to the whole level-L range
-    fam = starlike_sub(1.0, 5)
+    fam = RadiusFamily("starlike", k=1.0, p=5)
     level = 1 - math.frexp(tol)[1]
     lo, hi = (float.fromhex(end) for end in reference_bracket(fam, 1e-300, False))
     root, half_cell = 0.5 * (lo + hi), math.ldexp(0.5, -level)
@@ -667,9 +689,11 @@ def test_wrong_newton_estimate_costs_a_few_exact_signs(tol):
 
 
 # families whose roots lie far below 2^-52, down to about 1e-300
-TINY_ROOTS = (general_sc(1e300, 1.0, 5), general_sc(1e100, 0.5, 3),
-              general_sc(2.0 ** 200, 1.0, math.inf), convex_sub(1e20, 1.0, 2),
-              convex_sub(3e150, 0.75, 12))
+TINY_ROOTS = (RadiusFamily("general", k=1.0, p=5, lam=1e300),
+              RadiusFamily("general", k=0.5, p=3, lam=1e100),
+              RadiusFamily("general", k=1.0, p=math.inf, lam=2.0 ** 200),
+              RadiusFamily("convex", k=1.0, p=2, beta=1e20),
+              RadiusFamily("convex", k=0.75, p=12, beta=3e150))
 
 
 @pytest.mark.parametrize("fam", TINY_ROOTS)
@@ -698,7 +722,7 @@ def test_tiny_tol_solve_pays_a_few_exact_signs(fam, tol):
 def test_tiny_root_bracket_is_that_of_an_exact_bisection(bits, k, p, statement_form, tol, guess):
     # tiny roots with the Newton estimate or any guess: the doubling
     # search signs only floats, and the bracket is the exact walk's
-    fam = general_sc(2.0 ** bits, k, p)
+    fam = RadiusFamily("general", k=k, p=p, lam=2.0 ** bits)
     if guess is None:
         res = solve_radius(fam, tol, statement_form=statement_form)
     else:
