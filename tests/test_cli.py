@@ -284,6 +284,23 @@ def test_verify_quasi_and_poly_suites(tmp_path, capsys):
 
 def test_verify_csv_report(tmp_path, capsys):
     # the --out path picks the format, as for table: CSV for a .csv path
+    out = str(tmp_path / "report.csv")
+    code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "3", "--dim", "1",
+                     "--degree", "16", "--out", out)
+    assert code == 0
+    with open(out, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 3
+    # and JSON for any other
+    out = str(tmp_path / "r.txt")
+    code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "3", "--dim", "1",
+                     "--degree", "16", "--out", out)
+    assert code == 0
+    with open(out) as fh:
+        assert len(json.load(fh)["records"]) == 3
+
+
+def test_verify_csv_path_without_format_writes_csv(tmp_path, capsys):
+    # verify has no format option: the extension decides, as for table
     out = str(tmp_path / "r.csv")
     code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "3", "--dim", "1",
                      "--degree", "16", "--out", out)
@@ -293,13 +310,6 @@ def test_verify_csv_report(tmp_path, capsys):
         assert reader.fieldnames == ["index", "seed", "params", "worst_margin", "passed",
                                      "certified", "width"]
         assert len(list(reader)) == 3
-    # and JSON for any other
-    out = str(tmp_path / "r.txt")
-    code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "3", "--dim", "1",
-                     "--degree", "16", "--out", out)
-    assert code == 0
-    with open(out) as fh:
-        assert len(json.load(fh)["records"]) == 3
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):
