@@ -47,7 +47,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .opmat import op_norms
+from .opmat import NumericalError, op_norms
 from .radii import FAMILY_TAGS, RadiusFamily, radius_table, solve_radius
 from .series import (
     MatrixSeries,
@@ -251,10 +251,13 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
         # a series is the layered function of its one layer, bit for bit
         lo, hi, certified = grid.layered(itertools.islice(profiles, len(layers)))
         lower, upper = (1.0, 1.0) if bound is None else grid.bohr(*next(profiles))
-        margin = m_bound * lower - hi
-        worst = int(np.argmin(margin))
-        margins.append((float(margin[worst]), certified,
-                        float((hi - lo + m_bound * (upper - lower))[worst])))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            margin = m_bound * lower - hi
+            worst = int(np.argmin(margin))
+            width = float((hi - lo + m_bound * (upper - lower))[worst])
+        if not (np.isfinite(margin).all() and math.isfinite(width)):
+            raise NumericalError("a margin or its width is not finite: the Bohr sums overflow")
+        margins.append((float(margin[worst]), certified, width))
     return margins
 
 
@@ -359,14 +362,37 @@ def _prepare_subordination(config: CampaignConfig):
 
 
 def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
+    """The quasi suite, for an m_bound whose trials cannot overflow.
+
+    With n = degree, d = dim, W = m_bound beta^-n (the largest of h's
+    weights) and B = max(2, n), 4 d (n + 1) B W must be finite, which
+    suffices.  Proof: B bounds the coefficient norms of the target g (1
+    for a Schur target, its beta <= 2 for a convex one, n for a
+    starlike one) and of g o phi, which is subordinate to g (a Schur
+    function stays one; Rogosinski's theorem for convex and starlike g).
+    ||h_i|| <= m_bound beta^-i <= W, and an entry is at most its
+    matrix's norm.  A real or imaginary part of an entry of
+    f_k = sum_{i+j=k} h_i (g o phi)_j thus sums at most 2 d (n + 1)
+    products of modulus at most B W, and every partial sum, in any
+    order, is at most 2 d (n + 1) B W.  Either Bohr sum of g (tail
+    allowance included, r <= 1/3) is at most (n + 2) B, and as
+    ||f_k|| <= (k + 1) B m_bound beta^-k, f's at r <= beta/3 is at most
+    sum_k (k + 1) 3^-k B m_bound <= (n + 1) B m_bound; so the margin and
+    its width are at most (2n + 3) B m_bound.  op_norms rescales the Gram
+    matrices.  The factor of at least 4/3 left covers rounding, whose
+    relative growth in these sums and in the computed coefficients is
+    far below 1/3.
+    """
     if not 0.0 < m_bound < math.inf or not 0.0 < quasi_beta <= 1.0:
         raise ValueError("need a finite m_bound > 0 and quasi_beta in (0, 1]")
+    n = config.degree
     # coefficient n of m_bound * s(z / beta) is m_bound beta^-n s_n
     with np.errstate(over="ignore"):
-        weights = m_bound * quasi_beta ** -np.arange(config.degree + 1.0)
-    if not math.isfinite(weights[-1]):
-        raise ValueError(f"m_bound * quasi_beta^-degree overflows at m_bound {m_bound}, "
-                         f"quasi_beta {quasi_beta}, degree {config.degree}")
+        weights = m_bound * quasi_beta ** -np.arange(n + 1.0)
+    if not math.isfinite(4 * config.dim * (n + 1) * max(2, n) * float(weights[-1])):
+        raise ValueError(f"m_bound {m_bound} with quasi_beta {quasi_beta} at degree {n} and dim "
+                         f"{config.dim} can overflow: 4 dim (degree + 1) max(2, degree) m_bound "
+                         f"quasi_beta^-degree must be finite")
 
     def draw(rng):
         params, draws, target = _draw_target(rng, config)

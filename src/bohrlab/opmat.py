@@ -24,7 +24,8 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """A dense eigensolver failed to converge."""
+    """A numerical step failed: a dense eigensolver did not converge, or
+    a campaign margin overflowed."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -50,19 +51,29 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     A matrix whose largest entry (real or imaginary part) lies outside
     [2^-400, 2^400], where its Gram matrix would overflow or underflow,
     is first scaled by a power of two (exact) and its norm scaled back.
+    The largest entry is taken only for matrices a screen flags: it is at
+    most the entry sum s of |Re| + |Im| and s is at most 2 d^2 times it
+    (rounded s too, the terms being nonnegative), so every matrix outside
+    has s > 2^400 or 0 < s < d^2 2^-398.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
         raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
-    if stack.shape[-1] == 1:
+    d = stack.shape[-1]
+    if d == 1:
         return np.abs(stack[..., 0, 0])
-    peak = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(-2, -1))
-    outside = (peak > 2.0**400) | ((peak > 0.0) & (peak < 2.0**-400))
+    s = np.einsum("...ij->...", np.abs(np.ascontiguousarray(stack).view(np.float64)))
+    flagged = (s > 2.0**400) | ((s > 0.0) & (s < d * d * 2.0**-398))
     shift = None
-    if outside.any():
+    if flagged.any():
+        sub = stack[flagged]
+        peak = np.maximum(np.abs(sub.real), np.abs(sub.imag)).max(axis=(-2, -1))
+        outside = (peak > 2.0**400) | ((peak > 0.0) & (peak < 2.0**-400))
         # the largest entry moves into [1/2, 1), a subnormal one above 2^-75
-        shift = np.where(outside, np.maximum(np.frexp(peak)[1], -1000), 0)
-        stack = stack * np.ldexp(1.0, -shift)[..., None, None]
+        shift = np.zeros(flagged.shape, dtype=int)
+        shift[flagged] = np.where(outside, np.maximum(np.frexp(peak)[1], -1000), 0)
+        stack = stack.copy()
+        stack[flagged] = sub * np.ldexp(1.0, -shift[flagged])[:, None, None]
     gram = np.conj(np.swapaxes(stack, -1, -2)) @ stack
     try:
         eigs = np.linalg.eigvalsh(gram)

@@ -16,6 +16,7 @@ an existing Generator is accepted wherever a ``rng`` argument appears.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -176,12 +177,12 @@ def random_blaschke_spec(rng, fix_origin: bool = False) -> BlaschkeSpec:
     with fix_origin the first zero is pinned at 0."""
     rng = np.random.default_rng(rng)
     count = int(rng.integers(1, 5))
-    radii = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, count))
-    angles = rng.uniform(0.0, 2.0 * np.pi, count)
-    zeros = list(radii * np.exp(1j * angles))
+    u = rng.uniform(0.0, 1.0, count).tolist()
+    angles = rng.uniform(0.0, 2.0 * math.pi, count).tolist()
+    zeros = [0.9 * math.sqrt(x) * cmath.exp(1j * a) for x, a in zip(u, angles)]
     if fix_origin:
         zeros[0] = 0.0
-    rotation = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    rotation = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     return BlaschkeSpec(tuple(zeros), rotation)
 
 
@@ -266,7 +267,7 @@ def draw_schur(rng: np.random.Generator, dim: int, *, fix_origin: bool = False,
         gauss[j] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     alpha0 = None
     if scalar_head:
-        alpha0 = complex(0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        alpha0 = 0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     specs = tuple(random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head)
                   for _ in range(dim))
     return SchurDraw(gauss, alpha0, specs, max(spec.order for spec in specs))

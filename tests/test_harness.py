@@ -6,6 +6,7 @@ import glob
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from bohrlab.harness import (
     run_sharpness_scan,
 )
 from bohrlab.radii import FAMILIES, RadiusFamily, radius_poly_eval
-from bohrlab.series import majorant, series_from_json
+from bohrlab.opmat import NumericalError
+from bohrlab.series import MatrixSeries, _BohrGrid, majorant, series_from_json
 from bohrlab.zoo import PolyanalyticFn, bohr_sum_poly, build_polyanalytic
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
@@ -98,6 +100,19 @@ def test_reports_are_reproducible(tmp_path):
     da, db = a.describe(), b.describe()
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def test_overflowing_margin_is_a_numerical_error():
+    # norms of 1e308 sum past the float range at r = 1/2, and a bound's
+    # sum of 2e10 times m_bound 1e300 does too
+    big = np.zeros((8, 2, 2), dtype=np.complex128)
+    big[:, 0, 0] = 1e308
+    small = MatrixSeries(np.full((4, 2, 2), 1e10 + 0j))
+    for pair, m_bound, radii in (((MatrixSeries(big), None), 1.0, [0.5]),
+                                 ((small, small), 1e300, [0.0, 1 / 3])):
+        with pytest.raises(NumericalError, match="not finite"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            harness._margin([pair], m_bound, _BohrGrid(radii))
 
 
 def test_campaign_records_are_pinned(tmp_path):

@@ -1,5 +1,6 @@
 """Property tests pinning the series kernels to their naive definitions:
-compose against the power-by-power convolution loop, mul against the
+compose against the power-by-power convolution loop (and bit for bit
+against its doubling with gathered Toeplitz matrices), mul against the
 double loop over coefficient pairs, mobius_compose (defined here as the
 reference for the scalar-head realization) against composition with
 the automorphism's series, the grid Bohr sums and layered Bohr sums
@@ -9,8 +10,9 @@ block product against the double loop and the one-row loop, and the
 one-product polyanalytic layers against one product per layer.  The
 block expansion (expand) is pinned bit for bit to each function
 expanded on its own, a stack of Schur draws at one padded order to
-consecutive gen_schur_matrix calls, and the draws (draw_schur) to
-those of gen_schur_matrix."""
+consecutive gen_schur_matrix calls, the draws (draw_schur) to
+those of gen_schur_matrix, and random_blaschke_spec to numpy's array
+formula."""
 
 import dataclasses
 
@@ -125,6 +127,64 @@ def test_compose_powers_keep_exact_zeros(seed, degree, k):
     monomial[k] = 1.0
     c = compose(scalar_series(monomial), random_inner(rng, degree, scale=1.0))
     assert np.all(c.coeffs[:k] == 0.0)
+
+
+def compose_by_gather(g, phi):
+    """compose's doubling with each Toeplitz matrix gathered from a
+    zero-padded copy of phi^m's coefficients by a shift index; compose,
+    which copies them from one strided window, must equal it bit for
+    bit."""
+    n = min(g.degree, phi.degree)
+    powers = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    powers[0, 0] = 1.0
+    if n >= 1:
+        powers[1] = phi.coeffs[: n + 1, 0, 0]
+    ar = np.arange(n)
+    shift = ar - ar[:, None]  # shift[i, j] = j - i
+    m = 1
+    while m < n:
+        top, size = min(2 * m, n), n - m
+        padded = np.zeros(2 * size, dtype=np.complex128)
+        padded[:size] = powers[m, m:n]
+        t = padded[shift[:size, :size]]
+        powers[m + 1 : top + 1, m + 1 :] = powers[1 : top - m + 1, 1 : size + 1] @ t
+        m = top
+    return (powers.T @ g.coeffs[: n + 1].reshape(n + 1, -1)).reshape(n + 1, g.dim, g.dim)
+
+
+@pytest.mark.parametrize("degree", (0, 1, 2, 3, 31, 32, 33, 64, 65, 128, 129))
+@pytest.mark.parametrize("dim", (1, 3, 8))
+def test_compose_is_the_gather_doubling_bit_for_bit(dim, degree):
+    rng = np.random.default_rng([dim, degree])
+    g = MatrixSeries(random_coeffs(rng, (degree + 1, dim, dim)))
+    for phi in (blaschke_series(random_blaschke_spec(rng, fix_origin=True), degree),
+                random_inner(rng, degree)):
+        assert np.array_equal(compose(g, phi).coeffs, compose_by_gather(g, phi))
+
+
+@SETTINGS
+@given(seeds, st.booleans())
+def test_random_blaschke_spec_is_the_numpy_formula(seed, fix_origin):
+    # the spec's Python-scalar arithmetic must round as numpy's array
+    # formula does (this fails where cmath.exp and numpy's complex exp
+    # differ), and make the same generator calls
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    spec = random_blaschke_spec(rng, fix_origin=fix_origin)
+    count = int(reference.integers(1, 5))
+    radii = 0.9 * np.sqrt(reference.uniform(0.0, 1.0, count))
+    angles = reference.uniform(0.0, 2.0 * np.pi, count)
+    zeros = list(radii * np.exp(1j * angles))
+    if fix_origin:
+        zeros[0] = 0.0
+    rotation = np.exp(1j * reference.uniform(0.0, 2.0 * np.pi))
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert [bits(a) for a in spec.zeros] == [bits(a) for a in zeros]
+    assert bits(spec.rotation) == bits(rotation)
+
+
+def bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
 
 
 @SETTINGS

@@ -49,6 +49,39 @@ def test_rescaling_leaves_the_rest_of_a_stack_alone():
     assert mixed[2] == pytest.approx(1e-250 * norms[2], rel=1e-14, abs=0)
 
 
+def op_norms_scaling_every_matrix(stack):
+    """op_norms with the largest entry of every matrix taken and the
+    whole stack scaled (by 1 where in range): the reference op_norms'
+    screened rescaling must equal bit for bit."""
+    stack = np.asarray(stack, dtype=np.complex128)
+    peak = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(-2, -1))
+    outside = (peak > 2.0**400) | ((peak > 0.0) & (peak < 2.0**-400))
+    shift = None
+    if outside.any():
+        shift = np.where(outside, np.maximum(np.frexp(peak)[1], -1000), 0)
+        stack = stack * np.ldexp(1.0, -shift)[..., None, None]
+    eigs = np.linalg.eigvalsh(np.conj(np.swapaxes(stack, -1, -2)) @ stack)
+    norms = np.sqrt(np.maximum(eigs[..., -1], 0.0))
+    return norms if shift is None else np.ldexp(norms, shift)
+
+
+# in range, zero, subnormal, far outside, just outside, and in range but
+# flagged by the entry-sum screen
+SCALES = (1.0, 0.0, 5e-324, 1e-310, 1e-200, 1e200, 1e-130, 1e130,
+          2.0**-401, 2.0**401, 2.0**-399, 2.0**399, 2.0**-400, 2.0**400)
+
+
+@pytest.mark.parametrize("d", (2, 3, 8))
+def test_screened_rescaling_is_the_whole_stack_formula(d):
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        size = int(rng.integers(1, 40))
+        stack = np.array([random_matrix(rng, d) for _ in range(size)])
+        stack *= rng.choice(SCALES, size=size)[:, None, None]
+        for view in (stack, stack.transpose(0, 2, 1), stack[::2], stack[0], stack[None]):
+            assert np.array_equal(op_norms(view), op_norms_scaling_every_matrix(view))
+
+
 def test_norm_rejects_bad_input():
     with pytest.raises(ValueError):
         op_norm(np.ones((2, 3)))
