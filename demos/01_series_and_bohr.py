@@ -1,10 +1,10 @@
 """Matrix power series and certified Bohr enclosures.
 
 A MatrixSeries stores coefficients A_0..A_N exactly plus an optional
-tail certificate C with ||A_n|| <= C beyond the truncation.  bohr_sum
-then returns a two-sided interval around sum_n ||A_n|| r^n instead of a
-bare float, so later comparisons can use the endpoint that makes the
-check conservative.
+tail certificate C with ||A_n|| <= C beyond the truncation.
+majorant(f).bohr(radii) then returns two-sided enclosures (lo, hi) of
+sum_n ||A_n|| r^n on a grid of radii instead of bare floats, so later
+comparisons can use the endpoint that makes the check conservative.
 
 Run:  python3 demos/01_series_and_bohr.py
 """
@@ -13,7 +13,6 @@ import numpy as np
 
 from bohrlab import (
     MatrixSeries,
-    bohr_sum,
     compose,
     majorant,
     mul,
@@ -28,14 +27,14 @@ from bohrlab import (
 geom = scalar_series(np.ones(9), coeff_bound=1.0)
 print("geometric series: degree", geom.degree, "dim", geom.dim)
 
-iv = bohr_sum(geom, 0.5)
+(lo,), (hi,), certified = majorant(geom).bohr([0.5])
 true_value = 1.0 / (1.0 - 0.5)
-print(f"Bohr sum at r=0.5: [{iv.lo:.10f}, {iv.hi:.10f}]  true {true_value:.10f}")
-assert true_value in iv
+print(f"Bohr sum at r=0.5: [{lo:.10f}, {hi:.10f}]  true {true_value:.10f}")
+assert certified and lo <= true_value <= hi
 
-# without a certificate the interval degenerates and is flagged
+# without a certificate the enclosure degenerates and is flagged
 bare = scalar_series(np.ones(9))
-print("uncertified:", bohr_sum(bare, 0.5).certified)
+print("uncertified:", majorant(bare).bohr([0.5])[2])
 
 # --- arithmetic tracks what it can prove --------------------------------------
 
@@ -51,7 +50,7 @@ print("product bound:", p.coeff_bound)
 # f(z) = I + N z with a nilpotent N: the Bohr sum sees ||N|| = 2
 nil = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
 f = MatrixSeries(np.stack([np.eye(2, dtype=complex), nil]), coeff_bound=0.0)
-print("||N|| =", op_norm(nil), " Bohr(f, 0.25) =", bohr_sum(f, 0.25).lo)
+print("||N|| =", op_norm(nil), " Bohr(f, 0.25) =", majorant(f).bohr([0.25])[0][0])
 
 # multiplying by the identity changes nothing
 eye = MatrixSeries(np.stack([np.eye(2), np.zeros((2, 2))]))
@@ -67,6 +66,8 @@ print("compose coefficients:", c.coeffs[:, 0, 0].real)
 
 # the majorant view: coefficient norms, ready for Bohr sums on a grid
 m = majorant(geom)
-print("majorant values:", m.values)
-for r in (0.1, 0.25, 1 / 3):
-    print(f"  r={r:.4f}  enclosure width {m.bohr(r).width:.3e}")
+print("majorant values:", m.layers[0][0])
+radii = (0.1, 0.25, 1 / 3)
+lo, hi, _ = m.bohr(radii)
+for r, width in zip(radii, hi - lo):
+    print(f"  r={r:.4f}  enclosure width {width:.3e}")

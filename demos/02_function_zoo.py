@@ -16,9 +16,9 @@ from bohrlab import (
     BlaschkeSpec,
     CaratheodoryScalar,
     blaschke_series,
-    bohr_sum,
     convex_model,
     gen_schur_matrix,
+    majorant,
     mobius_extremal,
     op_norm,
     op_norms,
@@ -34,8 +34,9 @@ print("  first coefficients:", np.round(b.coeffs[:4, 0, 0], 4))
 print("  |b(0.9)| =", abs(b.eval(0.9)[0, 0]), "(inner maps stay inside the disk)")
 
 # the origin zero makes it an admissible inner map: Bohr sum <= r up to 1/3
-for r in (0.1, 0.2, 1 / 3):
-    print(f"  r={r:.4f}: certified Bohr <= {bohr_sum(b, r).hi:.6f} (<= r)")
+radii = (0.1, 0.2, 1 / 3)
+for r, hi in zip(radii, majorant(b).bohr(radii)[1]):
+    print(f"  r={r:.4f}: certified Bohr <= {hi:.6f} (<= r)")
 
 # --- random Schur matrices -------------------------------------------------------
 
@@ -63,8 +64,7 @@ print("\nwitness (a + z)/(1 + a z): Bohr sum crosses 1 at r = 1/(1+2a)")
 for a in (0.5, 0.9, 0.99):
     w = mobius_extremal(a, 64)
     thresh = 1 / (1 + 2 * a)
-    below = bohr_sum(w, thresh - 0.01).lo
-    above = bohr_sum(w, thresh + 0.01).lo
+    below, above = majorant(w).bohr([thresh - 0.01, thresh + 0.01])[0]
     print(f"  a={a}: predicted {thresh:.6f}; Bohr({thresh - 0.01:.4f}) = {below:.4f} < 1 "
           f"< {above:.4f} = Bohr({thresh + 0.01:.4f})")
 print("as a -> 1 the crossing approaches 1/3: the constant is sharp")

@@ -24,13 +24,13 @@ from bohrlab import (
 fam = RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0)
 res = solve_radius(fam)
 print("omega-gamma(0), k=1, p=2:")
-print(f"  bracket  [{res.bracket.lo:.15f}, {res.bracket.hi:.15f}]")
+lo, hi = res.bracket
+print(f"  bracket  [{lo:.15f}, {hi:.15f}]")
 print(f"  root     {res.root:.12f}  (sqrt(2)-1 = {math.sqrt(2) - 1:.12f})")
 print(f"  cap      {res.family.cap:.12f}")
 print(f"  radius   {res.radius:.12f}  ({res.binding} binds)")
 
 # the bracket really straddles the root
-lo, hi = res.bracket.lo, res.bracket.hi
 print("  sign change:", radius_poly_eval(fam, lo) > 0 > radius_poly_eval(fam, hi))
 
 # --- caps vs roots ----------------------------------------------------------------

@@ -22,9 +22,9 @@ from bohrlab import (
     CampaignConfig,
     MatrixSeries,
     RadiusFamily,
-    bohr_sum_poly,
     build_polyanalytic,
     gen_schur_matrix,
+    majorant,
     run_campaign,
     run_sharpness_scan,
     solve_radius,
@@ -55,7 +55,7 @@ fam = RadiusFamily("general", k=k, p=fn.p, lam=1.0)
 radius = solve_radius(fam).radius
 print(f"\nlayered function of order {fn.p}; certified radius {radius:.6f}")
 radii = np.linspace(0.05, radius - 1e-9, 5)
-_, hi, certified = bohr_sum_poly(fn, radii)
+_, hi, certified = majorant(fn).bohr(radii)
 for r, upper in zip(radii, hi):
     print(f"  r={r:.4f}: layered Bohr sum <= {upper:.6f} (must stay <= 1)")
 # the built layers carry no tail bound, so the upper ends are truncated sums

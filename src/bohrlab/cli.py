@@ -62,9 +62,9 @@ def _cmd_solve(args) -> int:
     if res.root is None:
         print(f"{desc}: no root in (0, 1); radius = cap = {fam.cap:.15g}")
     else:
+        lo, hi = res.bracket
         print(
-            f"{desc}: root = {res.root:.15g} "
-            f"(bracket [{res.bracket.lo:.15g}, {res.bracket.hi:.15g}]), "
+            f"{desc}: root = {res.root:.15g} (bracket [{lo:.15g}, {hi:.15g}]), "
             f"cap = {fam.cap:.15g}, radius = {res.radius:.15g} ({res.binding} binds)"
         )
     return 0

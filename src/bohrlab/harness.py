@@ -52,6 +52,7 @@ from .radii import FAMILY_TAGS, RadiusFamily, radius_table, solve_radius
 from .series import (
     MatrixSeries,
     _BohrGrid,
+    _layers,
     compose,
     majorant,
     mul,
@@ -127,6 +128,8 @@ class CampaignConfig:
         # the report and any failure replay files go to out's directory
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(f"output directory {os.path.dirname(self.out)!r} does not exist")
+        if self.out and os.path.isdir(self.out):
+            raise ValueError(f"out {self.out!r} is a directory, not a report path")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,8 +242,7 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     one definition of a campaign margin; replaying a failure file is the
     block of its one pair.
     """
-    compared = [(value.components if isinstance(value, PolyanalyticFn) else (value,), bound)
-                for value, bound in pairs]
+    compared = [(_layers(value), bound) for value, bound in pairs]
     series = [f for layers, bound in compared
               for f in layers + (() if bound is None else (bound,))]
     norms = np.split(op_norms(np.concatenate([f.coeffs for f in series])),
@@ -554,7 +556,7 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
     f = mobius_extremal(a, 64)
     m = majorant(f)
     rs = np.linspace(r_min, r_max, steps)
-    vals = m.bohr_grid(rs)[0]
+    vals = m.bohr(rs)[0]
     exceed = np.nonzero(vals > 1.0)[0]
     first_exceed = float(rs[exceed[0]]) if exceed.size else None
     threshold = None
@@ -562,7 +564,7 @@ def run_sharpness_scan(a: float, r_min: float = 0.0, r_max: float = 0.5,
         lo, hi = float(rs[exceed[0] - 1]) if exceed[0] else 0.0, float(rs[exceed[0]])
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            if m.bohr(mid).lo > 1.0:
+            if m.bohr([mid])[0][0] > 1.0:
                 hi = mid
             else:
                 lo = mid

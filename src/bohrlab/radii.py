@@ -74,8 +74,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .series import RInterval
-
 __all__ = [
     "FAMILIES",
     "FAMILY_TAGS",
@@ -216,12 +214,12 @@ def radius_poly_eval(fam: RadiusFamily, r):
 
 @dataclasses.dataclass(frozen=True)
 class RootResult:
-    """Outcome of solve_radius: the certified bracket (or None when the
-    equation has no root to find), the midpoint root, and the usable
-    radius min(root, family.cap)."""
+    """Outcome of solve_radius: the certified bracket (lo, hi) (or None
+    when the equation has no root to find), the midpoint root, and the
+    usable radius min(root, family.cap)."""
 
     family: RadiusFamily
-    bracket: RInterval | None
+    bracket: tuple[float, float] | None
     root: float | None
     radius: float
 
@@ -472,7 +470,7 @@ def solve_radius(fam: RadiusFamily, tol: float = 1e-12, *,
     if bracket is None:
         return RootResult(fam, None, None, fam.cap)
     root = 0.5 * (bracket[0] + bracket[1])
-    return RootResult(fam, RInterval(*bracket), root, min(root, fam.cap))
+    return RootResult(fam, bracket, root, min(root, fam.cap))
 
 
 # The (k, p) grid of radius_table.
@@ -531,7 +529,7 @@ def root_result_to_json(res: RootResult) -> dict:
     return {
         "family": res.family.describe(),
         "root": res.root,
-        "bracket": None if res.bracket is None else [res.bracket.lo, res.bracket.hi],
+        "bracket": None if res.bracket is None else list(res.bracket),
         "cap": res.family.cap,
         "radius": res.radius,
         "binding": res.binding,

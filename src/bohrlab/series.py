@@ -7,9 +7,10 @@ enclosure of sum_n ||A_n|| r^n:
 
     lo = sum_{n<=N} ||A_n|| r^n,   hi = lo + C r^(N+1) / (1 - r).
 
-Operations that cannot propagate a sound certificate drop it; an
-interval built without one has hi == lo and is flagged uncertified
-(except at r = 0, where the truncation is exact).
+Operations that cannot propagate a sound certificate drop it; a sum
+built without one has hi == lo and is flagged uncertified, even at
+r = 0, where the truncation is exact.  Majorant.bohr is the one public
+Bohr sum, for a series and for a layered function alike.
 """
 
 from __future__ import annotations
@@ -19,48 +20,20 @@ import math
 
 import numpy as np
 
-from .opmat import op_norms
+from .opmat import NumericalError, op_norms
 
 __all__ = [
     "MatrixSeries",
     "Majorant",
-    "RInterval",
     "scalar_series",
     "mul",
     "compose",
     "derivative",
     "with_coeff_bound",
     "majorant",
-    "bohr_sum",
     "series_to_json",
     "series_from_json",
 ]
-
-@dataclasses.dataclass(frozen=True)
-class RInterval:
-    """A closed interval [lo, hi] enclosing a Bohr sum at one radius.
-
-    certified is True when hi is a proven upper bound for the full
-    (untruncated) sum; otherwise hi == lo is only the truncated value.
-    """
-
-    lo: float
-    hi: float
-    certified: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= float(x) <= self.hi
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MatrixSeries:
@@ -166,19 +139,23 @@ def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     product fa_{i+r} g_j that lands at degree i + r + j <= n, and the
     results are summed at their offsets; zero rows fill the last group
     of fa.  The strip is c shifted windows of one zero-padded block row,
-    and each matmul reads its leading columns.  c is the most rows whose
-    matmul stays within _MATMUL_LIMIT multiply-adds, and at least 1:
-    small matmuls cost more in per-call overhead than in arithmetic.  At
-    dim 8, degree 128 c is 1, and the matmuls are the one-row products
-    fa_i @ [g_0 ... g_{n-i}].  A stack of m/d matrices per coefficient
-    (m > d) multiplies each of them by g in the same matmuls.
+    one view made by np.ndarray (not as_strided, which leaves a peak-RSS
+    step; see compose), and each matmul reads its leading columns.  c is
+    the most rows whose matmul stays within _MATMUL_LIMIT multiply-adds,
+    and at least 1: small matmuls cost more in per-call overhead than in
+    arithmetic.  At dim 8, degree 128 c is 1, and the matmuls are the
+    one-row products fa_i @ [g_0 ... g_{n-i}].  A stack of m/d matrices
+    per coefficient (m > d) multiplies each of them by g in the same
+    matmuls.
     """
     n1, m, d = fa.shape
     c = max(1, min(n1, _MATMUL_LIMIT // (m * d * n1 * d)))
     padded = np.zeros((d, (n1 + c - 1) * d), dtype=np.complex128)
     padded[:, (c - 1) * d :] = ga.transpose(1, 0, 2).reshape(d, n1 * d)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n1 * d, axis=1)
-    strip = windows[:, (c - 1) * d :: -d].transpose(1, 0, 2).reshape(c * d, n1 * d)
+    # window[r, a, j] = padded[a, (c - 1 - r) d + j], as compose's window
+    window = np.ndarray((c, d, n1 * d), np.complex128, padded, (c - 1) * d * 16,
+                        (-d * 16, padded.strides[0], 16))
+    strip = window.reshape(c * d, n1 * d)
     # fa as groups of c block rows side by side, zero rows filling the last
     groups = np.zeros((-(-n1 // c) * c, m, d), dtype=np.complex128)
     groups[:n1] = fa
@@ -252,46 +229,38 @@ def derivative(f: MatrixSeries) -> MatrixSeries:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Majorant:
-    """Coefficient norms ||A_0||..||A_N|| plus the optional tail bound.
+    """Coefficient-norm profile of a series or a layered function: one
+    (norms, tail_bound) pair per layer, norms = ||A_0||..||A_N|| of the
+    layer and tail_bound its C or None.  A series is its one layer."""
 
-    Bohr sums come from one formula, _BohrGrid.bohr, through bohr_grid;
-    bohr is its one-radius form, equal bit for bit to the grid's entry
-    at that radius.
-    """
-
-    values: np.ndarray
-    tail_bound: float | None = None
+    layers: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("majorant values must be a nonnegative float vector")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.tail_bound is not None:
-            b = float(self.tail_bound)
-            if not math.isfinite(b) or b < 0.0:
-                raise ValueError("tail_bound must be finite and nonnegative")
-            object.__setattr__(self, "tail_bound", b)
+        layers = []
+        for norms, tail_bound in self.layers:
+            v = np.array(norms, dtype=np.float64)
+            if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or np.any(v < 0):
+                raise ValueError("majorant norms must be a nonnegative float vector")
+            v.setflags(write=False)
+            if tail_bound is not None:
+                tail_bound = float(tail_bound)
+                if not math.isfinite(tail_bound) or tail_bound < 0.0:
+                    raise ValueError("tail_bound must be finite and nonnegative")
+            layers.append((v, tail_bound))
+        if not layers:
+            raise ValueError("a majorant needs at least one layer")
+        object.__setattr__(self, "layers", tuple(layers))
 
-    @property
-    def degree(self) -> int:
-        return self.values.size - 1
-
-    def bohr_grid(self, radii) -> tuple:
-        """Enclosures of sum_n ||A_n|| r^n at every radius of a grid in [0, 1).
-
-        Returns the arrays (lo, hi), from _BohrGrid's one formula.
-        """
-        return _BohrGrid(radii).bohr(self.values, self.tail_bound)
-
-    def bohr(self, r: float) -> RInterval:
-        """Enclosure at one radius r in [0, 1): bohr_grid at [r], certified
-        when a tail bound is present or r = 0."""
-        r = float(r)
-        lo, hi = self.bohr_grid([r])
-        return RInterval(float(lo[0]), float(hi[0]), r == 0.0 or self.tail_bound is not None)
+    def bohr(self, radii) -> tuple:
+        """(lo, hi, certified): enclosures of sum_l r^l * (Bohr sum of
+        layer l) at every radius of a grid in [0, 1), from _BohrGrid's
+        one formula; certified when every layer has a tail bound.  Each
+        radius gets the same bits whatever grid it sits in."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            lo, hi, certified = _BohrGrid(radii).layered(self.layers)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise NumericalError("a Bohr sum is not finite: it overflows")
+        return lo, hi, certified
 
 
 class _BohrGrid:
@@ -346,14 +315,16 @@ class _BohrGrid:
         return lo, hi, certified
 
 
-def majorant(f: MatrixSeries) -> Majorant:
-    """Coefficient-norm profile of f (one batched eigensolve)."""
-    return Majorant(op_norms(f.coeffs), f.coeff_bound)
+def _layers(fn) -> tuple:
+    """The layers of fn: a MatrixSeries is its one layer, a layered
+    function (zoo.PolyanalyticFn) has its components."""
+    return (fn,) if isinstance(fn, MatrixSeries) else fn.components
 
 
-def bohr_sum(f: MatrixSeries, r: float) -> RInterval:
-    """Enclosure of the Bohr sum sum_n ||A_n|| r^n."""
-    return majorant(f).bohr(r)
+def majorant(fn) -> Majorant:
+    """Coefficient-norm profile of a MatrixSeries or a PolyanalyticFn
+    (one batched eigensolve per layer)."""
+    return Majorant(tuple((op_norms(f.coeffs), f.coeff_bound) for f in _layers(fn)))
 
 
 def series_to_json(f: MatrixSeries) -> dict:

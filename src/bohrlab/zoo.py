@@ -22,8 +22,7 @@ import math
 
 import numpy as np
 
-from .opmat import op_norms
-from .series import MatrixSeries, _BohrGrid, _block_product, derivative, scalar_series
+from .series import MatrixSeries, _block_product, derivative, scalar_series
 
 __all__ = [
     "BlaschkeSpec",
@@ -41,7 +40,6 @@ __all__ = [
     "convex_model",
     "starlike_from_q",
     "build_polyanalytic",
-    "bohr_sum_poly",
     "polyanalytic_to_json",
     "polyanalytic_from_json",
 ]
@@ -477,18 +475,6 @@ def build_polyanalytic(f0: MatrixSeries, omegas, k: float) -> PolyanalyticFn:
     integral[1:] = (prod / np.arange(1, n + 2)[:, None, None]).reshape(n + 1, -1, d, d)
     layers = [f0] + [MatrixSeries(integral[: m + 2, l], None) for l, m in enumerate(degrees)]
     return PolyanalyticFn(tuple(layers), k)
-
-
-def bohr_sum_poly(fn: PolyanalyticFn, radii) -> tuple:
-    """Enclosures of sum_l r^l * (Bohr sum of f_l at r) at every radius
-    of a grid in [0, 1).
-
-    Returns (lo, hi, certified): the arrays of lower and upper ends,
-    summed layer by layer by _BohrGrid.layered, and whether hi is a
-    proven upper bound, which holds when every layer carries a tail
-    bound.  Each radius gets the same bits whatever grid it sits in.
-    """
-    return _BohrGrid(radii).layered((op_norms(f.coeffs), f.coeff_bound) for f in fn.components)
 
 
 def polyanalytic_to_json(fn: PolyanalyticFn) -> dict:

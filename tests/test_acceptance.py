@@ -56,12 +56,9 @@ def test_criterion_01_bohr_operator_algebra():
         s, p, af = B.MatrixSeries(f.coeffs + g.coeffs), B.mul(f, g), B.MatrixSeries(al * f.coeffs)
         eye = B.majorant(B.MatrixSeries(np.concatenate([np.eye(d)[None], np.zeros((32, d, d))])))
         mf, mg, ms, mp, ma = map(B.majorant, (f, g, s, p, af))
-        for r in radii:
-            lf, lg = mf.bohr(r).lo, mg.bohr(r).lo
-            worst = max(worst, ms.bohr(r).lo - (lf + lg))
-            worst = max(worst, mp.bohr(r).lo - lf * lg)
-            worst = max(worst, abs(ma.bohr(r).lo - abs(al) * lf))
-            worst = max(worst, abs(eye.bohr(r).lo - 1.0))
+        lf, lg, ls, lp, la, li = (m.bohr(radii)[0] for m in (mf, mg, ms, mp, ma, eye))
+        worst = max(worst, np.max(ls - (lf + lg)), np.max(lp - lf * lg),
+                    np.max(np.abs(la - abs(al) * lf)), np.max(np.abs(li - 1.0)))
     ok = worst <= 1e-10
     _report(1, ok, f"1000 pairs, worst algebra-law violation {worst:.2e} "
                    f"(tol 1e-10, {time.perf_counter() - t0:.1f}s)")
@@ -73,9 +70,8 @@ def test_criterion_02_schwarz_bound_for_inner_maps():
     worst = math.inf
     for i in range(500):
         spec = B.random_blaschke_spec(np.random.default_rng([202602, i]), fix_origin=True)
-        m = B.majorant(B.blaschke_series(spec, 64))
-        for r in grid:
-            worst = min(worst, r - m.bohr(r).hi)
+        hi = B.majorant(B.blaschke_series(spec, 64)).bohr(grid)[1]
+        worst = min(worst, np.min(grid - hi))
     ok = worst >= -1e-8
     _report(2, ok, f"500 origin-fixed inner maps, min certified margin r - Bohr "
                    f"{worst:.2e} (tol -1e-8, {time.perf_counter() - t0:.1f}s)")
@@ -132,9 +128,10 @@ def test_criterion_07_bracketed_root_and_caps():
     t0 = time.perf_counter()
     res = B.solve_radius(B.RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0), tol=1e-12)
     target = math.sqrt(2.0) - 1.0
+    lo, hi = res.bracket
     checks = [
-        res.bracket is not None and res.bracket.width <= 1e-12,
-        res.bracket is not None and target in res.bracket,
+        hi - lo <= 1e-12,
+        lo <= target <= hi,
         abs(res.radius - 1.0 / 3.0) <= 1e-15,
         abs(B.RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0).cap - 1.0 / 3.0) <= 1e-15,
         abs(B.RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.25).cap - 5.0 / 13.0) <= 1e-15,
@@ -142,7 +139,7 @@ def test_criterion_07_bracketed_root_and_caps():
         B.RadiusFamily("half-plane", k=1.0, p=2).cap == 0.5,
     ]
     ok = all(checks)
-    _report(7, ok, f"bracket [{res.bracket.lo:.15f}, {res.bracket.hi:.15f}] contains "
+    _report(7, ok, f"bracket [{lo:.15f}, {hi:.15f}] contains "
                    f"sqrt(2)-1, radius 1/3, caps 1/3, 5/13, 3/7, 1/2 "
                    f"({time.perf_counter() - t0:.1f}s)")
 

@@ -315,6 +315,19 @@ def test_verify_csv_report(tmp_path, capsys):
         assert len(json.load(fh)["records"]) == 3
 
 
+def test_verify_out_that_is_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before any trial: a failing campaign would otherwise write
+    # its failure files beside the directory and then fail to write the
+    # report into it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reports").mkdir()
+    code, out, err = run(capsys, "verify", "quasi", "--trials", "3", "--tol", "-10",
+                         "--out", "reports")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "directory" in err
+    assert list(tmp_path.rglob("*")) == [tmp_path / "reports"]
+
+
 def test_verify_csv_path_without_format_writes_csv(tmp_path, capsys):
     # verify has no format option: the extension decides, as for table
     out = str(tmp_path / "r.csv")

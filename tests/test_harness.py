@@ -23,8 +23,8 @@ from bohrlab.harness import (
 )
 from bohrlab.radii import FAMILIES, RadiusFamily, radius_poly_eval
 from bohrlab.opmat import NumericalError
-from bohrlab.series import MatrixSeries, _BohrGrid, majorant, series_from_json
-from bohrlab.zoo import PolyanalyticFn, bohr_sum_poly, build_polyanalytic
+from bohrlab.series import MatrixSeries, _BohrGrid, _layers, majorant, series_from_json
+from bohrlab.zoo import build_polyanalytic
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
 CAMPAIGN_RECORDS = os.path.join(os.path.dirname(__file__), "campaign_records.csv")
@@ -135,8 +135,7 @@ def test_campaign_records_are_pinned(tmp_path):
 def _coefficient_bytes(obj):
     """The coefficients of a series, a layered function's layers, or
     nothing for None, as bytes."""
-    layers = () if obj is None else obj.components if isinstance(obj, PolyanalyticFn) else (obj,)
-    return b"".join(f.coeffs.tobytes() for f in layers)
+    return b"".join(f.coeffs.tobytes() for f in (() if obj is None else _layers(obj)))
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
@@ -171,10 +170,10 @@ def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suit
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeypatch, suite):
     # one block of trials, its margins formed in one _margin call, must
-    # equal each pair's margin from majorant(...).bohr_grid and
-    # bohr_sum_poly on the 20-point grid; the replay's one-pair block
-    # must equal it too.  Against the bound 1 the call takes the grid's
-    # last radius alone
+    # equal each pair's margin from majorant(...).bohr on the 20-point
+    # grid, for a series and a layered function alike; the replay's
+    # one-pair block must equal it too.  Against the bound 1 the call
+    # takes the grid's last radius alone
     dim, degree = 3, 64
     b = max(1, harness._BLOCK_ENTRIES // (dim**2 * (degree + 1)))
     calls, margin = [], harness._margin
@@ -198,11 +197,8 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
     assert tuple(radii) == (grid[-1:] if SUITES[suite].bound is None else grid)
     for (value, bound), (worst, certified, width) in zip(pairs, margins):
         assert (bound is None) == (suite == "von-neumann" or suite.startswith("poly-"))
-        if isinstance(value, PolyanalyticFn):
-            upper = bohr_sum_poly(value, grid)[1]
-        else:
-            upper = majorant(value).bohr_grid(grid)[1]
-        lower = 1.0 if bound is None else majorant(bound).bohr_grid(grid)[0]
+        upper = majorant(value).bohr(grid)[1]
+        lower = 1.0 if bound is None else majorant(bound).bohr(grid)[0]
         assert worst == float(np.min(m_bound * lower - upper))
         assert margin([(value, bound)], m_bound, harness._BohrGrid(grid)) == [
             (worst, certified, width)]
@@ -292,7 +288,7 @@ def test_polyanalytic_margin_is_the_layered_sum_on_the_grid(tmp_path, monkeypatc
         report = run_campaign(cfg, **options)
         grid = default_grid(report.config["radius"] - harness.POLY_GRID_GAP)
         assert [r.worst_margin for r in report.records] == [
-            float(np.min(1.0 - bohr_sum_poly(fn, grid)[1])) for fn in built]
+            float(np.min(1.0 - majorant(fn).bohr(grid)[1])) for fn in built]
 
 
 def test_polyanalytic_general_rejects_lambda_below_one(tmp_path):

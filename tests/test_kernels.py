@@ -3,11 +3,12 @@ compose against the power-by-power convolution loop (and bit for bit
 against its doubling with gathered Toeplitz matrices), mul against the
 double loop over coefficient pairs, mobius_compose (defined here as the
 reference for the scalar-head realization) against composition with
-the automorphism's series, the grid Bohr sums and layered Bohr sums
-against their one-radius form, the realization expansion of Blaschke
-products and Schur diagonals against per-factor convolution, the several-row
-block product against the double loop and the one-row loop, and the
-one-product polyanalytic layers against one product per layer.  The
+the automorphism's series, Majorant.bohr's grid sums of one series
+and of layered functions against their one-radius form, the realization
+expansion of Blaschke products and Schur diagonals against per-factor
+convolution, the several-row block product against the double loop, the
+one-row loop and (bit for bit) a strip made by sliding_window_view, and
+the one-product polyanalytic layers against one product per layer.  The
 block expansion (expand) is pinned bit for bit to each function
 expanded on its own, a stack of Schur draws at one padded order to
 consecutive gen_schur_matrix calls, the draws (draw_schur) to
@@ -28,6 +29,7 @@ from bohrlab.series import (
     _block_product,
     compose,
     derivative,
+    majorant,
     mul,
     scalar_series,
 )
@@ -39,7 +41,6 @@ from bohrlab.zoo import (
     _mobius_realization,
     _realization_series,
     blaschke_series,
-    bohr_sum_poly,
     build_polyanalytic,
     draw_schur,
     expand,
@@ -214,16 +215,19 @@ def test_mul_matches_double_loop(seed, dim, f_degree, g_degree):
 @SETTINGS
 @given(seeds, st.integers(1, 130), st.integers(1, 40), st.booleans(), st.booleans())
 def test_bohr_grid_equals_one_radius_form_bit_for_bit(seed, size, points, bounded, with_zero):
+    # one series, with or without a tail bound
     rng = np.random.default_rng(seed)
-    m = Majorant(rng.uniform(0.0, 2.0, size), float(rng.uniform(0.0, 3.0)) if bounded else None)
+    m = Majorant([(rng.uniform(0.0, 2.0, size), float(rng.uniform(0.0, 3.0)) if bounded else None)])
     radii = rng.uniform(0.0, 1.0, points)
     if with_zero:
         radii[rng.integers(points)] = 0.0
-    lo, hi = m.bohr_grid(radii)
+    lo, hi, certified = m.bohr(radii)
+    assert certified == bounded
     for i, r in enumerate(radii):
-        iv = m.bohr(r)
-        assert (iv.lo, iv.hi) == (lo[i], hi[i])
-        assert iv.certified == (bounded or r == 0.0)
+        one_lo, one_hi, one_certified = m.bohr([r])
+        assert (one_lo[0], one_hi[0], one_certified) == (lo[i], hi[i], certified)
+        if r == 0.0:
+            assert hi[i] == lo[i]
 
 
 @SETTINGS
@@ -232,26 +236,26 @@ def test_bohr_grid_equals_one_radius_form_bit_for_bit(seed, size, points, bounde
 def test_bohr_sum_poly_equals_one_radius_form_bit_for_bit(seed, dim, bounded, points, with_zero):
     # layers of different degrees, each with or without a tail bound
     rng = np.random.default_rng(seed)
-    layers = [MatrixSeries(random_coeffs(rng, (int(rng.integers(1, 40)), dim, dim)),
+    layers = [MatrixSeries(random_coeffs(rng, (int(rng.integers(1, 130)), dim, dim)),
                            float(rng.uniform(0.0, 3.0)) if b else None) for b in bounded]
-    fn = PolyanalyticFn(layers)
+    m = majorant(PolyanalyticFn(layers))
     radii = rng.uniform(0.0, 1.0, points)
     if with_zero:
         radii[rng.integers(points)] = 0.0
-    lo, hi, certified = bohr_sum_poly(fn, radii)
+    lo, hi, certified = m.bohr(radii)
     assert certified == all(bounded)
     for i, r in enumerate(radii):
-        one_lo, one_hi, one_certified = bohr_sum_poly(fn, [r])
+        one_lo, one_hi, one_certified = m.bohr([r])
         assert (one_lo[0], one_hi[0], one_certified) == (lo[i], hi[i], certified)
 
 
 def test_bohr_grid_rejects_radii_outside_the_disk():
-    m = Majorant([1.0, 0.5], 1.0)
+    m = Majorant([([1.0, 0.5], 1.0)])
     for bad in ([0.5, 1.0], [-0.1], [np.nan]):
         with pytest.raises(ValueError, match="radius"):
-            m.bohr_grid(bad)
+            m.bohr(bad)
     with pytest.raises(ValueError):
-        m.bohr_grid([[0.1, 0.2]])
+        m.bohr([[0.1, 0.2]])
 
 
 def blaschke_reference(spec, degree):
@@ -572,6 +576,38 @@ def test_block_product_where_the_rows_per_matmul_change(d, stacked):
         assert_close(out, block_product_reference(fa, ga))
         if rows_per_matmul(n1, m, d) == 1:
             assert np.array_equal(out, block_product_one_row(fa, ga))
+
+
+def block_product_sliding_window(fa, ga):
+    """_block_product with its strip made by sliding_window_view: the
+    reference for the strip's np.ndarray view."""
+    n1, m, d = fa.shape
+    c = rows_per_matmul(n1, m, d)
+    padded = np.zeros((d, (n1 + c - 1) * d), dtype=np.complex128)
+    padded[:, (c - 1) * d :] = ga.transpose(1, 0, 2).reshape(d, n1 * d)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n1 * d, axis=1)
+    strip = windows[:, (c - 1) * d :: -d].transpose(1, 0, 2).reshape(c * d, n1 * d)
+    groups = np.zeros((-(-n1 // c) * c, m, d), dtype=np.complex128)
+    groups[:n1] = fa
+    groups = groups.reshape(-1, c, m, d).transpose(0, 2, 1, 3).reshape(-1, m, c * d)
+    acc = np.zeros((m, n1 * d), dtype=np.complex128)
+    for j, group in enumerate(groups):
+        acc[:, j * c * d :] += group @ strip[:, : (n1 - j * c) * d]
+    return acc.reshape(m, n1, d).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("shape", [(65, 3, 3), (65, 6, 3), (65, 21, 3), (65, 2, 2), (9, 4, 2),
+                                   (33, 1, 1), (2, 3, 3)])
+def test_block_product_strip_is_the_sliding_window_bit_for_bit(shape):
+    # shapes that take several rows per matmul, so the strip has c > 1
+    # shifted windows: dim 3, degree 64 (analytic-d3's mul), the layer
+    # stacks of build_polyanalytic at p = 3 and p = 8, and small ones
+    n1, m, d = shape
+    assert rows_per_matmul(n1, m, d) > 1
+    rng = np.random.default_rng(n1 * m * d)
+    fa, ga = random_coeffs(rng, shape), random_coeffs(rng, (n1, d, d))
+    out = _block_product(fa, ga)
+    assert out.tobytes() == block_product_sliding_window(fa, ga).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(129, 8, 8), (129, 56, 8), (65, 63, 3)])

@@ -27,8 +27,8 @@ from bohrlab.radii import (
     _float_equation,
     _power_bounds,
 )
-from bohrlab.series import scalar_series
-from bohrlab.zoo import PolyanalyticFn, bohr_sum_poly
+from bohrlab.series import majorant, scalar_series
+from bohrlab.zoo import PolyanalyticFn
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 # smallest positive root of (1 - r)^3 = r, from an independent
@@ -124,9 +124,9 @@ def test_statement_form_variant():
 
 def test_solve_omega_gamma_zero_bracket():
     res = solve_radius(RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.0))
-    assert res.bracket is not None
-    assert res.bracket.width <= 1e-12
-    assert SQRT2M1 in res.bracket
+    lo, hi = res.bracket
+    assert hi - lo <= 1e-12
+    assert lo <= SQRT2M1 <= hi
     assert res.radius == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert res.binding == "cap"
 
@@ -207,14 +207,15 @@ def test_extremal_witness_meets_the_radius(make):
         for p in (2, 3, 8):
             fam = make(k, p)
             res = solve_radius(fam)
-            low = layered_extremal_sum(fam, res.bracket.lo)
-            assert low < 1 or low == 1 and res.bracket.width == 0  # an exact hit
+            lo, hi = res.bracket
+            low = layered_extremal_sum(fam, lo)
+            assert low < 1 or low == 1 and lo == hi  # an exact hit
             assert layered_extremal_sum(fam, res.radius) <= 1 + 1e-11
             w, m, c, _ = exact_coefficients(fam)
             n = np.arange(degree + 1)
             base = scalar_series(float(c / w) * np.where(m == 2, n > 0, n))
             fn = PolyanalyticFn((base,) + (scalar_series(k * base.coeffs[:, 0, 0]),) * (p - 1), k)
-            assert bohr_sum_poly(fn, [res.root + 1e-6])[0][0] > 1
+            assert majorant(fn).bohr([res.root + 1e-6])[0][0] > 1
 
 
 def test_solve_bracket_certifies_sign_change():
@@ -224,10 +225,9 @@ def test_solve_bracket_certifies_sign_change():
                 RadiusFamily("convex", k=0.9, p=5, beta=0.8),
                 RadiusFamily("starlike", k=0.3, p=2)):
         res = solve_radius(fam)
-        lo = radius_poly_eval(fam, res.bracket.lo)
-        hi = radius_poly_eval(fam, res.bracket.hi)
-        assert lo * hi <= 0.0
-        assert res.bracket.width <= 1e-12
+        lo, hi = res.bracket
+        assert radius_poly_eval(fam, lo) * radius_poly_eval(fam, hi) <= 0.0
+        assert hi - lo <= 1e-12
         assert res.radius <= res.family.cap
 
 
@@ -291,8 +291,9 @@ def test_json_shape():
 def test_solve_large_tol_still_brackets_the_root():
     # a grid restricted to [tol, 1 - tol] = [0.4, 0.6] misses this root
     res = solve_radius(RadiusFamily("starlike", k=1.0, p=5), tol=0.4)
-    assert STARLIKE_P5_ROOT in res.bracket
-    assert res.bracket.width <= 0.4
+    lo, hi = res.bracket
+    assert lo <= STARLIKE_P5_ROOT <= hi
+    assert hi - lo <= 0.4
 
 
 def test_solve_tiny_tol_finds_the_root_not_one():
@@ -306,8 +307,8 @@ def test_solve_tiny_tol_finds_the_root_not_one():
 def test_solve_tol_below_float_spacing_ends_on_adjacent_floats():
     fam = RadiusFamily("starlike", k=1.0, p=5)
     res = solve_radius(fam, tol=1e-300)
-    assert res.bracket.hi == np.nextafter(res.bracket.lo, 1.0)
-    assert exact_factor(fam, res.bracket.lo) > 0 > exact_factor(fam, res.bracket.hi)
+    assert res.bracket[1] == np.nextafter(res.bracket[0], 1.0)
+    assert exact_factor(fam, res.bracket[0]) > 0 > exact_factor(fam, res.bracket[1])
 
 
 def test_power_bounds_enclose_the_exact_power():
@@ -367,17 +368,18 @@ def test_solve_huge_order_next_to_an_exact_limit_root(statement_form):
     # factor: 2^-(p+1) away from 0, but of a known sign.
     fam = RadiusFamily("general", k=1.0, p=10 ** 9, lam=0.5)
     res = solve_radius(fam, statement_form=statement_form)
-    assert res.bracket.width <= 1e-12
+    lo, hi = res.bracket
+    assert hi - lo <= 1e-12
     if statement_form:
         # s_p(1/2) = -2^-(p+2) < 0, so the root lies below 1/2
-        assert res.bracket.hi == 0.5
-        assert exact_factor(dataclasses.replace(fam, p=256), res.bracket.lo, True) > 0
+        assert hi == 0.5
+        assert exact_factor(dataclasses.replace(fam, p=256), lo, True) > 0
     else:
         # q_p(1/2) = 2^-(p+1) > 0, so the root lies above 1/2
-        assert res.bracket.lo == 0.5
-        assert exact_factor(dataclasses.replace(fam, p=256), res.bracket.hi) < 0
+        assert lo == 0.5
+        assert exact_factor(dataclasses.replace(fam, p=256), hi) < 0
     limit = solve_radius(dataclasses.replace(fam, p=math.inf), statement_form=statement_form)
-    assert limit.bracket.lo == limit.bracket.hi == 0.5
+    assert limit.bracket == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("fam, statement_form", [
@@ -397,7 +399,7 @@ def test_solve_huge_order_proves_its_bracket(fam, statement_form, p, tol):
     # and exact_factor at p = inf is (1 - r) q_inf(r), of the sign of q_inf.
     fam = dataclasses.replace(fam, p=p)
     res = solve_radius(fam, tol, statement_form=statement_form)
-    lo, hi = res.bracket.lo, res.bracket.hi
+    lo, hi = res.bracket
     assert lo < hi and (hi - lo <= tol or hi == np.nextafter(lo, 1.0))
     low, high = (256, math.inf) if statement_form else (math.inf, 256)
     assert exact_factor(dataclasses.replace(fam, p=low), lo, statement_form) > 0
@@ -563,7 +565,7 @@ def test_bracket_is_that_of_an_exact_bisection(problem, tol):
     if exact_coefficients(fam, statement_form)[2] == 0:
         assert res.bracket is None
     else:
-        assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(
+        assert (res.bracket[0].hex(), res.bracket[1].hex()) == reference_bracket(
             fam, tol, statement_form)
 
 
@@ -576,7 +578,7 @@ def test_bracket_survives_a_wrong_newton_estimate(problem, tol, guess):
     with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess):
         res = solve_radius(fam, tol, statement_form=statement_form)
     if res.bracket is not None:
-        assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(
+        assert (res.bracket[0].hex(), res.bracket[1].hex()) == reference_bracket(
             fam, tol, statement_form)
 
 
@@ -589,7 +591,7 @@ def test_placed_cell_with_a_zero_end_is_the_root(guess, tol):
     fam = RadiusFamily("omega-gamma", k=1.0, p=2, gamma=0.5)
     with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess):
         res = solve_radius(fam, tol)
-    assert res.bracket.lo == res.bracket.hi == 0.5
+    assert res.bracket[0] == res.bracket[1] == 0.5
     assert reference_bracket(fam, tol, False) == (0.5.hex(), 0.5.hex())
 
 
@@ -635,7 +637,7 @@ def test_radius_table_rows_are_solve_radius():
             fam = RadiusFamily(row["family"], k=row["k"], p=row["p"],
                                **({spec.attr: row[spec.label]} if spec.attr else {}))
             res = solve_radius(fam, tol)
-            assert (row["bracket_lo"], row["bracket_hi"]) == (res.bracket.lo, res.bracket.hi)
+            assert (row["bracket_lo"], row["bracket_hi"]) == res.bracket
             assert (row["root"], row["cap"], row["radius"], row["binding"]) == (
                 res.root, fam.cap, res.radius, res.binding)
             assert {label: row[label] for label in ("lambda", "gamma", "beta")} == {
@@ -685,7 +687,7 @@ def test_wrong_newton_estimate_costs_a_few_exact_signs(tol):
                 mock.patch.object(radii, "_equation_sign", counted):
             res = solve_radius(fam, tol)
         assert len(signs) <= most
-        assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(fam, tol, False)
+        assert (res.bracket[0].hex(), res.bracket[1].hex()) == reference_bracket(fam, tol, False)
 
 
 # families whose roots lie far below 2^-52, down to about 1e-300
@@ -712,7 +714,7 @@ def test_tiny_tol_solve_pays_a_few_exact_signs(fam, tol):
     with mock.patch.object(radii, "_equation_sign", counted):
         res = solve_radius(fam, tol)
     assert len(signs) <= 4
-    assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(fam, tol, False)
+    assert (res.bracket[0].hex(), res.bracket[1].hex()) == reference_bracket(fam, tol, False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -728,7 +730,7 @@ def test_tiny_root_bracket_is_that_of_an_exact_bisection(bits, k, p, statement_f
     else:
         with mock.patch.object(radii, "_newton_root", lambda f, slope, tiny: guess):
             res = solve_radius(fam, tol, statement_form=statement_form)
-    assert (res.bracket.lo.hex(), res.bracket.hi.hex()) == reference_bracket(
+    assert (res.bracket[0].hex(), res.bracket[1].hex()) == reference_bracket(
         fam, tol, statement_form)
 
 
@@ -745,12 +747,12 @@ def test_solve_proves_its_bracket_exactly(problem, tol):
     if exact_coefficients(fam, statement_form)[2] == 0:
         assert res.root is None and res.bracket is None and res.radius == res.family.cap
         return
-    lo, hi = res.bracket.lo, res.bracket.hi
+    lo, hi = res.bracket
     if lo == hi:
         assert exact_factor(fam, lo, statement_form) == 0
     else:
         assert exact_factor(fam, lo, statement_form) > 0 > exact_factor(fam, hi, statement_form)
-    assert res.bracket.width <= tol or hi == np.nextafter(lo, 1.0)
+    assert hi - lo <= tol or hi == np.nextafter(lo, 1.0)
     assert lo <= res.root <= hi
     assert res.radius == min(res.root, res.family.cap)
 

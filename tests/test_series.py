@@ -2,6 +2,7 @@
 JSON round trips of series and layered functions."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bohrlab.opmat import op_norms
+from bohrlab.opmat import NumericalError, op_norms
 from bohrlab.series import (
+    Majorant,
     MatrixSeries,
-    RInterval,
-    bohr_sum,
     compose,
     derivative,
     majorant,
@@ -35,6 +35,12 @@ def random_series(rng, d, degree, norms_leq_one=False, coeff_bound=None):
         scale_to = rng.uniform(0.0, 1.0, degree + 1)
         c = c * (scale_to / np.maximum(op_norms(c), 1e-300))[:, None, None]
     return MatrixSeries(c, coeff_bound)
+
+
+def bohr_at(fn, r):
+    """(lo, hi, certified) of the Bohr sum of fn at the one radius r."""
+    lo, hi, certified = majorant(fn).bohr([r])
+    return lo[0], hi[0], certified
 
 
 def identity_coeffs(d, degree):
@@ -62,14 +68,6 @@ def test_coefficients_are_frozen_copies():
     assert f.coeffs[0, 0, 0] == 0.0
     with pytest.raises(ValueError):
         f.coeffs[0, 0, 0] = 1.0
-
-
-def test_rinterval_validation():
-    with pytest.raises(ValueError):
-        RInterval(1.0, 0.5)
-    iv = RInterval(0.25, 0.5)
-    assert 0.3 in iv and 0.6 not in iv
-    assert iv.width == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -191,9 +189,9 @@ def test_derivative_is_the_closed_form(seed, d, degree, bound):
 
 def test_bohr_constant_series():
     f = MatrixSeries(2.0 * np.eye(2)[None], 0.0)
-    iv = bohr_sum(f, 0.9)
-    assert iv.lo == pytest.approx(2.0) and iv.hi == pytest.approx(2.0)
-    assert iv.certified
+    lo, hi, certified = bohr_at(f, 0.9)
+    assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
+    assert certified
 
 
 def test_bohr_mobius_closed_form():
@@ -204,51 +202,79 @@ def test_bohr_mobius_closed_form():
     coeffs[0] = a
     coeffs[1:] = (1 - a * a) * (-a) ** np.arange(64)
     f = scalar_series(coeffs, coeff_bound=1.0)
-    iv = bohr_sum(f, 1 / 3)
-    assert iv.lo == pytest.approx(0.8, abs=1e-13)
-    assert iv.hi - iv.lo <= 1e-28
-    assert iv.certified
+    lo, hi, certified = bohr_at(f, 1 / 3)
+    assert lo == pytest.approx(0.8, abs=1e-13)
+    assert hi - lo <= 1e-28
+    assert certified
 
 
 def test_bohr_monomial():
     f = scalar_series([0, 1], coeff_bound=0.0)
-    assert bohr_sum(f, 0.25).lo == pytest.approx(0.25)
-    assert bohr_sum(f, 0.25).hi == pytest.approx(0.25)
+    lo, hi, _ = bohr_at(f, 0.25)
+    assert lo == pytest.approx(0.25)
+    assert hi == pytest.approx(0.25)
 
 
 def test_bohr_tail_formula():
     f = scalar_series([1.0, 1.0], coeff_bound=2.0)
     r = 0.5
-    iv = bohr_sum(f, r)
-    assert iv.lo == pytest.approx(1.5)
-    assert iv.hi == pytest.approx(1.5 + 2.0 * r**2 / (1 - r))
-    assert iv.certified
+    lo, hi, certified = bohr_at(f, r)
+    assert lo == pytest.approx(1.5)
+    assert hi == pytest.approx(1.5 + 2.0 * r**2 / (1 - r))
+    assert certified
 
 
 def test_bohr_radius_validation_and_zero():
     f = scalar_series([1, 1])
     with pytest.raises(ValueError):
-        bohr_sum(f, 1.0)
+        bohr_at(f, 1.0)
     with pytest.raises(ValueError):
-        bohr_sum(f, -0.1)
-    # r = 0 collapses to the constant term norm, exact even without a bound
-    iv = bohr_sum(f, 0.0)
-    assert iv.lo == iv.hi == 1.0
-    assert iv.certified
+        bohr_at(f, -0.1)
+    # r = 0 collapses to the constant term norm, exact even without a
+    # bound, but a sum is certified only by its tail bounds
+    assert bohr_at(f, 0.0) == (1.0, 1.0, False)
 
 
 def test_bohr_uncertified_without_bound():
     f = scalar_series([1, 1])
-    iv = bohr_sum(f, 0.5)
-    assert not iv.certified
-    assert iv.hi == iv.lo
+    lo, hi, certified = bohr_at(f, 0.5)
+    assert not certified
+    assert hi == lo
+
+
+def test_bohr_overflow_is_a_numerical_error():
+    # norms of 1e308 sum past the float range at r = 0.9, and so does a
+    # tail bound of 1e308 times r^(N+1) / (1 - r) = 8.1
+    for layers in ([(np.full(65, 1e308), None)], [([1.0], 1e308)],
+                   [([1.0], None), (np.full(3, 1e308), None)]):
+        with pytest.raises(NumericalError, match="not finite"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Majorant(layers).bohr([0.0, 0.9])
 
 
 def test_majorant_values():
     f = MatrixSeries(np.stack([np.eye(2), [[0, 2], [0, 0]]]).astype(complex), 1.0)
-    m = majorant(f)
-    assert np.allclose(m.values, [1.0, 2.0], atol=1e-14)
-    assert m.tail_bound == 1.0
+    ((norms, tail_bound),) = majorant(f).layers
+    assert np.allclose(norms, [1.0, 2.0], atol=1e-14)
+    assert tail_bound == 1.0
+    g = scalar_series([0.0, 3.0])
+    fn = PolyanalyticFn((scalar_series([0.0, 1.0], 0.5), g))
+    (_, first), (second_norms, second) = majorant(fn).layers
+    assert (first, second) == (0.5, None)
+    assert np.array_equal(second_norms, [0.0, 3.0])
+
+
+def test_majorant_validation():
+    for layers in ([], [([], None)], [([[1.0]], None)], [([-1.0], None)], [([np.inf], None)],
+                   [([1.0], -1.0)], [([1.0], np.nan)]):
+        with pytest.raises(ValueError):
+            Majorant(layers)
+    norms = np.array([1.0, 2.0])
+    m = Majorant([(norms, 1)])
+    norms[0] = 5.0
+    assert m.layers[0][0][0] == 1.0 and m.layers[0][1] == 1.0
+    with pytest.raises(ValueError):
+        m.layers[0][0][0] = 3.0
 
 
 # ------------------------------------------------------ operator-algebra laws
@@ -264,22 +290,22 @@ def test_bohr_algebra_laws_random(seed, d, al):
     s, p, af = MatrixSeries(f.coeffs + g.coeffs), mul(f, g), MatrixSeries(al * f.coeffs)
     eye = majorant(MatrixSeries(identity_coeffs(d, 16)))
     mf, mg, ms, mp, ma = map(majorant, (f, g, s, p, af))
-    for r in (0.1, 0.5, 0.9, 0.99):
-        lf, lg = mf.bohr(r).lo, mg.bohr(r).lo
-        assert lf >= 0.0
-        assert ms.bohr(r).lo <= lf + lg + 1e-10
-        assert mp.bohr(r).lo <= lf * lg + 1e-10
-        assert ma.bohr(r).lo == pytest.approx(abs(al) * lf, abs=1e-10)
-        assert eye.bohr(r).lo == pytest.approx(1.0, abs=1e-12)
+    radii = (0.1, 0.5, 0.9, 0.99)
+    lf, lg, ls, lp, la, li = (m.bohr(radii)[0] for m in (mf, mg, ms, mp, ma, eye))
+    assert np.all(lf >= 0.0)
+    assert np.all(ls <= lf + lg + 1e-10)
+    assert np.all(lp <= lf * lg + 1e-10)
+    np.testing.assert_allclose(la, abs(al) * lf, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(li, 1.0, rtol=0, atol=1e-12)
 
 
 def test_bohr_zero_iff_all_coefficients_vanish():
     rng = np.random.default_rng(13)
     z = MatrixSeries(np.zeros((11, 3, 3)), 0.0)
-    assert bohr_sum(z, 0.5).hi == 0.0
+    assert bohr_at(z, 0.5)[1] == 0.0
     f = random_series(rng, 3, 10)
     # at any positive radius a nonzero series has positive Bohr sum
-    assert bohr_sum(f, 0.5).lo > 0.0
+    assert bohr_at(f, 0.5)[0] > 0.0
 
 
 def test_tail_certificate_is_conservative():
@@ -291,10 +317,9 @@ def test_tail_certificate_is_conservative():
         extra = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
         extra *= rng.uniform() / max(op_norms(extra)[0], 1e-300)
         g = MatrixSeries(np.concatenate([f.coeffs, extra]), 1.0)
-        for r in (0.1, 0.4, 0.8):
-            a, b = bohr_sum(f, r), bohr_sum(g, r)
-            assert a.lo <= b.lo + 1e-14
-            assert b.hi <= a.hi + 1e-14
+        (f_lo, f_hi, _), (g_lo, g_hi, _) = (majorant(h).bohr([0.1, 0.4, 0.8]) for h in (f, g))
+        assert np.all(f_lo <= g_lo + 1e-14)
+        assert np.all(g_hi <= f_hi + 1e-14)
 
 
 # ---------------------------------------------------------------- serialization
