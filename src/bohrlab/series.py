@@ -105,7 +105,10 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     """Cauchy product, truncated to n = min(deg f, deg g).
 
     For dim 1 this is one np.convolve; for dim d > 1 it is block matmuls
-    of several coefficients at a time (_block_product).
+    of several coefficients at a time (_block_product).  When every
+    coefficient of g is a scalar times I, as for quasi's compositions
+    with the convex and starlike model targets, the product is entrywise
+    and runs as d*d scalar products (_block_product's d = 1 path).
 
     The product's tail mixes truncated and certified parts, so no sound
     constant bound survives; the result carries none.
@@ -121,10 +124,10 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     return MatrixSeries(out, None)
 
 
-# Multiply-adds per matmul in _block_product.  Above this size the
-# OpenBLAS of numpy's wheels (0.3.31) hands a zgemm to a second thread,
-# which busy-waits between calls and costs more than it saves on these
-# products.
+# Multiply-adds per matmul in _block_product, which keeps each matmul
+# below it.  At this size and above the OpenBLAS of numpy's wheels
+# (0.3.31) hands a zgemm to a second thread, which busy-waits between
+# calls and costs more than it saves on these products.
 _MATMUL_LIMIT = 2**16
 
 
@@ -141,15 +144,29 @@ def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     of fa.  The strip is c shifted windows of one zero-padded block row,
     one view made by np.ndarray (not as_strided, which leaves a peak-RSS
     step; see compose), and each matmul reads its leading columns.  c is
-    the most rows whose matmul stays within _MATMUL_LIMIT multiply-adds,
+    the most rows whose matmul stays below _MATMUL_LIMIT multiply-adds,
     and at least 1: small matmuls cost more in per-call overhead than in
     arithmetic.  At dim 8, degree 128 c is 1, and the matmuls are the
     one-row products fa_i @ [g_0 ... g_{n-i}].  A stack of m/d matrices
     per coefficient (m > d) multiplies each of them by g in the same
     matmuls.
+
+    When every ga_j is exactly s_j I (off-diagonal entries zero, the
+    diagonal entries equal), as for compositions with the convex and
+    starlike model targets (quasi's g(phi), and f_0' of the poly-convex
+    and poly-starlike base layers), the product is this kernel at
+    d = 1: s_j I commutes with fa_i, so out_k = sum_{i+j=k} s_j fa_i
+    entry by entry, the scalar product of each of the m*d entries of fa
+    with s.  In exact arithmetic that is the general path's sum, whose
+    other terms are products with zeros; in floats its last bits can
+    differ.  The check is exact: at odd d, compose's zgemm can round the
+    starlike model's last diagonal entry apart from the others, and such
+    a ga takes the general path.
     """
     n1, m, d = fa.shape
-    c = max(1, min(n1, _MATMUL_LIMIT // (m * d * n1 * d)))
+    if d > 1 and (ga == ga[:, :1, :1] * np.eye(d)).all():
+        return _block_product(fa.reshape(n1, m * d, 1), ga[:, :1, :1]).reshape(n1, m, d)
+    c = max(1, min(n1, (_MATMUL_LIMIT - 1) // (m * d * n1 * d)))
     padded = np.zeros((d, (n1 + c - 1) * d), dtype=np.complex128)
     padded[:, (c - 1) * d :] = ga.transpose(1, 0, 2).reshape(d, n1 * d)
     # window[r, a, j] = padded[a, (c - 1 - r) d + j], as compose's window

@@ -7,8 +7,10 @@ the automorphism's series, Majorant.bohr's grid sums of one series
 and of layered functions against their one-radius form, the realization
 expansion of Blaschke products and Schur diagonals against per-factor
 convolution, the several-row block product against the double loop, the
-one-row loop and (bit for bit) a strip made by sliding_window_view, and
-the one-product polyanalytic layers against one product per layer.  The
+one-row loop and (bit for bit) a strip made by sliding_window_view, its
+s_j I operands (and the model-target compositions that make them) to
+the d = 1 call bit for bit, and the one-product polyanalytic layers
+against one product per layer.  The
 block expansion (expand) is pinned bit for bit to each function
 expanded on its own, a stack of Schur draws at one padded order to
 consecutive gen_schur_matrix calls, the draws (draw_schur) to
@@ -35,6 +37,7 @@ from bohrlab.series import (
 )
 from bohrlab.zoo import (
     BlaschkeSpec,
+    CaratheodoryScalar,
     PolyanalyticFn,
     _blaschke_realization,
     _haar_from_gaussian,
@@ -42,12 +45,14 @@ from bohrlab.zoo import (
     _realization_series,
     blaschke_series,
     build_polyanalytic,
+    convex_model,
     draw_schur,
     expand,
     gen_schur_matrix,
     haar_unitary,
     mobius_transfer,
     random_blaschke_spec,
+    starlike_from_q,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -528,8 +533,8 @@ def test_realization_series_of_rows_with_different_orders():
 
 def rows_per_matmul(n1, m, d):
     """_block_product's rule: the most block rows whose matmul stays
-    within _MATMUL_LIMIT multiply-adds, at least one."""
-    return max(1, min(n1, _MATMUL_LIMIT // (m * d * n1 * d)))
+    below _MATMUL_LIMIT multiply-adds, at least one."""
+    return max(1, min(n1, (_MATMUL_LIMIT - 1) // (m * d * n1 * d)))
 
 
 def block_product_one_row(fa, ga):
@@ -621,6 +626,140 @@ def test_block_product_is_the_one_row_loop_where_one_row_fills_a_matmul(shape):
     out = _block_product(fa, ga)
     assert np.array_equal(out, block_product_one_row(fa, ga))
     assert_close(out, block_product_reference(fa, ga))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4, 8))
+@pytest.mark.parametrize("stacked", (1, 2, 3, 4, 7))
+def test_rows_per_matmul_keep_every_matmul_below_the_limit(d, stacked):
+    # a zgemm of _MATMUL_LIMIT multiply-adds or more goes to OpenBLAS's
+    # second thread; the matmuls of several rows must stay below it
+    m = stacked * d
+    for n1 in range(1, 260):
+        c = rows_per_matmul(n1, m, d)
+        assert 1 <= c <= n1
+        if c > 1:
+            assert c * m * d * n1 * d < _MATMUL_LIMIT
+
+
+def test_rows_per_matmul_at_the_benchmark_shapes():
+    # (64, 4, 4) and (128, 2, 2), where c m d n1 d could equal the limit,
+    # and the benchmark's shapes, general and on the d = 1 path
+    expected = {(64, 4, 4): 15, (128, 2, 2): 63,
+                (65, 3, 3): 37, (64, 6, 3): 18, (64, 12, 3): 9, (129, 8, 8): 1,
+                (65, 9, 1): 65, (64, 18, 1): 56, (64, 36, 1): 28, (129, 64, 1): 7}
+    assert {shape: rows_per_matmul(*shape) for shape in expected} == expected
+
+
+@pytest.mark.parametrize("shape", [(64, 4, 4), (128, 2, 2)])
+def test_block_product_rows_at_the_limit(shape):
+    # one row fewer than the limit would allow with equality: the
+    # product's bits are those of the strip of rows_per_matmul rows
+    n1, m, d = shape
+    rng = np.random.default_rng(n1 * d)
+    fa, ga = random_coeffs(rng, shape), random_coeffs(rng, (n1, d, d))
+    out = _block_product(fa, ga)
+    assert out.tobytes() == block_product_sliding_window(fa, ga).tobytes()
+    assert_close(out, block_product_reference(fa, ga))
+
+
+def scalar_identity_stack(s, d):
+    """Coefficients s_j I of shape (n+1, d, d)."""
+    return s[:, None, None] * np.eye(d)
+
+
+def block_product_at_dim_one(fa, s):
+    """_block_product of fa with the scalars s, entry by entry: the d = 1
+    call that a right operand of s_j I takes."""
+    n1, m, d = fa.shape
+    return _block_product(fa.reshape(n1, m * d, 1), s.reshape(n1, 1, 1)).reshape(n1, m, d)
+
+
+@pytest.mark.parametrize("shape", [(65, 3, 3), (64, 6, 3), (64, 12, 3), (129, 8, 8),
+                                   (33, 2, 2), (1, 3, 3), (1, 8, 8)])
+def test_block_product_of_scalar_times_identity(shape):
+    # quasi's mul and the poly layers' product at the benchmark's shapes
+    # and small ones: every ga_j = s_j I takes the d = 1 path
+    n1, m, d = shape
+    rng = np.random.default_rng([n1, m, d])
+    fa, s = random_coeffs(rng, shape), random_coeffs(rng, n1)
+    ga = scalar_identity_stack(s, d)
+    out = _block_product(fa, ga)
+    assert_close(out, block_product_reference(fa, ga))
+    assert out.tobytes() == block_product_at_dim_one(fa, s).tobytes()
+
+
+def near_scalar(rng, n1, d):
+    """s and (label, ga, scalar) triples: ga is the stack of s_j I with
+    one entry of one coefficient changed (a diagonal entry by one ulp),
+    and scalar says whether every ga_j still equals s_j I."""
+    s = random_coeffs(rng, n1)
+    j = n1 // 2
+    cases = []
+    for label, index, value, scalar in (("diagonal", (d - 1, d - 1), s[j] * (1 + 2**-52), False),
+                                        ("tiny off-diagonal", (0, d - 1), 1e-300, False),
+                                        ("negative zero", (d - 1, 0), complex(-0.0, -0.0), True)):
+        ga = scalar_identity_stack(s, d)
+        ga[(j, *index)] = value
+        cases.append((label, ga, scalar))
+    return s, cases
+
+
+@pytest.mark.parametrize("shape", [(65, 3, 3), (64, 12, 3), (129, 8, 8), (33, 2, 2)])
+def test_block_product_of_near_scalar_operands(shape):
+    # an operand that is s_j I in all but one entry takes the general
+    # path with its bits; an off-diagonal -0.0 equals 0 and takes the
+    # scalar path
+    n1, m, d = shape
+    rng = np.random.default_rng([n1, m, d, 1])
+    fa = random_coeffs(rng, shape)
+    s, cases = near_scalar(rng, n1, d)
+    for label, ga, scalar in cases:
+        out = _block_product(fa, ga)
+        assert_close(out, block_product_reference(fa, ga))
+        if scalar:
+            assert out.tobytes() == block_product_at_dim_one(fa, s).tobytes(), label
+        else:
+            general = (block_product_one_row if rows_per_matmul(n1, m, d) == 1
+                       else block_product_sliding_window)
+            assert out.tobytes() == general(fa, ga).tobytes(), label
+
+
+@SETTINGS
+@given(seeds, st.sampled_from((2, 3, 8)), degrees, degrees)
+def test_mul_by_scalar_times_identity_matches_double_loop(seed, dim, f_degree, g_degree):
+    rng = np.random.default_rng(seed)
+    f = MatrixSeries(random_coeffs(rng, (f_degree + 1, dim, dim)))
+    g = MatrixSeries(scalar_identity_stack(random_coeffs(rng, g_degree + 1), dim))
+    assert_close(mul(f, g).coeffs, mul_reference(f, g))
+
+
+@pytest.mark.parametrize("degree", (64, 128))
+@pytest.mark.parametrize("dim", (2, 3, 8))
+def test_model_target_compositions_are_scalar_times_identity(dim, degree):
+    # the operands the d = 1 path is for: compose of a model target with
+    # an inner map (quasi's g(phi), the poly-convex and poly-starlike base
+    # layers) and its derivative must come out exactly s_j I, every
+    # diagonal entry rounded alike, for mul and build_polyanalytic to
+    # take that path.  compose contracts the powers with g's d*d columns
+    # in one zgemm, and OpenBLAS 0.3.31 computes an odd last column on its
+    # own: for the starlike model's complex coefficients it rounds that
+    # column differently, so at dim 3 only the convex model, whose
+    # coefficients are real, is exactly scalar
+    rng = np.random.default_rng([dim, degree])
+    for _ in range(4):
+        phi = expand([random_blaschke_spec(rng, fix_origin=True)], degree)[0]
+        beta = float(rng.uniform(0.25, 2.0))
+        u = float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        targets = [convex_model(beta, dim, degree)]
+        if dim != 3:
+            targets.append(starlike_from_q(CaratheodoryScalar(u), dim, degree))
+        for target in targets:
+            g = compose(target, phi)
+            for c in (g.coeffs, derivative(g).coeffs):
+                assert np.array_equal(c, scalar_identity_stack(c[:, 0, 0], dim))
+            fa = random_coeffs(rng, (degree + 1, dim, dim))
+            assert (mul(MatrixSeries(fa), g).coeffs.tobytes()
+                    == block_product_at_dim_one(fa, g.coeffs[:, 0, 0]).tobytes())
 
 
 def layers_reference(f0, omegas):
