@@ -3,8 +3,9 @@
 A campaign draws random instances of an inequality's hypothesis and
 checks the conclusion with interval endpoints chosen so truncation can
 only hurt, never help.  Reports are deterministic for a fixed seed
-(trial i uses the stream [seed, i]), and failing trials serialize their
-instance for replay.
+(trial i uses the stream [seed, i]).  So a failing trial's file holds
+no coefficients: its config, suite options and index fix the draws,
+and `bohrlab replay FILE` re-draws the trial.
 
 The same campaigns are reachable from the command line:
 
@@ -49,7 +50,7 @@ print("re-run with the same seed is bit-identical")
 k = 0.5
 f0 = gen_schur_matrix(seed=21, dim=3, degree=64, fix_origin=True)
 omega = MatrixSeries(k * gen_schur_matrix(seed=22, dim=3, degree=64, scalar_head=True).coeffs, k)
-fn = build_polyanalytic(f0, [omega], k)
+fn = build_polyanalytic(f0, [omega])
 
 fam = RadiusFamily("general", k=k, p=fn.p, lam=1.0)
 radius = solve_radius(fam).radius

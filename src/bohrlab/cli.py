@@ -6,11 +6,13 @@ Subcommands:
   verify  run a randomized verification campaign
   scan    tabulate the sharpness witness's Bohr sum
   table   solve the radius equation over a parameter sweep
+  replay  re-draw a failure file's trial and compare it with its record
 
 Exit code 0 means every assertion the invocation made passed; 1 means a
-campaign or scan could not certify one, which is not a violation found:
+campaign or scan could not certify one (which is not a violation found:
 at a low degree the tail allowance alone fails trials whose lower ends
-pass; 2 means the invocation was invalid or its numerics failed.
+pass) or a replay differs from its record; 2 means the invocation, a
+failure file included, was invalid or its numerics failed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import json
 import math
 import sys
 
-from .harness import SUITES, CampaignConfig, emit_radius_table, run_campaign, run_sharpness_scan
+from .harness import (SUITES, CampaignConfig, emit_radius_table, replay, run_campaign,
+                      run_sharpness_scan)
 from .opmat import NumericalError
 from .radii import FAMILIES, FAMILY_TAGS, RadiusFamily, root_result_to_json, solve_radius
 
@@ -125,6 +128,16 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _cmd_replay(args) -> int:
+    with open(args.file) as fh:
+        dump = json.load(fh)
+    replayed = " ".join(map(repr, replay(dump)))
+    # repr round-trips a float, so equal reprs are equal bits
+    recorded = " ".join(repr(dump["record"][k]) for k in ("worst_margin", "certified", "width"))
+    print(f"       worst_margin certified width\nrecord {recorded}\nreplay {replayed}")
+    return 0 if recorded == replayed else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bohrlab",
                                      description="verified Bohr-sum numerics campaigns")
@@ -171,6 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--out", default=None, help="write here (CSV for a .csv path, else JSON)")
     table.add_argument("--tol", type=float, default=1e-12)
     table.set_defaults(func=_cmd_table)
+
+    replay_ = sub.add_parser("replay", help="re-draw a failure file's trial")
+    replay_.add_argument("file", help="a <suite>-failure-<index>.json file")
+    replay_.set_defaults(func=_cmd_replay)
 
     return parser
 

@@ -20,7 +20,7 @@ not a violation found: at a low degree the tail allowance alone fails
 trials whose lower ends pass (worst_margin + width >= 0).
 
 SUITES is the one definition of each suite (Suite): run_campaign runs
-one, and replay recomputes a failure file's margin, from it alone.
+one, and replay re-draws a failure file's trial, from it alone.
 
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
@@ -29,8 +29,8 @@ the campaign runs in blocks of trials: every trial of a block is drawn,
 in index order, before one zoo.expand call expands all their random
 functions at once, and every trial is finished before one _margin call
 forms all the block's margins.  The draws, and so the reports, do not
-depend on the block size.  Failed trials serialize their instance to a
-replay file and the campaign keeps going.
+depend on the block size.  A failed trial writes a failure file, which
+replay re-draws, and the campaign keeps going.
 """
 
 from __future__ import annotations
@@ -56,21 +56,16 @@ from .series import (
     compose,
     majorant,
     mul,
-    series_from_json,
-    series_to_json,
     with_coeff_bound,
 )
 from .zoo import (
     BlaschkeSpec,
     CaratheodoryScalar,
-    PolyanalyticFn,
     build_polyanalytic,
     convex_model,
     draw_schur,
     expand,
     mobius_extremal,
-    polyanalytic_from_json,
-    polyanalytic_to_json,
     random_blaschke_spec,
     starlike_from_q,
 )
@@ -209,11 +204,6 @@ def _failure_path(config: CampaignConfig, index: int) -> str:
     return os.path.join(base or ".", f"{config.suite}-failure-{index:05d}.json")
 
 
-def _instance_to_json(obj) -> dict:
-    """One entry of a failed trial's instance, encoded for its file."""
-    return polyanalytic_to_json(obj) if isinstance(obj, PolyanalyticFn) else series_to_json(obj)
-
-
 def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     """(margin, certified, width) for each of a block of (value, bound)
     pairs over grid.  The margin is the worst over the grid of m_bound
@@ -263,12 +253,21 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     return margins
 
 
+def _trials(draw: Callable, config: CampaignConfig, indices) -> list:
+    """The (params, instance) of config's trials at indices.  One zoo.expand
+    call expands their draws; a draw's bits do not depend on the block."""
+    drawn = [draw(_trial_rng(config.seed, index)) for index in indices]
+    series = iter(expand([d for _, draws, _ in drawn for d in draws], config.degree))
+    return [(params, finish(*itertools.islice(series, len(draws))))
+            for params, draws, finish in drawn]
+
+
 def run_campaign(config: CampaignConfig, **options) -> Report:
     """Run config.suite's campaign with options, the suite's own options
     (one it does not read is an error, one not given takes its default).
-    A failed trial writes {"suite", "config", "record", "instance"} to
-    _failure_path, "config" being the report's config echo: the
-    campaign's config plus the suite's own entries.
+    A failed trial writes {"suite", "config", "options", "record"} to
+    _failure_path: the report's config echo (the campaign's config plus
+    the suite's own entries), the options prepare got and its record.
     """
     suite = SUITES[config.suite]
     for name in options:
@@ -276,7 +275,8 @@ def run_campaign(config: CampaignConfig, **options) -> Report:
             readers = " or ".join(s.name for s in SUITES.values() if name in s.options)
             raise ValueError(f"{name} only applies to the {readers} suite, not to {suite.name}"
                              if readers else f"no suite reads {name}")
-    extra, draw = suite.prepare(config, **{**suite.options, **options})
+    options = {**suite.options, **options}
+    extra, draw = suite.prepare(config, **options)
     start = time.perf_counter()
     echo = {**vars(config), **extra}
     grid = suite.grid(echo)
@@ -285,24 +285,16 @@ def run_campaign(config: CampaignConfig, **options) -> Report:
     records = []
     for first in range(0, config.trials, block):
         indices = range(first, min(first + block, config.trials))
-        drawn = [draw(_trial_rng(config.seed, index)) for index in indices]
-        series = iter(expand([d for _, draws, _ in drawn for d in draws], config.degree))
-        instances = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
-        margins = _margin([suite.compared(instance) for instance in instances], m_bound, grid)
-        for index, (params, _, _), instance, (margin, certified, width) in zip(
-                indices, drawn, instances, margins):
+        trials = _trials(draw, config, indices)
+        margins = _margin([suite.compared(instance) for _, instance in trials], m_bound, grid)
+        for index, (params, _), (margin, certified, width) in zip(indices, trials, margins):
             record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance,
                                  certified, width)
             records.append(record)
             if not record.passed:
-                dump = {
-                    "suite": config.suite,
-                    "config": echo,
-                    "record": vars(record),
-                    "instance": {name: _instance_to_json(obj) for name, obj in instance.items()},
-                }
-                with open(_failure_path(config, record.index), "w") as fh:
-                    json.dump(dump, fh, indent=2, sort_keys=True)
+                with open(_failure_path(config, index), "w") as fh:
+                    json.dump({"suite": config.suite, "config": echo, "options": options,
+                               "record": vars(record)}, fh, indent=2, sort_keys=True)
 
     report = Report(
         suite=config.suite,
@@ -319,11 +311,22 @@ def run_campaign(config: CampaignConfig, **options) -> Report:
 
 
 def replay(dump: dict) -> tuple:
-    """A failure file's (margin, certified, width), recomputed by _margin
-    from the decoded file alone."""
-    suite, echo = SUITES[dump["suite"]], dump["config"]
-    instance = {name: polyanalytic_from_json(payload) if "components" in payload
-                else series_from_json(payload) for name, payload in dump["instance"].items()}
+    """A failure file's (margin, certified, width), recomputed from its
+    trial re-drawn alone: its config echo (out aside, so the report may be
+    gone), options and record index fix the draws, through numpy's PCG64
+    stream and the current zoo.expand.  A missing or mistyped entry is a ValueError."""
+    try:
+        _, echo, options, record = (dump[key] for key in ("suite", "config", "options", "record"))
+        config = CampaignConfig(**{f.name: echo[f.name] for f in dataclasses.fields(CampaignConfig)
+                                   if f.name != "out"})
+        suite = SUITES[config.suite]
+        options = {name: options[name] for name in suite.options}
+        index, *_ = (record[key] for key in ("index", "worst_margin", "certified", "width"))
+        extra, draw = suite.prepare(config, **options)
+        [(_, instance)] = _trials(draw, config, [index])
+    except (KeyError, TypeError) as exc:  # a key missing, or an entry of the wrong type
+        raise ValueError(f"malformed failure file: {exc!r}") from None
+    echo = {**vars(config), **extra}
     return _margin([suite.compared(instance)], suite.m_bound(echo), suite.grid(echo))[0]
 
 
@@ -461,7 +464,7 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
 
         def finish(f, *omegas):
             return {"fn": build_polyanalytic(layer(f), [MatrixSeries(fam.k * w.coeffs, fam.k)
-                                                        for w in omegas], fam.k)}
+                                                        for w in omegas])}
 
         return {}, [base] + [dataclasses.replace(w, order=order) for w in omegas], finish
 

@@ -18,8 +18,6 @@ __all__ = [
     "op_norm",
     "op_norms",
     "abs_op",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -106,29 +104,3 @@ def abs_op(a) -> np.ndarray:
         ) from exc
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     return 0.5 * (root + root.conj().T)
-
-
-def matrix_to_json(a) -> dict:
-    """Encode a matrix as {"dim": d, "entries": [[[re, im], ...], ...]}.
-
-    Entries are row-major; each entry is a [real, imag] pair of floats,
-    so a round trip through the json module is bit-exact.
-    """
-    m = as_matrix(a)
-    d = m.shape[0]
-    entries = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(d)] for i in range(d)]
-    return {"dim": d, "entries": entries}
-
-
-def matrix_from_json(payload: dict) -> np.ndarray:
-    """Inverse of matrix_to_json."""
-    d = int(payload["dim"])
-    rows = payload["entries"]
-    if len(rows) != d or any(len(row) != d for row in rows):
-        raise ValueError("entries do not match the declared dim")
-    m = np.empty((d, d), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, pair in enumerate(row):
-            re, im = pair
-            m[i, j] = complex(re, im)
-    return as_matrix(m)

@@ -31,8 +31,6 @@ __all__ = [
     "derivative",
     "with_coeff_bound",
     "majorant",
-    "series_to_json",
-    "series_from_json",
 ]
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -342,32 +340,3 @@ def majorant(fn) -> Majorant:
     """Coefficient-norm profile of a MatrixSeries or a PolyanalyticFn
     (one batched eigensolve per layer)."""
     return Majorant(tuple((op_norms(f.coeffs), f.coeff_bound) for f in _layers(fn)))
-
-
-def series_to_json(f: MatrixSeries) -> dict:
-    """Encode as {"dim", "degree", "coeff_bound", "coeffs": [matrix payloads]}.
-
-    Matrix entries are [re, im] float pairs, so round trips through the
-    json module reproduce every coefficient bit for bit.
-    """
-    from .opmat import matrix_to_json
-
-    return {
-        "dim": f.dim,
-        "degree": f.degree,
-        "coeff_bound": f.coeff_bound,
-        "coeffs": [matrix_to_json(f.coeffs[n]) for n in range(f.degree + 1)],
-    }
-
-
-def series_from_json(payload: dict) -> MatrixSeries:
-    """Inverse of series_to_json."""
-    from .opmat import matrix_from_json
-
-    dim = int(payload["dim"])
-    degree = int(payload["degree"])
-    mats = [matrix_from_json(p) for p in payload["coeffs"]]
-    if len(mats) != degree + 1 or any(m.shape[0] != dim for m in mats):
-        raise ValueError("coefficient list does not match declared dim/degree")
-    bound = payload.get("coeff_bound")
-    return MatrixSeries(np.stack(mats), None if bound is None else float(bound))

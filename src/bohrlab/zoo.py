@@ -40,8 +40,6 @@ __all__ = [
     "convex_model",
     "starlike_from_q",
     "build_polyanalytic",
-    "polyanalytic_to_json",
-    "polyanalytic_from_json",
 ]
 
 
@@ -410,15 +408,11 @@ def starlike_from_q(q: CaratheodoryScalar, dim: int, degree: int) -> MatrixSerie
 class PolyanalyticFn:
     """F(z) = sum_{l=0}^{p-1} conj(z)^l f_l(z) with analytic layers f_l.
 
-    components holds (f_0, ..., f_{p-1}); k in [0, 1] records the
-    derivative-ratio bound ||f_l'(z)|| <= k ||f_0'(z)|| the layers were
-    built under.  A top layer that is identically zero is allowed (the
-    function then has smaller true order); builders producing one
-    simply document k = 0 or a vanishing ratio.
+    components holds (f_0, ..., f_{p-1}); a top layer may vanish
+    identically (the function then has smaller true order).
     """
 
     components: tuple
-    k: float = 1.0
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -428,11 +422,7 @@ class PolyanalyticFn:
             raise ValueError("components must be MatrixSeries")
         if any(c.dim != comps[0].dim for c in comps):
             raise ValueError("components must share one dimension")
-        k = float(self.k)
-        if not 0.0 <= k <= 1.0:
-            raise ValueError("ratio bound k must lie in [0, 1]")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "k", k)
 
     @property
     def p(self) -> int:
@@ -443,15 +433,14 @@ class PolyanalyticFn:
         return self.components[0].dim
 
 
-def build_polyanalytic(f0: MatrixSeries, omegas, k: float) -> PolyanalyticFn:
+def build_polyanalytic(f0: MatrixSeries, omegas) -> PolyanalyticFn:
     """Assemble F from the base layer and derivative ratios.
 
     Each higher layer is recovered as f_l = integral of omega_l * f_0'
     from 0, which makes the factorization f_l' = omega_l f_0' exact by
     construction and forces f_l(0) = 0; layer l has degree
     min(deg omega_l, deg f_0') + 1.  All layers come from one truncated
-    product and one division.  f_0 itself must vanish at the origin.  k
-    is the caller's uniform bound on ||omega_l||.
+    product and one division.  f_0 itself must vanish at the origin.
     """
     if np.any(f0.coeffs[0] != 0):
         raise ValueError("base layer must vanish at the origin")
@@ -474,25 +463,4 @@ def build_polyanalytic(f0: MatrixSeries, omegas, k: float) -> PolyanalyticFn:
     integral = np.zeros((n + 2, len(omegas), d, d), dtype=np.complex128)
     integral[1:] = (prod / np.arange(1, n + 2)[:, None, None]).reshape(n + 1, -1, d, d)
     layers = [f0] + [MatrixSeries(integral[: m + 2, l], None) for l, m in enumerate(degrees)]
-    return PolyanalyticFn(tuple(layers), k)
-
-
-def polyanalytic_to_json(fn: PolyanalyticFn) -> dict:
-    """Encode as {"p", "k", "components": [series payloads]}."""
-    from .series import series_to_json
-
-    return {
-        "p": fn.p,
-        "k": fn.k,
-        "components": [series_to_json(f) for f in fn.components],
-    }
-
-
-def polyanalytic_from_json(payload: dict) -> PolyanalyticFn:
-    """Inverse of polyanalytic_to_json."""
-    from .series import series_from_json
-
-    comps = tuple(series_from_json(p) for p in payload["components"])
-    if len(comps) != int(payload["p"]):
-        raise ValueError("component count does not match declared order")
-    return PolyanalyticFn(comps, float(payload["k"]))
+    return PolyanalyticFn(tuple(layers))

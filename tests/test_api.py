@@ -13,7 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LAYERS = (opmat, series, zoo, radii, harness)
 
 # exported names without a reader yet, each with its ROADMAP item
-RESERVED = {"abs_op": 7, "haar_unitary": 8, "replay": 5}
+RESERVED = {"abs_op": 7, "haar_unitary": 8}
 
 # "function.parameter" defaults that no call sets, each with the reason
 # to keep it

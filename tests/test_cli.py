@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -361,6 +362,63 @@ def test_poly_suite_failure_exit_code(tmp_path, capsys):
     with open(out) as fh:
         assert json.load(fh)["pass_count"] == 0
     assert len(list(tmp_path.glob("poly-convex-failure-*.json"))) == 3
+
+
+@pytest.fixture
+def failure_file(tmp_path, capsys):
+    """A quasi failure file of a campaign at an impossible tolerance."""
+    code, _, _ = run(capsys, "verify", "quasi", "--trials", "2", "--dim", "2", "--degree", "16",
+                     "--m-bound", "2", "--tol", "-10", "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    return tmp_path / "quasi-failure-00001.json"
+
+
+def test_replay_equal_to_the_record_is_exit_0(failure_file, capsys):
+    code, out, err = run(capsys, "replay", str(failure_file))
+    assert code == 0 and not err
+    with open(failure_file) as fh:
+        record = json.load(fh)["record"]
+    header, recorded, replayed = out.splitlines()
+    assert header.split() == ["worst_margin", "certified", "width"]
+    expected = [repr(record[key]) for key in ("worst_margin", "certified", "width")]
+    assert recorded.split() == ["record", *expected]
+    assert replayed.split() == ["replay", *expected]
+
+
+def test_replay_that_differs_from_the_record_is_exit_1(failure_file, capsys):
+    with open(failure_file) as fh:
+        dump = json.load(fh)
+    margin = dump["record"]["worst_margin"]
+    dump["record"]["worst_margin"] = math.nextafter(margin, math.inf)
+    with open(failure_file, "w") as fh:
+        json.dump(dump, fh)
+    code, out, _ = run(capsys, "replay", str(failure_file))
+    assert code == 1
+    assert out.splitlines()[2].split()[1] == repr(margin)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda dump: {**{key: dump[key] for key in ("suite", "config", "record")}, "instance": {}},
+     "KeyError('options')"),
+    (lambda dump: {**dump, "config": {k: v for k, v in dump["config"].items() if k != "seed"}},
+     "KeyError('seed')"),
+    (lambda dump: {**dump, "record": {k: v for k, v in dump["record"].items() if k != "index"}},
+     "KeyError('index')"),
+    (lambda dump: {**dump, "record": {**dump["record"], "index": 1.5}}, "TypeError"),
+    (lambda dump: "not json", "Expecting value"),
+])
+def test_malformed_failure_file_is_exit_2(failure_file, capsys, edit, message):
+    # an old-format file (its coefficients as "instance", no options), a
+    # missing key, an entry of the wrong type or text that is not JSON is
+    # a usage error, not a differing replay
+    with open(failure_file) as fh:
+        dump = json.load(fh)
+    edited = edit(dump)
+    with open(failure_file, "w") as fh:
+        fh.write(edited if isinstance(edited, str) else json.dumps(edited))
+    code, out, err = run(capsys, "replay", str(failure_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
 
 
 def test_verify_missing_out_directory_fails_before_any_trial(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import glob
 import json
 import math
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from bohrlab.harness import (
 )
 from bohrlab.radii import FAMILIES, RadiusFamily, radius_poly_eval
 from bohrlab.opmat import NumericalError
-from bohrlab.series import MatrixSeries, _BohrGrid, _layers, majorant, series_from_json
+from bohrlab.series import MatrixSeries, _BohrGrid, _layers, majorant
 from bohrlab.zoo import build_polyanalytic
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
@@ -217,8 +218,9 @@ def test_low_degree_equality_case_fails_by_the_tail_allowance(tmp_path):
     record = report.records[1]
     assert record.params == {"target": "schur"} and not record.passed
     assert record.worst_margin == pytest.approx(-(1 / 3) ** 17 / (1 - 1 / 3), rel=1e-6)
-    with open(tmp_path / "subordination-failure-00001.json") as fh:
-        phi = series_from_json(json.load(fh)["instance"]["phi"]).coeffs[:, 0, 0]
+    _, draw = SUITES["subordination"].prepare(cfg)
+    [(_, instance)] = harness._trials(draw, cfg, [1])
+    phi = instance["phi"].coeffs[:, 0, 0]
     assert abs(phi[1]) == pytest.approx(1.0, abs=1e-15)
     assert not np.any(np.delete(phi, 1))
 
@@ -307,22 +309,49 @@ def test_polyanalytic_rejects_limit_order(tmp_path):
 
 def test_failing_trials_dump_replay_files(tmp_path):
     # an impossible tolerance forces every positive-margin trial to fail
-    cfg = small_config(tmp_path, "subordination", trials=5, tolerance=-10.0)
+    (tmp_path / "reports").mkdir()
+    cfg = small_config(tmp_path, "subordination", trials=5, tolerance=-10.0,
+                       out=str(tmp_path / "reports" / "r.json"))
     report = run_campaign(cfg)
     assert not report.passed
     assert report.pass_count == 0
     assert report.trials == 5  # the campaign kept going
-    dumps = sorted(glob.glob(str(tmp_path / "subordination-failure-*.json")))
+    dumps = sorted(glob.glob(str(tmp_path / "reports" / "subordination-failure-*.json")))
     assert len(dumps) == 5
     with open(dumps[0]) as fh:
         payload = json.load(fh)
     assert payload["record"]["passed"] is False
-    # the instance replays: its series deserialize
-    f = series_from_json(payload["instance"]["f"])
-    assert f.dim == cfg.dim
+    # the file replays without its report, or the report's directory
+    shutil.rmtree(tmp_path / "reports")
+    record = report.records[0]
+    assert replay(payload) == (record.worst_margin, record.certified, record.width)
 
 
-# instance names each suite's failure file holds
+def test_replay_rejects_a_malformed_file(tmp_path):
+    cfg = small_config(tmp_path, "von-neumann", trials=1, tolerance=-10.0)
+    run_campaign(cfg)
+    with open(tmp_path / "von-neumann-failure-00000.json") as fh:
+        dump = json.load(fh)
+    # the old format held the coefficients as "instance", and no options
+    old = {**{key: dump[key] for key in ("suite", "config", "record")}, "instance": {}}
+    with pytest.raises(ValueError, match="KeyError.'options'"):
+        replay(old)
+    for key in dump:
+        with pytest.raises(ValueError, match=f"KeyError.'{key}'"):
+            replay({k: v for k, v in dump.items() if k != key})
+    for part, key in (("config", "seed"), ("config", "degree"), ("record", "index"),
+                      ("record", "width")):
+        with pytest.raises(ValueError, match=f"KeyError.'{key}'"):
+            replay({**dump, part: {k: v for k, v in dump[part].items() if k != key}})
+    with pytest.raises(ValueError, match="malformed failure file: TypeError"):
+        replay([])
+    for part, key, value in (("config", "trials", None), ("config", "seed", "7"),
+                             ("record", "index", 0.5)):
+        with pytest.raises(ValueError, match="malformed failure file: TypeError"):
+            replay({**dump, part: {**dump[part], key: value}})
+
+
+# instance names each suite's trials build
 INSTANCE_KEYS = {
     "subordination": {"g", "phi", "f"},
     "quasi": {"g", "phi", "h", "f"},
@@ -333,24 +362,37 @@ INSTANCE_KEYS = {
 }
 
 
-@pytest.mark.parametrize("suite", list(SUITES))
-def test_failure_files_replay_bit_for_bit(tmp_path, suite):
+@pytest.mark.parametrize("suite, options", [
+    *(pytest.param(suite, {}, id=suite) for suite in SUITES),
+    pytest.param("quasi", dict(m_bound=2.0, quasi_beta=0.5), id="quasi-m_bound-2-beta-0.5"),
+    pytest.param("poly-convex", dict(beta=0.5, k=0.5), id="poly-convex-beta-0.5-k-0.5"),
+    pytest.param("poly-starlike", dict(p=5), id="poly-starlike-p-5"),
+])
+def test_failure_files_replay_bit_for_bit(tmp_path, suite, options):
     # an impossible tolerance fails every trial; each file holds the
-    # suite's own parameters, so it replays without the report
-    cfg = small_config(tmp_path, suite, trials=3, degree=16, tolerance=-10.0)
-    report = run_campaign(cfg)
-    assert report.pass_count == 0
-    for record in report.records:
-        with open(tmp_path / f"{suite}-failure-{record.index:05d}.json") as fh:
-            dump = json.load(fh)
-        assert set(dump) == {"suite", "config", "record", "instance"}
-        assert dump["suite"] == suite
-        assert dump["config"] == json.loads(json.dumps(report.config))
-        assert dump["record"]["worst_margin"] == record.worst_margin
-        assert set(dump["instance"]) == INSTANCE_KEYS[suite]
-        assert replay(dump) == (record.worst_margin, record.certified, record.width)
-        assert (dump["record"]["certified"], dump["record"]["width"]) == (record.certified,
-                                                                          record.width)
+    # campaign's config, the suite's options and the trial's record,
+    # which re-draw the trial without the report
+    for dim, degree, trials in ((2, 16, 3), (3, 64, 3), (8, 128, 2)):
+        (tmp_path / str(dim)).mkdir()
+        cfg = small_config(tmp_path, suite, trials=trials, dim=dim, degree=degree,
+                           tolerance=-10.0, out=str(tmp_path / str(dim) / "r.json"))
+        report = run_campaign(cfg, **options)
+        assert report.pass_count == 0
+        _, draw = SUITES[suite].prepare(cfg, **{**SUITES[suite].options, **options})
+        for record in report.records:
+            path = tmp_path / str(dim) / f"{suite}-failure-{record.index:05d}.json"
+            if dim == 8:
+                assert os.path.getsize(path) < 2048
+            with open(path) as fh:
+                dump = json.load(fh)
+            assert set(dump) == {"suite", "config", "options", "record"}
+            assert dump["suite"] == suite
+            assert dump["config"] == json.loads(json.dumps(report.config))
+            assert dump["options"] == {**SUITES[suite].options, **options}
+            assert dump["record"] == json.loads(json.dumps(vars(record)))
+            [(params, instance)] = harness._trials(draw, cfg, [record.index])
+            assert params == record.params and set(instance) == INSTANCE_KEYS[suite]
+            assert replay(dump) == (record.worst_margin, record.certified, record.width)
 
 
 @pytest.mark.parametrize("suite", list(SUITES))

@@ -778,7 +778,7 @@ def test_one_product_layers_match_one_product_per_layer(seed, dim, f0_degree, om
     c[0] = 0.0
     f0 = MatrixSeries(c)
     omegas = [MatrixSeries(random_coeffs(rng, (n + 1, dim, dim))) for n in omega_degrees]
-    fn = build_polyanalytic(f0, omegas, 1.0)
+    fn = build_polyanalytic(f0, omegas)
     assert fn.p == len(omegas) + 1
     assert fn.components[0] is f0
     for layer, expected in zip(fn.components[1:], layers_reference(f0, omegas)):
@@ -793,7 +793,7 @@ def test_one_product_layers_at_campaign_sizes(omega_degrees):
     # functions below, at and above the base layer's degree
     f0 = gen_schur_matrix(5, 3, 64, fix_origin=True)
     omegas = [gen_schur_matrix([6, i], 3, n, scalar_head=True) for i, n in enumerate(omega_degrees)]
-    fn = build_polyanalytic(f0, omegas, 1.0)
+    fn = build_polyanalytic(f0, omegas)
     degrees = [layer.degree for layer in fn.components[1:]]
     assert degrees == [min(n, 63) + 1 for n in omega_degrees]
     for layer, expected in zip(fn.components[1:], layers_reference(f0, omegas)):

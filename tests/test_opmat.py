@@ -1,4 +1,4 @@
-"""Matrix layer: norms, absolute values, JSON round trips."""
+"""Matrix layer: norms and absolute values."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from bohrlab.opmat import (
     abs_op,
     as_matrix,
-    matrix_from_json,
-    matrix_to_json,
     op_norm,
     op_norms,
 )
@@ -131,18 +129,3 @@ def test_op_norms_matches_scalar_path():
     batched = op_norms(stack)
     for i in range(20):
         assert batched[i] == pytest.approx(op_norm(stack[i]), abs=1e-12)
-
-
-def test_json_round_trip_is_exact():
-    rng = np.random.default_rng(104)
-    for d in (1, 2, 5):
-        a = as_matrix(random_matrix(rng, d))
-        back = matrix_from_json(matrix_to_json(a))
-        assert np.array_equal(a, back)
-
-
-def test_json_rejects_mismatched_dim():
-    payload = matrix_to_json(np.eye(2))
-    payload["dim"] = 3
-    with pytest.raises(ValueError):
-        matrix_from_json(payload)

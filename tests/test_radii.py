@@ -214,7 +214,7 @@ def test_extremal_witness_meets_the_radius(make):
             w, m, c, _ = exact_coefficients(fam)
             n = np.arange(degree + 1)
             base = scalar_series(float(c / w) * np.where(m == 2, n > 0, n))
-            fn = PolyanalyticFn((base,) + (scalar_series(k * base.coeffs[:, 0, 0]),) * (p - 1), k)
+            fn = PolyanalyticFn((base,) + (scalar_series(k * base.coeffs[:, 0, 0]),) * (p - 1))
             assert majorant(fn).bohr([res.root + 1e-6])[0][0] > 1
 
 

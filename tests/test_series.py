@@ -1,14 +1,11 @@
-"""Series arithmetic, Bohr enclosures, the operator-algebra laws and the
-JSON round trips of series and layered functions."""
+"""Series arithmetic, Bohr enclosures and the operator-algebra laws."""
 
-import json
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from bohrlab.opmat import NumericalError, op_norms
 from bohrlab.series import (
@@ -19,10 +16,8 @@ from bohrlab.series import (
     majorant,
     mul,
     scalar_series,
-    series_from_json,
-    series_to_json,
 )
-from bohrlab.zoo import PolyanalyticFn, polyanalytic_from_json, polyanalytic_to_json
+from bohrlab.zoo import PolyanalyticFn
 
 SETTINGS = settings(max_examples=60, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -320,46 +315,3 @@ def test_tail_certificate_is_conservative():
         (f_lo, f_hi, _), (g_lo, g_hi, _) = (majorant(h).bohr([0.1, 0.4, 0.8]) for h in (f, g))
         assert np.all(f_lo <= g_lo + 1e-14)
         assert np.all(g_hi <= f_hi + 1e-14)
-
-
-# ---------------------------------------------------------------- serialization
-
-finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
-bounds = st.none() | st.floats(0.0, allow_infinity=False)
-
-
-@st.composite
-def series(draw, d=None):
-    """A series of any finite coefficients, with or without a tail bound."""
-    d = draw(dims) if d is None else d
-    shape = (draw(st.integers(1, 6)), d, d)
-    return MatrixSeries(draw(hnp.arrays(np.complex128, shape, elements=finite)), draw(bounds))
-
-
-def assert_same_series(back, f):
-    assert back.coeffs.tobytes() == f.coeffs.tobytes()
-    assert back.coeff_bound == f.coeff_bound
-
-
-@SETTINGS
-@given(series())
-def test_json_round_trip_exact(f):
-    assert_same_series(series_from_json(json.loads(json.dumps(series_to_json(f)))), f)
-
-
-@SETTINGS
-@given(dims.flatmap(lambda d: st.lists(series(d), min_size=2, max_size=4)), st.floats(0.0, 1.0))
-def test_polyanalytic_json_round_trip_exact(components, k):
-    fn = PolyanalyticFn(tuple(components), k)
-    back = polyanalytic_from_json(json.loads(json.dumps(polyanalytic_to_json(fn))))
-    assert (back.p, back.k) == (fn.p, fn.k)
-    for a, b in zip(back.components, fn.components):
-        assert_same_series(a, b)
-
-
-def test_json_rejects_inconsistent_payload():
-    f = scalar_series([1, 2])
-    payload = series_to_json(f)
-    payload["degree"] = 5
-    with pytest.raises(ValueError):
-        series_from_json(payload)

@@ -1,7 +1,6 @@
 """Function families: Blaschke products, Schur matrices, convex and
 starlike targets, layered polyanalytic assembly."""
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +19,6 @@ from bohrlab.zoo import (
     haar_unitary,
     mobius_extremal,
     mobius_transfer,
-    polyanalytic_from_json,
-    polyanalytic_to_json,
     random_blaschke_spec,
     starlike_from_q,
 )
@@ -283,21 +280,19 @@ def _origin_fixed_schur(seed, d, n):
 def test_polyanalytic_validation():
     f0 = _origin_fixed_schur(31, 2, 8)
     with pytest.raises(ValueError):
-        PolyanalyticFn((f0,), 1.0)
+        PolyanalyticFn((f0,))
     with pytest.raises(ValueError):
-        PolyanalyticFn((f0, f0), 1.5)
-    with pytest.raises(ValueError):
-        build_polyanalytic(gen_schur_matrix(31, 2, 8, scalar_head=True), [f0], 1.0)
+        build_polyanalytic(gen_schur_matrix(31, 2, 8, scalar_head=True), [f0])
     # a constant term whose squares underflow in the Gram matrix is still nonzero
     tiny = f0.coeffs.copy()
     tiny[0] = 1e-200 * np.eye(2)
     with pytest.raises(ValueError, match="vanish"):
-        build_polyanalytic(MatrixSeries(tiny), [f0], 1.0)
+        build_polyanalytic(MatrixSeries(tiny), [f0])
 
 
 def test_build_with_zero_ratio_gives_zero_layer():
     f0 = _origin_fixed_schur(32, 2, 16)
-    fn = build_polyanalytic(f0, [MatrixSeries(np.zeros((17, 2, 2)), 0.0)], 0.0)
+    fn = build_polyanalytic(f0, [MatrixSeries(np.zeros((17, 2, 2)), 0.0)])
     assert fn.p == 2
     assert op_norms(fn.components[1].coeffs).max() == 0.0
     for r in (0.0, 0.2):
@@ -308,7 +303,7 @@ def test_build_with_constant_ratio_reproduces_scaled_base():
     k = 0.5
     f0 = _origin_fixed_schur(33, 2, 16)
     omega = MatrixSeries(np.concatenate([k * np.eye(2)[None], np.zeros((16, 2, 2))]), 0.0)
-    fn = build_polyanalytic(f0, [omega], k)
+    fn = build_polyanalytic(f0, [omega])
     assert np.allclose(fn.components[1].coeffs, k * f0.coeffs, atol=1e-14)
 
 
@@ -320,7 +315,7 @@ def test_layer_bohr_dominated_by_scaled_base():
         k = float(rng.uniform(0, 1))
         f0 = _origin_fixed_schur(rng, 2, 64)
         omega = MatrixSeries(k * gen_schur_matrix(rng, 2, 64, scalar_head=True).coeffs, k)
-        fn = build_polyanalytic(f0, [omega], k)
+        fn = build_polyanalytic(f0, [omega])
         r = 0.25
         assert bohr_lo(fn.components[1], r) <= k * bohr_lo(f0, r) + 1e-10
 
@@ -328,7 +323,7 @@ def test_layer_bohr_dominated_by_scaled_base():
 def test_layers_vanish_at_origin():
     f0 = _origin_fixed_schur(35, 3, 16)
     omega = gen_schur_matrix(36, 3, 16, scalar_head=True)
-    fn = build_polyanalytic(f0, [omega, omega], 1.0)
+    fn = build_polyanalytic(f0, [omega, omega])
     assert fn.p == 3
     for f in fn.components:
         assert op_norm(f.coeff(0)) == 0.0
@@ -336,7 +331,7 @@ def test_layers_vanish_at_origin():
 
 def test_layered_bohr_examples():
     f0 = scalar_series([0, 1], coeff_bound=0.0)         # z
-    fn = PolyanalyticFn((f0, f0), 1.0)
+    fn = PolyanalyticFn((f0, f0))
     r = 0.25
     # layers are both z: total = (1 + r) * r
     lo, hi, certified = majorant(fn).bohr([r])
@@ -345,14 +340,3 @@ def test_layered_bohr_examples():
     assert bohr_lo(fn, 0.0) == 0.0
     with pytest.raises(ValueError):
         majorant(fn).bohr([1.0])
-
-
-def test_polyanalytic_json_round_trip():
-    f0 = _origin_fixed_schur(40, 2, 8)
-    omega = gen_schur_matrix(41, 2, 8, scalar_head=True)
-    fn = build_polyanalytic(f0, [omega], 0.75)
-    payload = json.loads(json.dumps(polyanalytic_to_json(fn)))
-    back = polyanalytic_from_json(payload)
-    assert back.p == fn.p and back.k == fn.k
-    for a, b in zip(back.components, fn.components):
-        assert np.array_equal(a.coeffs, b.coeffs)
