@@ -19,8 +19,9 @@ neither side.  A failed trial is one the campaign could not certify,
 not a violation found: at a low degree the tail allowance alone fails
 trials whose lower ends pass (worst_margin + width >= 0).
 
-SUITES is the one definition of each suite (Suite): run_campaign runs
-one, and replay re-draws a failure file's trial, from it alone.
+SUITES defines each suite by its prepare (Suite), which states its
+hypothesis and returns the radii, bound multiplier and draw that
+run_campaign and replay both run through _trials.
 
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
@@ -217,9 +218,9 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     times bound's.  A series without a tail bound has hi == lo and adds
     nothing, so an uncertified side's width understates it.
 
-    Against the bound 1 the grid is one radius, r_max (Suite.grid: the
-    last of default_grid's), and that radius proves the margin on all
-    of [0, r_max].  The upper sum of value is
+    Against the bound 1 the grid is one radius, r_max (the last of
+    default_grid's, as the suite's prepare returns it), and that radius
+    proves the margin on all of [0, r_max].  The upper sum of value is
     sum_l r^l (sum_n ||A_{l,n}|| r^n + C_l r^(N+1) / (1 - r)), with
     C_l = 0 for a layer without a tail bound: a sum of nonnegative
     terms, each nondecreasing in r on [0, 1).  So hi is nondecreasing
@@ -253,13 +254,14 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     return margins
 
 
-def _trials(draw: Callable, config: CampaignConfig, indices) -> list:
-    """The (params, instance) of config's trials at indices.  One zoo.expand
-    call expands their draws; a draw's bits do not depend on the block."""
+def _trials(draw: Callable, config: CampaignConfig, indices, m_bound: float, grid) -> list:
+    """The (params, (margin, certified, width)) of config's trials at
+    indices.  One zoo.expand call expands their draws, and one _margin
+    call forms their margins; a draw's bits do not depend on the block."""
     drawn = [draw(_trial_rng(config.seed, index)) for index in indices]
     series = iter(expand([d for _, draws, _ in drawn for d in draws], config.degree))
-    return [(params, finish(*itertools.islice(series, len(draws))))
-            for params, draws, finish in drawn]
+    pairs = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
+    return list(zip([params for params, _, _ in drawn], _margin(pairs, m_bound, grid)))
 
 
 def run_campaign(config: CampaignConfig, **options) -> Report:
@@ -276,18 +278,16 @@ def run_campaign(config: CampaignConfig, **options) -> Report:
             raise ValueError(f"{name} only applies to the {readers} suite, not to {suite.name}"
                              if readers else f"no suite reads {name}")
     options = {**suite.options, **options}
-    extra, draw = suite.prepare(config, **options)
+    extra, radii, m_bound, draw = suite.prepare(config, **options)
     start = time.perf_counter()
     echo = {**vars(config), **extra}
-    grid = suite.grid(echo)
-    m_bound = suite.m_bound(echo)
+    grid = _BohrGrid(radii)
     block = max(1, _BLOCK_ENTRIES // (config.dim**2 * (config.degree + 1)))
     records = []
     for first in range(0, config.trials, block):
         indices = range(first, min(first + block, config.trials))
-        trials = _trials(draw, config, indices)
-        margins = _margin([suite.compared(instance) for _, instance in trials], m_bound, grid)
-        for index, (params, _), (margin, certified, width) in zip(indices, trials, margins):
+        trials = _trials(draw, config, indices, m_bound, grid)
+        for index, (params, (margin, certified, width)) in zip(indices, trials):
             record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance,
                                  certified, width)
             records.append(record)
@@ -314,20 +314,24 @@ def replay(dump: dict) -> tuple:
     """A failure file's (margin, certified, width), recomputed from its
     trial re-drawn alone: its config echo (out aside, so the report may be
     gone), options and record index fix the draws, through numpy's PCG64
-    stream and the current zoo.expand.  A missing or mistyped entry is a ValueError."""
+    stream and the current zoo.expand.  A missing or mistyped entry, or a
+    suite or record seed other than the config's, is a ValueError."""
     try:
         _, echo, options, record = (dump[key] for key in ("suite", "config", "options", "record"))
         config = CampaignConfig(**{f.name: echo[f.name] for f in dataclasses.fields(CampaignConfig)
                                    if f.name != "out"})
         suite = SUITES[config.suite]
         options = {name: options[name] for name in suite.options}
-        index, *_ = (record[key] for key in ("index", "worst_margin", "certified", "width"))
-        extra, draw = suite.prepare(config, **options)
-        [(_, instance)] = _trials(draw, config, [index])
+        index, seed, *_ = (record[key] for key in
+                           ("index", "seed", "worst_margin", "certified", "width"))
+        _, radii, m_bound, draw = suite.prepare(config, **options)
+        [(_, margins)] = _trials(draw, config, [index], m_bound, _BohrGrid(radii))
     except (KeyError, TypeError) as exc:  # a key missing, or an entry of the wrong type
         raise ValueError(f"malformed failure file: {exc!r}") from None
-    echo = {**vars(config), **extra}
-    return _margin([suite.compared(instance)], suite.m_bound(echo), suite.grid(echo))[0]
+    if (dump["suite"], seed) != (config.suite, config.seed):
+        raise ValueError(f"malformed failure file: suite {dump['suite']!r} and record seed "
+                         f"{seed!r} are not the config's {config.suite!r} and {config.seed!r}")
+    return margins
 
 
 def _draw_target(rng: np.random.Generator, config: CampaignConfig):
@@ -354,20 +358,27 @@ def _inner(rng: np.random.Generator) -> BlaschkeSpec:
 
 
 def _prepare_subordination(config: CampaignConfig):
+    """f subordinate to g implies Bohr(f, r) <= Bohr(g, r) for r <= 1/3;
+    f = g(phi) is subordinate by construction to a random target g, for
+    a random origin-fixed inner map phi."""
     def draw(rng):
         params, draws, target = _draw_target(rng, config)
 
         def finish(phi, *target_series):
             g, f_bound = target(*target_series)
-            return {"g": g, "phi": phi, "f": with_coeff_bound(compose(g, phi), f_bound)}
+            return with_coeff_bound(compose(g, phi), f_bound), g
 
         return params, [_inner(rng)] + draws, finish
 
-    return {"r_max": 1.0 / 3.0}, draw
+    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0), 1.0, draw
 
 
 def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
-    """The quasi suite, for an m_bound whose trials cannot overflow.
+    """f = h * (g o phi) with ||h|| <= m_bound on |z| < beta implies
+    Bohr(f, r) <= m_bound * Bohr(g, r) for r <= beta/3; h = m_bound *
+    s(z / beta) for a random Schur function s meets its sup bound
+    structurally, but carries no tail bound, as its coefficients may
+    grow like beta^-n.  It takes only an m_bound that cannot overflow.
 
     With n = degree, d = dim, W = m_bound beta^-n (the largest of h's
     weights) and B = max(2, n), 4 d (n + 1) B W must be finite, which
@@ -404,22 +415,24 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
 
         def finish(phi, s, *target_series):
             g, _ = target(*target_series)
-            h = MatrixSeries(s.coeffs * weights[:, None, None])
-            return {"g": g, "phi": phi, "h": h, "f": mul(h, compose(g, phi))}
+            return mul(MatrixSeries(s.coeffs * weights[:, None, None]), compose(g, phi)), g
 
         return params, [_inner(rng), draw_schur(rng, config.dim, scalar_head=True)] + draws, finish
 
-    return {"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0}, draw
+    return ({"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0},
+            default_grid(quasi_beta / 3.0), m_bound, draw)
 
 
 def _prepare_von_neumann(config: CampaignConfig):
+    """Composition with an inner map keeps the Bohr sum of a contraction
+    below 1 for r <= 1/3: Bohr(f o phi, r) <= sup ||f|| = 1."""
     def finish(f, phi):
-        return {"f": f, "phi": phi, "composition": with_coeff_bound(compose(f, phi), 1.0)}
+        return with_coeff_bound(compose(f, phi), 1.0), None
 
     def draw(rng):
         return {}, [draw_schur(rng, config.dim, scalar_head=True), _inner(rng)], finish
 
-    return {"r_max": 1.0 / 3.0}, draw
+    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0)[-1:], 1.0, draw
 
 
 # A base layer's generator returns its one draw and the function from
@@ -446,6 +459,9 @@ POLY_GRID_GAP = 1e-8
 
 
 def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **param):
+    """F's layered Bohr sum stays <= 1 up to the family's computed
+    radius, for a base layer meeting the family's hypothesis and p - 1
+    ratio functions of norm <= k (scaled Schur functions)."""
     fam = RadiusFamily(tag, k=k, p=p, **param)
     # every layer is allocated, while at radii <= 1/3 layer 63 weighs at most 3^-63
     if not fam.p <= 64:
@@ -463,64 +479,38 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
         order = max(w.order for w in omegas)
 
         def finish(f, *omegas):
-            return {"fn": build_polyanalytic(layer(f), [MatrixSeries(fam.k * w.coeffs, fam.k)
-                                                        for w in omegas])}
+            return build_polyanalytic(layer(f), [MatrixSeries(fam.k * w.coeffs, fam.k)
+                                                 for w in omegas]), None
 
         return {}, [base] + [dataclasses.replace(w, order=order) for w in omegas], finish
 
-    return {"family": fam.describe(), "radius": radius}, draw
+    return ({"family": fam.describe(), "radius": radius},
+            default_grid(radius - POLY_GRID_GAP)[-1:], 1.0, draw)
 
 
 @dataclasses.dataclass(frozen=True)
 class Suite:
-    """One verify suite: its name, hypothesis (doc), and the options it
-    reads with their defaults.  prepare(config, **options) checks them
-    and returns the suite's config echo entries and draw(rng), which
-    returns a trial's (params, draws, finish): finish maps the draws'
-    series (zoo.expand's) to the trial's instance, a dict of functions
-    by name.  r_max and m_bound read the grid's end and the bound's
-    multiplier from the config echo; the margin compares the instance
-    entries value and bound (None for the bound 1).
+    """One verify suite: its name, the options it reads with their
+    defaults, and prepare(config, **options), whose docstring states the
+    suite's hypothesis.  prepare checks the options and returns the
+    suite's config echo entries, the radii its margins are taken over,
+    the multiplier m_bound of its bound, and draw(rng), which returns a
+    trial's (params, draws, finish): finish maps the draws' series
+    (zoo.expand's) to the (value, bound) pair the margin compares, with
+    bound None for the bound 1, whose radii are r_max alone (_margin).
     """
 
     name: str
-    doc: str
     options: dict
     prepare: Callable
-    value: str
-    bound: str | None
-    r_max: Callable = lambda echo: echo["r_max"]
-    m_bound: Callable = lambda echo: 1.0
-
-    def grid(self, echo: dict) -> _BohrGrid:
-        """The radii a campaign's margins are taken over: default_grid
-        up to r_max, or against the bound 1 its last radius alone, where
-        the margin is smallest (_margin)."""
-        radii = default_grid(self.r_max(echo))
-        return _BohrGrid(radii if self.bound is not None else radii[-1:])
-
-    def compared(self, instance: dict) -> tuple:
-        """The (value, bound) pair of instance the margin compares."""
-        return instance[self.value], None if self.bound is None else instance[self.bound]
 
 
 SUITES = {suite.name: suite for suite in (
-    Suite("subordination", "f subordinate to g implies Bohr(f, r) <= Bohr(g, r) for r <= 1/3; "
-          "f = g(phi) is subordinate by construction to a random target g, for a random "
-          "origin-fixed inner map phi.", {}, _prepare_subordination, "f", "g"),
-    Suite("quasi", "f = h * (g o phi) with ||h|| <= m_bound on |z| < beta implies Bohr(f, r) <= "
-          "m_bound * Bohr(g, r) for r <= beta/3; h = m_bound * s(z / beta) for a random Schur "
-          "function s meets its sup bound structurally, but carries no tail bound, as its "
-          "coefficients may grow like beta^-n.", {"m_bound": 1.5, "quasi_beta": 0.9},
-          _prepare_quasi, "f", "g", m_bound=lambda echo: echo["m_bound"]),
-    Suite("von-neumann", "Composition with an inner map keeps the Bohr sum of a contraction "
-          "below 1 for r <= 1/3: Bohr(f o phi, r) <= sup ||f|| = 1.",
-          {}, _prepare_von_neumann, "composition", None),
-    *(Suite(f"poly-{tag}", "F's layered Bohr sum stays <= 1 up to the family's computed "
-            "radius, for a base layer meeting the family's hypothesis and p - 1 ratio functions "
-            "of norm <= k (scaled Schur functions).",
-            {"k": 1.0, "p": 2, **param}, functools.partial(_prepare_poly, tag, layer), "fn", None,
-            r_max=lambda echo: echo["radius"] - POLY_GRID_GAP)
+    Suite("subordination", {}, _prepare_subordination),
+    Suite("quasi", {"m_bound": 1.5, "quasi_beta": 0.9}, _prepare_quasi),
+    Suite("von-neumann", {}, _prepare_von_neumann),
+    *(Suite(f"poly-{tag}", {"k": 1.0, "p": 2, **param},
+            functools.partial(_prepare_poly, tag, layer))
       for tag, param, layer in (("general", {"lam": 1.0}, _general_layer),
                                 ("convex", {"beta": 1.0}, _convex_layer),
                                 ("starlike", {}, _starlike_layer))),

@@ -406,11 +406,16 @@ def test_replay_that_differs_from_the_record_is_exit_1(failure_file, capsys):
      "KeyError('index')"),
     (lambda dump: {**dump, "record": {**dump["record"], "index": 1.5}}, "TypeError"),
     (lambda dump: "not json", "Expecting value"),
+    (lambda dump: {**dump, "suite": "von-neumann"},
+     "suite 'von-neumann' and record seed 42 are not the config's 'quasi' and 42"),
+    (lambda dump: {**dump, "record": {**dump["record"], "seed": 999}},
+     "suite 'quasi' and record seed 999 are not the config's 'quasi' and 42"),
 ])
 def test_malformed_failure_file_is_exit_2(failure_file, capsys, edit, message):
     # an old-format file (its coefficients as "instance", no options), a
-    # missing key, an entry of the wrong type or text that is not JSON is
-    # a usage error, not a differing replay
+    # missing key, an entry of the wrong type, text that is not JSON, or
+    # a suite or record seed that differs from the config's is a usage
+    # error, not a differing replay
     with open(failure_file) as fh:
         dump = json.load(fh)
     edited = edit(dump)

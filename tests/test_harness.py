@@ -25,7 +25,7 @@ from bohrlab.harness import (
 from bohrlab.radii import FAMILIES, RadiusFamily, radius_poly_eval
 from bohrlab.opmat import NumericalError
 from bohrlab.series import MatrixSeries, _BohrGrid, _layers, majorant
-from bohrlab.zoo import build_polyanalytic
+from bohrlab.zoo import build_polyanalytic, expand
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
 CAMPAIGN_RECORDS = os.path.join(os.path.dirname(__file__), "campaign_records.csv")
@@ -120,7 +120,10 @@ def test_campaign_records_are_pinned(tmp_path):
     # every suite's records at the k = 1 defaults (dim 2, degree 32, 10
     # trials, seeds 1 and 2), margins as float hex: a reordered random
     # draw or a changed margin shows up trial by trial.  Margins get
-    # 1e-12, since BLAS builds may round matrix products differently.
+    # 1e-12, since BLAS builds may round matrix products differently;
+    # the drawn params (as JSON) and certified must match exactly, so a
+    # lost tail certificate shows even where it moves a margin by less
+    # than that
     with open(CAMPAIGN_RECORDS, newline="") as fh:
         expected = list(csv.DictReader(fh))
     actual = [(suite, record) for suite in SUITES for seed in (1, 2)
@@ -131,6 +134,8 @@ def test_campaign_records_are_pinned(tmp_path):
             row["suite"], int(row["seed"]), int(row["index"]), row["passed"] == "True")
         assert record.worst_margin == pytest.approx(float.fromhex(row["worst_margin"]),
                                                     abs=1e-12)
+        assert (json.dumps(record.params, sort_keys=True), str(record.certified)) == (
+            row["params"], row["certified"])
 
 
 def _coefficient_bytes(obj):
@@ -195,9 +200,10 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
     r_max = (report.config["radius"] - harness.POLY_GRID_GAP if suite.startswith("poly-")
              else report.config["r_max"])
     grid = default_grid(r_max)
-    assert tuple(radii) == (grid[-1:] if SUITES[suite].bound is None else grid)
+    bounded_by_one = suite == "von-neumann" or suite.startswith("poly-")
+    assert tuple(radii) == (grid[-1:] if bounded_by_one else grid)
     for (value, bound), (worst, certified, width) in zip(pairs, margins):
-        assert (bound is None) == (suite == "von-neumann" or suite.startswith("poly-"))
+        assert (bound is None) == bounded_by_one
         upper = majorant(value).bohr(grid)[1]
         lower = 1.0 if bound is None else majorant(bound).bohr(grid)[0]
         assert worst == float(np.min(m_bound * lower - upper))
@@ -218,9 +224,9 @@ def test_low_degree_equality_case_fails_by_the_tail_allowance(tmp_path):
     record = report.records[1]
     assert record.params == {"target": "schur"} and not record.passed
     assert record.worst_margin == pytest.approx(-(1 / 3) ** 17 / (1 - 1 / 3), rel=1e-6)
-    _, draw = SUITES["subordination"].prepare(cfg)
-    [(_, instance)] = harness._trials(draw, cfg, [1])
-    phi = instance["phi"].coeffs[:, 0, 0]
+    *_, draw = SUITES["subordination"].prepare(cfg)
+    _, draws, _ = draw(harness._trial_rng(cfg.seed, 1))
+    phi = expand(draws[:1], cfg.degree)[0].coeffs[:, 0, 0]
     assert abs(phi[1]) == pytest.approx(1.0, abs=1e-15)
     assert not np.any(np.delete(phi, 1))
 
@@ -349,17 +355,12 @@ def test_replay_rejects_a_malformed_file(tmp_path):
                              ("record", "index", 0.5)):
         with pytest.raises(ValueError, match="malformed failure file: TypeError"):
             replay({**dump, part: {**dump[part], key: value}})
-
-
-# instance names each suite's trials build
-INSTANCE_KEYS = {
-    "subordination": {"g", "phi", "f"},
-    "quasi": {"g", "phi", "h", "f"},
-    "von-neumann": {"f", "phi", "composition"},
-    "poly-general": {"fn"},
-    "poly-convex": {"fn"},
-    "poly-starlike": {"fn"},
-}
+    # the suite and the seed are stated twice, and each copy must agree
+    # with the config's
+    for edited in ({**dump, "suite": "quasi"}, {**dump, "record": {**dump["record"], "seed": 999}}):
+        with pytest.raises(ValueError, match="malformed failure file: suite .* not the config's "
+                                             "'von-neumann' and 7$"):
+            replay(edited)
 
 
 @pytest.mark.parametrize("suite, options", [
@@ -378,7 +379,8 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite, options):
                            tolerance=-10.0, out=str(tmp_path / str(dim) / "r.json"))
         report = run_campaign(cfg, **options)
         assert report.pass_count == 0
-        _, draw = SUITES[suite].prepare(cfg, **{**SUITES[suite].options, **options})
+        _, radii, m_bound, draw = SUITES[suite].prepare(cfg, **{**SUITES[suite].options,
+                                                                **options})
         for record in report.records:
             path = tmp_path / str(dim) / f"{suite}-failure-{record.index:05d}.json"
             if dim == 8:
@@ -390,8 +392,8 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite, options):
             assert dump["config"] == json.loads(json.dumps(report.config))
             assert dump["options"] == {**SUITES[suite].options, **options}
             assert dump["record"] == json.loads(json.dumps(vars(record)))
-            [(params, instance)] = harness._trials(draw, cfg, [record.index])
-            assert params == record.params and set(instance) == INSTANCE_KEYS[suite]
+            [(params, _)] = harness._trials(draw, cfg, [record.index], m_bound, _BohrGrid(radii))
+            assert params == record.params
             assert replay(dump) == (record.worst_margin, record.certified, record.width)
 
 
