@@ -51,10 +51,11 @@ print("  max ||A_n||, n>=1:", op_norms(head.coeffs[1:]).max(),
 
 # --- convex and starlike targets ---------------------------------------------------
 
-g = convex_model(beta=0.75, dim=2, degree=16)
+# scalar functions times I, stored as 1x1 series: ||s I|| = |s| at every dim
+g = convex_model(beta=0.75, degree=16)
 print("\nconvex model: every coefficient has norm", op_norm(g.coeff(3)))
 
-koebe = starlike_from_q(CaratheodoryScalar(1.0), dim=2, degree=8)
+koebe = starlike_from_q(CaratheodoryScalar(1.0), degree=8)
 print("Koebe-type starlike coefficients:", [int(round(op_norm(koebe.coeff(n))))
                                             for n in range(9)])
 

@@ -228,17 +228,21 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
 
     value is a MatrixSeries or a PolyanalyticFn (its layered sum), bound
     a MatrixSeries or None.  The norms of every series the block
-    compares come from one op_norms call on their stacked coefficients,
-    and the sums from grid's one formula and power tables.  This is the
+    compares come from one op_norms call per coefficient size (1x1 for
+    a model target) on their stacked coefficients, and the sums from
+    grid's one formula and power tables.  This is the
     one definition of a campaign margin; replaying a failure file is the
     block of its one pair.
     """
     compared = [(_layers(value), bound) for value, bound in pairs]
     series = [f for layers, bound in compared
               for f in layers + (() if bound is None else (bound,))]
-    norms = np.split(op_norms(np.concatenate([f.coeffs for f in series])),
-                     np.cumsum([f.degree + 1 for f in series[:-1]]))
-    profiles = zip(norms, (f.coeff_bound for f in series))
+    norms = {}
+    for dim in {f.dim for f in series}:
+        group = [f for f in series if f.dim == dim]
+        norms.update(zip(group, np.split(op_norms(np.concatenate([f.coeffs for f in group])),
+                                         np.cumsum([f.degree + 1 for f in group[:-1]]))))
+    profiles = ((norms[f], f.coeff_bound) for f in series)
     margins = []
     for layers, bound in compared:
         # a series is the layered function of its one layer, bit for bit
@@ -315,22 +319,26 @@ def replay(dump: dict) -> tuple:
     trial re-drawn alone: its config echo (out aside, so the report may be
     gone), options and record index fix the draws, through numpy's PCG64
     stream and the current zoo.expand.  A missing or mistyped entry, or a
-    suite or record seed other than the config's, is a ValueError."""
+    suite, record seed, params or passed other than the config's and the
+    re-drawn failed trial's, is a ValueError."""
     try:
         _, echo, options, record = (dump[key] for key in ("suite", "config", "options", "record"))
         config = CampaignConfig(**{f.name: echo[f.name] for f in dataclasses.fields(CampaignConfig)
                                    if f.name != "out"})
         suite = SUITES[config.suite]
         options = {name: options[name] for name in suite.options}
-        index, seed, *_ = (record[key] for key in
-                           ("index", "seed", "worst_margin", "certified", "width"))
+        index, seed, recorded, passed, *_ = (record[key] for key in (
+            "index", "seed", "params", "passed", "worst_margin", "certified", "width"))
         _, radii, m_bound, draw = suite.prepare(config, **options)
-        [(_, margins)] = _trials(draw, config, [index], m_bound, _BohrGrid(radii))
+        [(params, margins)] = _trials(draw, config, [index], m_bound, _BohrGrid(radii))
     except (KeyError, TypeError) as exc:  # a key missing, or an entry of the wrong type
         raise ValueError(f"malformed failure file: {exc!r}") from None
     if (dump["suite"], seed) != (config.suite, config.seed):
         raise ValueError(f"malformed failure file: suite {dump['suite']!r} and record seed "
                          f"{seed!r} are not the config's {config.suite!r} and {config.seed!r}")
+    if recorded != json.loads(json.dumps(params)) or passed is not False:
+        raise ValueError(f"malformed failure file: record params {recorded!r} and passed "
+                         f"{passed!r} are not the re-drawn trial's {params!r} and False")
     return margins
 
 
@@ -346,10 +354,10 @@ def _draw_target(rng: np.random.Generator, config: CampaignConfig):
     if kind == "convex":
         beta = float(rng.uniform(0.25, 2.0))
         return ({"target": "convex", "beta": beta}, [],
-                lambda: (convex_model(beta, config.dim, config.degree), beta))
+                lambda: (convex_model(beta, config.degree), beta))
     u = float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     return ({"target": "starlike", "u": [u.real, u.imag]}, [],
-            lambda: (starlike_from_q(CaratheodoryScalar(u), config.dim, config.degree), None))
+            lambda: (starlike_from_q(CaratheodoryScalar(u), config.degree), None))
 
 
 def _inner(rng: np.random.Generator) -> BlaschkeSpec:
@@ -443,14 +451,13 @@ def _general_layer(rng, fam: RadiusFamily, config: CampaignConfig):
 
 def _convex_layer(rng, fam: RadiusFamily, config: CampaignConfig):
     return _inner(rng), lambda phi: with_coeff_bound(
-        compose(convex_model(fam.beta, config.dim, config.degree), phi), fam.beta)
+        compose(convex_model(fam.beta, config.degree), phi), fam.beta)
 
 
 def _starlike_layer(rng, fam: RadiusFamily, config: CampaignConfig):
     phi = _inner(rng)
     u = float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return phi, lambda phi: compose(
-        starlike_from_q(CaratheodoryScalar(u), config.dim, config.degree), phi)
+    return phi, lambda phi: compose(starlike_from_q(CaratheodoryScalar(u), config.degree), phi)
 
 
 # The poly suites' grids end this far short of the solved radius, the

@@ -102,20 +102,20 @@ def with_coeff_bound(f: MatrixSeries, bound: float | None) -> MatrixSeries:
 def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     """Cauchy product, truncated to n = min(deg f, deg g).
 
-    For dim 1 this is one np.convolve; for dim d > 1 it is block matmuls
-    of several coefficients at a time (_block_product).  When every
-    coefficient of g is a scalar times I, as for quasi's compositions
-    with the convex and starlike model targets, the product is entrywise
-    and runs as d*d scalar products (_block_product's d = 1 path).
+    g has f's dim or dim 1: a 1x1 g stands for s * I, as the convex and
+    starlike model targets do (zoo), and the product is entrywise, d*d
+    scalar products (_block_product's d = 1 path).  For dim 1 this is
+    one np.convolve; for dim d > 1 it is block matmuls of several
+    coefficients at a time (_block_product).
 
     The product's tail mixes truncated and certified parts, so no sound
     constant bound survives; the result carries none.
     """
-    if f.dim != g.dim:
+    if g.dim not in (1, f.dim):
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    n, d = min(f.degree, g.degree), f.dim
+    n = min(f.degree, g.degree)
     fa, ga = f.coeffs[: n + 1], g.coeffs[: n + 1]
-    if d == 1:
+    if f.dim == 1:
         out = np.convolve(fa[:, 0, 0], ga[:, 0, 0])[: n + 1].reshape(-1, 1, 1)
     else:
         out = _block_product(fa, ga)
@@ -132,7 +132,9 @@ _MATMUL_LIMIT = 2**16
 def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product of coefficient stacks: fa of shape
     (n+1, m, d) and ga of shape (n+1, d, d) give out_k = sum_{i+j=k}
-    fa_i @ ga_j, of shape (n+1, m, d).
+    fa_i @ ga_j, of shape (n+1, m, d).  A ga of shape (n+1, 1, 1) stands
+    for s_j I, which commutes with fa_i: the product is this kernel at
+    d = 1 on each of the m*d entries of fa.
 
     Each 2-D matmul takes c block rows [fa_i ... fa_{i+c-1}] of fa, side
     by side, times the block-Toeplitz strip of ga whose row r is
@@ -148,22 +150,10 @@ def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     one-row products fa_i @ [g_0 ... g_{n-i}].  A stack of m/d matrices
     per coefficient (m > d) multiplies each of them by g in the same
     matmuls.
-
-    When every ga_j is exactly s_j I (off-diagonal entries zero, the
-    diagonal entries equal), as for compositions with the convex and
-    starlike model targets (quasi's g(phi), and f_0' of the poly-convex
-    and poly-starlike base layers), the product is this kernel at
-    d = 1: s_j I commutes with fa_i, so out_k = sum_{i+j=k} s_j fa_i
-    entry by entry, the scalar product of each of the m*d entries of fa
-    with s.  In exact arithmetic that is the general path's sum, whose
-    other terms are products with zeros; in floats its last bits can
-    differ.  The check is exact: at odd d, compose's zgemm can round the
-    starlike model's last diagonal entry apart from the others, and such
-    a ga takes the general path.
     """
     n1, m, d = fa.shape
-    if d > 1 and (ga == ga[:, :1, :1] * np.eye(d)).all():
-        return _block_product(fa.reshape(n1, m * d, 1), ga[:, :1, :1]).reshape(n1, m, d)
+    if ga.shape[1] == 1 < d:
+        return _block_product(fa.reshape(n1, m * d, 1), ga).reshape(n1, m, d)
     c = max(1, min(n1, (_MATMUL_LIMIT - 1) // (m * d * n1 * d)))
     padded = np.zeros((d, (n1 + c - 1) * d), dtype=np.complex128)
     padded[:, (c - 1) * d :] = ga.transpose(1, 0, 2).reshape(d, n1 * d)
@@ -197,7 +187,9 @@ def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
     exact zeros.  The Toeplitz matrices are copies of one window over a
     zero-padded buffer, made once per call by np.ndarray (by as_strided
     it left a 0.9 MB peak-RSS step within 800 poly-d3 rounds).  The
-    output is one more matmul, of the powers with g's coefficients.
+    output is one more matmul, of the powers with g's coefficients; for
+    a 1x1 g an einsum, since numpy runs a one-column matmul as a zgemv,
+    which OpenBLAS hands to a second thread from 64x64 entries on.
 
     No tail certificate survives in general; reattach one with
     with_coeff_bound when the structure of g and phi justifies it.
@@ -226,7 +218,8 @@ def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
         np.matmul(powers[1 : top - m + 1, 1 : size + 1], window[:size, :size].copy(),
                   out=powers[m + 1 : top + 1, m + 1 :])
         m = top
-    out = powers.T @ g.coeffs[: n + 1].reshape(n + 1, -1)
+    gc = g.coeffs[: n + 1].reshape(n + 1, -1)
+    out = np.einsum("kn,kj->nj", powers, gc) if g.dim == 1 else powers.T @ gc
     return MatrixSeries(out.reshape(n + 1, g.dim, g.dim), None)
 
 

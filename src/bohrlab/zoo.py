@@ -10,6 +10,10 @@ whatever tail certificate the construction actually justifies:
 * Starlike images built from Caratheodory data carry no constant bound
   (their coefficients grow linearly, Koebe being the extreme case).
 
+The convex and starlike models, scalar functions times I, are 1x1
+series: mul and build_polyanalytic take a 1x1 right operand or base
+layer as s * I at any dim, with the same norms, ||s I|| = |s|.
+
 Randomness flows through numpy Generators; a seed, a seed sequence, or
 an existing Generator is accepted wherever a ``rng`` argument appears.
 """
@@ -350,17 +354,15 @@ def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
     return expand([draw], degree)[0]
 
 
-def convex_model(beta: float, dim: int, degree: int) -> MatrixSeries:
-    """The convex target beta * z/(1-z) * I: every nonconstant
-    coefficient is beta I, with matching tail bound beta."""
+def convex_model(beta: float, degree: int) -> MatrixSeries:
+    """The convex target beta * z/(1-z) * I, as a 1x1 series: every
+    nonconstant coefficient is beta, with matching tail bound beta."""
     beta = float(beta)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if dim < 1 or degree < 1:
-        raise ValueError("convex model needs dim >= 1 and degree >= 1")
-    coeffs = np.zeros((degree + 1, dim, dim), dtype=np.complex128)
-    coeffs[1:] = beta * np.eye(dim)
-    return MatrixSeries(coeffs, coeff_bound=beta)
+    if degree < 1:
+        raise ValueError("convex model needs degree >= 1")
+    return scalar_series([0.0] + [beta] * degree, coeff_bound=beta)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -377,8 +379,8 @@ class CaratheodoryScalar:
         object.__setattr__(self, "u", u)
 
 
-def starlike_from_q(q: CaratheodoryScalar, dim: int, degree: int) -> MatrixSeries:
-    """Normalized starlike map g with z g'(z) = q(z) g(z).
+def starlike_from_q(q: CaratheodoryScalar, degree: int) -> MatrixSeries:
+    """Normalized starlike map g with z g'(z) = q(z) g(z), 1x1 (g I).
 
     For q = (1 + u z) / (1 - u z) the equation has the closed-form
     solution g = z / (1 - u z)^2: its logarithmic derivative is
@@ -388,20 +390,17 @@ def starlike_from_q(q: CaratheodoryScalar, dim: int, degree: int) -> MatrixSerie
     which fixes every coefficient, so this is the only normalized
     solution, and
 
-        g_n = n u^(n-1) I.
+        g_n = n u^(n-1).
 
-    For u = 1 (the Koebe data q = (1+z)/(1-z)) this is g_n = n I;
+    For u = 1 (the Koebe data q = (1+z)/(1-z)) this is g_n = n;
     coefficients grow linearly, so no constant tail bound is attached.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = np.arange(1, degree + 1)
     scal = np.zeros(degree + 1, dtype=np.complex128)
     scal[1:] = n * q.u ** (n - 1)
-    coeffs = scal[:, None, None] * np.eye(dim, dtype=np.complex128)[None]
-    return MatrixSeries(coeffs, None)
+    return scalar_series(scal)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -409,7 +408,8 @@ class PolyanalyticFn:
     """F(z) = sum_{l=0}^{p-1} conj(z)^l f_l(z) with analytic layers f_l.
 
     components holds (f_0, ..., f_{p-1}); a top layer may vanish
-    identically (the function then has smaller true order).
+    identically (the function then has smaller true order).  The layers
+    share one dimension, but f_0 may be 1x1 (s * I).
     """
 
     components: tuple
@@ -420,17 +420,13 @@ class PolyanalyticFn:
             raise ValueError("polyanalytic order p must be >= 2")
         if any(not isinstance(c, MatrixSeries) for c in comps):
             raise ValueError("components must be MatrixSeries")
-        if any(c.dim != comps[0].dim for c in comps):
-            raise ValueError("components must share one dimension")
+        if any(c.dim != comps[1].dim for c in comps[2:]) or comps[0].dim not in (1, comps[1].dim):
+            raise ValueError("components must share one dimension (or f_0 be 1x1)")
         object.__setattr__(self, "components", comps)
 
     @property
     def p(self) -> int:
         return len(self.components)
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
 
 
 def build_polyanalytic(f0: MatrixSeries, omegas) -> PolyanalyticFn:
@@ -440,17 +436,19 @@ def build_polyanalytic(f0: MatrixSeries, omegas) -> PolyanalyticFn:
     from 0, which makes the factorization f_l' = omega_l f_0' exact by
     construction and forces f_l(0) = 0; layer l has degree
     min(deg omega_l, deg f_0') + 1.  All layers come from one truncated
-    product and one division.  f_0 itself must vanish at the origin.
+    product and one division.  f_0 itself must vanish at the origin; a
+    1x1 f_0 stands for s * I beside ratio functions of any one dim.
     """
     if np.any(f0.coeffs[0] != 0):
         raise ValueError("base layer must vanish at the origin")
     omegas = tuple(omegas)
     if not omegas:
         raise ValueError("need at least one ratio function (order p >= 2)")
-    if any(w.dim != f0.dim for w in omegas):
-        raise ValueError("ratio functions must match the base dimension")
+    d = omegas[0].dim
+    if any(w.dim != d for w in omegas) or f0.dim not in (1, d):
+        raise ValueError("ratio functions must share one dim, the base's unless it is 1x1")
     df0 = derivative(f0)
-    d, degrees = f0.dim, [min(w.degree, df0.degree) for w in omegas]
+    degrees = [min(w.degree, df0.degree) for w in omegas]
     n = max(degrees)
     # One product for all layers: the ratio functions, zero-padded to
     # degree n, stacked into a ((p-1)d, d) block column per coefficient.

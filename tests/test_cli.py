@@ -410,12 +410,19 @@ def test_replay_that_differs_from_the_record_is_exit_1(failure_file, capsys):
      "suite 'von-neumann' and record seed 42 are not the config's 'quasi' and 42"),
     (lambda dump: {**dump, "record": {**dump["record"], "seed": 999}},
      "suite 'quasi' and record seed 999 are not the config's 'quasi' and 42"),
+    (lambda dump: {**dump, "record": {**dump["record"],
+                                      "params": {"target": "starlike", "u": [0.1, 0.2]}}},
+     "record params {'target': 'starlike', 'u': [0.1, 0.2]} and passed False are not the "
+     "re-drawn trial's"),
+    (lambda dump: {**dump, "record": {**dump["record"], "passed": True}},
+     "and passed True are not the re-drawn trial's"),
 ])
 def test_malformed_failure_file_is_exit_2(failure_file, capsys, edit, message):
     # an old-format file (its coefficients as "instance", no options), a
-    # missing key, an entry of the wrong type, text that is not JSON, or
-    # a suite or record seed that differs from the config's is a usage
-    # error, not a differing replay
+    # missing key, an entry of the wrong type, text that is not JSON, a
+    # suite or record seed that differs from the config's, record params
+    # that differ from the re-drawn trial's, or a record that passed is a
+    # usage error, not a differing replay
     with open(failure_file) as fh:
         dump = json.load(fh)
     edited = edit(dump)

@@ -346,7 +346,7 @@ def test_replay_rejects_a_malformed_file(tmp_path):
         with pytest.raises(ValueError, match=f"KeyError.'{key}'"):
             replay({k: v for k, v in dump.items() if k != key})
     for part, key in (("config", "seed"), ("config", "degree"), ("record", "index"),
-                      ("record", "width")):
+                      ("record", "width"), ("record", "params"), ("record", "passed")):
         with pytest.raises(ValueError, match=f"KeyError.'{key}'"):
             replay({**dump, part: {k: v for k, v in dump[part].items() if k != key}})
     with pytest.raises(ValueError, match="malformed failure file: TypeError"):
@@ -361,6 +361,15 @@ def test_replay_rejects_a_malformed_file(tmp_path):
         with pytest.raises(ValueError, match="malformed failure file: suite .* not the config's "
                                              "'von-neumann' and 7$"):
             replay(edited)
+    # the record must be the re-drawn trial's, and a failed one
+    with pytest.raises(ValueError, match=r"malformed failure file: record params \{'target': "
+                                         r"'schur'\} and passed False are not the re-drawn "
+                                         r"trial's \{\} and False$"):
+        replay({**dump, "record": {**dump["record"], "params": {"target": "schur"}}})
+    for passed in (True, None, 0):
+        with pytest.raises(ValueError, match=rf"malformed failure file: record params \{{\}} and "
+                                             rf"passed {passed!r} are not"):
+            replay({**dump, "record": {**dump["record"], "passed": passed}})
 
 
 @pytest.mark.parametrize("suite, options", [

@@ -7,15 +7,13 @@ the automorphism's series, Majorant.bohr's grid sums of one series
 and of layered functions against their one-radius form, the realization
 expansion of Blaschke products and Schur diagonals against per-factor
 convolution, the several-row block product against the double loop, the
-one-row loop and (bit for bit) a strip made by sliding_window_view, its
-s_j I operands (and the model-target compositions that make them) to
-the d = 1 call bit for bit, and the one-product polyanalytic layers
-against one product per layer.  The
-block expansion (expand) is pinned bit for bit to each function
+one-row loop and (bit for bit) a strip made by sliding_window_view, a
+1x1 right operand or base layer to the double loop with its s_j I copy,
+and the one-product polyanalytic layers against one product per layer.
+The block expansion (expand) is pinned bit for bit to each function
 expanded on its own, a stack of Schur draws at one padded order to
-consecutive gen_schur_matrix calls, the draws (draw_schur) to
-those of gen_schur_matrix, and random_blaschke_spec to numpy's array
-formula."""
+consecutive gen_schur_matrix calls, the draws (draw_schur) to those of
+gen_schur_matrix, and random_blaschke_spec to numpy's array formula."""
 
 import dataclasses
 
@@ -37,7 +35,6 @@ from bohrlab.series import (
 )
 from bohrlab.zoo import (
     BlaschkeSpec,
-    CaratheodoryScalar,
     PolyanalyticFn,
     _blaschke_realization,
     _haar_from_gaussian,
@@ -45,14 +42,12 @@ from bohrlab.zoo import (
     _realization_series,
     blaschke_series,
     build_polyanalytic,
-    convex_model,
     draw_schur,
     expand,
     gen_schur_matrix,
     haar_unitary,
     mobius_transfer,
     random_blaschke_spec,
-    starlike_from_q,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -139,7 +134,7 @@ def compose_by_gather(g, phi):
     """compose's doubling with each Toeplitz matrix gathered from a
     zero-padded copy of phi^m's coefficients by a shift index; compose,
     which copies them from one strided window, must equal it bit for
-    bit."""
+    bit.  A 1x1 g is contracted by compose's einsum, not a matvec."""
     n = min(g.degree, phi.degree)
     powers = np.zeros((n + 1, n + 1), dtype=np.complex128)
     powers[0, 0] = 1.0
@@ -155,7 +150,9 @@ def compose_by_gather(g, phi):
         t = padded[shift[:size, :size]]
         powers[m + 1 : top + 1, m + 1 :] = powers[1 : top - m + 1, 1 : size + 1] @ t
         m = top
-    return (powers.T @ g.coeffs[: n + 1].reshape(n + 1, -1)).reshape(n + 1, g.dim, g.dim)
+    gc = g.coeffs[: n + 1].reshape(n + 1, -1)
+    out = np.einsum("kn,kj->nj", powers, gc) if g.dim == 1 else powers.T @ gc
+    return out.reshape(n + 1, g.dim, g.dim)
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2, 3, 31, 32, 33, 64, 65, 128, 129))
@@ -667,61 +664,16 @@ def scalar_identity_stack(s, d):
     return s[:, None, None] * np.eye(d)
 
 
-def block_product_at_dim_one(fa, s):
-    """_block_product of fa with the scalars s, entry by entry: the d = 1
-    call that a right operand of s_j I takes."""
-    n1, m, d = fa.shape
-    return _block_product(fa.reshape(n1, m * d, 1), s.reshape(n1, 1, 1)).reshape(n1, m, d)
-
-
 @pytest.mark.parametrize("shape", [(65, 3, 3), (64, 6, 3), (64, 12, 3), (129, 8, 8),
                                    (33, 2, 2), (1, 3, 3), (1, 8, 8)])
 def test_block_product_of_scalar_times_identity(shape):
     # quasi's mul and the poly layers' product at the benchmark's shapes
-    # and small ones: every ga_j = s_j I takes the d = 1 path
+    # and small ones: a (n+1, 1, 1) right operand is s_j I
     n1, m, d = shape
     rng = np.random.default_rng([n1, m, d])
     fa, s = random_coeffs(rng, shape), random_coeffs(rng, n1)
-    ga = scalar_identity_stack(s, d)
-    out = _block_product(fa, ga)
-    assert_close(out, block_product_reference(fa, ga))
-    assert out.tobytes() == block_product_at_dim_one(fa, s).tobytes()
-
-
-def near_scalar(rng, n1, d):
-    """s and (label, ga, scalar) triples: ga is the stack of s_j I with
-    one entry of one coefficient changed (a diagonal entry by one ulp),
-    and scalar says whether every ga_j still equals s_j I."""
-    s = random_coeffs(rng, n1)
-    j = n1 // 2
-    cases = []
-    for label, index, value, scalar in (("diagonal", (d - 1, d - 1), s[j] * (1 + 2**-52), False),
-                                        ("tiny off-diagonal", (0, d - 1), 1e-300, False),
-                                        ("negative zero", (d - 1, 0), complex(-0.0, -0.0), True)):
-        ga = scalar_identity_stack(s, d)
-        ga[(j, *index)] = value
-        cases.append((label, ga, scalar))
-    return s, cases
-
-
-@pytest.mark.parametrize("shape", [(65, 3, 3), (64, 12, 3), (129, 8, 8), (33, 2, 2)])
-def test_block_product_of_near_scalar_operands(shape):
-    # an operand that is s_j I in all but one entry takes the general
-    # path with its bits; an off-diagonal -0.0 equals 0 and takes the
-    # scalar path
-    n1, m, d = shape
-    rng = np.random.default_rng([n1, m, d, 1])
-    fa = random_coeffs(rng, shape)
-    s, cases = near_scalar(rng, n1, d)
-    for label, ga, scalar in cases:
-        out = _block_product(fa, ga)
-        assert_close(out, block_product_reference(fa, ga))
-        if scalar:
-            assert out.tobytes() == block_product_at_dim_one(fa, s).tobytes(), label
-        else:
-            general = (block_product_one_row if rows_per_matmul(n1, m, d) == 1
-                       else block_product_sliding_window)
-            assert out.tobytes() == general(fa, ga).tobytes(), label
+    out = _block_product(fa, s.reshape(n1, 1, 1))
+    assert_close(out, block_product_reference(fa, scalar_identity_stack(s, d)))
 
 
 @SETTINGS
@@ -729,37 +681,30 @@ def test_block_product_of_near_scalar_operands(shape):
 def test_mul_by_scalar_times_identity_matches_double_loop(seed, dim, f_degree, g_degree):
     rng = np.random.default_rng(seed)
     f = MatrixSeries(random_coeffs(rng, (f_degree + 1, dim, dim)))
-    g = MatrixSeries(scalar_identity_stack(random_coeffs(rng, g_degree + 1), dim))
-    assert_close(mul(f, g).coeffs, mul_reference(f, g))
+    s = random_coeffs(rng, g_degree + 1)
+    product = mul(f, scalar_series(s))
+    assert product.dim == dim
+    assert_close(product.coeffs, mul_reference(f, MatrixSeries(scalar_identity_stack(s, dim))))
 
 
-@pytest.mark.parametrize("degree", (64, 128))
-@pytest.mark.parametrize("dim", (2, 3, 8))
-def test_model_target_compositions_are_scalar_times_identity(dim, degree):
-    # the operands the d = 1 path is for: compose of a model target with
-    # an inner map (quasi's g(phi), the poly-convex and poly-starlike base
-    # layers) and its derivative must come out exactly s_j I, every
-    # diagonal entry rounded alike, for mul and build_polyanalytic to
-    # take that path.  compose contracts the powers with g's d*d columns
-    # in one zgemm, and OpenBLAS 0.3.31 computes an odd last column on its
-    # own: for the starlike model's complex coefficients it rounds that
-    # column differently, so at dim 3 only the convex model, whose
-    # coefficients are real, is exactly scalar
-    rng = np.random.default_rng([dim, degree])
-    for _ in range(4):
-        phi = expand([random_blaschke_spec(rng, fix_origin=True)], degree)[0]
-        beta = float(rng.uniform(0.25, 2.0))
-        u = float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        targets = [convex_model(beta, dim, degree)]
-        if dim != 3:
-            targets.append(starlike_from_q(CaratheodoryScalar(u), dim, degree))
-        for target in targets:
-            g = compose(target, phi)
-            for c in (g.coeffs, derivative(g).coeffs):
-                assert np.array_equal(c, scalar_identity_stack(c[:, 0, 0], dim))
-            fa = random_coeffs(rng, (degree + 1, dim, dim))
-            assert (mul(MatrixSeries(fa), g).coeffs.tobytes()
-                    == block_product_at_dim_one(fa, g.coeffs[:, 0, 0]).tobytes())
+@SETTINGS
+@given(seeds, st.sampled_from((2, 3, 8)), st.sampled_from((1, 2, 3, 8)))
+def test_mismatched_dims_raise(seed, dim, other):
+    # a 1x1 right operand or base layer is s I; any other pair of dims
+    # is an error, as is a 1x1 left operand times a d x d one
+    rng = np.random.default_rng(seed)
+    f, g = (MatrixSeries(random_coeffs(rng, (5, d, d))) for d in (dim, other))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mul(MatrixSeries(random_coeffs(rng, (5, 1, 1))), f)
+    if other not in (1, dim):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mul(f, g)
+    if other != dim:
+        f0 = scalar_series([0.0, *random_coeffs(rng, 4)])
+        with pytest.raises(ValueError, match="share one dim"):
+            build_polyanalytic(f0, [f, g])
+        with pytest.raises(ValueError, match="share one dim"):
+            PolyanalyticFn((f0, f, g))
 
 
 def layers_reference(f0, omegas):
@@ -784,6 +729,24 @@ def test_one_product_layers_match_one_product_per_layer(seed, dim, f0_degree, om
     for layer, expected in zip(fn.components[1:], layers_reference(f0, omegas)):
         assert layer.coeff_bound is None
         assert_close(layer.coeffs, expected)
+
+
+@SETTINGS
+@given(seeds, st.sampled_from((2, 3, 8)), st.integers(1, 40),
+       st.lists(st.integers(0, 48), min_size=1, max_size=4))
+def test_one_product_layers_of_a_scalar_base(seed, dim, f0_degree, omega_degrees):
+    # a 1x1 base layer (a model target's composition) gives the layers
+    # of the same base as s I
+    rng = np.random.default_rng(seed)
+    s = random_coeffs(rng, f0_degree + 1)
+    s[0] = 0.0
+    omegas = [MatrixSeries(random_coeffs(rng, (n + 1, dim, dim))) for n in omega_degrees]
+    fn = build_polyanalytic(scalar_series(s), omegas)
+    expected = build_polyanalytic(MatrixSeries(scalar_identity_stack(s, dim)), omegas)
+    assert fn.components[0].dim == 1
+    for layer, want in zip(fn.components[1:], expected.components[1:]):
+        assert layer.coeff_bound is None
+        assert_close(layer.coeffs, want.coeffs)
 
 
 @pytest.mark.parametrize("omega_degrees",

@@ -172,16 +172,17 @@ def test_gen_schur_rejects_conflicting_flags():
 # ---------------------------------------------------------------- convex / starlike
 
 def test_convex_model_coefficients_and_bohr():
-    beta, d, n = 0.75, 3, 32
-    g = convex_model(beta, d, n)
-    assert op_norm(g.coeff(0)) == 0.0
-    assert all(op_norm(g.coeff(j)) == pytest.approx(beta) for j in range(1, 5))
+    # beta z/(1-z) I is stored as the 1x1 series of its scalar
+    beta, n = 0.75, 32
+    g = convex_model(beta, n)
+    assert g.dim == 1
+    assert g.coeffs[:, 0, 0].tolist() == [0.0] + [beta] * n
     assert g.coeff_bound == beta
     r = 0.25
     expected = beta * (r - r ** (n + 1)) / (1 - r)
     assert bohr_lo(g, r) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        convex_model(0.0, 2, 8)
+        convex_model(0.0, 8)
 
 
 def test_caratheodory_coefficients():
@@ -191,12 +192,11 @@ def test_caratheodory_coefficients():
 
 def test_starlike_koebe_and_degenerate_data():
     # u = 1 gives the Koebe coefficients n I; u = 0 gives z I
-    g = starlike_from_q(CaratheodoryScalar(1.0), 2, 8)
-    for n in range(9):
-        assert op_norm(g.coeff(n)) == pytest.approx(float(n), abs=1e-12)
-    g0 = starlike_from_q(CaratheodoryScalar(0.0), 2, 8)
-    assert op_norm(g0.coeff(1)) == 1.0
-    assert op_norms(g0.coeffs[2:]).max() == 0.0
+    g = starlike_from_q(CaratheodoryScalar(1.0), 8)
+    assert g.dim == 1
+    assert g.coeffs[:, 0, 0].tolist() == list(range(9))
+    g0 = starlike_from_q(CaratheodoryScalar(0.0), 8)
+    assert g0.coeffs[:, 0, 0].tolist() == [0, 1] + [0] * 7
 
 
 def starlike_recurrence(u, degree):
@@ -220,12 +220,10 @@ def starlike_recurrence(u, degree):
 def test_starlike_closed_form_matches_the_recurrence():
     # g = z / (1 - u z)^2, so g_n = n u^(n-1), solves the recurrence
     for u in (1.0, -1.0, 0.0, 0.5j, 0.75 - 0.25j, 0.6 + 0.8j, np.exp(2.0j)):
-        got = starlike_from_q(CaratheodoryScalar(u), 2, 64).coeffs
-        assert np.all(got == got[:, :1, :1] * np.eye(2))
+        got = starlike_from_q(CaratheodoryScalar(u), 64).coeffs
+        assert got.shape == (65, 1, 1)
         for n, want in enumerate(starlike_recurrence(complex(u), 64)):
             assert abs(got[n, 0, 0] - want) <= 1e-13 * abs(want)
-    koebe = starlike_from_q(CaratheodoryScalar(1.0), 1, 64).coeffs[:, 0, 0]
-    assert koebe.tolist() == list(range(65))
 
 
 def test_starlike_coefficients_growth_bound():
@@ -233,7 +231,7 @@ def test_starlike_coefficients_growth_bound():
     rng = np.random.default_rng(28)
     for _ in range(25):
         u = rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        g = starlike_from_q(CaratheodoryScalar(u), 2, 32)
+        g = starlike_from_q(CaratheodoryScalar(u), 32)
         norms = op_norms(g.coeffs)
         assert all(norms[n] <= n + 1e-10 for n in range(33))
     assert g.coeff_bound is None
@@ -250,10 +248,10 @@ def test_composition_inherits_coefficient_majorant():
         if pick == 0:
             g = gen_schur_matrix(rng, d, 64)
         elif pick == 1:
-            g = convex_model(float(rng.uniform(0.25, 2.0)), d, 64)
+            g = convex_model(float(rng.uniform(0.25, 2.0)), 64)
         else:
             u = rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            g = starlike_from_q(CaratheodoryScalar(u), d, 64)
+            g = starlike_from_q(CaratheodoryScalar(u), 64)
         phi = blaschke_series(random_blaschke_spec(rng, fix_origin=True), 64)
         f = compose(g, phi)
         lf, lg = (majorant(h).bohr(LEMMA_GRID)[0] for h in (f, g))
@@ -265,7 +263,7 @@ def test_convex_subordinate_coefficient_cap():
     rng = np.random.default_rng(30)
     for i in range(20):
         beta = float(rng.uniform(0.25, 2.0))
-        g = convex_model(beta, 2, 64)
+        g = convex_model(beta, 64)
         phi = blaschke_series(random_blaschke_spec(rng, fix_origin=True), 64)
         f = compose(g, phi)
         assert op_norms(f.coeffs).max() <= beta + 1e-8
