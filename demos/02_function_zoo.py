@@ -14,7 +14,6 @@ import numpy as np
 
 from bohrlab import (
     BlaschkeSpec,
-    CaratheodoryScalar,
     blaschke_series,
     convex_model,
     gen_schur_matrix,
@@ -55,7 +54,9 @@ print("  max ||A_n||, n>=1:", op_norms(head.coeffs[1:]).max(),
 g = convex_model(beta=0.75, degree=16)
 print("\nconvex model: every coefficient has norm", op_norm(g.coeff(3)))
 
-koebe = starlike_from_q(CaratheodoryScalar(1.0), degree=8)
+# the starlike map of Caratheodory data (1 + u z)/(1 - u z), |u| <= 1;
+# u = 1 is the Koebe function z/(1 - z)^2
+koebe = starlike_from_q(1.0, degree=8)
 print("Koebe-type starlike coefficients:", [int(round(op_norm(koebe.coeff(n))))
                                             for n in range(9)])
 

@@ -12,12 +12,13 @@ holds for that instance rather than an artifact of truncation.  Each
 record says whether both ends were proven bounds (certified) and how
 wide the margin's enclosure is at its worst radius.  Today they are
 for every von-neumann trial and for subordination trials with Schur or
-convex targets, but not for starlike targets, for any quasi trial (the
-product carries no tail certificate) or for any poly-* trial (the
-higher layers carry none).  Floating-point rounding is enclosed on
-neither side.  A failed trial is one the campaign could not certify,
-not a violation found: at a low degree the tail allowance alone fails
-trials whose lower ends pass (worst_margin + width >= 0).
+convex targets (f = g o phi inherits g's tail bound, by _subordinate's
+proof), but not for starlike targets, for any quasi trial (the product
+carries no tail certificate) or for any poly-* trial (the higher
+layers carry none).  Floating-point rounding is enclosed on neither
+side.  A failed trial is one the campaign could not certify, not a
+violation found: at a low degree the tail allowance alone fails trials
+whose lower ends pass (worst_margin + width >= 0).
 
 SUITES defines each suite by its prepare (Suite), which states its
 hypothesis and returns the radii, bound multiplier and draw that
@@ -61,7 +62,6 @@ from .series import (
 )
 from .zoo import (
     BlaschkeSpec,
-    CaratheodoryScalar,
     build_polyanalytic,
     convex_model,
     draw_schur,
@@ -268,21 +268,24 @@ def _trials(draw: Callable, config: CampaignConfig, indices, m_bound: float, gri
     return list(zip([params for params, _, _ in drawn], _margin(pairs, m_bound, grid)))
 
 
-def run_campaign(config: CampaignConfig, **options) -> Report:
-    """Run config.suite's campaign with options, the suite's own options
-    (one it does not read is an error, one not given takes its default).
-    A failed trial writes {"suite", "config", "options", "record"} to
-    _failure_path: the report's config echo (the campaign's config plus
-    the suite's own entries), the options prepare got and its record.
-    """
-    suite = SUITES[config.suite]
+def _options(suite: Suite, options: dict) -> dict:
+    """options over suite's defaults; a name it does not read is a ValueError."""
     for name in options:
         if name not in suite.options:
             readers = " or ".join(s.name for s in SUITES.values() if name in s.options)
             raise ValueError(f"{name} only applies to the {readers} suite, not to {suite.name}"
                              if readers else f"no suite reads {name}")
-    options = {**suite.options, **options}
-    extra, radii, m_bound, draw = suite.prepare(config, **options)
+    return {**suite.options, **options}
+
+
+def run_campaign(config: CampaignConfig, **options) -> Report:
+    """Run config.suite's campaign with the suite's own options
+    (_options).  A failed trial writes {"suite", "config", "options",
+    "record"} to _failure_path: the report's config echo (the campaign's
+    config plus the suite's own entries), the options prepare got and
+    its record."""
+    options = _options(SUITES[config.suite], options)
+    extra, radii, m_bound, draw = SUITES[config.suite].prepare(config, **options)
     start = time.perf_counter()
     echo = {**vars(config), **extra}
     grid = _BohrGrid(radii)
@@ -318,21 +321,24 @@ def replay(dump: dict) -> tuple:
     """A failure file's (margin, certified, width), recomputed from its
     trial re-drawn alone: its config echo (out aside, so the report may be
     gone), options and record index fix the draws, through numpy's PCG64
-    stream and the current zoo.expand.  A missing or mistyped entry, or a
-    suite, record seed, params or passed other than the config's and the
-    re-drawn failed trial's, is a ValueError."""
+    stream and the current zoo.expand.  A missing, mistyped or invalid
+    entry, or a suite, record seed, params, passed, options or suite echo
+    entries other than run_campaign would write, is a ValueError."""
     try:
         _, echo, options, record = (dump[key] for key in ("suite", "config", "options", "record"))
         config = CampaignConfig(**{f.name: echo[f.name] for f in dataclasses.fields(CampaignConfig)
                                    if f.name != "out"})
-        suite = SUITES[config.suite]
-        options = {name: options[name] for name in suite.options}
+        completed = _options(SUITES[config.suite], options)
         index, seed, recorded, passed, *_ = (record[key] for key in (
             "index", "seed", "params", "passed", "worst_margin", "certified", "width"))
-        _, radii, m_bound, draw = suite.prepare(config, **options)
+        extra, radii, m_bound, draw = SUITES[config.suite].prepare(config, **completed)
         [(params, margins)] = _trials(draw, config, [index], m_bound, _BohrGrid(radii))
-    except (KeyError, TypeError) as exc:  # a key missing, or an entry of the wrong type
+    except (KeyError, TypeError, ValueError) as exc:  # a key missing, an entry refused
         raise ValueError(f"malformed failure file: {exc!r}") from None
+    extra, echoed = json.loads(json.dumps(extra)), {key: echo.get(key) for key in extra}
+    if (options, echoed) != (completed, extra):
+        raise ValueError(f"malformed failure file: options {options!r} and config entries "
+                         f"{echoed!r} are not the completed {completed!r} and prepare's {extra!r}")
     if (dump["suite"], seed) != (config.suite, config.seed):
         raise ValueError(f"malformed failure file: suite {dump['suite']!r} and record seed "
                          f"{seed!r} are not the config's {config.suite!r} and {config.seed!r}")
@@ -342,22 +348,32 @@ def replay(dump: dict) -> tuple:
     return margins
 
 
+def _subordinate(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
+    """f = g o phi for an origin-fixed inner map phi, with g's tail bound,
+    which f, subordinate to g, inherits for the zoo's targets: a Schur g
+    makes f a Schur function (bound 1); for the convex model beta z/(1-z) I,
+    Rogosinski's coefficient theorem gives ||f_n|| <= |g'(0)| = beta; the
+    starlike model has no constant bound, as its subordinates grow like n.
+    The rule holds for these kinds of g, not for an arbitrary g."""
+    return with_coeff_bound(compose(g, phi), g.coeff_bound)
+
+
+def _draw_u(rng: np.random.Generator) -> complex:
+    """A random Caratheodory parameter u, |u| < 1, for starlike_from_q."""
+    return float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+
+
 def _draw_target(rng: np.random.Generator, config: CampaignConfig):
     """A random subordination target: its parameters, its draws (one
-    Schur draw, or none for a model) and a function from their series
-    to the target g and the tail bound its subordinates inherit: Schur
-    targets give 1, convex targets give their beta, starlike targets
-    give none."""
+    Schur draw, or none) and its model series (None for a Schur target)."""
     kind = ("schur", "convex", "starlike")[int(rng.integers(3))]
     if kind == "schur":
-        return {"target": "schur"}, [draw_schur(rng, config.dim)], lambda g: (g, 1.0)
+        return {"target": "schur"}, [draw_schur(rng, config.dim)], None
     if kind == "convex":
         beta = float(rng.uniform(0.25, 2.0))
-        return ({"target": "convex", "beta": beta}, [],
-                lambda: (convex_model(beta, config.degree), beta))
-    u = float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return ({"target": "starlike", "u": [u.real, u.imag]}, [],
-            lambda: (starlike_from_q(CaratheodoryScalar(u), config.degree), None))
+        return {"target": "convex", "beta": beta}, [], convex_model(beta, config.degree)
+    u = _draw_u(rng)
+    return {"target": "starlike", "u": [u.real, u.imag]}, [], starlike_from_q(u, config.degree)
 
 
 def _inner(rng: np.random.Generator) -> BlaschkeSpec:
@@ -370,11 +386,10 @@ def _prepare_subordination(config: CampaignConfig):
     f = g(phi) is subordinate by construction to a random target g, for
     a random origin-fixed inner map phi."""
     def draw(rng):
-        params, draws, target = _draw_target(rng, config)
+        params, draws, model = _draw_target(rng, config)
 
-        def finish(phi, *target_series):
-            g, f_bound = target(*target_series)
-            return with_coeff_bound(compose(g, phi), f_bound), g
+        def finish(phi, g=model):
+            return _subordinate(g, phi), g
 
         return params, [_inner(rng)] + draws, finish
 
@@ -419,11 +434,10 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
                          f"quasi_beta^-degree must be finite")
 
     def draw(rng):
-        params, draws, target = _draw_target(rng, config)
+        params, draws, model = _draw_target(rng, config)
 
-        def finish(phi, s, *target_series):
-            g, _ = target(*target_series)
-            return mul(MatrixSeries(s.coeffs * weights[:, None, None]), compose(g, phi)), g
+        def finish(phi, s, g=model):
+            return mul(MatrixSeries(s.coeffs * weights[:, None, None]), _subordinate(g, phi)), g
 
         return params, [_inner(rng), draw_schur(rng, config.dim, scalar_head=True)] + draws, finish
 
@@ -435,7 +449,7 @@ def _prepare_von_neumann(config: CampaignConfig):
     """Composition with an inner map keeps the Bohr sum of a contraction
     below 1 for r <= 1/3: Bohr(f o phi, r) <= sup ||f|| = 1."""
     def finish(f, phi):
-        return with_coeff_bound(compose(f, phi), 1.0), None
+        return _subordinate(f, phi), None
 
     def draw(rng):
         return {}, [draw_schur(rng, config.dim, scalar_head=True), _inner(rng)], finish
@@ -450,14 +464,12 @@ def _general_layer(rng, fam: RadiusFamily, config: CampaignConfig):
 
 
 def _convex_layer(rng, fam: RadiusFamily, config: CampaignConfig):
-    return _inner(rng), lambda phi: with_coeff_bound(
-        compose(convex_model(fam.beta, config.degree), phi), fam.beta)
+    return _inner(rng), functools.partial(_subordinate, convex_model(fam.beta, config.degree))
 
 
 def _starlike_layer(rng, fam: RadiusFamily, config: CampaignConfig):
     phi = _inner(rng)
-    u = float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return phi, lambda phi: compose(starlike_from_q(CaratheodoryScalar(u), config.degree), phi)
+    return phi, functools.partial(_subordinate, starlike_from_q(_draw_u(rng), config.degree))
 
 
 # The poly suites' grids end this far short of the solved radius, the
@@ -482,14 +494,12 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
     def draw(rng):
         base, layer = base_layer(rng, fam, config)
         omegas = [draw_schur(rng, config.dim, scalar_head=True) for _ in range(p - 1)]
-        # the p - 1 ratio functions' diagonals are realized at one order
-        order = max(w.order for w in omegas)
 
         def finish(f, *omegas):
-            return build_polyanalytic(layer(f), [MatrixSeries(fam.k * w.coeffs, fam.k)
-                                                 for w in omegas]), None
+            ratios = [MatrixSeries(fam.k * w.coeffs, fam.k * w.coeff_bound) for w in omegas]
+            return build_polyanalytic(layer(f), ratios), None
 
-        return {}, [base] + [dataclasses.replace(w, order=order) for w in omegas], finish
+        return {}, [base] + omegas, finish
 
     return ({"family": fam.describe(), "radius": radius},
             default_grid(radius - POLY_GRID_GAP)[-1:], 1.0, draw)

@@ -30,7 +30,6 @@ from .series import MatrixSeries, _block_product, derivative, scalar_series
 
 __all__ = [
     "BlaschkeSpec",
-    "CaratheodoryScalar",
     "SchurDraw",
     "PolyanalyticFn",
     "blaschke_series",
@@ -79,12 +78,12 @@ def blaschke_series(spec: BlaschkeSpec, degree: int) -> MatrixSeries:
     return expand([spec], degree)[0]
 
 
-def _blaschke_realization(specs, order: int | None = None) -> tuple:
+def _blaschke_realization(specs) -> tuple:
     """State-space realizations (A, B, C, D) of the given Blaschke
     products, stacked over rows: the Taylor coefficients of row i are D_i
     and C_i A_i^(n-1) B_i for n >= 1, with A of shape (rows, K, K), B and
-    C of shape (rows, K), D of shape (rows,) and K the given order, by
-    default the largest of the specs' orders.
+    C of shape (rows, K), D of shape (rows,) and K the largest of the
+    specs' orders.
 
     Each factor (z - a) / (1 - conj(a) z) is the first-order section
     x' = conj(a) x + s u, y = s x - a u with s = sqrt(1 - |a|^2), whose
@@ -94,7 +93,7 @@ def _blaschke_realization(specs, order: int | None = None) -> tuple:
     of A never amplify rounding errors, however close the zeros lie.  A
     row of lower order is padded with zeros, states that stay at 0.
     """
-    k = max(spec.order for spec in specs) if order is None else order
+    k = max(spec.order for spec in specs)
     a = np.zeros((len(specs), k, k), dtype=np.complex128)
     b = np.zeros((len(specs), k), dtype=np.complex128)
     c = np.zeros((len(specs), k), dtype=np.complex128)
@@ -238,19 +237,20 @@ class SchurDraw:
     alpha0 is set, shape (1 or 2, d, d); alpha0 is the scalar head (V is
     then U*), else None; specs are the d Blaschke products of the
     diagonal.  order is the state dimension the diagonal entries are
-    realized with, the largest of their orders unless a caller pads
-    further.  Padding changes the rounding of the expansion, not the
-    function.
+    realized with, the largest of their orders.
     """
 
     gauss: np.ndarray
     alpha0: complex | None
     specs: tuple
-    order: int
 
     @property
     def dim(self) -> int:
         return len(self.specs)
+
+    @property
+    def order(self) -> int:
+        return max(spec.order for spec in self.specs)
 
 
 def draw_schur(rng: np.random.Generator, dim: int, *, fix_origin: bool = False,
@@ -270,7 +270,7 @@ def draw_schur(rng: np.random.Generator, dim: int, *, fix_origin: bool = False,
         alpha0 = 0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     specs = tuple(random_blaschke_spec(rng, fix_origin=fix_origin or scalar_head)
                   for _ in range(dim))
-    return SchurDraw(gauss, alpha0, specs, max(spec.order for spec in specs))
+    return SchurDraw(gauss, alpha0, specs)
 
 
 def expand(draws, degree: int) -> list:
@@ -279,9 +279,9 @@ def expand(draws, degree: int) -> list:
     tail certificate 1.
 
     The numeric work is shared by all draws.  The Blaschke rows (a
-    spec's one, a Schur draw's d diagonal entries) are grouped by padded
-    order and by whether they carry a scalar head, and each group is
-    realized (_blaschke_realization, with _mobius_realization for a
+    spec's one, a Schur draw's d diagonal entries) are grouped by their
+    draw's order and by whether they carry a scalar head, and each group
+    is realized (_blaschke_realization, with _mobius_realization for a
     head, one alpha_0 per row) and expanded (_realization_series) in one
     call.  Rows of one order pass through the same matrix shapes in any
     group, so every coefficient is that of the function's own expansion;
@@ -302,7 +302,7 @@ def expand(draws, degree: int) -> list:
         alphas += [alpha] * len(specs)
     series = {}
     for (order, head), (rows, alphas) in groups.items():
-        realization = _blaschke_realization(rows, order)
+        realization = _blaschke_realization(rows)
         if head:
             realization = _mobius_realization(np.array(alphas), *realization)
         series[order, head] = _realization_series(*realization, degree)
@@ -365,41 +365,30 @@ def convex_model(beta: float, degree: int) -> MatrixSeries:
     return scalar_series([0.0] + [beta] * degree, coeff_bound=beta)
 
 
-@dataclasses.dataclass(frozen=True)
-class CaratheodoryScalar:
-    """Positive-real-part data q(z) = (1 + u z) / (1 - u z) with |u| <= 1;
-    its coefficients are q_0 = 1 and q_n = 2 u^n."""
+def starlike_from_q(u: complex, degree: int) -> MatrixSeries:
+    """Normalized starlike map g with z g'(z) = q(z) g(z), 1x1 (g I), for
+    the Caratheodory data q(z) = (1 + u z) / (1 - u z), |u| <= 1, whose
+    coefficients are q_0 = 1 and q_n = 2 u^n.
 
-    u: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        u = complex(self.u)
-        if abs(u) > 1.0 + 1e-12:
-            raise ValueError("Caratheodory parameter must satisfy |u| <= 1")
-        object.__setattr__(self, "u", u)
-
-
-def starlike_from_q(q: CaratheodoryScalar, degree: int) -> MatrixSeries:
-    """Normalized starlike map g with z g'(z) = q(z) g(z), 1x1 (g I).
-
-    For q = (1 + u z) / (1 - u z) the equation has the closed-form
-    solution g = z / (1 - u z)^2: its logarithmic derivative is
-    g'/g = 1/z + 2u / (1 - u z), so z g'/g = (1 + u z) / (1 - u z), and
-    g(0) = 0, g'(0) = 1.  Matching coefficients of z g' = q g gives
-    g_1 = 1 and (n - 1) g_n = sum_{j=1}^{n-1} q_j g_{n-j} for n >= 2,
-    which fixes every coefficient, so this is the only normalized
-    solution, and
+    The equation has the closed-form solution g = z / (1 - u z)^2: its
+    logarithmic derivative is g'/g = 1/z + 2u / (1 - u z), so
+    z g'/g = (1 + u z) / (1 - u z), and g(0) = 0, g'(0) = 1.  Matching
+    coefficients of z g' = q g gives g_1 = 1 and (n - 1) g_n =
+    sum_{j=1}^{n-1} q_j g_{n-j} for n >= 2, which fixes every
+    coefficient, so this is the only normalized solution, and
 
         g_n = n u^(n-1).
 
     For u = 1 (the Koebe data q = (1+z)/(1-z)) this is g_n = n;
     coefficients grow linearly, so no constant tail bound is attached.
     """
+    if not abs(u) <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError("Caratheodory parameter must satisfy |u| <= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = np.arange(1, degree + 1)
     scal = np.zeros(degree + 1, dtype=np.complex128)
-    scal[1:] = n * q.u ** (n - 1)
+    scal[1:] = n * complex(u) ** (n - 1)
     return scalar_series(scal)
 
 

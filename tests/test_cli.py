@@ -416,12 +416,23 @@ def test_replay_that_differs_from_the_record_is_exit_1(failure_file, capsys):
      "re-drawn trial's"),
     (lambda dump: {**dump, "record": {**dump["record"], "passed": True}},
      "and passed True are not the re-drawn trial's"),
+    (lambda dump: {**dump, "options": {**dump["options"], "k": 0.3, "bogus": 1}},
+     "ValueError('k only applies to the poly-general or poly-convex or poly-starlike suite, "
+     "not to quasi')"),
+    (lambda dump: {**dump, "options": {"m_bound": 2.0}},
+     "options {'m_bound': 2.0} and config entries {'m_bound': 2.0, 'beta': 0.9, 'r_max': 0.3} "
+     "are not the completed {'m_bound': 2.0, 'quasi_beta': 0.9}"),
+    (lambda dump: {**dump, "config": {**dump["config"], "m_bound": 99, "r_max": 0.9}},
+     "config entries {'m_bound': 99, 'beta': 0.9, 'r_max': 0.9} are not the completed "
+     "{'m_bound': 2.0, 'quasi_beta': 0.9} and prepare's {'m_bound': 2.0, 'beta': 0.9, "
+     "'r_max': 0.3}"),
 ])
 def test_malformed_failure_file_is_exit_2(failure_file, capsys, edit, message):
     # an old-format file (its coefficients as "instance", no options), a
     # missing key, an entry of the wrong type, text that is not JSON, a
     # suite or record seed that differs from the config's, record params
-    # that differ from the re-drawn trial's, or a record that passed is a
+    # that differ from the re-drawn trial's, a record that passed, or
+    # options or suite config entries other than the campaign's is a
     # usage error, not a differing replay
     with open(failure_file) as fh:
         dump = json.load(fh)

@@ -23,7 +23,7 @@ from bohrlab.harness import (
     run_sharpness_scan,
 )
 from bohrlab.radii import FAMILIES, RadiusFamily, radius_poly_eval
-from bohrlab.opmat import NumericalError
+from bohrlab.opmat import NumericalError, op_norms
 from bohrlab.series import MatrixSeries, _BohrGrid, _layers, majorant
 from bohrlab.zoo import build_polyanalytic, expand
 
@@ -370,6 +370,19 @@ def test_replay_rejects_a_malformed_file(tmp_path):
         with pytest.raises(ValueError, match=rf"malformed failure file: record params \{{\}} and "
                                              rf"passed {passed!r} are not"):
             replay({**dump, "record": {**dump["record"], "passed": passed}})
+    # the options must be those the campaign completed, and the config's
+    # suite entries those prepare returns: run_campaign writes no other
+    for options, message in (({"k": 0.3, "bogus": 1}, "ValueError.'k only applies to the "
+                                                       "poly-general or poly-convex or "
+                                                       "poly-starlike suite, not to von-neumann'"),
+                             ({"bogus": 1}, "ValueError.'no suite reads bogus'")):
+        with pytest.raises(ValueError, match=f"malformed failure file: {message}"):
+            replay({**dump, "options": options})
+    for r_max in (0.9, None):
+        with pytest.raises(ValueError, match=rf"malformed failure file: options \{{\}} and config "
+                                             rf"entries \{{'r_max': {r_max}\}} are not the "
+                                             rf"completed \{{\}} and prepare's \{{'r_max': 0.333"):
+            replay({**dump, "config": {**dump["config"], "r_max": r_max}})
 
 
 @pytest.mark.parametrize("suite, options", [
@@ -434,6 +447,34 @@ def test_records_say_which_sides_are_certified(tmp_path, suite):
             assert r.width == pytest.approx((1 / 3) ** 9 / (2 / 3), rel=1e-9)
         elif suite == "poly-starlike":
             assert r.width == 0.0
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_a_subordinate_carries_its_targets_certificate(dim):
+    # f = g o phi (harness._subordinate) carries g's tail bound, and the
+    # stored coefficients meet it: ||f_n|| <= 1 for a Schur target and
+    # <= beta for a convex one (Rogosinski), while a starlike target has
+    # none and ||f_n|| <= n.  A rotation phi makes ||f_n|| = beta
+    # exactly, so the stored norms may exceed it by rounding: the 1e-12
+    # allows for that, and is no campaign tolerance
+    config = CampaignConfig("subordination", dim=dim, degree=64)
+    kinds = set()
+    for index in range(100):
+        rng = np.random.default_rng([dim, index])
+        params, draws, model = harness._draw_target(rng, config)
+        phi, *target = expand([harness._inner(rng)] + draws, config.degree)
+        g = model or target[0]
+        f = harness._subordinate(g, phi)
+        kinds.add(params["target"])
+        assert f.coeff_bound == g.coeff_bound
+        if params["target"] == "starlike":
+            assert f.coeff_bound is None
+            cap = np.arange(config.degree + 1.0)
+        else:
+            cap = 1.0 if params["target"] == "schur" else params["beta"]
+            assert f.coeff_bound == cap
+        assert np.all(op_norms(f.coeffs) <= cap * (1.0 + 1e-12))
+    assert kinds == {"schur", "convex", "starlike"}
 
 
 # ---------------------------------------------------------------- reports

@@ -11,11 +11,9 @@ one-row loop and (bit for bit) a strip made by sliding_window_view, a
 1x1 right operand or base layer to the double loop with its s_j I copy,
 and the one-product polyanalytic layers against one product per layer.
 The block expansion (expand) is pinned bit for bit to each function
-expanded on its own, a stack of Schur draws at one padded order to
-consecutive gen_schur_matrix calls, the draws (draw_schur) to those of
+expanded on its own, a stack of Schur draws to consecutive
+gen_schur_matrix calls, the draws (draw_schur) to those of
 gen_schur_matrix, and random_blaschke_spec to numpy's array formula."""
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -408,8 +406,7 @@ def expand_together(draws, degree):
     """Coefficients of Schur draws of one dimension and mode, all their
     diagonal entries realized at the largest of their orders in one
     realization, one expansion, one QR and one einsum: how
-    gen_schur_matrix expands one draw, and a polyanalytic trial its
-    ratio functions."""
+    gen_schur_matrix expands one draw."""
     dim, head = draws[0].dim, draws[0].alpha0 is not None
     realization = _blaschke_realization([spec for d in draws for spec in d.specs])
     if head:
@@ -428,8 +425,9 @@ SCHUR_MODES = [(False, False), (True, False), (False, True)]
 def test_expand_of_a_mixed_list_is_each_function_expanded_alone(seed):
     # inner maps and plain, fix_origin and scalar_head Schur draws of
     # dims 1, 2, 3 and 8, with Blaschke rows of orders 1..4, in one
-    # shuffled list: expand groups the rows by padded order and head,
-    # and every coefficient is the one of the function's own expansion
+    # shuffled list: expand groups the rows by their draw's order and
+    # head, and every coefficient is the one of the function's own
+    # expansion
     rng = np.random.default_rng(seed)
     draws, expected = [], []
     for dim in (1, 2, 3, 8):
@@ -457,38 +455,24 @@ def test_expand_of_a_mixed_list_is_each_function_expanded_alone(seed):
         assert np.array_equal(f.coeffs, expected[i])
         if not isinstance(draws[i], BlaschkeSpec):
             assert np.array_equal(f.coeffs, expand_together([draws[i]], 64)[0])
-    # draws padded to one order are expanded as one stack, as a
-    # polyanalytic trial's ratio functions are
-    for dim in (1, 3, 8):
-        for fix_origin, scalar_head in SCHUR_MODES:
-            stack = [draw_schur(rng, dim, fix_origin=fix_origin, scalar_head=scalar_head)
-                     for _ in range(4)]
-            order = max(d.order for d in stack)
-            padded = [dataclasses.replace(d, order=order) for d in stack]
-            expected = [*expand_together(stack, 64),
-                        *(expand_together([d], 64)[0] for d in stack)]
-            for f, c in zip(expand(padded + stack, 64), expected):
-                assert np.array_equal(f.coeffs, c)
 
 
 @pytest.mark.parametrize("count", (1, 2, 4))
 @pytest.mark.parametrize("dim", range(1, 9))
 @pytest.mark.parametrize("fix_origin, scalar_head", SCHUR_MODES)
 def test_schur_stack_is_consecutive_gen_schur_draws(count, dim, fix_origin, scalar_head):
-    # count consecutive draws expanded as one stack at one padded order,
-    # as a polyanalytic trial's ratio functions are, agree with count
+    # count consecutive draws expanded as one stack, as a polyanalytic
+    # trial's ratio functions are, agree bit for bit with count
     # consecutive gen_schur_matrix calls and leave the generator in the
     # same state
     for seed in range(3):
         stack_rng, single_rng = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
         draws = [draw_schur(stack_rng, dim, fix_origin=fix_origin, scalar_head=scalar_head)
                  for _ in range(count)]
-        order = max(d.order for d in draws)
-        stack = expand([dataclasses.replace(d, order=order) for d in draws], 64)
+        stack = expand(draws, 64)
         singles = [gen_schur_matrix(single_rng, dim, 64, fix_origin=fix_origin,
                                     scalar_head=scalar_head).coeffs for _ in range(count)]
-        np.testing.assert_allclose(np.stack([f.coeffs for f in stack]), np.stack(singles),
-                                   rtol=0, atol=EXPANSION_ATOL)
+        assert np.array_equal(np.stack([f.coeffs for f in stack]), np.stack(singles))
         assert stack_rng.bit_generator.state == single_rng.bit_generator.state
 
 

@@ -10,7 +10,6 @@ from bohrlab.opmat import op_norm, op_norms, abs_op
 from bohrlab.series import MatrixSeries, compose, majorant, scalar_series
 from bohrlab.zoo import (
     BlaschkeSpec,
-    CaratheodoryScalar,
     PolyanalyticFn,
     blaschke_series,
     build_polyanalytic,
@@ -185,17 +184,22 @@ def test_convex_model_coefficients_and_bohr():
         convex_model(0.0, 8)
 
 
-def test_caratheodory_coefficients():
-    with pytest.raises(ValueError):
-        CaratheodoryScalar(1.5)
+def test_starlike_from_q_refuses_u_outside_the_closed_disk():
+    # |u| <= 1 up to 1e-12; NaN and inf are refused, not left to fail
+    # later as non-finite coefficients
+    for u in (1.5, float("nan"), complex("nan"), float("inf")):
+        with pytest.raises(ValueError, match="Caratheodory parameter"):
+            starlike_from_q(u, 4)
+    for u in (1.0, -1j, np.exp(2.0j)):
+        assert op_norms(starlike_from_q(u, 4).coeffs)[4] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_starlike_koebe_and_degenerate_data():
     # u = 1 gives the Koebe coefficients n I; u = 0 gives z I
-    g = starlike_from_q(CaratheodoryScalar(1.0), 8)
+    g = starlike_from_q(1.0, 8)
     assert g.dim == 1
     assert g.coeffs[:, 0, 0].tolist() == list(range(9))
-    g0 = starlike_from_q(CaratheodoryScalar(0.0), 8)
+    g0 = starlike_from_q(0.0, 8)
     assert g0.coeffs[:, 0, 0].tolist() == [0, 1] + [0] * 7
 
 
@@ -220,7 +224,7 @@ def starlike_recurrence(u, degree):
 def test_starlike_closed_form_matches_the_recurrence():
     # g = z / (1 - u z)^2, so g_n = n u^(n-1), solves the recurrence
     for u in (1.0, -1.0, 0.0, 0.5j, 0.75 - 0.25j, 0.6 + 0.8j, np.exp(2.0j)):
-        got = starlike_from_q(CaratheodoryScalar(u), 64).coeffs
+        got = starlike_from_q(u, 64).coeffs
         assert got.shape == (65, 1, 1)
         for n, want in enumerate(starlike_recurrence(complex(u), 64)):
             assert abs(got[n, 0, 0] - want) <= 1e-13 * abs(want)
@@ -231,7 +235,7 @@ def test_starlike_coefficients_growth_bound():
     rng = np.random.default_rng(28)
     for _ in range(25):
         u = rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        g = starlike_from_q(CaratheodoryScalar(u), 32)
+        g = starlike_from_q(u, 32)
         norms = op_norms(g.coeffs)
         assert all(norms[n] <= n + 1e-10 for n in range(33))
     assert g.coeff_bound is None
@@ -251,7 +255,7 @@ def test_composition_inherits_coefficient_majorant():
             g = convex_model(float(rng.uniform(0.25, 2.0)), 64)
         else:
             u = rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            g = starlike_from_q(CaratheodoryScalar(u), 64)
+            g = starlike_from_q(u, 64)
         phi = blaschke_series(random_blaschke_spec(rng, fix_origin=True), 64)
         f = compose(g, phi)
         lf, lg = (majorant(h).bohr(LEMMA_GRID)[0] for h in (f, g))
