@@ -13,8 +13,8 @@ record says whether both ends were proven bounds (certified) and how
 wide the margin's enclosure is at its worst radius.  Today they are
 for every von-neumann trial and for subordination trials with Schur or
 convex targets (f = g o phi inherits g's tail bound, by _subordinate's
-proof), but not for starlike targets, for any quasi trial (the product
-carries no tail certificate) or for any poly-* trial (the higher
+proof), but not for starlike targets, for any quasi trial (mul keeps
+neither factor's tail bound) or for any poly-* trial (the higher
 layers carry none).  Floating-point rounding is enclosed on neither
 side.  A failed trial is one the campaign could not certify, not a
 violation found: at a low degree the tail allowance alone fails trials
@@ -400,49 +400,41 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
     """f = h * (g o phi) with ||h|| <= m_bound on |z| < beta implies
     Bohr(f, r) <= m_bound * Bohr(g, r) for r <= beta/3; h = m_bound *
     s(z / beta) for a random Schur function s meets its sup bound
-    structurally, but carries no tail bound, as its coefficients may
-    grow like beta^-n.  It takes only an m_bound that cannot overflow.
+    structurally.  The margin is taken in w = r / beta, on
+    default_grid(1/3): term by term, Bohr(F, r) = Bohr(F(beta .), r / beta),
+    where F(beta .) has coefficients beta^n F_n, and f(beta w) = m_bound
+    s(w) (g o phi)(beta w), so a trial is subordination's pair, dilated,
+    times s.  The dilated g keeps g's tail bound C, as ||g_n beta^n|| <= C.
 
-    With n = degree, d = dim, W = m_bound beta^-n (the largest of h's
-    weights) and B = max(2, n), 4 d (n + 1) B W must be finite, which
-    suffices.  Proof: B bounds the coefficient norms of the target g (1
-    for a Schur target, its beta <= 2 for a convex one, n for a
-    starlike one) and of g o phi, which is subordinate to g (a Schur
-    function stays one; Rogosinski's theorem for convex and starlike g).
-    ||h_i|| <= m_bound beta^-i <= W, and an entry is at most its
-    matrix's norm.  A real or imaginary part of an entry of
-    f_k = sum_{i+j=k} h_i (g o phi)_j thus sums at most 2 d (n + 1)
-    products of modulus at most B W, and every partial sum, in any
-    order, is at most 2 d (n + 1) B W.  Either Bohr sum of g (tail
-    allowance included, r <= 1/3) is at most (n + 2) B, and as
-    ||f_k|| <= (k + 1) B m_bound beta^-k, f's at r <= beta/3 is at most
-    sum_k (k + 1) 3^-k B m_bound <= (n + 1) B m_bound; so the margin and
-    its width are at most (2n + 3) B m_bound.  op_norms rescales the Gram
-    matrices.  The factor of at least 4/3 left covers rounding, whose
-    relative growth in these sums and in the computed coefficients is
-    far below 1/3.
+    With B = max(2, degree), 4 dim (degree + 1) B m_bound must be finite:
+    the coefficients of s, the dilated g and m_bound times the dilated
+    g o phi are at most 1, B and B m_bound (_subordinate's bounds), so a
+    product entry sums at most 2 dim (degree + 1) real or imaginary parts
+    of modulus <= B m_bound, and at w <= 1/3 the margin and its width are
+    at most (2 degree + 3) B m_bound, leaving a factor >= 4/3 for rounding.
     """
     if not 0.0 < m_bound < math.inf or not 0.0 < quasi_beta <= 1.0:
         raise ValueError("need a finite m_bound > 0 and quasi_beta in (0, 1]")
     n = config.degree
-    # coefficient n of m_bound * s(z / beta) is m_bound beta^-n s_n
-    with np.errstate(over="ignore"):
-        weights = m_bound * quasi_beta ** -np.arange(n + 1.0)
-    if not math.isfinite(4 * config.dim * (n + 1) * max(2, n) * float(weights[-1])):
-        raise ValueError(f"m_bound {m_bound} with quasi_beta {quasi_beta} at degree {n} and dim "
-                         f"{config.dim} can overflow: 4 dim (degree + 1) max(2, degree) m_bound "
-                         f"quasi_beta^-degree must be finite")
+    if not math.isfinite(4 * config.dim * (n + 1) * max(2, n) * m_bound):
+        raise ValueError(f"m_bound {m_bound} at degree {n} and dim {config.dim} can overflow: "
+                         f"4 dim (degree + 1) max(2, degree) m_bound must be finite")
+    dilation = quasi_beta ** np.arange(n + 1.0)[:, None, None]
+    scaled = m_bound * dilation
+    *_, subordinate = _prepare_subordination(config)
 
     def draw(rng):
-        params, draws, model = _draw_target(rng, config)
+        params, draws, pair = subordinate(rng)
 
-        def finish(phi, s, g=model):
-            return mul(MatrixSeries(s.coeffs * weights[:, None, None]), _subordinate(g, phi)), g
+        def finish(*series):
+            f, g = pair(*series[:-1])
+            return (mul(series[-1], MatrixSeries(f.coeffs * scaled)),
+                    MatrixSeries(g.coeffs * dilation, g.coeff_bound))
 
-        return params, [_inner(rng), draw_schur(rng, config.dim, scalar_head=True)] + draws, finish
+        return params, draws + [draw_schur(rng, config.dim, scalar_head=True)], finish
 
     return ({"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0},
-            default_grid(quasi_beta / 3.0), m_bound, draw)
+            default_grid(1.0 / 3.0), m_bound, draw)
 
 
 def _prepare_von_neumann(config: CampaignConfig):

@@ -211,36 +211,35 @@ def test_quasi_rejects_infinite_multiplier_bound(capsys):
                                   ["--m-bound", "1e300", "--degree", "16"],
                                   ["--m-bound", "1e300"]])
 def test_quasi_far_outside_the_float_range_passes(capsys, argv):
-    # h's coefficients reach 1e256 and 1e300 (8.5e302 at degree 64), whose
+    # the dilation 0.1^n underflows to subnormals and zeros at degree 256,
+    # and m_bound times the dilated g o phi reaches about 7e299, whose
     # Gram matrices would overflow; op_norms rescales them
     code, out, _ = run(capsys, "verify", "quasi", "--trials", "3", "--dim", "3", *argv)
     assert code == 0 and out.startswith("PASS")
 
 
-def test_quasi_overflowing_weights_are_a_usage_error(capsys):
-    # 1.5 * 0.05^-256 is about 1e333: rejected before any work, without
-    # numpy's overflow warning
+def test_quasi_at_a_small_beta_and_the_top_degree_passes(capsys):
+    # in the dilated variable w = z / beta no coefficient grows like
+    # beta^-n, so beta 0.05 at degree 256 runs, without numpy's warnings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "verify", "quasi", "--quasi-beta", "0.05",
-                             "--degree", "256")
-    assert code == 2 and not out and not caught
-    assert err.startswith("error:") and "quasi_beta" in err and "degree" in err
+                             "--degree", "256", "--trials", "3")
+    assert code == 0 and out.startswith("PASS") and not err and not caught
 
 
 @pytest.mark.parametrize("seed", ["2", "42"])
 def test_quasi_products_that_could_overflow_are_a_usage_error(capsys, seed):
-    # h's largest weight is 1.7e308 at beta 1; unchecked, whether a trial
-    # overflows depends on the draw (seed 42 overflows in h (g o phi), seed
-    # 2 passes on margins near 1e306), so both seeds must be refused
+    # m_bound 1.7e308 times g o phi's coefficients, up to max(2, degree),
+    # overflows; whatever the draw, the guard refuses it before any work
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "verify", "quasi", "--m-bound", "1.7e308", "--quasi-beta", "1",
                              "--dim", "3", "--degree", "64", "--seed", seed)
     assert code == 2 and not out and not caught
     assert "RuntimeWarning" not in err and len(err.splitlines()) == 1
-    assert err.startswith("error:") and all(name in err for name in ("m_bound", "quasi_beta",
-                                                                      "degree"))
+    assert err.startswith("error:") and "quasi_beta" not in err
+    assert all(name in err for name in ("m_bound", "degree", "dim"))
 
 
 def test_numerical_failure_is_exit_2_not_a_violation(capsys, monkeypatch):

@@ -24,8 +24,8 @@ from bohrlab.harness import (
 )
 from bohrlab.radii import FAMILIES, RadiusFamily, radius_poly_eval
 from bohrlab.opmat import NumericalError, op_norms
-from bohrlab.series import MatrixSeries, _BohrGrid, _layers, majorant
-from bohrlab.zoo import build_polyanalytic, expand
+from bohrlab.series import MatrixSeries, _BohrGrid, _layers, majorant, mul
+from bohrlab.zoo import build_polyanalytic, convex_model, expand, starlike_from_q
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
 CAMPAIGN_RECORDS = os.path.join(os.path.dirname(__file__), "campaign_records.csv")
@@ -197,8 +197,9 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
     assert margins == [(r.worst_margin, r.certified, r.width) for r in report.records]
     if suite in ("subordination", "quasi"):
         assert {r.params["target"] for r in report.records} == {"schur", "convex", "starlike"}
+    # quasi's margins are taken in w = r / beta, up to 1/3
     r_max = (report.config["radius"] - harness.POLY_GRID_GAP if suite.startswith("poly-")
-             else report.config["r_max"])
+             else 1.0 / 3.0 if suite == "quasi" else report.config["r_max"])
     grid = default_grid(r_max)
     bounded_by_one = suite == "von-neumann" or suite.startswith("poly-")
     assert tuple(radii) == (grid[-1:] if bounded_by_one else grid)
@@ -250,6 +251,36 @@ def test_quasi_campaign_passes_across_parameters(tmp_path):
         assert report.config["r_max"] == pytest.approx(beta / 3)
     with pytest.raises(ValueError):
         run_campaign(small_config(tmp_path, "quasi"), quasi_beta=1.5)
+
+
+def test_quasi_trials_are_subordinations_draws(tmp_path):
+    # quasi's draw is subordination's, plus one Schur multiplier
+    config = small_config(tmp_path, "subordination", trials=30)
+    reports = [run_campaign(config), run_campaign(small_config(tmp_path, "quasi", trials=30))]
+    assert [r.params for r in reports[0].records] == [r.params for r in reports[1].records]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+@pytest.mark.parametrize("m_bound, beta", [(1.5, 0.9), (2.0, 0.5), (1.5, 0.2)])
+def test_quasi_margins_are_those_of_the_original_variable(tmp_path, dim, m_bound, beta):
+    # the reference margin in z: h = m_bound s(z / beta), whose coefficient
+    # n is m_bound beta^-n s_n, times g o phi against m_bound g on
+    # default_grid(beta / 3), from the same draws
+    config = small_config(tmp_path, "quasi", trials=12, dim=dim, degree=64)
+    report = run_campaign(config, m_bound=m_bound, quasi_beta=beta)
+    *_, draw = SUITES["quasi"].prepare(config, m_bound=m_bound, quasi_beta=beta)
+    weights = m_bound * beta ** -np.arange(config.degree + 1.0)
+    grid = default_grid(beta / 3.0)
+    for record in report.records:
+        params, draws, _ = draw(harness._trial_rng(config.seed, record.index))
+        phi, *target, s = expand(draws, config.degree)
+        g = (target[0] if params["target"] == "schur"
+             else convex_model(params["beta"], config.degree) if params["target"] == "convex"
+             else starlike_from_q(complex(*params["u"]), config.degree))
+        f = mul(MatrixSeries(s.coeffs * weights[:, None, None]), harness._subordinate(g, phi))
+        margin = np.min(m_bound * majorant(g).bohr(grid)[0] - majorant(f).bohr(grid)[1])
+        assert params == record.params
+        assert record.worst_margin == pytest.approx(margin, rel=0, abs=1e-12)
 
 
 def test_von_neumann_campaign_passes(tmp_path):
@@ -458,6 +489,8 @@ def test_a_subordinate_carries_its_targets_certificate(dim):
     # exactly, so the stored norms may exceed it by rounding: the 1e-12
     # allows for that, and is no campaign tolerance
     config = CampaignConfig("subordination", dim=dim, degree=64)
+    unit = np.zeros((config.degree + 1, dim, dim))
+    unit[0] = np.eye(dim)
     kinds = set()
     for index in range(100):
         rng = np.random.default_rng([dim, index])
@@ -474,6 +507,18 @@ def test_a_subordinate_carries_its_targets_certificate(dim):
             cap = 1.0 if params["target"] == "schur" else params["beta"]
             assert f.coeff_bound == cap
         assert np.all(op_norms(f.coeffs) <= cap * (1.0 + 1e-12))
+        # quasi's finish, with m_bound 1 and the multiplier s = 1, gives
+        # the dilated pair (f(beta .), g(beta .)): g's bound stays, and
+        # coefficient n meets beta^n times it
+        beta = (0.9, 0.5, 0.2)[index % 3]
+        *_, draw = SUITES["quasi"].prepare(config, m_bound=1.0, quasi_beta=beta)
+        _, draws, finish = draw(np.random.default_rng([dim, index]))
+        pair = finish(*expand(draws[:-1], config.degree), MatrixSeries(unit))
+        assert pair[1].coeff_bound == g.coeff_bound
+        for h in pair:
+            norms = op_norms(h.coeffs)
+            assert np.all(norms <= cap * (1.0 + 1e-12))
+            assert np.all(norms <= beta ** np.arange(config.degree + 1.0) * cap * (1.0 + 1e-12))
     assert kinds == {"schur", "convex", "starlike"}
 
 

@@ -294,6 +294,18 @@ def test_bohr_algebra_laws_random(seed, d, al):
     np.testing.assert_allclose(li, 1.0, rtol=0, atol=1e-12)
 
 
+@SETTINGS
+@given(seeds, dims, st.integers(0, 64), st.floats(0.05, 1.0), st.floats(0.0, 1.0))
+def test_bohr_sum_of_a_dilation(seed, d, degree, beta, t):
+    # f(beta .), whose coefficient n is beta^n A_n, has at r / beta the
+    # lower Bohr sum f has at r, for r <= beta / 3 (the quasi campaign's
+    # change of variable)
+    f = random_series(np.random.default_rng(seed), d, degree)
+    dilated = MatrixSeries(f.coeffs * beta ** np.arange(degree + 1.0)[:, None, None])
+    r = t * beta / 3.0
+    assert bohr_at(dilated, r / beta)[0] == pytest.approx(bohr_at(f, r)[0], rel=1e-13, abs=0)
+
+
 def test_bohr_zero_iff_all_coefficients_vanish():
     rng = np.random.default_rng(13)
     z = MatrixSeries(np.zeros((11, 3, 3)), 0.0)
