@@ -131,11 +131,20 @@ def _cmd_table(args) -> int:
 def _cmd_replay(args) -> int:
     with open(args.file) as fh:
         dump = json.load(fh)
-    replayed = " ".join(map(repr, replay(dump)))
+    margin, certified, width = replay(dump)
+    record = dump["record"]
+    replayed = " ".join(map(repr, (margin, certified, width)))
     # repr round-trips a float, so equal reprs are equal bits
-    recorded = " ".join(repr(dump["record"][k]) for k in ("worst_margin", "certified", "width"))
+    recorded = " ".join(repr(record[k]) for k in ("worst_margin", "certified", "width"))
     print(f"       worst_margin certified width\nrecord {recorded}\nreplay {replayed}")
-    return 0 if recorded == replayed else 1
+    if recorded == replayed:
+        return 0
+    # the drift, so that a rounding-level change reads apart from a wrong file
+    flipped = ("unchanged" if certified == record["certified"]
+               else f"flipped from {record['certified']} to {certified}")
+    print(f"replay - record: worst_margin {margin - record['worst_margin']:+.3e} "
+          f"width {width - record['width']:+.3e}, certified {flipped}")
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--dim", type=int, default=3)
-    verify.add_argument("--degree", type=int, default=64)
+    verify.add_argument("--degree", type=int, default=64,
+                        help="largest degree a campaign expands; a certified suite stops where "
+                             "its tail bound makes the rest invisible")
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--tol", type=float, default=1e-8)
     verify.add_argument("--out", default=None,

@@ -21,18 +21,28 @@ violation found: at a low degree the tail allowance alone fails trials
 whose lower ends pass (worst_margin + width >= 0).
 
 SUITES defines each suite by its prepare (Suite), which states its
-hypothesis and returns the radii, bound multiplier and draw that
-run_campaign and replay both run through _trials.
+hypothesis and returns the radii, bound multiplier, tail bound and draw
+that run_campaign and replay both run through _trials.
+
+Expansion degree: config.degree is the most a campaign expands.  A
+suite whose prepare states a tail bound C for every series its margin
+sums expands them only to the smallest N at which C's tail allowance at
+its largest radius is at most 2^-60 (_expansion_degree, with the proof
+that this loses nothing the campaign claims): von-neumann, C = 1 at
+r = 1/3, stops at N = 38.  Every other suite expands to config.degree.
+The report's config echo holds N as "expansion_degree" when it is below
+config.degree.
 
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
 its random draws and then builds its functions from their series, and
 the campaign runs in blocks of trials: every trial of a block is drawn,
 in index order, before one zoo.expand call expands all their random
-functions at once, and every trial is finished before one _margin call
-forms all the block's margins.  The draws, and so the reports, do not
-depend on the block size.  A failed trial writes a failure file, which
-replay re-draws, and the campaign keeps going.
+functions at once, to the expansion degree, and every trial is
+finished before one _margin call forms all the block's margins.  The
+draws, and so the reports, do not depend on the block size.  A failed
+trial writes a failure file, which replay re-draws, and the campaign
+keeps going.
 """
 
 from __future__ import annotations
@@ -87,11 +97,15 @@ __all__ = [
 
 _SEED_MASK = (1 << 64) - 1
 
-# Coefficient entries (trials x dim^2 x (degree + 1)) per block of
-# trials: 14 trials at dim 3, degree 64, and 1 at dim 8, degree 128.  A
-# block's series are all alive at once: blocks of 28 saved 4% more CPU
-# but added 1.5 MB of peak memory instead of 0.85 MB.
+# Coefficient entries (trials x dim^2 x (N + 1), N the expansion degree)
+# per block of trials: 14 trials at dim 3, N 64, and 1 at dim 8, N 128;
+# von-neumann, at N 38, runs 23 at dim 3 and 3 at dim 8.  A block's
+# series are all alive at once: blocks of 28 saved 4% more CPU but
+# added 1.5 MB of peak memory instead of 0.85 MB.
 _BLOCK_ENTRIES = 2**13
+
+# A tail allowance this small is below 1/256 of an ulp of 1 (2^-52).
+_INVISIBLE_TAIL = 2.0**-60
 
 # run_sharpness_scan's largest grid: its Vandermonde holds steps x 65
 # floats (the witness has degree 64), 52 MB.
@@ -224,7 +238,9 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     sum_l r^l (sum_n ||A_{l,n}|| r^n + C_l r^(N+1) / (1 - r)), with
     C_l = 0 for a layer without a tail bound: a sum of nonnegative
     terms, each nondecreasing in r on [0, 1).  So hi is nondecreasing
-    and 1 - hi is smallest at r_max (rounding aside).
+    and 1 - hi is smallest at r_max (rounding aside).  N is each
+    series' own degree: the expansion degree (_expansion_degree), or
+    less where a product or composition truncated.
 
     value is a MatrixSeries or a PolyanalyticFn (its layered sum), bound
     a MatrixSeries or None.  The norms of every series the block
@@ -258,12 +274,54 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     return margins
 
 
-def _trials(draw: Callable, config: CampaignConfig, indices, m_bound: float, grid) -> list:
-    """The (params, (margin, certified, width)) of config's trials at
-    indices.  One zoo.expand call expands their draws, and one _margin
-    call forms their margins; a draw's bits do not depend on the block."""
-    drawn = [draw(_trial_rng(config.seed, index)) for index in indices]
-    series = iter(expand([d for _, draws, _ in drawn for d in draws], config.degree))
+def _expansion_degree(degree: int, grid: _BohrGrid, tail_bound: float | None) -> int:
+    """The smallest N <= degree at which the tail allowance C r^(N+1) /
+    (1 - r) (grid.tail, the expression _margin's sums add) is at most
+    2^-60 at every radius of grid, for C = tail_bound; degree when
+    tail_bound is None.  von-neumann (C = 1, r = 1/3) gets N = 38:
+    1.5 * 3^-39 = 3.7e-19 <= 2^-60 = 8.7e-19 < 1.5 * 3^-38.
+
+    Expanding to N instead of degree loses nothing the campaign claims,
+    when C bounds ||A_n|| for every n past the truncation of every
+    series the margin sums (for a bound, m_bound times its
+    coefficients).  Let S_M = sum_{n<=M} ||A_n|| r^n and T_M = C
+    r^(M+1) / (1 - r), so that a series' lower and upper sums at degree
+    M are S_M and S_M + T_M.  For N < M, S_M - S_N = sum_{N<n<=M}
+    ||A_n|| r^n <= T_N - T_M, so S_N <= S_M and S_M + T_M <= S_N + T_N:
+    the ends at N are proven bounds, as those at M are, and certified
+    is the same.  In exact arithmetic each end moves by at most T_N,
+    which is nondecreasing in r, so the grid's largest radius bounds it
+    at every radius, and which is at most 2^-60 there: 1/256 of an ulp
+    of 1, where an upper sum compared with the bound 1 sits.  Whether
+    a float moves is measured, not proven: the tests pin von-neumann's
+    records at degrees 64 and 128 to those at 38, bit for bit.
+    """
+    if tail_bound is None:
+        return degree
+    return next((n for n in range(degree)
+                 if grid.tail(n + 1, tail_bound).max() <= _INVISIBLE_TAIL), degree)
+
+
+def _prepare(config: CampaignConfig, options: dict) -> tuple:
+    """config's suite prepared with its completed options: the suite's
+    config echo entries, m_bound, grid, draw and expansion degree N,
+    which run_campaign and replay both pass to _trials.  The echo
+    entries hold N as "expansion_degree" when it is below config.degree."""
+    extra, radii, m_bound, tail_bound, draw = SUITES[config.suite].prepare(config, **options)
+    grid = _BohrGrid(radii)
+    degree = _expansion_degree(config.degree, grid, tail_bound)
+    if degree < config.degree:
+        extra = {**extra, "expansion_degree": degree}
+    return extra, m_bound, grid, draw, degree
+
+
+def _trials(draw: Callable, degree: int, m_bound: float, grid, seed: int, indices) -> list:
+    """The (params, (margin, certified, width)) of the trials at indices
+    of a campaign with seed seed.  One zoo.expand call expands their
+    draws to degree, and one _margin call forms their margins; a draw's
+    bits do not depend on the block."""
+    drawn = [draw(_trial_rng(seed, index)) for index in indices]
+    series = iter(expand([d for _, draws, _ in drawn for d in draws], degree))
     pairs = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
     return list(zip([params for params, _, _ in drawn], _margin(pairs, m_bound, grid)))
 
@@ -285,15 +343,14 @@ def run_campaign(config: CampaignConfig, **options) -> Report:
     config plus the suite's own entries), the options prepare got and
     its record."""
     options = _options(SUITES[config.suite], options)
-    extra, radii, m_bound, draw = SUITES[config.suite].prepare(config, **options)
+    extra, m_bound, grid, draw, degree = _prepare(config, options)
     start = time.perf_counter()
     echo = {**vars(config), **extra}
-    grid = _BohrGrid(radii)
-    block = max(1, _BLOCK_ENTRIES // (config.dim**2 * (config.degree + 1)))
+    block = max(1, _BLOCK_ENTRIES // (config.dim**2 * (degree + 1)))
     records = []
     for first in range(0, config.trials, block):
         indices = range(first, min(first + block, config.trials))
-        trials = _trials(draw, config, indices, m_bound, grid)
+        trials = _trials(draw, degree, m_bound, grid, config.seed, indices)
         for index, (params, (margin, certified, width)) in zip(indices, trials):
             record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance,
                                  certified, width)
@@ -321,18 +378,21 @@ def replay(dump: dict) -> tuple:
     """A failure file's (margin, certified, width), recomputed from its
     trial re-drawn alone: its config echo (out aside, so the report may be
     gone), options and record index fix the draws, through numpy's PCG64
-    stream and the current zoo.expand.  A missing, mistyped or invalid
-    entry, or a suite, record seed, params, passed, options or suite echo
-    entries other than run_campaign would write, is a ValueError."""
+    stream and the current zoo.expand, at the expansion degree _prepare
+    gives.  A missing, mistyped or invalid entry (a record's
+    worst_margin, certified and width must be a float, a bool and a
+    float), or a suite, record seed, params, passed, options or suite
+    echo entries (the expansion degree included) other than
+    run_campaign would write, is a ValueError."""
     try:
         _, echo, options, record = (dump[key] for key in ("suite", "config", "options", "record"))
         config = CampaignConfig(**{f.name: echo[f.name] for f in dataclasses.fields(CampaignConfig)
                                    if f.name != "out"})
         completed = _options(SUITES[config.suite], options)
-        index, seed, recorded, passed, *_ = (record[key] for key in (
+        index, seed, recorded, passed, *outcome = (record[key] for key in (
             "index", "seed", "params", "passed", "worst_margin", "certified", "width"))
-        extra, radii, m_bound, draw = SUITES[config.suite].prepare(config, **completed)
-        [(params, margins)] = _trials(draw, config, [index], m_bound, _BohrGrid(radii))
+        extra, m_bound, grid, draw, degree = _prepare(config, completed)
+        [(params, margins)] = _trials(draw, degree, m_bound, grid, config.seed, [index])
     except (KeyError, TypeError, ValueError) as exc:  # a key missing, an entry refused
         raise ValueError(f"malformed failure file: {exc!r}") from None
     extra, echoed = json.loads(json.dumps(extra)), {key: echo.get(key) for key in extra}
@@ -345,6 +405,9 @@ def replay(dump: dict) -> tuple:
     if recorded != json.loads(json.dumps(params)) or passed is not False:
         raise ValueError(f"malformed failure file: record params {recorded!r} and passed "
                          f"{passed!r} are not the re-drawn trial's {params!r} and False")
+    if [type(value) for value in outcome] != [float, bool, float]:
+        raise ValueError(f"malformed failure file: record worst_margin, certified and width "
+                         f"{outcome!r} are not a float, a bool and a float")
     return margins
 
 
@@ -393,7 +456,7 @@ def _prepare_subordination(config: CampaignConfig):
 
         return params, [_inner(rng)] + draws, finish
 
-    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0), 1.0, draw
+    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0), 1.0, None, draw
 
 
 def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
@@ -434,7 +497,7 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
         return params, draws + [draw_schur(rng, config.dim, scalar_head=True)], finish
 
     return ({"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0},
-            default_grid(1.0 / 3.0), m_bound, draw)
+            default_grid(1.0 / 3.0), m_bound, None, draw)
 
 
 def _prepare_von_neumann(config: CampaignConfig):
@@ -446,7 +509,8 @@ def _prepare_von_neumann(config: CampaignConfig):
     def draw(rng):
         return {}, [draw_schur(rng, config.dim, scalar_head=True), _inner(rng)], finish
 
-    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0)[-1:], 1.0, draw
+    # f o phi is a Schur function (_subordinate): tail bound 1
+    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0)[-1:], 1.0, 1.0, draw
 
 
 # A base layer's generator returns its one draw and the function from
@@ -494,7 +558,7 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
         return {}, [base] + omegas, finish
 
     return ({"family": fam.describe(), "radius": radius},
-            default_grid(radius - POLY_GRID_GAP)[-1:], 1.0, draw)
+            default_grid(radius - POLY_GRID_GAP)[-1:], 1.0, None, draw)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -503,10 +567,14 @@ class Suite:
     defaults, and prepare(config, **options), whose docstring states the
     suite's hypothesis.  prepare checks the options and returns the
     suite's config echo entries, the radii its margins are taken over,
-    the multiplier m_bound of its bound, and draw(rng), which returns a
-    trial's (params, draws, finish): finish maps the draws' series
-    (zoo.expand's) to the (value, bound) pair the margin compares, with
-    bound None for the bound 1, whose radii are r_max alone (_margin).
+    the multiplier m_bound of its bound, a tail bound C for every series
+    the margin sums (_expansion_degree), or None, and draw(rng), which
+    returns a trial's (params, draws, finish): finish maps the draws'
+    series (zoo.expand's, at the expansion degree) to the (value, bound)
+    pair the margin compares, with bound None for the bound 1, whose
+    radii are r_max alone (_margin).  The series prepare builds itself
+    (a model target, quasi's dilation) are at config.degree, which is
+    the expansion degree unless prepare states a tail bound.
     """
 
     name: str

@@ -274,9 +274,9 @@ class Majorant:
 class _BohrGrid:
     """A grid of radii in [0, 1) and the one formula for Bohr sums on it.
 
-    The Vandermonde table [r^n] and r^(N+1) for N + 1 norms are built at
-    the first sum that needs them and kept, so a campaign that sums many
-    series on one grid builds them once.
+    The Vandermonde table [r^n] for N + 1 norms is built at the first sum
+    that needs it and kept, so a campaign that sums many series on one
+    grid builds it once.
     """
 
     def __init__(self, radii):
@@ -303,11 +303,16 @@ class _BohrGrid:
         size = norms.size
         table = self._tables.get(size)
         if table is None:
-            table = self._tables[size] = (self.r[:, None] ** np.arange(size), self.r**size)
-        lo = np.einsum("rn,n->r", table[0], norms)
+            table = self._tables[size] = self.r[:, None] ** np.arange(size)
+        lo = np.einsum("rn,n->r", table, norms)
         if tail_bound is None:
             return lo, lo
-        return lo, lo + tail_bound * table[1] / (1.0 - self.r)
+        return lo, lo + self.tail(size, tail_bound)
+
+    def tail(self, size: int, tail_bound: float) -> np.ndarray:
+        """The tail allowance C r^size / (1 - r) at every radius: what the
+        terms past size norms, each at most C = tail_bound, can add."""
+        return tail_bound * self.r**size / (1.0 - self.r)
 
     def layered(self, layers) -> tuple:
         """(lo, hi, certified) of sum_l r^l * (Bohr sum of layer l) at

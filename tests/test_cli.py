@@ -394,6 +394,52 @@ def test_replay_that_differs_from_the_record_is_exit_1(failure_file, capsys):
     code, out, _ = run(capsys, "replay", str(failure_file))
     assert code == 1
     assert out.splitlines()[2].split()[1] == repr(margin)
+    # a one-ulp drift reads as one: replay - record, and certified kept
+    nudged = dump["record"]["worst_margin"]
+    assert out.splitlines()[3] == (f"replay - record: worst_margin {margin - nudged:+.3e} "
+                                   f"width +0.000e+00, certified unchanged")
+    assert 0.0 < nudged - margin <= math.ulp(margin)
+
+
+def test_replay_says_when_certified_flipped(failure_file, capsys):
+    with open(failure_file) as fh:
+        dump = json.load(fh)
+    dump["record"]["certified"] = not dump["record"]["certified"]
+    with open(failure_file, "w") as fh:
+        json.dump(dump, fh)
+    code, out, _ = run(capsys, "replay", str(failure_file))
+    assert code == 1
+    assert out.splitlines()[3] == ("replay - record: worst_margin +0.000e+00 width +0.000e+00, "
+                                   "certified flipped from True to False")
+
+
+def test_von_neumann_failure_file_replays_at_its_expansion_degree(tmp_path, capsys):
+    # at --degree 64 von-neumann expands to 38 and its files say so; a
+    # file without the entry, as the campaigns that expanded to --degree
+    # wrote, is refused, while at --degree 38 and below there is no entry
+    # to miss, so such a file replays
+    for degree, expanded in (("64", 38), ("38", None)):
+        (tmp_path / degree).mkdir()
+        code, _, _ = run(capsys, "verify", "von-neumann", "--trials", "2", "--dim", "2",
+                         "--degree", degree, "--tol", "-10",
+                         "--out", str(tmp_path / degree / "r.json"))
+        assert code == 1
+        path = tmp_path / degree / "von-neumann-failure-00001.json"
+        with open(path) as fh:
+            dump = json.load(fh)
+        assert dump["config"].get("expansion_degree") == expanded
+        code, out, err = run(capsys, "replay", str(path))
+        assert code == 0 and not err
+        if expanded is None:
+            continue
+        del dump["config"]["expansion_degree"]
+        with open(path, "w") as fh:
+            json.dump(dump, fh)
+        code, out, err = run(capsys, "replay", str(path))
+        assert code == 2 and out == ""
+        assert ("config entries {'r_max': 0.3333333333333333, 'expansion_degree': None} are not "
+                "the completed {} and prepare's {'r_max': 0.3333333333333333, "
+                "'expansion_degree': 38}") in err
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -415,6 +461,9 @@ def test_replay_that_differs_from_the_record_is_exit_1(failure_file, capsys):
      "re-drawn trial's"),
     (lambda dump: {**dump, "record": {**dump["record"], "passed": True}},
      "and passed True are not the re-drawn trial's"),
+    (lambda dump: {**dump, "record": {**dump["record"], "worst_margin": "-1e-3"}},
+     "record worst_margin, certified and width ['-1e-3', False, 0.0] are not a float, a bool "
+     "and a float"),
     (lambda dump: {**dump, "options": {**dump["options"], "k": 0.3, "bogus": 1}},
      "ValueError('k only applies to the poly-general or poly-convex or poly-starlike suite, "
      "not to quasi')"),

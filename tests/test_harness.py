@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrlab import harness
 from bohrlab.harness import (
@@ -144,6 +146,13 @@ def _coefficient_bytes(obj):
     return b"".join(f.coeffs.tobytes() for f in (() if obj is None else _layers(obj)))
 
 
+def _block_size(tmp_path, suite, dim, degree):
+    """Trials per block of the suite's campaign, at its expansion degree."""
+    config = small_config(tmp_path, suite, dim=dim, degree=degree)
+    expanded = harness._prepare(config, SUITES[suite].options)[-1]
+    return max(1, harness._BLOCK_ENTRIES // (dim**2 * (expanded + 1)))
+
+
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suite):
     # the trials run in blocks of b, drawn together and expanded in one
@@ -151,7 +160,7 @@ def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suit
     # records and compared functions bit for bit, wherever k falls
     # against the block boundaries
     dim, degree = 3, 64
-    b = max(1, harness._BLOCK_ENTRIES // (dim**2 * (degree + 1)))
+    b = _block_size(tmp_path, suite, dim, degree)
     assert b > 2
     compared, margin = [], harness._margin
 
@@ -181,7 +190,7 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
     # one-pair block must equal it too.  Against the bound 1 the call
     # takes the grid's last radius alone
     dim, degree = 3, 64
-    b = max(1, harness._BLOCK_ENTRIES // (dim**2 * (degree + 1)))
+    b = _block_size(tmp_path, suite, dim, degree)
     calls, margin = [], harness._margin
 
     def recording_margin(pairs, m_bound, grid):
@@ -432,7 +441,7 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite, options):
                            tolerance=-10.0, out=str(tmp_path / str(dim) / "r.json"))
         report = run_campaign(cfg, **options)
         assert report.pass_count == 0
-        _, radii, m_bound, draw = SUITES[suite].prepare(cfg, **{**SUITES[suite].options,
+        _, m_bound, grid, draw, degree = harness._prepare(cfg, {**SUITES[suite].options,
                                                                 **options})
         for record in report.records:
             path = tmp_path / str(dim) / f"{suite}-failure-{record.index:05d}.json"
@@ -445,7 +454,7 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite, options):
             assert dump["config"] == json.loads(json.dumps(report.config))
             assert dump["options"] == {**SUITES[suite].options, **options}
             assert dump["record"] == json.loads(json.dumps(vars(record)))
-            [(params, _)] = harness._trials(draw, cfg, [record.index], m_bound, _BohrGrid(radii))
+            [(params, _)] = harness._trials(draw, degree, m_bound, grid, cfg.seed, [record.index])
             assert params == record.params
             assert replay(dump) == (record.worst_margin, record.certified, record.width)
 
@@ -478,6 +487,87 @@ def test_records_say_which_sides_are_certified(tmp_path, suite):
             assert r.width == pytest.approx((1 / 3) ** 9 / (2 / 3), rel=1e-9)
         elif suite == "poly-starlike":
             assert r.width == 0.0
+
+
+# ---------------------------------------------------------------- expansion degree
+
+def _bits(report):
+    return [(r.index, r.params, r.worst_margin.hex(), r.passed, r.certified, r.width.hex())
+            for r in report.records]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+def test_von_neumann_expands_to_38_whatever_degree_allows_more(tmp_path, dim):
+    # the tail bound 1 at r = 1/3 makes every term past 38 invisible:
+    # degrees 64 and 128 give degree 38's records bit for bit, and say so
+    trials = 12 if dim == 8 else 40
+    reports = {degree: run_campaign(small_config(tmp_path, "von-neumann", trials=trials, dim=dim,
+                                                 degree=degree, seed=dim))
+               for degree in (38, 64, 128)}
+    assert "expansion_degree" not in reports[38].config
+    for degree in (64, 128):
+        assert reports[degree].config == {**reports[38].config, "degree": degree,
+                                          "expansion_degree": 38}
+        assert _bits(reports[degree]) == _bits(reports[38])
+        assert reports[degree].certified_count == trials
+
+
+def test_expansion_stops_at_38_for_von_neumann_alone(tmp_path, monkeypatch):
+    # every other suite states no tail bound for its margin and expands
+    # to --degree; at --degree <= 38 von-neumann does too, so its echo,
+    # records and nonzero low-degree widths are what the degree gives
+    degrees, expand = [], harness.expand
+
+    def recording_expand(draws, degree):
+        degrees.append(degree)
+        return expand(draws, degree)
+
+    monkeypatch.setattr(harness, "expand", recording_expand)
+    for suite in SUITES:
+        for degree in (16, 38, 39, 64):
+            degrees.clear()
+            report = run_campaign(small_config(tmp_path, suite, trials=2, degree=degree))
+            expanded = min(degree, 38) if suite == "von-neumann" else degree
+            assert set(degrees) == {expanded}
+            assert report.config.get("expansion_degree", degree) == expanded
+            if suite == "von-neumann" and degree == 16:
+                assert all(r.width == pytest.approx((1 / 3) ** 17 / (2 / 3), rel=1e-9)
+                           for r in report.records)
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_a_stated_tail_bound_covers_every_series_the_margin_sums(suite):
+    # _expansion_degree's proof needs the C prepare states to bound the
+    # value's every layer and m_bound times the bound
+    config = CampaignConfig(suite, dim=3, degree=64)
+    _, _, m_bound, tail_bound, draw = SUITES[suite].prepare(config, **SUITES[suite].options)
+    if tail_bound is None:
+        return
+    for index in range(20):
+        _, draws, finish = draw(harness._trial_rng(5, index))
+        value, bound = finish(*expand(draws, 38))
+        assert all(f.coeff_bound is not None and f.coeff_bound <= tail_bound
+                   for f in _layers(value))
+        assert bound is None or bound.coeff_bound is not None and (
+            m_bound * bound.coeff_bound <= tail_bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 256), st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
+       st.one_of(st.none(), st.floats(0.0, 1e6)))
+def test_expansion_degree_is_the_smallest_with_an_invisible_tail(degree, radii, tail_bound):
+    grid = _BohrGrid(radii)
+    n = harness._expansion_degree(degree, grid, tail_bound)
+    assert 0 <= n <= degree
+    if tail_bound is None:
+        assert n == degree
+        return
+
+    def invisible(m):
+        return grid.tail(m + 1, tail_bound).max() <= 2.0**-60
+
+    assert n == degree or invisible(n)
+    assert n == 0 or not invisible(n - 1)
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))

@@ -2,7 +2,8 @@
 same break where the theorem still holds must pass (ROADMAP item 17).
 
 Each row breaks one suite by wrapping its prepare or harness.draw_schur
-and runs 200 trials at degree 64.  The subordination and poly rows
+and runs 200 trials at --degree 64, which von-neumann expands only as
+far as its tail bound needs at the row's radii.  The subordination and poly rows
 (r_max 0.4, radius + 0.01) are not here: their trials pass until the
 campaigns draw boundary instances or search for the worst one.
 """
@@ -22,8 +23,8 @@ def _radii_up_to(r_max):
         prepare = SUITES[suite].prepare
 
         def wrapped(config, **options):
-            echo, _, m_bound, draw = prepare(config, **options)
-            return echo, default_grid(r_max)[-1:], m_bound, draw
+            echo, _, m_bound, tail_bound, draw = prepare(config, **options)
+            return echo, default_grid(r_max)[-1:], m_bound, tail_bound, draw
 
         monkeypatch.setitem(SUITES, suite, dataclasses.replace(SUITES[suite], prepare=wrapped))
     return mutate
@@ -39,27 +40,32 @@ def _no_scalar_head(monkeypatch, suite):
 
 
 # (suite, mutation name, mutation, seed, dim, whether the campaign must
-# fail); the comment gives the pass count and min margin measured when
-# the row was added
+# fail, the degree it expands to); the comment gives the pass count and
+# min margin measured when the row was added.  The expansion degree
+# follows the radii: von-neumann's tail bound 1 is invisible past 38 at
+# r = 1/3 and past 45 at r = 0.4
 POWER_ROWS = [
     # some compositions' Bohr sums cross 1 between 1/3 and 0.4
-    ("von-neumann", "radii-0.4", _radii_up_to(0.4), 1, 3, True),  # 183/200, -0.0226
-    ("von-neumann", "radii-0.4", _radii_up_to(0.4), 2, 3, True),  # 190/200, -0.0197
+    ("von-neumann", "radii-0.4", _radii_up_to(0.4), 1, 3, True, 45),  # 183/200, -0.0226
+    ("von-neumann", "radii-0.4", _radii_up_to(0.4), 2, 3, True, 45),  # 190/200, -0.0197
     # a head f(0) that is not a multiple of I breaks the operator-valued theorem
-    ("von-neumann", "no-scalar-head", _no_scalar_head, 1, 3, True),  # 180/200, -0.170
-    ("von-neumann", "no-scalar-head", _no_scalar_head, 2, 3, True),  # 179/200, -0.263
+    ("von-neumann", "no-scalar-head", _no_scalar_head, 1, 3, True, 38),  # 180/200, -0.170
+    ("von-neumann", "no-scalar-head", _no_scalar_head, 2, 3, True, 38),  # 179/200, -0.263
     # controls: the scalar Bohr theorem needs no scalar head
-    ("von-neumann", "no-scalar-head", _no_scalar_head, 1, 1, False),
-    ("von-neumann", "no-scalar-head", _no_scalar_head, 2, 1, False),
+    ("von-neumann", "no-scalar-head", _no_scalar_head, 1, 1, False, 38),
+    ("von-neumann", "no-scalar-head", _no_scalar_head, 2, 1, False, 38),
 ]
 
 
 @pytest.mark.parametrize(
-    "suite, mutate, seed, dim, fails",
-    [pytest.param(suite, mutate, seed, dim, fails, id=f"{suite}-{name}-seed{seed}-dim{dim}")
-     for suite, name, mutate, seed, dim, fails in POWER_ROWS])
-def test_a_broken_hypothesis_fails(tmp_path, monkeypatch, suite, mutate, seed, dim, fails):
+    "suite, mutate, seed, dim, fails, expanded",
+    [pytest.param(suite, mutate, seed, dim, fails, expanded,
+                  id=f"{suite}-{name}-seed{seed}-dim{dim}")
+     for suite, name, mutate, seed, dim, fails, expanded in POWER_ROWS])
+def test_a_broken_hypothesis_fails(tmp_path, monkeypatch, suite, mutate, seed, dim, fails,
+                                   expanded):
     mutate(monkeypatch, suite)
     report = run_campaign(CampaignConfig(suite=suite, trials=200, seed=seed, dim=dim, degree=64,
                                          out=str(tmp_path / "report.json")))
     assert (report.pass_count < 200) == fails, (report.pass_count, report.min_margin)
+    assert report.config["expansion_degree"] == expanded
