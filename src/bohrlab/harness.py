@@ -21,17 +21,19 @@ violation found: at a low degree the tail allowance alone fails trials
 whose lower ends pass (worst_margin + width >= 0).
 
 SUITES defines each suite by its prepare (Suite), which states its
-hypothesis and returns the radii, bound multiplier, tail bound and draw
-that run_campaign and replay both run through _trials.
+hypothesis and returns the radii, bound multiplier, growth class and
+draw that run_campaign and replay both run through _trials.
 
 Expansion degree: config.degree is the most a campaign expands.  A
-suite whose prepare states a tail bound C for every series its margin
-sums expands them only to the smallest N at which C's tail allowance at
-its largest radius is at most 2^-60 (_expansion_degree, with the proof
-that this loses nothing the campaign claims): von-neumann, C = 1 at
-r = 1/3, stops at N = 38.  Every other suite expands to config.degree.
-The report's config echo holds N as "expansion_degree" when it is below
-config.degree.
+suite whose prepare states a growth class (C, s), ||A_n|| <= C (n+1)^s
+for every n, of every series its margin sums expands them only to the
+smallest N at which the class's tail allowance at its largest radius is
+at most 2^-60 (_expansion_degree, with the proof that this loses
+nothing the campaign claims).  At r = 1/3: von-neumann, (1, 0), stops at
+N = 38, subordination, (2, 1), at 42, and quasi, (2 m_bound, 2), at 46
+for m_bound 1.5.  The poly suites state none and expand to
+config.degree.  The report's config echo holds N as "expansion_degree"
+when it is below config.degree.
 
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
@@ -99,9 +101,10 @@ _SEED_MASK = (1 << 64) - 1
 
 # Coefficient entries (trials x dim^2 x (N + 1), N the expansion degree)
 # per block of trials: 14 trials at dim 3, N 64, and 1 at dim 8, N 128;
-# von-neumann, at N 38, runs 23 at dim 3 and 3 at dim 8.  A block's
-# series are all alive at once: blocks of 28 saved 4% more CPU but
-# added 1.5 MB of peak memory instead of 0.85 MB.
+# von-neumann, at N 38, runs 23 at dim 3 and 3 at dim 8, subordination,
+# at N 42, 21 and 2, and quasi, at N 46, 19 and 2.  A block's series are
+# all alive at once: blocks of 28 saved 4% more CPU but added 1.5 MB of
+# peak memory instead of 0.85 MB.
 _BLOCK_ENTRIES = 2**13
 
 # A tail allowance this small is below 1/256 of an ulp of 1 (2^-52).
@@ -274,32 +277,39 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     return margins
 
 
-def _expansion_degree(degree: int, grid: _BohrGrid, tail_bound: float | None) -> int:
-    """The smallest N <= degree at which the tail allowance C r^(N+1) /
-    (1 - r) (grid.tail, the expression _margin's sums add) is at most
-    2^-60 at every radius of grid, for C = tail_bound; degree when
-    tail_bound is None.  von-neumann (C = 1, r = 1/3) gets N = 38:
-    1.5 * 3^-39 = 3.7e-19 <= 2^-60 = 8.7e-19 < 1.5 * 3^-38.
+def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple | None) -> int:
+    """The smallest N <= degree at which the tail allowance T_N of the
+    growth class (C, s) = growth, grid.tail(N + 1, C, s), is at most
+    2^-60 at the grid's largest radius; degree when growth is None.  One
+    array evaluation at that radius covers every N.  At r = 1/3,
+    von-neumann's (1, 0) gets N = 38: 1.5 * 3^-39 = 3.7e-19 <= 2^-60 =
+    8.7e-19 < 1.5 * 3^-38; subordination's (2, 1) gets 42 and quasi's
+    (3, 2), at m_bound 1.5, 46.
 
     Expanding to N instead of degree loses nothing the campaign claims,
-    when C bounds ||A_n|| for every n past the truncation of every
-    series the margin sums (for a bound, m_bound times its
-    coefficients).  Let S_M = sum_{n<=M} ||A_n|| r^n and T_M = C
-    r^(M+1) / (1 - r), so that a series' lower and upper sums at degree
-    M are S_M and S_M + T_M.  For N < M, S_M - S_N = sum_{N<n<=M}
-    ||A_n|| r^n <= T_N - T_M, so S_N <= S_M and S_M + T_M <= S_N + T_N:
-    the ends at N are proven bounds, as those at M are, and certified
-    is the same.  In exact arithmetic each end moves by at most T_N,
-    which is nondecreasing in r, so the grid's largest radius bounds it
-    at every radius, and which is at most 2^-60 there: 1/256 of an ulp
-    of 1, where an upper sum compared with the bound 1 sits.  Whether
-    a float moves is measured, not proven: the tests pin von-neumann's
-    records at degrees 64 and 128 to those at 38, bit for bit.
+    when every series the margin sums (for a bound, m_bound times its
+    coefficients) lies in the class: ||A_n|| <= C (n+1)^s for every n,
+    and a constant tail bound c it carries is at most C.  Let S_M =
+    sum_{n<=M} ||A_n|| r^n, so that for N < M, S_M - S_N = sum_{N<n<=M}
+    ||A_n|| r^n <= T_N.  A series without a tail bound has lower and
+    upper sums S_M at degree M, and each moves by at most T_N.  One with
+    the bound c has S_M and S_M + c t_M, t_M = r^(M+1) / (1 - r); as
+    S_M - S_N <= c (t_N - t_M), S_N <= S_M and S_M + c t_M <= S_N + c
+    t_N: the ends at N are proven bounds, as those at M are, certified
+    is the same, and each moves by at most c t_N <= T_N.  In exact
+    arithmetic T_N is nondecreasing in r, so the grid's largest radius
+    bounds it at every radius, and it is at most 2^-60 there: 1/256 of
+    an ulp of 1, where an upper sum compared with the bound 1 sits.
+    Whether a float moves is measured, not proven: the tests pin the
+    records at N to those of the full expansion to degrees 64 and 128,
+    bit for bit but for quasi's margins, which its products may round
+    another way by at most 1e-12.
     """
-    if tail_bound is None:
+    if growth is None:
         return degree
-    return next((n for n in range(degree)
-                 if grid.tail(n + 1, tail_bound).max() <= _INVISIBLE_TAIL), degree)
+    top = _BohrGrid(grid.r.max(keepdims=True))
+    invisible = np.flatnonzero(top.tail(np.arange(1, degree + 1), *growth) <= _INVISIBLE_TAIL)
+    return int(invisible[0]) if invisible.size else degree
 
 
 def _prepare(config: CampaignConfig, options: dict) -> tuple:
@@ -307,9 +317,9 @@ def _prepare(config: CampaignConfig, options: dict) -> tuple:
     config echo entries, m_bound, grid, draw and expansion degree N,
     which run_campaign and replay both pass to _trials.  The echo
     entries hold N as "expansion_degree" when it is below config.degree."""
-    extra, radii, m_bound, tail_bound, draw = SUITES[config.suite].prepare(config, **options)
+    extra, radii, m_bound, growth, draw = SUITES[config.suite].prepare(config, **options)
     grid = _BohrGrid(radii)
-    degree = _expansion_degree(config.degree, grid, tail_bound)
+    degree = _expansion_degree(config.degree, grid, growth)
     if degree < config.degree:
         extra = {**extra, "expansion_degree": degree}
     return extra, m_bound, grid, draw, degree
@@ -317,10 +327,11 @@ def _prepare(config: CampaignConfig, options: dict) -> tuple:
 
 def _trials(draw: Callable, degree: int, m_bound: float, grid, seed: int, indices) -> list:
     """The (params, (margin, certified, width)) of the trials at indices
-    of a campaign with seed seed.  One zoo.expand call expands their
-    draws to degree, and one _margin call forms their margins; a draw's
-    bits do not depend on the block."""
-    drawn = [draw(_trial_rng(seed, index)) for index in indices]
+    of a campaign with seed seed.  Each draw builds its own series at
+    degree, one zoo.expand call expands their draws to it, and one
+    _margin call forms their margins; a draw's bits do not depend on the
+    block."""
+    drawn = [draw(_trial_rng(seed, index), degree) for index in indices]
     series = iter(expand([d for _, draws, _ in drawn for d in draws], degree))
     pairs = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
     return list(zip([params for params, _, _ in drawn], _margin(pairs, m_bound, grid)))
@@ -421,22 +432,35 @@ def _subordinate(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
     return with_coeff_bound(compose(g, phi), g.coeff_bound)
 
 
+# The convex targets' beta is drawn from uniform(*_CONVEX_BETAS).
+_CONVEX_BETAS = (0.25, 2.0)
+
+# The growth class of every subordination pair (f, g) _draw_target's
+# targets give: ||f_n|| and ||g_n|| are at most 1 for a Schur target,
+# beta <= _CONVEX_BETAS[1] for a convex one (_subordinate) and n for a
+# starlike one (g_n = n u^(n-1), |u| < 1, and Rogosinski's theorem on the
+# subordinates of a starlike function), each at most C (n+1) for C =
+# max(1, _CONVEX_BETAS[1]) = 2.
+_SUBORDINATION_GROWTH = (max(1.0, _CONVEX_BETAS[1]), 1)
+
+
 def _draw_u(rng: np.random.Generator) -> complex:
     """A random Caratheodory parameter u, |u| < 1, for starlike_from_q."""
     return float(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
 
 
-def _draw_target(rng: np.random.Generator, config: CampaignConfig):
+def _draw_target(rng: np.random.Generator, dim: int, degree: int):
     """A random subordination target: its parameters, its draws (one
-    Schur draw, or none) and its model series (None for a Schur target)."""
+    Schur draw, or none) and its model series at degree (None for a
+    Schur target)."""
     kind = ("schur", "convex", "starlike")[int(rng.integers(3))]
     if kind == "schur":
-        return {"target": "schur"}, [draw_schur(rng, config.dim)], None
+        return {"target": "schur"}, [draw_schur(rng, dim)], None
     if kind == "convex":
-        beta = float(rng.uniform(0.25, 2.0))
-        return {"target": "convex", "beta": beta}, [], convex_model(beta, config.degree)
+        beta = float(rng.uniform(*_CONVEX_BETAS))
+        return {"target": "convex", "beta": beta}, [], convex_model(beta, degree)
     u = _draw_u(rng)
-    return {"target": "starlike", "u": [u.real, u.imag]}, [], starlike_from_q(u, config.degree)
+    return {"target": "starlike", "u": [u.real, u.imag]}, [], starlike_from_q(u, degree)
 
 
 def _inner(rng: np.random.Generator) -> BlaschkeSpec:
@@ -448,15 +472,15 @@ def _prepare_subordination(config: CampaignConfig):
     """f subordinate to g implies Bohr(f, r) <= Bohr(g, r) for r <= 1/3;
     f = g(phi) is subordinate by construction to a random target g, for
     a random origin-fixed inner map phi."""
-    def draw(rng):
-        params, draws, model = _draw_target(rng, config)
+    def draw(rng, degree):
+        params, draws, model = _draw_target(rng, config.dim, degree)
 
         def finish(phi, g=model):
             return _subordinate(g, phi), g
 
         return params, [_inner(rng)] + draws, finish
 
-    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0), 1.0, None, draw
+    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0), 1.0, _SUBORDINATION_GROWTH, draw
 
 
 def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
@@ -468,6 +492,12 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
     where F(beta .) has coefficients beta^n F_n, and f(beta w) = m_bound
     s(w) (g o phi)(beta w), so a trial is subordination's pair, dilated,
     times s.  The dilated g keeps g's tail bound C, as ||g_n beta^n|| <= C.
+
+    Growth class: with subordination's class (K, t), m_bound times the
+    dilated g o phi is in (m_bound K, t), as beta <= 1, and the Schur
+    function s in (1, 0), so their product is in (m_bound K, t + 1) by
+    mul's rule, which holds m_bound times the dilated g too: (2 m_bound,
+    2).
 
     With B = max(2, degree), 4 dim (degree + 1) B m_bound must be finite:
     the coefficients of s, the dilated g and m_bound times the dilated
@@ -482,22 +512,21 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
     if not math.isfinite(4 * config.dim * (n + 1) * max(2, n) * m_bound):
         raise ValueError(f"m_bound {m_bound} at degree {n} and dim {config.dim} can overflow: "
                          f"4 dim (degree + 1) max(2, degree) m_bound must be finite")
-    dilation = quasi_beta ** np.arange(n + 1.0)[:, None, None]
-    scaled = m_bound * dilation
-    *_, subordinate = _prepare_subordination(config)
+    *_, (bound, exponent), subordinate = _prepare_subordination(config)
 
-    def draw(rng):
-        params, draws, pair = subordinate(rng)
+    def draw(rng, degree):
+        params, draws, pair = subordinate(rng, degree)
+        dilation = quasi_beta ** np.arange(degree + 1.0)[:, None, None]
 
         def finish(*series):
             f, g = pair(*series[:-1])
-            return (mul(series[-1], MatrixSeries(f.coeffs * scaled)),
+            return (mul(series[-1], MatrixSeries(f.coeffs * (m_bound * dilation))),
                     MatrixSeries(g.coeffs * dilation, g.coeff_bound))
 
         return params, draws + [draw_schur(rng, config.dim, scalar_head=True)], finish
 
     return ({"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0},
-            default_grid(1.0 / 3.0), m_bound, None, draw)
+            default_grid(1.0 / 3.0), m_bound, (m_bound * bound, exponent + 1), draw)
 
 
 def _prepare_von_neumann(config: CampaignConfig):
@@ -506,26 +535,26 @@ def _prepare_von_neumann(config: CampaignConfig):
     def finish(f, phi):
         return _subordinate(f, phi), None
 
-    def draw(rng):
+    def draw(rng, degree):
         return {}, [draw_schur(rng, config.dim, scalar_head=True), _inner(rng)], finish
 
-    # f o phi is a Schur function (_subordinate): tail bound 1
-    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0)[-1:], 1.0, 1.0, draw
+    # f o phi is a Schur function (_subordinate): ||A_n|| <= 1, the class (1, 0)
+    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0)[-1:], 1.0, (1.0, 0), draw
 
 
 # A base layer's generator returns its one draw and the function from
-# that draw's series to the layer.
-def _general_layer(rng, fam: RadiusFamily, config: CampaignConfig):
-    return draw_schur(rng, config.dim, fix_origin=True), lambda f0: f0
+# that draw's series, at degree, to the layer.
+def _general_layer(rng, fam: RadiusFamily, dim: int, degree: int):
+    return draw_schur(rng, dim, fix_origin=True), lambda f0: f0
 
 
-def _convex_layer(rng, fam: RadiusFamily, config: CampaignConfig):
-    return _inner(rng), functools.partial(_subordinate, convex_model(fam.beta, config.degree))
+def _convex_layer(rng, fam: RadiusFamily, dim: int, degree: int):
+    return _inner(rng), functools.partial(_subordinate, convex_model(fam.beta, degree))
 
 
-def _starlike_layer(rng, fam: RadiusFamily, config: CampaignConfig):
+def _starlike_layer(rng, fam: RadiusFamily, dim: int, degree: int):
     phi = _inner(rng)
-    return phi, functools.partial(_subordinate, starlike_from_q(_draw_u(rng), config.degree))
+    return phi, functools.partial(_subordinate, starlike_from_q(_draw_u(rng), degree))
 
 
 # The poly suites' grids end this far short of the solved radius, the
@@ -547,8 +576,8 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
     p = int(fam.p)
     radius = solve_radius(fam).radius
 
-    def draw(rng):
-        base, layer = base_layer(rng, fam, config)
+    def draw(rng, degree):
+        base, layer = base_layer(rng, fam, config.dim, degree)
         omegas = [draw_schur(rng, config.dim, scalar_head=True) for _ in range(p - 1)]
 
         def finish(f, *omegas):
@@ -567,14 +596,14 @@ class Suite:
     defaults, and prepare(config, **options), whose docstring states the
     suite's hypothesis.  prepare checks the options and returns the
     suite's config echo entries, the radii its margins are taken over,
-    the multiplier m_bound of its bound, a tail bound C for every series
-    the margin sums (_expansion_degree), or None, and draw(rng), which
-    returns a trial's (params, draws, finish): finish maps the draws'
-    series (zoo.expand's, at the expansion degree) to the (value, bound)
-    pair the margin compares, with bound None for the bound 1, whose
-    radii are r_max alone (_margin).  The series prepare builds itself
-    (a model target, quasi's dilation) are at config.degree, which is
-    the expansion degree unless prepare states a tail bound.
+    the multiplier m_bound of its bound, a growth class (C, s) of every
+    series the margin sums (_expansion_degree), or None, and
+    draw(rng, degree), which returns a trial's (params, draws, finish):
+    finish maps the draws' series (zoo.expand's, at degree) to the
+    (value, bound) pair the margin compares, with bound None for the
+    bound 1, whose radii are r_max alone (_margin).  degree is the
+    expansion degree N, and the series a draw builds itself (a model
+    target, quasi's dilation) are built at N too.
     """
 
     name: str

@@ -109,7 +109,12 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     coefficients at a time (_block_product).
 
     The product's tail mixes truncated and certified parts, so no sound
-    constant bound survives; the result carries none.
+    constant bound survives; the result carries none.  A growth class
+    does survive: if ||f_i|| <= C1 (i+1)^s1 and ||g_j|| <= C2 (j+1)^s2
+    for every i and j, then ||(fg)_n|| <= sum_{i+j=n} ||f_i|| ||g_j||,
+    n + 1 terms each at most C1 C2 (n+1)^(s1+s2), so the product is in
+    the class (C1 C2, s1 + s2 + 1).  harness._prepare_quasi states its
+    class by this rule; series do not carry classes yet.
     """
     if g.dim not in (1, f.dim):
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
@@ -309,10 +314,24 @@ class _BohrGrid:
             return lo, lo
         return lo, lo + self.tail(size, tail_bound)
 
-    def tail(self, size: int, tail_bound: float) -> np.ndarray:
-        """The tail allowance C r^size / (1 - r) at every radius: what the
-        terms past size norms, each at most C = tail_bound, can add."""
-        return tail_bound * self.r**size / (1.0 - self.r)
+    def tail(self, size, tail_bound: float, exponent: float = 0) -> np.ndarray:
+        """The tail allowance at every radius: what the terms past size
+        norms can add when norm n is at most C (n+1)^s, for the growth
+        class (C, s) = (tail_bound, exponent).  The ratio of consecutive
+        bounds, r ((n+2)/(n+1))^s, decreases in n, so past size it is at
+        most q = r ((size+2)/(size+1))^s, and the terms sum to at most the
+        geometric series C (size+1)^s r^size / (1 - q); inf where q >= 1,
+        as no geometric bound holds there.  At s = 0 this is C r^size /
+        (1 - r), the allowance of a constant bound C, which the sums add,
+        bit for bit.  size may be an array of sizes that broadcasts
+        against the grid's radii.
+        """
+        first = tail_bound * (size + 1.0) ** exponent * self.r**size
+        ratio = self.r * ((size + 2.0) / (size + 1.0)) ** exponent
+        if exponent == 0:  # ratio = r < 1
+            return first / (1.0 - ratio)
+        return np.divide(first, 1.0 - ratio, out=np.full(np.shape(first), np.inf),
+                         where=ratio < 1.0)
 
     def layered(self, layers) -> tuple:
         """(lo, hi, certified) of sum_l r^l * (Bohr sum of layer l) at

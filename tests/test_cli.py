@@ -442,6 +442,41 @@ def test_von_neumann_failure_file_replays_at_its_expansion_degree(tmp_path, caps
                 "'expansion_degree': 38}") in err
 
 
+@pytest.mark.parametrize("suite, expanded, entries", [
+    ("subordination", 42, "'r_max': 0.3333333333333333"),
+    ("quasi", 46, "'m_bound': 1.5, 'beta': 0.9, 'r_max': 0.3"),
+])
+def test_subordination_and_quasi_failure_files_replay_at_their_expansion_degree(
+        tmp_path, capsys, suite, expanded, entries):
+    # at --degree 64 subordination expands to 42 and quasi to 46, and
+    # their files say so; a file without the entry, as the campaigns that
+    # expanded these suites to --degree wrote, is refused, while at
+    # --degree N and below there is no entry to miss, so such a file
+    # replays
+    for degree, echoed in (("64", expanded), (str(expanded), None)):
+        (tmp_path / degree).mkdir()
+        code, _, _ = run(capsys, "verify", suite, "--trials", "2", "--dim", "2",
+                         "--degree", degree, "--tol", "-10",
+                         "--out", str(tmp_path / degree / "r.json"))
+        assert code == 1
+        path = tmp_path / degree / f"{suite}-failure-00001.json"
+        with open(path) as fh:
+            dump = json.load(fh)
+        assert dump["config"].get("expansion_degree") == echoed
+        code, out, err = run(capsys, "replay", str(path))
+        assert code == 0 and not err
+        if echoed is None:
+            continue
+        del dump["config"]["expansion_degree"]
+        with open(path, "w") as fh:
+            json.dump(dump, fh)
+        code, out, err = run(capsys, "replay", str(path))
+        assert code == 2 and out == ""
+        assert (f"config entries {{{entries}, 'expansion_degree': None}} are not the completed "
+                f"{dump['options']!r} and prepare's {{{entries}, 'expansion_degree': "
+                f"{expanded}}}") in err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda dump: {**{key: dump[key] for key in ("suite", "config", "record")}, "instance": {}},
      "KeyError('options')"),

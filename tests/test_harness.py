@@ -8,6 +8,7 @@ import math
 import os
 import shutil
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ def test_low_degree_equality_case_fails_by_the_tail_allowance(tmp_path):
     assert record.params == {"target": "schur"} and not record.passed
     assert record.worst_margin == pytest.approx(-(1 / 3) ** 17 / (1 - 1 / 3), rel=1e-6)
     *_, draw = SUITES["subordination"].prepare(cfg)
-    _, draws, _ = draw(harness._trial_rng(cfg.seed, 1))
+    _, draws, _ = draw(harness._trial_rng(cfg.seed, 1), cfg.degree)
     phi = expand(draws[:1], cfg.degree)[0].coeffs[:, 0, 0]
     assert abs(phi[1]) == pytest.approx(1.0, abs=1e-15)
     assert not np.any(np.delete(phi, 1))
@@ -281,7 +282,7 @@ def test_quasi_margins_are_those_of_the_original_variable(tmp_path, dim, m_bound
     weights = m_bound * beta ** -np.arange(config.degree + 1.0)
     grid = default_grid(beta / 3.0)
     for record in report.records:
-        params, draws, _ = draw(harness._trial_rng(config.seed, record.index))
+        params, draws, _ = draw(harness._trial_rng(config.seed, record.index), config.degree)
         phi, *target, s = expand(draws, config.degree)
         g = (target[0] if params["target"] == "schur"
              else convex_model(params["beta"], config.degree) if params["target"] == "convex"
@@ -512,10 +513,47 @@ def test_von_neumann_expands_to_38_whatever_degree_allows_more(tmp_path, dim):
         assert reports[degree].certified_count == trials
 
 
-def test_expansion_stops_at_38_for_von_neumann_alone(tmp_path, monkeypatch):
-    # every other suite states no tail bound for its margin and expands
-    # to --degree; at --degree <= 38 von-neumann does too, so its echo,
-    # records and nonzero low-degree widths are what the degree gives
+# Each suite's expansion degree at its default options and radii.
+EXPANSION_DEGREES = {"von-neumann": 38, "subordination": 42, "quasi": 46}
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+@pytest.mark.parametrize("suite", ("subordination", "quasi"))
+def test_subordination_and_quasi_expand_only_as_far_as_their_class_needs(tmp_path, monkeypatch,
+                                                                         suite, dim):
+    # degrees 64 and 128 give degree N's records bit for bit, and say
+    # so; and they are the records of the full expansion to --degree,
+    # which _expansion_degree's proof says they may differ from only by
+    # rounding: bit for bit for subordination, margins within 1e-12 for
+    # quasi, whose products round the other way at another length, with
+    # every pass, certified flag and width the same
+    trials, expanded = (12 if dim == 8 else 24), EXPANSION_DEGREES[suite]
+    reports = {degree: run_campaign(small_config(tmp_path, suite, trials=trials, dim=dim,
+                                                 degree=degree, seed=dim))
+               for degree in (expanded, 64, 128)}
+    assert "expansion_degree" not in reports[expanded].config
+    for degree in (64, 128):
+        assert reports[degree].config == {**reports[expanded].config, "degree": degree,
+                                          "expansion_degree": expanded}
+        assert _bits(reports[degree]) == _bits(reports[expanded])
+    monkeypatch.setattr(harness, "_expansion_degree", lambda degree, grid, growth: degree)
+    for degree in (64, 128):
+        full = run_campaign(small_config(tmp_path, suite, trials=trials, dim=dim,
+                                         degree=degree, seed=dim))
+        assert "expansion_degree" not in full.config
+        if suite == "subordination":
+            assert _bits(full) == _bits(reports[degree])
+        for ours, theirs in zip(reports[degree].records, full.records):
+            assert (ours.index, ours.params, ours.passed, ours.certified, ours.width.hex()) == (
+                theirs.index, theirs.params, theirs.passed, theirs.certified, theirs.width.hex())
+            assert ours.worst_margin == pytest.approx(theirs.worst_margin, rel=0, abs=1e-12)
+
+
+def test_expansion_stops_at_each_suites_own_degree(tmp_path, monkeypatch):
+    # von-neumann, subordination and quasi expand to their own N, and
+    # the poly suites, which state no growth class, to --degree; at
+    # --degree <= N a suite expands to --degree, so its echo, records
+    # and nonzero low-degree widths are what the degree gives
     degrees, expand = [], harness.expand
 
     def recording_expand(draws, degree):
@@ -524,10 +562,10 @@ def test_expansion_stops_at_38_for_von_neumann_alone(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "expand", recording_expand)
     for suite in SUITES:
-        for degree in (16, 38, 39, 64):
+        for degree in (16, 38, 39, 42, 43, 46, 47, 64):
             degrees.clear()
             report = run_campaign(small_config(tmp_path, suite, trials=2, degree=degree))
-            expanded = min(degree, 38) if suite == "von-neumann" else degree
+            expanded = min(degree, EXPANSION_DEGREES.get(suite, degree))
             assert set(degrees) == {expanded}
             assert report.config.get("expansion_degree", degree) == expanded
             if suite == "von-neumann" and degree == 16:
@@ -537,34 +575,101 @@ def test_expansion_stops_at_38_for_von_neumann_alone(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_a_stated_tail_bound_covers_every_series_the_margin_sums(suite):
-    # _expansion_degree's proof needs the C prepare states to bound the
-    # value's every layer and m_bound times the bound
+    # _expansion_degree's proof needs the growth class (C, s) prepare
+    # states to bound ||A_n|| <= C (n+1)^s for the value's every layer
+    # and m_bound times the bound, and a constant tail bound one carries
+    # to be at most C; the stored norms are checked through degree 64
     config = CampaignConfig(suite, dim=3, degree=64)
-    _, _, m_bound, tail_bound, draw = SUITES[suite].prepare(config, **SUITES[suite].options)
-    if tail_bound is None:
+    _, _, m_bound, growth, draw = SUITES[suite].prepare(config, **SUITES[suite].options)
+    if growth is None:
         return
+    tail_bound, exponent = growth
+    cap = tail_bound * np.arange(1.0, config.degree + 2.0) ** exponent
     for index in range(20):
-        _, draws, finish = draw(harness._trial_rng(5, index))
-        value, bound = finish(*expand(draws, 38))
-        assert all(f.coeff_bound is not None and f.coeff_bound <= tail_bound
-                   for f in _layers(value))
-        assert bound is None or bound.coeff_bound is not None and (
-            m_bound * bound.coeff_bound <= tail_bound)
+        _, draws, finish = draw(harness._trial_rng(5, index), config.degree)
+        value, bound = finish(*expand(draws, config.degree))
+        for f, scale in [(f, 1.0) for f in _layers(value)] + (
+                [] if bound is None else [(bound, m_bound)]):
+            assert f.degree == config.degree
+            assert np.all(scale * op_norms(f.coeffs) <= cap)
+            assert f.coeff_bound is None or scale * f.coeff_bound <= tail_bound
+
+
+def _tail_exact(tail_bound, exponent, r, size, terms):
+    """sum_{size <= n < size + terms} C (n+1)^s r^n in exact arithmetic,
+    for C = tail_bound, an integer s and a float r."""
+    c, r = Fraction(tail_bound), Fraction(r)
+    return sum(c * (n + 1) ** exponent * r**n for n in range(size, size + terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(1e-3, 1e6)), st.integers(0, 3),
+       st.one_of(st.just(0.0), st.floats(1e-3, 0.9)), st.integers(1, 80))
+def test_the_class_tail_dominates_the_sum_it_bounds(tail_bound, exponent, r, size):
+    # grid.tail(size, C, s) bounds sum_{n >= size} C (n+1)^s r^n: the
+    # first K terms are summed exactly, and the rest, where the ratio of
+    # consecutive terms is at most q_K = r ((size+K+1)/(size+K))^s < 1,
+    # are at most term(size+K) / (1 - q_K), a proven remainder.  Where
+    # the class's own ratio q reaches 1 the allowance is inf.  The
+    # allowance is rounded, and 1 - q by a few ulps of 1, so it gets a
+    # relative 1e-12 / (1 - q); C and r stay clear of underflow
+    tail = _BohrGrid([r]).tail(size, tail_bound, exponent)[0]
+    q = r * ((size + 2) / (size + 1)) ** exponent
+    if q >= 1.0:
+        assert tail == math.inf
+        return
+    terms = 8
+    m = size + terms
+    q_rest = Fraction(r) * Fraction(m + 2, m + 1) ** exponent
+    remainder = Fraction(tail_bound) * (m + 1) ** exponent * Fraction(r) ** m / (1 - q_rest)
+    assert math.isfinite(tail) and tail >= 0.0
+    assert Fraction(tail) * (1 + Fraction(1e-12 / (1.0 - q))) >= (
+        _tail_exact(tail_bound, exponent, r, size, terms) + remainder)
+
+
+@pytest.mark.parametrize("size", (1, 2, 17, 39, 65, 129))
+def test_the_class_tail_at_exponent_0_is_the_constant_bounds(size):
+    # the sums add C r^size / (1 - r) for a constant tail bound C, and the
+    # growth class (C, 0) gives it bit for bit
+    for radii in (default_grid(1 / 3), default_grid(0.9), [0.0, 0.5, 0.99]):
+        grid = _BohrGrid(radii)
+        for tail_bound in (0.0, 1.0, 1.5, 2.0, 1e6):
+            expected = tail_bound * grid.r**size / (1.0 - grid.r)
+            assert grid.tail(size, tail_bound).tobytes() == expected.tobytes()
+            assert grid.tail(size, tail_bound, 0).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_expansion_degree_is_its_loop_definition_on_every_suites_grid(suite):
+    # one array evaluation at the grid's largest radius gives the N of
+    # the definition, a loop of grid.tail calls on the whole grid, for
+    # degrees 1 to 256
+    config = CampaignConfig(suite, dim=3, degree=64)
+    options = [SUITES[suite].options]
+    if suite == "quasi":
+        options += [dict(m_bound=m_bound, quasi_beta=0.5) for m_bound in (0.1, 1e6)]
+    for opts in options:
+        _, radii, _, growth, _ = SUITES[suite].prepare(config, **opts)
+        grid = _BohrGrid(radii)
+        for degree in range(1, 257):
+            expected = degree if growth is None else next(
+                (n for n in range(degree) if grid.tail(n + 1, *growth).max() <= 2.0**-60), degree)
+            assert harness._expansion_degree(degree, grid, growth) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 256), st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
-       st.one_of(st.none(), st.floats(0.0, 1e6)))
-def test_expansion_degree_is_the_smallest_with_an_invisible_tail(degree, radii, tail_bound):
+       st.one_of(st.none(), st.tuples(st.floats(0.0, 1e6), st.sampled_from((0, 1, 2, 2.5)))))
+def test_expansion_degree_is_the_smallest_with_an_invisible_tail(degree, radii, growth):
     grid = _BohrGrid(radii)
-    n = harness._expansion_degree(degree, grid, tail_bound)
+    n = harness._expansion_degree(degree, grid, growth)
     assert 0 <= n <= degree
-    if tail_bound is None:
+    if growth is None:
         assert n == degree
         return
 
     def invisible(m):
-        return grid.tail(m + 1, tail_bound).max() <= 2.0**-60
+        return grid.tail(m + 1, *growth).max() <= 2.0**-60
 
     assert n == degree or invisible(n)
     assert n == 0 or not invisible(n - 1)
@@ -584,7 +689,7 @@ def test_a_subordinate_carries_its_targets_certificate(dim):
     kinds = set()
     for index in range(100):
         rng = np.random.default_rng([dim, index])
-        params, draws, model = harness._draw_target(rng, config)
+        params, draws, model = harness._draw_target(rng, dim, config.degree)
         phi, *target = expand([harness._inner(rng)] + draws, config.degree)
         g = model or target[0]
         f = harness._subordinate(g, phi)
@@ -602,7 +707,7 @@ def test_a_subordinate_carries_its_targets_certificate(dim):
         # coefficient n meets beta^n times it
         beta = (0.9, 0.5, 0.2)[index % 3]
         *_, draw = SUITES["quasi"].prepare(config, m_bound=1.0, quasi_beta=beta)
-        _, draws, finish = draw(np.random.default_rng([dim, index]))
+        _, draws, finish = draw(np.random.default_rng([dim, index]), config.degree)
         pair = finish(*expand(draws[:-1], config.degree), MatrixSeries(unit))
         assert pair[1].coeff_bound == g.coeff_bound
         for h in pair:
