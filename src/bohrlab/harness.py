@@ -30,9 +30,9 @@ for every n, of every series its margin sums expands them only to the
 smallest N at which the class's tail allowance at its largest radius is
 at most 2^-60 (_expansion_degree, with the proof that this loses
 nothing the campaign claims).  At r = 1/3: von-neumann, (1, 0), stops at
-N = 38, subordination, (2, 1), at 42, and quasi, (2 m_bound, 2), at 46
-for m_bound 1.5.  The poly suites state none and expand to
-config.degree.  The report's config echo holds N as "expansion_degree"
+N = 38, subordination, (2, 1), at 42, and quasi, (2 max(1, m_bound), 2),
+at 45 for m_bound <= 1 and at 46 for m_bound 1.5.  The poly suites
+state none and expand to config.degree.  The report's config echo holds N as "expansion_degree"
 when it is below config.degree.
 
 Determinism: trial i of a campaign with seed s uses the generator
@@ -284,7 +284,9 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple | None) -> int
     array evaluation at that radius covers every N.  At r = 1/3,
     von-neumann's (1, 0) gets N = 38: 1.5 * 3^-39 = 3.7e-19 <= 2^-60 =
     8.7e-19 < 1.5 * 3^-38; subordination's (2, 1) gets 42 and quasi's
-    (3, 2), at m_bound 1.5, 46.
+    (3, 2), at m_bound 1.5, 46.  Every stated class has C >= 1, so
+    T_0 >= r / (1 - r) and N >= 1 at r = 1/3: the draws build their
+    series at N.
 
     Expanding to N instead of degree loses nothing the campaign claims,
     when every series the margin sums (for a bound, m_bound times its
@@ -300,6 +302,9 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple | None) -> int
     arithmetic T_N is nondecreasing in r, so the grid's largest radius
     bounds it at every radius, and it is at most 2^-60 there: 1/256 of
     an ulp of 1, where an upper sum compared with the bound 1 sits.
+    Quasi's sums sit at m_bound, and its class (2 max(1, m_bound), 2)
+    holds them with C at least 2 m_bound and 2, so they move by at most
+    2^-60 min(1, m_bound): below 1/128 of an ulp of m_bound too.
     Whether a float moves is measured, not proven: the tests pin the
     records at N to those of the full expansion to degrees 64 and 128,
     bit for bit but for quasi's margins, which its products may round
@@ -497,7 +502,10 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
     dilated g o phi is in (m_bound K, t), as beta <= 1, and the Schur
     function s in (1, 0), so their product is in (m_bound K, t + 1) by
     mul's rule, which holds m_bound times the dilated g too: (2 m_bound,
-    2).
+    2).  The class states C = 2 max(1, m_bound), which holds them as
+    well, so that a small m_bound does not shrink the expansion degree:
+    the truncation stays at most 2^-60 of sums of size m_bound, and N is
+    at least min(degree, 45) (_expansion_degree).
 
     With B = max(2, degree), 4 dim (degree + 1) B m_bound must be finite:
     the coefficients of s, the dilated g and m_bound times the dilated
@@ -526,7 +534,7 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
         return params, draws + [draw_schur(rng, config.dim, scalar_head=True)], finish
 
     return ({"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0},
-            default_grid(1.0 / 3.0), m_bound, (m_bound * bound, exponent + 1), draw)
+            default_grid(1.0 / 3.0), m_bound, (max(1.0, m_bound) * bound, exponent + 1), draw)
 
 
 def _prepare_von_neumann(config: CampaignConfig):

@@ -321,15 +321,13 @@ class _BohrGrid:
         bounds, r ((n+2)/(n+1))^s, decreases in n, so past size it is at
         most q = r ((size+2)/(size+1))^s, and the terms sum to at most the
         geometric series C (size+1)^s r^size / (1 - q); inf where q >= 1,
-        as no geometric bound holds there.  At s = 0 this is C r^size /
-        (1 - r), the allowance of a constant bound C, which the sums add,
-        bit for bit.  size may be an array of sizes that broadcasts
-        against the grid's radii.
+        as no geometric bound holds there.  At s = 0 both powers are 1.0
+        and q = r < 1, so this is C r^size / (1 - r), the allowance of a
+        constant bound C, which the sums add, bit for bit.  size may be
+        an array of sizes that broadcasts against the grid's radii.
         """
         first = tail_bound * (size + 1.0) ** exponent * self.r**size
         ratio = self.r * ((size + 2.0) / (size + 1.0)) ** exponent
-        if exponent == 0:  # ratio = r < 1
-            return first / (1.0 - ratio)
         return np.divide(first, 1.0 - ratio, out=np.full(np.shape(first), np.inf),
                          where=ratio < 1.0)
 

@@ -549,6 +549,25 @@ def test_subordination_and_quasi_expand_only_as_far_as_their_class_needs(tmp_pat
             assert ours.worst_margin == pytest.approx(theirs.worst_margin, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("m_bound", (1e-20, 1e-6, 0.5))
+def test_a_small_m_bound_keeps_quasis_expansion_degree(tmp_path, monkeypatch, m_bound):
+    # quasi's class (2 max(1, m_bound), 2) expands any m_bound <= 1 to 45,
+    # where sums of size m_bound still match the full expansion to
+    # within 1e-12 of m_bound, and failure files replay there
+    cfg = small_config(tmp_path, "quasi", trials=8, dim=3, degree=64, tolerance=-10.0)
+    report = run_campaign(cfg, m_bound=m_bound)
+    assert report.config["expansion_degree"] == 45 and report.pass_count == 0
+    for record in report.records:
+        with open(tmp_path / f"quasi-failure-{record.index:05d}.json") as fh:
+            assert replay(json.load(fh)) == (record.worst_margin, record.certified, record.width)
+    monkeypatch.setattr(harness, "_expansion_degree", lambda degree, grid, growth: degree)
+    full = run_campaign(cfg, m_bound=m_bound)
+    for ours, theirs in zip(report.records, full.records):
+        assert (ours.params, ours.certified, ours.width.hex()) == (
+            theirs.params, theirs.certified, theirs.width.hex())
+        assert ours.worst_margin == pytest.approx(theirs.worst_margin, rel=0, abs=1e-12 * m_bound)
+
+
 def test_expansion_stops_at_each_suites_own_degree(tmp_path, monkeypatch):
     # von-neumann, subordination and quasi expand to their own N, and
     # the poly suites, which state no growth class, to --degree; at
@@ -639,40 +658,31 @@ def test_the_class_tail_at_exponent_0_is_the_constant_bounds(size):
             assert grid.tail(size, tail_bound, 0).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("suite", list(SUITES))
-def test_expansion_degree_is_its_loop_definition_on_every_suites_grid(suite):
-    # one array evaluation at the grid's largest radius gives the N of
-    # the definition, a loop of grid.tail calls on the whole grid, for
-    # degrees 1 to 256
-    config = CampaignConfig(suite, dim=3, degree=64)
-    options = [SUITES[suite].options]
-    if suite == "quasi":
-        options += [dict(m_bound=m_bound, quasi_beta=0.5) for m_bound in (0.1, 1e6)]
-    for opts in options:
-        _, radii, _, growth, _ = SUITES[suite].prepare(config, **opts)
-        grid = _BohrGrid(radii)
-        for degree in range(1, 257):
-            expected = degree if growth is None else next(
-                (n for n in range(degree) if grid.tail(n + 1, *growth).max() <= 2.0**-60), degree)
-            assert harness._expansion_degree(degree, grid, growth) == expected
+def _suite_grids():
+    """The (radii, growth class) pairs the suites' prepare states, at
+    their default options and at quasi's extreme m_bound."""
+    cases = [(suite, suite.options) for suite in SUITES.values()]
+    cases += [(SUITES["quasi"], dict(m_bound=m_bound, quasi_beta=0.5))
+              for m_bound in (1e-20, 0.1, 1e6)]
+    return [suite.prepare(CampaignConfig(suite.name, dim=3, degree=64), **options)[1:4:2]
+            for suite, options in cases]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 256), st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
-       st.one_of(st.none(), st.tuples(st.floats(0.0, 1e6), st.sampled_from((0, 1, 2, 2.5)))))
-def test_expansion_degree_is_the_smallest_with_an_invisible_tail(degree, radii, growth):
+@given(st.integers(1, 256),
+       st.one_of(st.sampled_from(_suite_grids()),
+                 st.tuples(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
+                           st.one_of(st.none(), st.tuples(st.floats(0.0, 1e6),
+                                                          st.sampled_from((0, 1, 2, 2.5)))))))
+def test_expansion_degree_is_the_smallest_with_an_invisible_tail(degree, case):
+    # one array evaluation at the grid's largest radius gives the N of
+    # the definition, a loop of grid.tail calls on the whole grid, on
+    # every suite's grid and class and on random ones
+    radii, growth = case
     grid = _BohrGrid(radii)
-    n = harness._expansion_degree(degree, grid, growth)
-    assert 0 <= n <= degree
-    if growth is None:
-        assert n == degree
-        return
-
-    def invisible(m):
-        return grid.tail(m + 1, *growth).max() <= 2.0**-60
-
-    assert n == degree or invisible(n)
-    assert n == 0 or not invisible(n - 1)
+    expected = degree if growth is None else next(
+        (n for n in range(degree) if grid.tail(n + 1, *growth).max() <= 2.0**-60), degree)
+    assert harness._expansion_degree(degree, grid, growth) == expected
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
