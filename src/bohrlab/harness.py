@@ -24,16 +24,19 @@ SUITES defines each suite by its prepare (Suite), which states its
 hypothesis and returns the radii, bound multiplier, growth class and
 draw that run_campaign and replay both run through _trials.
 
-Expansion degree: config.degree is the most a campaign expands.  A
-suite whose prepare states a growth class (C, s), ||A_n|| <= C (n+1)^s
-for every n, of every series its margin sums expands them only to the
-smallest N at which the class's tail allowance at its largest radius is
-at most 2^-60 (_expansion_degree, with the proof that this loses
-nothing the campaign claims).  At r = 1/3: von-neumann, (1, 0), stops at
-N = 38, subordination, (2, 1), at 42, and quasi, (2 max(1, m_bound), 2),
-at 45 for m_bound <= 1 and at 46 for m_bound 1.5.  The poly suites
-state none and expand to config.degree.  The report's config echo holds N as "expansion_degree"
-when it is below config.degree.
+Expansion degree: config.degree is the most a campaign expands.  Each
+suite's prepare states a growth class (C, s), ||A_n|| <= C (n+1)^s for
+every n, of every series its margin sums, and the campaign expands them
+only to the smallest N at which the class's tail allowance at its
+largest radius is at most 2^-60 (_expansion_degree, with the proof that
+this loses nothing the campaign claims).  At r = 1/3: von-neumann,
+(1, 0), stops at N = 38, subordination, (2, 1), at 42, and quasi,
+(2 max(1, m_bound), 2), at 45 for m_bound <= 1 and at 46 for m_bound
+1.5.  A poly suite derives its class from its base layer's
+(_prepare_poly): at k = 1, poly-general (lambda 1) and poly-convex
+(beta 1) stop at 42 for p 2 and 3, and poly-starlike at 46 for p 2 and
+at 44 for p 5 (r = 0.318).  The report's config echo holds N as
+"expansion_degree" when it is below config.degree.
 
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
@@ -101,10 +104,11 @@ _SEED_MASK = (1 << 64) - 1
 
 # Coefficient entries (trials x dim^2 x (N + 1), N the expansion degree)
 # per block of trials: 14 trials at dim 3, N 64, and 1 at dim 8, N 128;
-# von-neumann, at N 38, runs 23 at dim 3 and 3 at dim 8, subordination,
-# at N 42, 21 and 2, and quasi, at N 46, 19 and 2.  A block's series are
-# all alive at once: blocks of 28 saved 4% more CPU but added 1.5 MB of
-# peak memory instead of 0.85 MB.
+# von-neumann, at N 38, runs 23 at dim 3 and 3 at dim 8, subordination
+# and poly-general and poly-convex, at N 42, 21 and 2, poly-starlike, at
+# N 44 (p 5), 20 and 2, and quasi, at N 46, 19 and 2.  A block's series
+# are all alive at once: blocks of 28 saved 4% more CPU but added 1.5 MB
+# of peak memory instead of 0.85 MB.
 _BLOCK_ENTRIES = 2**13
 
 # A tail allowance this small is below 1/256 of an ulp of 1 (2^-52).
@@ -277,16 +281,18 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
     return margins
 
 
-def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple | None) -> int:
-    """The smallest N <= degree at which the tail allowance T_N of the
-    growth class (C, s) = growth, grid.tail(N + 1, C, s), is at most
-    2^-60 at the grid's largest radius; degree when growth is None.  One
+def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple) -> int:
+    """The smallest N in 1..degree at which the tail allowance T_N of
+    the growth class (C, s) = growth, grid.tail(N + 1, C, s), is at most
+    2^-60 at the grid's largest radius, or degree if there is none.  One
     array evaluation at that radius covers every N.  At r = 1/3,
     von-neumann's (1, 0) gets N = 38: 1.5 * 3^-39 = 3.7e-19 <= 2^-60 =
     8.7e-19 < 1.5 * 3^-38; subordination's (2, 1) gets 42 and quasi's
     (3, 2), at m_bound 1.5, 46.  Every stated class has C >= 1, so
-    T_0 >= r / (1 - r) and N >= 1 at r = 1/3: the draws build their
-    series at N.
+    T_0 >= 2^s C r >= r, and T_0 is invisible only at a largest radius
+    below 2^-60, as a poly suite's can be (its grid ends 1e-8 short of
+    its radius); N is at least 1 there, as the draws build their series
+    at N.
 
     Expanding to N instead of degree loses nothing the campaign claims,
     when every series the margin sums (for a bound, m_bound times its
@@ -301,7 +307,11 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple | None) -> int
     is the same, and each moves by at most c t_N <= T_N.  In exact
     arithmetic T_N is nondecreasing in r, so the grid's largest radius
     bounds it at every radius, and it is at most 2^-60 there: 1/256 of
-    an ulp of 1, where an upper sum compared with the bound 1 sits.
+    an ulp of 1, where an upper sum compared with the bound 1 sits.  A
+    layered value, sum_l r^l S^(l) (the poly suites'), whose every layer
+    lies in a class (K, s), moves by at most sum_l r^l T_N^K <= T_N^K /
+    (1 - r), the allowance of (K / (1 - r), s): a poly suite states that
+    class, for r its grid's one radius.
     Quasi's sums sit at m_bound, and its class (2 max(1, m_bound), 2)
     holds them with C at least 2 m_bound and 2, so they move by at most
     2^-60 min(1, m_bound): below 1/128 of an ulp of m_bound too.
@@ -310,11 +320,9 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple | None) -> int
     bit for bit but for quasi's margins, which its products may round
     another way by at most 1e-12.
     """
-    if growth is None:
-        return degree
     top = _BohrGrid(grid.r.max(keepdims=True))
     invisible = np.flatnonzero(top.tail(np.arange(1, degree + 1), *growth) <= _INVISIBLE_TAIL)
-    return int(invisible[0]) if invisible.size else degree
+    return max(1, int(invisible[0])) if invisible.size else degree
 
 
 def _prepare(config: CampaignConfig, options: dict) -> tuple:
@@ -565,6 +573,14 @@ def _starlike_layer(rng, fam: RadiusFamily, dim: int, degree: int):
     return phi, functools.partial(_subordinate, starlike_from_q(_draw_u(rng), degree))
 
 
+# The growth class (C, s) of every base layer a family's generator makes:
+# ||f_n|| <= 1 for a Schur f_0 (general), beta for a subordinate of the
+# convex model (Rogosinski's theorem, _subordinate) and n for one of the
+# starlike model (_SUBORDINATION_GROWTH).
+_BASE_GROWTH = {"general": lambda fam: (1.0, 0), "convex": lambda fam: (fam.beta, 0),
+                "starlike": lambda fam: (1.0, 1)}
+
+
 # The poly suites' grids end this far short of the solved radius, the
 # default tolerance; a campaign's tolerance is its pass threshold only.
 POLY_GRID_GAP = 1e-8
@@ -573,7 +589,17 @@ POLY_GRID_GAP = 1e-8
 def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **param):
     """F's layered Bohr sum stays <= 1 up to the family's computed
     radius, for a base layer meeting the family's hypothesis and p - 1
-    ratio functions of norm <= k (scaled Schur functions)."""
+    ratio functions of norm <= k (scaled Schur functions).
+
+    Growth class: with f_0 in (C, s) (_BASE_GROWTH), f_0' is in (2^s C,
+    s + 1) (series.derivative), omega_l f_0' in (2^s C k, s + 2) (mul's
+    rule, omega_l in (k, 0)) and the layer f_l in (2^s C k, s + 1)
+    (zoo.build_polyanalytic's integral), so every layer is in (K, s + 1)
+    for K = max(1, C, 2^s C k); the 1, as in quasi's class, keeps a
+    small k or beta from shrinking the expansion degree.  The margin
+    sums sum_l r^l Bohr(f_l, r), so prepare states (K / (1 - r), s + 1)
+    at its grid's one radius r (_expansion_degree).
+    """
     fam = RadiusFamily(tag, k=k, p=p, **param)
     # every layer is allocated, while at radii <= 1/3 layer 63 weighs at most 3^-63
     if not fam.p <= 64:
@@ -583,6 +609,9 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
                          "general hypothesis only for lambda >= 1")
     p = int(fam.p)
     radius = solve_radius(fam).radius
+    radii = default_grid(radius - POLY_GRID_GAP)[-1:]
+    bound, exponent = _BASE_GROWTH[tag](fam)
+    layer_bound = max(1.0, bound, 2.0**exponent * bound * fam.k)
 
     def draw(rng, degree):
         base, layer = base_layer(rng, fam, config.dim, degree)
@@ -594,8 +623,8 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
 
         return {}, [base] + omegas, finish
 
-    return ({"family": fam.describe(), "radius": radius},
-            default_grid(radius - POLY_GRID_GAP)[-1:], 1.0, None, draw)
+    return ({"family": fam.describe(), "radius": radius}, radii, 1.0,
+            (layer_bound / (1.0 - radii[0]), exponent + 1), draw)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -605,13 +634,13 @@ class Suite:
     suite's hypothesis.  prepare checks the options and returns the
     suite's config echo entries, the radii its margins are taken over,
     the multiplier m_bound of its bound, a growth class (C, s) of every
-    series the margin sums (_expansion_degree), or None, and
-    draw(rng, degree), which returns a trial's (params, draws, finish):
-    finish maps the draws' series (zoo.expand's, at degree) to the
-    (value, bound) pair the margin compares, with bound None for the
-    bound 1, whose radii are r_max alone (_margin).  degree is the
-    expansion degree N, and the series a draw builds itself (a model
-    target, quasi's dilation) are built at N too.
+    series the margin sums (_expansion_degree) and draw(rng, degree),
+    which returns a trial's (params, draws, finish): finish maps the
+    draws' series (zoo.expand's, at degree) to the (value, bound) pair
+    the margin compares, with bound None for the bound 1, whose radii
+    are r_max alone (_margin).  degree is the expansion degree N, and
+    the series a draw builds itself (a model target, quasi's dilation)
+    are built at N too.
     """
 
     name: str

@@ -113,8 +113,9 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     does survive: if ||f_i|| <= C1 (i+1)^s1 and ||g_j|| <= C2 (j+1)^s2
     for every i and j, then ||(fg)_n|| <= sum_{i+j=n} ||f_i|| ||g_j||,
     n + 1 terms each at most C1 C2 (n+1)^(s1+s2), so the product is in
-    the class (C1 C2, s1 + s2 + 1).  harness._prepare_quasi states its
-    class by this rule; series do not carry classes yet.
+    the class (C1 C2, s1 + s2 + 1).  harness._prepare_quasi and
+    harness._prepare_poly (through zoo.build_polyanalytic's product)
+    state their classes by this rule; series do not carry classes yet.
     """
     if g.dim not in (1, f.dim):
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
@@ -232,7 +233,11 @@ def derivative(f: MatrixSeries) -> MatrixSeries:
     """Termwise derivative; degree drops by one (constants map to 0).
 
     The derivative of a bounded tail is not bounded by a constant, so
-    the certificate is dropped.
+    the certificate is dropped.  A growth class survives: if ||f_n|| <=
+    C (n+1)^s for every n, then ||f'_j|| = (j+1) ||f_{j+1}|| <= (j+1) C
+    (j+2)^s <= 2^s C (j+1)^(s+1), as j + 2 <= 2 (j+1), so the derivative
+    is in the class (2^s C, s + 1).  harness._prepare_poly states its
+    class by this rule, next to mul's.
     """
     if f.degree == 0:
         return MatrixSeries(np.zeros((1, f.dim, f.dim), dtype=np.complex128), None)

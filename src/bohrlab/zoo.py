@@ -427,6 +427,13 @@ def build_polyanalytic(f0: MatrixSeries, omegas) -> PolyanalyticFn:
     min(deg omega_l, deg f_0') + 1.  All layers come from one truncated
     product and one division.  f_0 itself must vanish at the origin; a
     1x1 f_0 stands for s * I beside ratio functions of any one dim.
+
+    Growth class: layer l's coefficient m >= 1 is prod_{m-1} / m, for
+    prod = omega_l f_0' (series.mul's Cauchy product and its class
+    rule), and its coefficient 0 is 0.  If ||prod_j|| <= C (j+1)^s for
+    every j, with s >= 1, then ||f_{l,m}|| <= C m^s / m = C m^(s-1) <=
+    C (m+1)^(s-1): the integral takes (C, s) to (C, s - 1).
+    harness._prepare_poly states its class by this rule.
     """
     if np.any(f0.coeffs[0] != 0):
         raise ValueError("base layer must vanish at the origin")

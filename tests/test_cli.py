@@ -477,6 +477,43 @@ def test_subordination_and_quasi_failure_files_replay_at_their_expansion_degree(
                 f"{expanded}}}") in err
 
 
+@pytest.mark.parametrize("argv, expanded", [
+    (("poly-general", "--lambda", "1", "--p", "3"), 42),
+    (("poly-convex", "--beta", "1", "--p", "3"), 42),
+    (("poly-starlike", "--p", "5"), 44),
+], ids=("poly-general", "poly-convex", "poly-starlike"))
+def test_poly_failure_files_replay_at_their_expansion_degree(tmp_path, capsys, argv, expanded):
+    # the benchmark's poly configs (k 1) expand to their N at --degree 64
+    # and 128, and every failure file at an impossible tolerance says so
+    # and replays, at dims 1, 2, 3, 5 and 8; a file without the entry, as
+    # the campaigns that expanded the poly suites to --degree wrote, is
+    # refused
+    suite = argv[0]
+    for dim in ("1", "2", "3", "5", "8"):
+        for degree in ("64", "128"):
+            out = tmp_path / dim / degree
+            out.mkdir(parents=True)
+            code, _, _ = run(capsys, "verify", *argv, "--k", "1", "--trials", "2", "--dim", dim,
+                             "--degree", degree, "--tol", "-10", "--out", str(out / "r.json"))
+            assert code == 1
+            paths = sorted(out.glob(f"{suite}-failure-*.json"))
+            assert len(paths) == 2
+            for path in paths:
+                with open(path) as fh:
+                    assert json.load(fh)["config"]["expansion_degree"] == expanded
+                code, _, err = run(capsys, "replay", str(path))
+                assert code == 0 and not err
+    with open(path) as fh:
+        dump = json.load(fh)
+    del dump["config"]["expansion_degree"]
+    with open(path, "w") as fh:
+        json.dump(dump, fh)
+    code, out, err = run(capsys, "replay", str(path))
+    assert code == 2 and out == ""
+    assert "'expansion_degree': None} are not the completed" in err
+    assert f"'expansion_degree': {expanded}}}" in err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda dump: {**{key: dump[key] for key in ("suite", "config", "record")}, "instance": {}},
      "KeyError('options')"),

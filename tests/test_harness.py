@@ -27,7 +27,15 @@ from bohrlab.harness import (
 )
 from bohrlab.radii import FAMILIES, RadiusFamily, radius_poly_eval
 from bohrlab.opmat import NumericalError, op_norms
-from bohrlab.series import MatrixSeries, _BohrGrid, _layers, majorant, mul
+from bohrlab.series import (
+    MatrixSeries,
+    _BohrGrid,
+    _layers,
+    derivative,
+    majorant,
+    mul,
+    scalar_series,
+)
 from bohrlab.zoo import build_polyanalytic, convex_model, expand, starlike_from_q
 
 RADIUS_TABLE = os.path.join(os.path.dirname(__file__), "radius_table.csv")
@@ -513,24 +521,34 @@ def test_von_neumann_expands_to_38_whatever_degree_allows_more(tmp_path, dim):
         assert reports[degree].certified_count == trials
 
 
-# Each suite's expansion degree at its default options and radii.
-EXPANSION_DEGREES = {"von-neumann": 38, "subordination": 42, "quasi": 46}
+# Each suite's expansion degree at its default options and radii: the
+# poly suites' at k = 1, p = 2.
+EXPANSION_DEGREES = {"von-neumann": 38, "subordination": 42, "quasi": 46,
+                     "poly-general": 42, "poly-convex": 42, "poly-starlike": 46}
+
+# The poly configs of the benchmark's poly-d3 workload (k = 1) and their
+# expansion degrees.
+POLY_D3 = (("poly-general", dict(lam=1.0, k=1.0, p=3), 42),
+           ("poly-convex", dict(beta=1.0, k=1.0, p=3), 42),
+           ("poly-starlike", dict(k=1.0, p=5), 44))
 
 
-@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
-@pytest.mark.parametrize("suite", ("subordination", "quasi"))
-def test_subordination_and_quasi_expand_only_as_far_as_their_class_needs(tmp_path, monkeypatch,
-                                                                         suite, dim):
-    # degrees 64 and 128 give degree N's records bit for bit, and say
-    # so; and they are the records of the full expansion to --degree,
-    # which _expansion_degree's proof says they may differ from only by
-    # rounding: bit for bit for subordination, margins within 1e-12 for
-    # quasi, whose products round the other way at another length, with
-    # every pass, certified flag and width the same
-    trials, expanded = (12 if dim == 8 else 24), EXPANSION_DEGREES[suite]
-    reports = {degree: run_campaign(small_config(tmp_path, suite, trials=trials, dim=dim,
-                                                 degree=degree, seed=dim))
-               for degree in (expanded, 64, 128)}
+def _expands_only_as_far_as_its_class_needs(tmp_path, monkeypatch, suite, dim, expanded,
+                                            options=None):
+    """Degrees 64 and 128 give degree N's records bit for bit, and say
+    so; and they are the records of the full expansion to --degree,
+    which _expansion_degree's proof says they may differ from only by
+    rounding: bit for bit for subordination, margins within 1e-12 for
+    the suites whose products round another way at another length, with
+    every pass, certified flag and width the same."""
+    options = options or {}
+    trials = 12 if dim == 8 else 24
+
+    def campaign(degree):
+        return run_campaign(small_config(tmp_path, suite, trials=trials, dim=dim, degree=degree,
+                                         seed=dim), **options)
+
+    reports = {degree: campaign(degree) for degree in (expanded, 64, 128)}
     assert "expansion_degree" not in reports[expanded].config
     for degree in (64, 128):
         assert reports[degree].config == {**reports[expanded].config, "degree": degree,
@@ -538,8 +556,7 @@ def test_subordination_and_quasi_expand_only_as_far_as_their_class_needs(tmp_pat
         assert _bits(reports[degree]) == _bits(reports[expanded])
     monkeypatch.setattr(harness, "_expansion_degree", lambda degree, grid, growth: degree)
     for degree in (64, 128):
-        full = run_campaign(small_config(tmp_path, suite, trials=trials, dim=dim,
-                                         degree=degree, seed=dim))
+        full = campaign(degree)
         assert "expansion_degree" not in full.config
         if suite == "subordination":
             assert _bits(full) == _bits(reports[degree])
@@ -547,6 +564,22 @@ def test_subordination_and_quasi_expand_only_as_far_as_their_class_needs(tmp_pat
             assert (ours.index, ours.params, ours.passed, ours.certified, ours.width.hex()) == (
                 theirs.index, theirs.params, theirs.passed, theirs.certified, theirs.width.hex())
             assert ours.worst_margin == pytest.approx(theirs.worst_margin, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+@pytest.mark.parametrize("suite", ("subordination", "quasi"))
+def test_subordination_and_quasi_expand_only_as_far_as_their_class_needs(tmp_path, monkeypatch,
+                                                                         suite, dim):
+    _expands_only_as_far_as_its_class_needs(tmp_path, monkeypatch, suite, dim,
+                                            EXPANSION_DEGREES[suite])
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+@pytest.mark.parametrize("suite, options, expanded",
+                         [pytest.param(*case, id=case[0]) for case in POLY_D3])
+def test_poly_suites_expand_only_as_far_as_their_class_needs(tmp_path, monkeypatch, suite,
+                                                             options, expanded, dim):
+    _expands_only_as_far_as_its_class_needs(tmp_path, monkeypatch, suite, dim, expanded, options)
 
 
 @pytest.mark.parametrize("m_bound", (1e-20, 1e-6, 0.5))
@@ -569,10 +602,9 @@ def test_a_small_m_bound_keeps_quasis_expansion_degree(tmp_path, monkeypatch, m_
 
 
 def test_expansion_stops_at_each_suites_own_degree(tmp_path, monkeypatch):
-    # von-neumann, subordination and quasi expand to their own N, and
-    # the poly suites, which state no growth class, to --degree; at
-    # --degree <= N a suite expands to --degree, so its echo, records
-    # and nonzero low-degree widths are what the degree gives
+    # every suite expands to its own N; at --degree <= N a suite expands
+    # to --degree, so its echo, records and nonzero low-degree widths are
+    # what the degree gives
     degrees, expand = [], harness.expand
 
     def recording_expand(draws, degree):
@@ -584,7 +616,7 @@ def test_expansion_stops_at_each_suites_own_degree(tmp_path, monkeypatch):
         for degree in (16, 38, 39, 42, 43, 46, 47, 64):
             degrees.clear()
             report = run_campaign(small_config(tmp_path, suite, trials=2, degree=degree))
-            expanded = min(degree, EXPANSION_DEGREES.get(suite, degree))
+            expanded = min(degree, EXPANSION_DEGREES[suite])
             assert set(degrees) == {expanded}
             assert report.config.get("expansion_degree", degree) == expanded
             if suite == "von-neumann" and degree == 16:
@@ -592,26 +624,46 @@ def test_expansion_stops_at_each_suites_own_degree(tmp_path, monkeypatch):
                            for r in report.records)
 
 
+def _poly_options(tag):
+    """The options a poly suite is checked at: Tier-1 criterion 09's k,
+    p and beta, k = 0, and a family parameter of 2 (lambda 2, radius
+    0.2; beta 2, whose base layer's bound 2 exceeds 1).  k = 2 is not
+    among them: RadiusFamily refuses a k outside [0, 1]."""
+    params = {"general": ({"lam": 1.0}, {"lam": 2.0}),
+              "convex": ({"beta": 0.5}, {"beta": 1.0}, {"beta": 2.0}),
+              "starlike": ({},)}[tag]
+    return [{**param, "k": k, "p": p} for param in params
+            for k in (0.0, 0.25, 0.5, 1.0) for p in (2, 3, 5)]
+
+
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_a_stated_tail_bound_covers_every_series_the_margin_sums(suite):
     # _expansion_degree's proof needs the growth class (C, s) prepare
     # states to bound ||A_n|| <= C (n+1)^s for the value's every layer
     # and m_bound times the bound, and a constant tail bound one carries
-    # to be at most C; the stored norms are checked through degree 64
+    # to be at most C; a poly suite states (K / (1 - r), s) for layers
+    # in (K, s) at its grid's radius r, and they are checked against
+    # (K, s).  Every stated C is at least 1, as _expansion_degree's
+    # docstring assumes.  The stored norms are checked through degree 64,
+    # over 20 trials, or 4 for each poly option set
     config = CampaignConfig(suite, dim=3, degree=64)
-    _, _, m_bound, growth, draw = SUITES[suite].prepare(config, **SUITES[suite].options)
-    if growth is None:
-        return
-    tail_bound, exponent = growth
-    cap = tail_bound * np.arange(1.0, config.degree + 2.0) ** exponent
-    for index in range(20):
-        _, draws, finish = draw(harness._trial_rng(5, index), config.degree)
-        value, bound = finish(*expand(draws, config.degree))
-        for f, scale in [(f, 1.0) for f in _layers(value)] + (
-                [] if bound is None else [(bound, m_bound)]):
-            assert f.degree == config.degree
-            assert np.all(scale * op_norms(f.coeffs) <= cap)
-            assert f.coeff_bound is None or scale * f.coeff_bound <= tail_bound
+    option_sets = (_poly_options(suite.removeprefix("poly-")) if suite.startswith("poly-")
+                   else [SUITES[suite].options])
+    for options in option_sets:
+        _, radii, m_bound, growth, draw = SUITES[suite].prepare(config, **options)
+        tail_bound, exponent = growth
+        assert tail_bound >= 1.0
+        layered = suite.startswith("poly-")
+        layer_bound = tail_bound * (1.0 - max(radii)) if layered else tail_bound
+        cap = layer_bound * np.arange(1.0, config.degree + 2.0) ** exponent
+        for index in range(4) if layered else range(20):
+            _, draws, finish = draw(harness._trial_rng(5, index), config.degree)
+            value, bound = finish(*expand(draws, config.degree))
+            for f, scale in [(f, 1.0) for f in _layers(value)] + (
+                    [] if bound is None else [(bound, m_bound)]):
+                assert f.degree == config.degree
+                assert np.all(scale * op_norms(f.coeffs) <= cap)
+                assert f.coeff_bound is None or scale * f.coeff_bound <= layer_bound
 
 
 def _tail_exact(tail_bound, exponent, r, size, terms):
@@ -658,12 +710,19 @@ def test_the_class_tail_at_exponent_0_is_the_constant_bounds(size):
             assert grid.tail(size, tail_bound, 0).tobytes() == expected.tobytes()
 
 
+# A poly-general lambda whose grid radius, 1e-8 short of its radius, is
+# 2e-19, below 2^-60
+TINY_RADIUS_LAMBDA = 49999999.499
+
+
 def _suite_grids():
     """The (radii, growth class) pairs the suites' prepare states, at
-    their default options and at quasi's extreme m_bound."""
+    their default options, at quasi's extreme m_bound and at a poly
+    grid radius below 2^-60."""
     cases = [(suite, suite.options) for suite in SUITES.values()]
     cases += [(SUITES["quasi"], dict(m_bound=m_bound, quasi_beta=0.5))
               for m_bound in (1e-20, 0.1, 1e6)]
+    cases += [(SUITES["poly-general"], dict(lam=TINY_RADIUS_LAMBDA, k=1.0, p=2))]
     return [suite.prepare(CampaignConfig(suite.name, dim=3, degree=64), **options)[1:4:2]
             for suite, options in cases]
 
@@ -672,17 +731,51 @@ def _suite_grids():
 @given(st.integers(1, 256),
        st.one_of(st.sampled_from(_suite_grids()),
                  st.tuples(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
-                           st.one_of(st.none(), st.tuples(st.floats(0.0, 1e6),
-                                                          st.sampled_from((0, 1, 2, 2.5)))))))
+                           st.tuples(st.floats(0.0, 1e6), st.sampled_from((0, 1, 2, 2.5))))))
 def test_expansion_degree_is_the_smallest_with_an_invisible_tail(degree, case):
     # one array evaluation at the grid's largest radius gives the N of
-    # the definition, a loop of grid.tail calls on the whole grid, on
-    # every suite's grid and class and on random ones
+    # the definition, a loop of grid.tail calls on the whole grid from
+    # N = 1, on every suite's grid and class and on random ones
     radii, growth = case
     grid = _BohrGrid(radii)
-    expected = degree if growth is None else next(
-        (n for n in range(degree) if grid.tail(n + 1, *growth).max() <= 2.0**-60), degree)
+    expected = next((n for n in range(1, degree)
+                     if grid.tail(n + 1, *growth).max() <= 2.0**-60), degree)
     assert harness._expansion_degree(degree, grid, growth) == expected
+
+
+def test_a_poly_grid_radius_below_the_invisible_tail_expands_to_1(tmp_path):
+    # every tail allowance is invisible at a grid radius of 2e-19, and
+    # the campaign expands to 1, the least degree the draws take
+    report = run_campaign(small_config(tmp_path, "poly-general", trials=3),
+                          lam=TINY_RADIUS_LAMBDA, k=1.0, p=2)
+    assert report.passed and report.config["expansion_degree"] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_the_derivative_and_the_layer_integral_keep_their_classes(bound, exponent, k, data):
+    # series.derivative takes (C, s) to (2^s C, s + 1), mul's rule takes
+    # it and a ratio omega in (k, 0) to (2^s C k, s + 2), and
+    # zoo.build_polyanalytic's integral takes that to (2^s C k, s + 1).
+    # Checked on random integer profiles of (C, s) as 1x1 series of
+    # nonnegative integers, whose norms are their coefficients: the code's
+    # derivative and layer against their sums in exact arithmetic (the
+    # layer's complex division by m may round the last bit), which stay
+    # within the stated classes
+    n = 24
+    f0 = [0] + [data.draw(st.integers(0, bound * (m + 1) ** exponent)) for m in range(1, n + 1)]
+    omega = data.draw(st.lists(st.integers(0, k), min_size=n + 1, max_size=n + 1))
+    df0 = [(j + 1) * f0[j + 1] for j in range(n)]
+    assert derivative(scalar_series(f0)).coeffs[:, 0, 0].tolist() == df0
+    assert all(df0[j] <= 2**exponent * bound * (j + 1) ** (exponent + 1) for j in range(n))
+    layer = build_polyanalytic(scalar_series(f0), [scalar_series(omega)]).components[1]
+    assert layer.degree == n and layer.coeffs[0, 0, 0] == 0
+    for m in range(1, n + 1):
+        product = sum(omega[i] * df0[m - 1 - i] for i in range(m))
+        assert product <= 2**exponent * bound * k * m ** (exponent + 2)
+        exact = Fraction(product, m)
+        assert layer.coeffs[m, 0, 0] == pytest.approx(float(exact), rel=1e-15)
+        assert exact <= 2**exponent * bound * k * (m + 1) ** (exponent + 1)
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
