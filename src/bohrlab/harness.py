@@ -21,22 +21,16 @@ violation found: at a low degree the tail allowance alone fails trials
 whose lower ends pass (worst_margin + width >= 0).
 
 SUITES defines each suite by its prepare (Suite), which states its
-hypothesis and returns the radii, bound multiplier, growth class and
-draw that run_campaign and replay both run through _trials.
+hypothesis and returns the radii, growth class and draw that
+run_campaign and replay both run through _trials.
 
 Expansion degree: config.degree is the most a campaign expands.  Each
 suite's prepare states a growth class (C, s), ||A_n|| <= C (n+1)^s for
 every n, of every series its margin sums, and the campaign expands them
 only to the smallest N at which the class's tail allowance at its
 largest radius is at most 2^-60 (_expansion_degree, with the proof that
-this loses nothing the campaign claims).  At r = 1/3: von-neumann,
-(1, 0), stops at N = 38, subordination, (2, 1), at 42, and quasi,
-(2 max(1, m_bound), 2), at 45 for m_bound <= 1 and at 46 for m_bound
-1.5.  A poly suite derives its class from its base layer's
-(_prepare_poly): at k = 1, poly-general (lambda 1) and poly-convex
-(beta 1) stop at 42 for p 2 and 3, and poly-starlike at 46 for p 2 and
-at 44 for p 5 (r = 0.318).  The report's config echo holds N as
-"expansion_degree" when it is below config.degree.
+this loses nothing the campaign claims).  The report's config echo
+holds N as "expansion_degree" when it is below config.degree.
 
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
@@ -73,7 +67,6 @@ from .series import (
     compose,
     majorant,
     mul,
-    with_coeff_bound,
 )
 from .zoo import (
     BlaschkeSpec,
@@ -103,12 +96,9 @@ __all__ = [
 _SEED_MASK = (1 << 64) - 1
 
 # Coefficient entries (trials x dim^2 x (N + 1), N the expansion degree)
-# per block of trials: 14 trials at dim 3, N 64, and 1 at dim 8, N 128;
-# von-neumann, at N 38, runs 23 at dim 3 and 3 at dim 8, subordination
-# and poly-general and poly-convex, at N 42, 21 and 2, poly-starlike, at
-# N 44 (p 5), 20 and 2, and quasi, at N 46, 19 and 2.  A block's series
-# are all alive at once: blocks of 28 saved 4% more CPU but added 1.5 MB
-# of peak memory instead of 0.85 MB.
+# per block of trials, so a block holds fewer trials the larger the dim
+# and N.  A block's series are all alive at once: blocks of 28 saved 4%
+# more CPU but added 1.5 MB of peak memory instead of 0.85 MB.
 _BLOCK_ENTRIES = 2**13
 
 # A tail allowance this small is below 1/256 of an ulp of 1 (2^-52).
@@ -226,18 +216,18 @@ def _failure_path(config: CampaignConfig, index: int) -> str:
     return os.path.join(base or ".", f"{config.suite}-failure-{index:05d}.json")
 
 
-def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
+def _margin(pairs, grid: _BohrGrid) -> list:
     """(margin, certified, width) for each of a block of (value, bound)
-    pairs over grid.  The margin is the worst over the grid of m_bound
-    times the lower Bohr sum of bound (1 when bound is None) minus the
-    upper Bohr sum of value.  certified says whether both ends compared
-    are proven bounds: a lower end, a partial sum of nonnegative terms,
-    always is, and an upper end is when every series summed carries a
-    tail bound, so a pair is certified when its value is.  width is the
-    width of the margin's enclosure at the worst radius (the first grid
-    radius where the margin is attained): value's hi - lo plus m_bound
-    times bound's.  A series without a tail bound has hi == lo and adds
-    nothing, so an uncertified side's width understates it.
+    pairs over grid.  The margin is the worst over the grid of the lower
+    Bohr sum of bound (1 when bound is None) minus the upper Bohr sum of
+    value.  certified says whether both ends compared are proven bounds:
+    a lower end, a partial sum of nonnegative terms, always is, and an
+    upper end is when every series summed carries a tail bound, so a
+    pair is certified when its value is.  width is the width of the
+    margin's enclosure at the worst radius (the first grid radius where
+    the margin is attained): value's hi - lo plus bound's.  A series
+    without a tail bound has hi == lo and adds nothing, so an
+    uncertified side's width understates it.
 
     Against the bound 1 the grid is one radius, r_max (the last of
     default_grid's, as the suite's prepare returns it), and that radius
@@ -272,9 +262,9 @@ def _margin(pairs, m_bound: float, grid: _BohrGrid) -> list:
         lo, hi, certified = grid.layered(itertools.islice(profiles, len(layers)))
         lower, upper = (1.0, 1.0) if bound is None else grid.bohr(*next(profiles))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            margin = m_bound * lower - hi
+            margin = lower - hi
             worst = int(np.argmin(margin))
-            width = float((hi - lo + m_bound * (upper - lower))[worst])
+            width = float((hi - lo + (upper - lower))[worst])
         if not (np.isfinite(margin).all() and math.isfinite(width)):
             raise NumericalError("a margin or its width is not finite: the Bohr sums overflow")
         margins.append((float(margin[worst]), certified, width))
@@ -285,21 +275,17 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple) -> int:
     """The smallest N in 1..degree at which the tail allowance T_N of
     the growth class (C, s) = growth, grid.tail(N + 1, C, s), is at most
     2^-60 at the grid's largest radius, or degree if there is none.  One
-    array evaluation at that radius covers every N.  At r = 1/3,
-    von-neumann's (1, 0) gets N = 38: 1.5 * 3^-39 = 3.7e-19 <= 2^-60 =
-    8.7e-19 < 1.5 * 3^-38; subordination's (2, 1) gets 42 and quasi's
-    (3, 2), at m_bound 1.5, 46.  Every stated class has C >= 1, so
-    T_0 >= 2^s C r >= r, and T_0 is invisible only at a largest radius
-    below 2^-60, as a poly suite's can be (its grid ends 1e-8 short of
-    its radius); N is at least 1 there, as the draws build their series
-    at N.
+    array evaluation at that radius covers every N.  Every stated class
+    has C >= 1, so T_0 >= 2^s C r >= r, and T_0 is invisible only at a
+    largest radius below 2^-60, as a poly suite's can be (its grid ends
+    1e-8 short of its radius); N is at least 1 there, as the draws build
+    their series at N.
 
     Expanding to N instead of degree loses nothing the campaign claims,
-    when every series the margin sums (for a bound, m_bound times its
-    coefficients) lies in the class: ||A_n|| <= C (n+1)^s for every n,
-    and a constant tail bound c it carries is at most C.  Let S_M =
-    sum_{n<=M} ||A_n|| r^n, so that for N < M, S_M - S_N = sum_{N<n<=M}
-    ||A_n|| r^n <= T_N.  A series without a tail bound has lower and
+    when every series the margin sums lies in the class: ||A_n|| <=
+    C (n+1)^s for every n, and a constant tail bound c it carries is at
+    most C.  Let S_M = sum_{n<=M} ||A_n|| r^n, so that for N < M,
+    S_M - S_N = sum_{N<n<=M} ||A_n|| r^n <= T_N.  A series without a tail bound has lower and
     upper sums S_M at degree M, and each moves by at most T_N.  One with
     the bound c has S_M and S_M + c t_M, t_M = r^(M+1) / (1 - r); as
     S_M - S_N <= c (t_N - t_M), S_N <= S_M and S_M + c t_M <= S_N + c
@@ -311,10 +297,9 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple) -> int:
     layered value, sum_l r^l S^(l) (the poly suites'), whose every layer
     lies in a class (K, s), moves by at most sum_l r^l T_N^K <= T_N^K /
     (1 - r), the allowance of (K / (1 - r), s): a poly suite states that
-    class, for r its grid's one radius.
-    Quasi's sums sit at m_bound, and its class (2 max(1, m_bound), 2)
-    holds them with C at least 2 m_bound and 2, so they move by at most
-    2^-60 min(1, m_bound): below 1/128 of an ulp of m_bound too.
+    class, for r its grid's one radius.  A class may state a larger C
+    than its series need, and then bounds their moves more tightly
+    still (_prepare_quasi).
     Whether a float moves is measured, not proven: the tests pin the
     records at N to those of the full expansion to degrees 64 and 128,
     bit for bit but for quasi's margins, which its products may round
@@ -327,18 +312,18 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple) -> int:
 
 def _prepare(config: CampaignConfig, options: dict) -> tuple:
     """config's suite prepared with its completed options: the suite's
-    config echo entries, m_bound, grid, draw and expansion degree N,
+    config echo entries, grid, draw and expansion degree N,
     which run_campaign and replay both pass to _trials.  The echo
     entries hold N as "expansion_degree" when it is below config.degree."""
-    extra, radii, m_bound, growth, draw = SUITES[config.suite].prepare(config, **options)
+    extra, radii, growth, draw = SUITES[config.suite].prepare(config, **options)
     grid = _BohrGrid(radii)
     degree = _expansion_degree(config.degree, grid, growth)
     if degree < config.degree:
         extra = {**extra, "expansion_degree": degree}
-    return extra, m_bound, grid, draw, degree
+    return extra, grid, draw, degree
 
 
-def _trials(draw: Callable, degree: int, m_bound: float, grid, seed: int, indices) -> list:
+def _trials(draw: Callable, degree: int, grid, seed: int, indices) -> list:
     """The (params, (margin, certified, width)) of the trials at indices
     of a campaign with seed seed.  Each draw builds its own series at
     degree, one zoo.expand call expands their draws to it, and one
@@ -347,7 +332,7 @@ def _trials(draw: Callable, degree: int, m_bound: float, grid, seed: int, indice
     drawn = [draw(_trial_rng(seed, index), degree) for index in indices]
     series = iter(expand([d for _, draws, _ in drawn for d in draws], degree))
     pairs = [finish(*itertools.islice(series, len(draws))) for _, draws, finish in drawn]
-    return list(zip([params for params, _, _ in drawn], _margin(pairs, m_bound, grid)))
+    return list(zip([params for params, _, _ in drawn], _margin(pairs, grid)))
 
 
 def _options(suite: Suite, options: dict) -> dict:
@@ -367,14 +352,14 @@ def run_campaign(config: CampaignConfig, **options) -> Report:
     config plus the suite's own entries), the options prepare got and
     its record."""
     options = _options(SUITES[config.suite], options)
-    extra, m_bound, grid, draw, degree = _prepare(config, options)
+    extra, grid, draw, degree = _prepare(config, options)
     start = time.perf_counter()
     echo = {**vars(config), **extra}
     block = max(1, _BLOCK_ENTRIES // (config.dim**2 * (degree + 1)))
     records = []
     for first in range(0, config.trials, block):
         indices = range(first, min(first + block, config.trials))
-        trials = _trials(draw, degree, m_bound, grid, config.seed, indices)
+        trials = _trials(draw, degree, grid, config.seed, indices)
         for index, (params, (margin, certified, width)) in zip(indices, trials):
             record = TrialRecord(index, config.seed, params, margin, margin >= -config.tolerance,
                                  certified, width)
@@ -415,8 +400,8 @@ def replay(dump: dict) -> tuple:
         completed = _options(SUITES[config.suite], options)
         index, seed, recorded, passed, *outcome = (record[key] for key in (
             "index", "seed", "params", "passed", "worst_margin", "certified", "width"))
-        extra, m_bound, grid, draw, degree = _prepare(config, completed)
-        [(params, margins)] = _trials(draw, degree, m_bound, grid, config.seed, [index])
+        extra, grid, draw, degree = _prepare(config, completed)
+        [(params, margins)] = _trials(draw, degree, grid, config.seed, [index])
     except (KeyError, TypeError, ValueError) as exc:  # a key missing, an entry refused
         raise ValueError(f"malformed failure file: {exc!r}") from None
     extra, echoed = json.loads(json.dumps(extra)), {key: echo.get(key) for key in extra}
@@ -442,7 +427,7 @@ def _subordinate(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
     Rogosinski's coefficient theorem gives ||f_n|| <= |g'(0)| = beta; the
     starlike model has no constant bound, as its subordinates grow like n.
     The rule holds for these kinds of g, not for an arbitrary g."""
-    return with_coeff_bound(compose(g, phi), g.coeff_bound)
+    return MatrixSeries(compose(g, phi).coeffs, g.coeff_bound)
 
 
 # The convex targets' beta is drawn from uniform(*_CONVEX_BETAS).
@@ -493,7 +478,7 @@ def _prepare_subordination(config: CampaignConfig):
 
         return params, [_inner(rng)] + draws, finish
 
-    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0), 1.0, _SUBORDINATION_GROWTH, draw
+    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0), _SUBORDINATION_GROWTH, draw
 
 
 def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
@@ -503,24 +488,28 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
     structurally.  The margin is taken in w = r / beta, on
     default_grid(1/3): term by term, Bohr(F, r) = Bohr(F(beta .), r / beta),
     where F(beta .) has coefficients beta^n F_n, and f(beta w) = m_bound
-    s(w) (g o phi)(beta w), so a trial is subordination's pair, dilated,
-    times s.  The dilated g keeps g's tail bound C, as ||g_n beta^n|| <= C.
+    s(w) (g o phi)(beta w), so a trial is subordination's pair, dilated
+    and scaled by m_bound, times s, against the bound m_bound g(beta .):
+    a Bohr sum is positively homogeneous, so m_bound Bohr(g, r) =
+    Bohr(m_bound g, r).  The bound carries m_bound times g's tail bound
+    C, as ||m_bound g_n beta^n|| <= m_bound C.
 
     Growth class: with subordination's class (K, t), m_bound times the
-    dilated g o phi is in (m_bound K, t), as beta <= 1, and the Schur
-    function s in (1, 0), so their product is in (m_bound K, t + 1) by
-    mul's rule, which holds m_bound times the dilated g too: (2 m_bound,
-    2).  The class states C = 2 max(1, m_bound), which holds them as
-    well, so that a small m_bound does not shrink the expansion degree:
-    the truncation stays at most 2^-60 of sums of size m_bound, and N is
-    at least min(degree, 45) (_expansion_degree).
+    dilated g o phi, and the bound, are in (m_bound K, t), as beta <= 1,
+    and the Schur function s in (1, 0), so the value is in (m_bound K,
+    t + 1) by mul's rule, which holds the bound too: (2 m_bound, 2).
+    The class states C = 2 max(1, m_bound), which holds them as well,
+    so that a small m_bound does not shrink the expansion degree: the
+    sums, of size m_bound, move by at most 2^-60 min(1, m_bound), below
+    1/128 of an ulp of m_bound (_expansion_degree).
 
     With B = max(2, degree), 4 dim (degree + 1) B m_bound must be finite:
-    the coefficients of s, the dilated g and m_bound times the dilated
-    g o phi are at most 1, B and B m_bound (_subordinate's bounds), so a
-    product entry sums at most 2 dim (degree + 1) real or imaginary parts
-    of modulus <= B m_bound, and at w <= 1/3 the margin and its width are
-    at most (2 degree + 3) B m_bound, leaving a factor >= 4/3 for rounding.
+    the coefficients of s, the bound and m_bound times the dilated
+    g o phi are at most 1, B m_bound and B m_bound (_subordinate's
+    bounds), so a product entry sums at most 2 dim (degree + 1) real or
+    imaginary parts of modulus <= B m_bound, and at w <= 1/3 the margin
+    and its width are at most (2 degree + 3) B m_bound, leaving a factor
+    >= 4/3 for rounding.
     """
     if not 0.0 < m_bound < math.inf or not 0.0 < quasi_beta <= 1.0:
         raise ValueError("need a finite m_bound > 0 and quasi_beta in (0, 1]")
@@ -532,17 +521,18 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
 
     def draw(rng, degree):
         params, draws, pair = subordinate(rng, degree)
-        dilation = quasi_beta ** np.arange(degree + 1.0)[:, None, None]
+        scale = m_bound * quasi_beta ** np.arange(degree + 1.0)[:, None, None]
 
         def finish(*series):
             f, g = pair(*series[:-1])
-            return (mul(series[-1], MatrixSeries(f.coeffs * (m_bound * dilation))),
-                    MatrixSeries(g.coeffs * dilation, g.coeff_bound))
+            return (mul(series[-1], MatrixSeries(f.coeffs * scale)),
+                    MatrixSeries(g.coeffs * scale,
+                                 None if g.coeff_bound is None else m_bound * g.coeff_bound))
 
         return params, draws + [draw_schur(rng, config.dim, scalar_head=True)], finish
 
     return ({"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0},
-            default_grid(1.0 / 3.0), m_bound, (max(1.0, m_bound) * bound, exponent + 1), draw)
+            default_grid(1.0 / 3.0), (max(1.0, m_bound) * bound, exponent + 1), draw)
 
 
 def _prepare_von_neumann(config: CampaignConfig):
@@ -555,7 +545,7 @@ def _prepare_von_neumann(config: CampaignConfig):
         return {}, [draw_schur(rng, config.dim, scalar_head=True), _inner(rng)], finish
 
     # f o phi is a Schur function (_subordinate): ||A_n|| <= 1, the class (1, 0)
-    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0)[-1:], 1.0, (1.0, 0), draw
+    return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0)[-1:], (1.0, 0), draw
 
 
 # A base layer's generator returns its one draw and the function from
@@ -609,6 +599,9 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
                          "general hypothesis only for lambda >= 1")
     p = int(fam.p)
     radius = solve_radius(fam).radius
+    if not radius > POLY_GRID_GAP:
+        raise ValueError(f"{fam.describe()} has radius {radius!r}, at most the grid gap "
+                         f"{POLY_GRID_GAP}: no grid radius is left below it")
     radii = default_grid(radius - POLY_GRID_GAP)[-1:]
     bound, exponent = _BASE_GROWTH[tag](fam)
     layer_bound = max(1.0, bound, 2.0**exponent * bound * fam.k)
@@ -618,12 +611,12 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
         omegas = [draw_schur(rng, config.dim, scalar_head=True) for _ in range(p - 1)]
 
         def finish(f, *omegas):
-            ratios = [MatrixSeries(fam.k * w.coeffs, fam.k * w.coeff_bound) for w in omegas]
+            ratios = [MatrixSeries(fam.k * w.coeffs) for w in omegas]
             return build_polyanalytic(layer(f), ratios), None
 
         return {}, [base] + omegas, finish
 
-    return ({"family": fam.describe(), "radius": radius}, radii, 1.0,
+    return ({"family": fam.describe(), "radius": radius}, radii,
             (layer_bound / (1.0 - radii[0]), exponent + 1), draw)
 
 
@@ -633,14 +626,13 @@ class Suite:
     defaults, and prepare(config, **options), whose docstring states the
     suite's hypothesis.  prepare checks the options and returns the
     suite's config echo entries, the radii its margins are taken over,
-    the multiplier m_bound of its bound, a growth class (C, s) of every
-    series the margin sums (_expansion_degree) and draw(rng, degree),
-    which returns a trial's (params, draws, finish): finish maps the
-    draws' series (zoo.expand's, at degree) to the (value, bound) pair
-    the margin compares, with bound None for the bound 1, whose radii
-    are r_max alone (_margin).  degree is the expansion degree N, and
-    the series a draw builds itself (a model target, quasi's dilation)
-    are built at N too.
+    a growth class (C, s) of every series the margin sums
+    (_expansion_degree) and draw(rng, degree), which returns a trial's
+    (params, draws, finish): finish maps the draws' series (zoo.expand's,
+    at degree) to the (value, bound) pair the margin compares, with
+    bound None for the bound 1, whose radii are r_max alone (_margin).
+    degree is the expansion degree N, and the series a draw builds
+    itself (a model target, quasi's scale) are built at N too.
     """
 
     name: str

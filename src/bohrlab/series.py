@@ -29,7 +29,6 @@ __all__ = [
     "mul",
     "compose",
     "derivative",
-    "with_coeff_bound",
     "majorant",
 ]
 
@@ -87,16 +86,6 @@ def scalar_series(values, coeff_bound: float | None = None) -> MatrixSeries:
     if v.ndim != 1 or v.size < 1:
         raise ValueError("scalar series needs a one-dimensional coefficient list")
     return MatrixSeries(v.reshape(-1, 1, 1), coeff_bound)
-
-
-def with_coeff_bound(f: MatrixSeries, bound: float | None) -> MatrixSeries:
-    """Replace the tail certificate.
-
-    This is an assertion by the caller, typically from structural
-    knowledge of how f was produced (composition with a bounded target,
-    say), not something the arithmetic can check.
-    """
-    return MatrixSeries(f.coeffs, bound)
 
 
 def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
@@ -197,8 +186,9 @@ def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
     a 1x1 g an einsum, since numpy runs a one-column matmul as a zgemv,
     which OpenBLAS hands to a second thread from 64x64 entries on.
 
-    No tail certificate survives in general; reattach one with
-    with_coeff_bound when the structure of g and phi justifies it.
+    No tail certificate survives in general; reattach one, as
+    MatrixSeries(compose(g, phi).coeffs, bound), when the structure of g
+    and phi justifies it.
     """
     if phi.dim != 1:
         raise ValueError("inner function must be scalar (dim 1)")

@@ -425,8 +425,9 @@ def build_polyanalytic(f0: MatrixSeries, omegas) -> PolyanalyticFn:
     from 0, which makes the factorization f_l' = omega_l f_0' exact by
     construction and forces f_l(0) = 0; layer l has degree
     min(deg omega_l, deg f_0') + 1.  All layers come from one truncated
-    product and one division.  f_0 itself must vanish at the origin; a
-    1x1 f_0 stands for s * I beside ratio functions of any one dim.
+    product, whose real and imaginary parts are divided by m.  f_0
+    itself must vanish at the origin; a 1x1 f_0 stands for s * I beside
+    ratio functions of any one dim.
 
     Growth class: layer l's coefficient m >= 1 is prod_{m-1} / m, for
     prod = omega_l f_0' (series.mul's Cauchy product and its class
@@ -454,7 +455,11 @@ def build_polyanalytic(f0: MatrixSeries, omegas) -> PolyanalyticFn:
     for l, w in enumerate(omegas):
         stack[: degrees[l] + 1, l] = w.coeffs[: degrees[l] + 1]
     prod = _block_product(stack.reshape(n + 1, -1, d), df0.coeffs[: n + 1])
+    # divided part by part by the real m, which rounds each part
+    # correctly, as a complex division does not
     integral = np.zeros((n + 2, len(omegas), d, d), dtype=np.complex128)
-    integral[1:] = (prod / np.arange(1, n + 2)[:, None, None]).reshape(n + 1, -1, d, d)
+    out, steps = integral[1:].reshape(n + 1, -1, d), np.arange(1.0, n + 2)[:, None, None]
+    np.divide(prod.real, steps, out=out.real)
+    np.divide(prod.imag, steps, out=out.imag)
     layers = [f0] + [MatrixSeries(integral[: m + 2, l], None) for l, m in enumerate(degrees)]
     return PolyanalyticFn(tuple(layers))

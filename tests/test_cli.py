@@ -141,6 +141,23 @@ def test_poly_general_needs_lambda_at_least_one(capsys, lam, code):
         assert out.startswith("PASS") and "passed=10 " in out
 
 
+@pytest.mark.parametrize("lam, code", [("5e7", 2), ("1e9", 2), ("49999999.499", 0)])
+def test_poly_refuses_a_radius_within_its_grid_gap(capsys, lam, code):
+    # the grid ends harness.POLY_GRID_GAP (1e-8) short of the radius:
+    # lambda 5e7 gives a radius just below it and 1e9 one of 5e-10,
+    # which leave no grid radius and are refused with the family, its
+    # radius and the gap named; 49999999.499 leaves a grid radius of 2e-19
+    got, out, err = run(capsys, "verify", "poly-general", "--trials", "3", "--dim", "2",
+                        "--degree", "16", "--lambda", lam)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error:") and "r_max" not in err
+        assert all(name in err for name in (f"'lambda': {float(lam)!r}", "'tag': 'general'",
+                                            "radius", f"grid gap {harness.POLY_GRID_GAP}"))
+    else:
+        assert out.startswith("PASS") and "passed=3 " in out
+
+
 def _choices(command, dest):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return list(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)

@@ -23,8 +23,8 @@ def _radii_up_to(r_max):
         prepare = SUITES[suite].prepare
 
         def wrapped(config, **options):
-            echo, _, m_bound, growth, draw = prepare(config, **options)
-            return echo, default_grid(r_max)[-1:], m_bound, growth, draw
+            echo, _, growth, draw = prepare(config, **options)
+            return echo, default_grid(r_max)[-1:], growth, draw
 
         monkeypatch.setitem(SUITES, suite, dataclasses.replace(SUITES[suite], prepare=wrapped))
     return mutate
