@@ -117,11 +117,45 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     return MatrixSeries(out, None)
 
 
-# Multiply-adds per matmul in _block_product, which keeps each matmul
-# below it.  At this size and above the OpenBLAS of numpy's wheels
-# (0.3.31) hands a zgemm to a second thread, which busy-waits between
-# calls and costs more than it saves on these products.
+# Multiply-adds m*k*n of a 2-D matmul (m, k) @ (k, n) from which the
+# OpenBLAS of numpy's wheels (0.3.31) hands a zgemm to a second thread,
+# which busy-waits between calls and costs more than it saves on these
+# products.  In a bare loop of a @ b on a 2-core VM the process CPU time
+# per wall time read 1.00 from 61,440 to 65,403 multiply-adds and 1.88
+# to 1.97 from 65,536 to 66,924.  Every matmul in this module goes
+# through _matmul, so none of two or more rows reaches the limit.  numpy
+# makes a product of one row a zgemv, which goes to the second thread
+# from k*n = 64*64 entries on: compose's first doubling step is one, of
+# (N - 1)^2 entries, below that at the campaigns' N <= 47.
 _MATMUL_LIMIT = 2**16
+
+
+def _rows_below_limit(width: int) -> int:
+    """The most rows of width multiply-adds each that one matmul can take
+    and stay below _MATMUL_LIMIT, and at least 1."""
+    return max(1, (_MATMUL_LIMIT - 1) // width)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for 2-D a and b, into out when given, in matmuls below
+    _MATMUL_LIMIT multiply-adds each, so that OpenBLAS keeps every zgemm
+    on one thread.  A product below the limit is one np.matmul.  A
+    larger one is split into as few blocks of rows of a as
+    _rows_below_limit allows, whose sizes differ by at most one, so a
+    block has one row only where three rows would reach the limit.  A
+    block of two or more rows gave the unsplit one-thread product's
+    entries bit for bit in every product tried (column blocks did not);
+    a block of one row is a zgemv, which rounds differently."""
+    if a.size * b.shape[1] < _MATMUL_LIMIT:
+        return np.matmul(a, b, out=out)
+    (m, k), n = a.shape, b.shape[1]
+    if out is None:
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+    blocks = -(-m // _rows_below_limit(k * n))
+    bounds = [i * m // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
 
 
 def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
@@ -142,14 +176,16 @@ def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     the most rows whose matmul stays below _MATMUL_LIMIT multiply-adds,
     and at least 1: small matmuls cost more in per-call overhead than in
     arithmetic.  At dim 8, degree 128 c is 1, and the matmuls are the
-    one-row products fa_i @ [g_0 ... g_{n-i}].  A stack of m/d matrices
-    per coefficient (m > d) multiplies each of them by g in the same
-    matmuls.
+    one-block-row products fa_i @ [g_0 ... g_{n-i}]; _matmul splits the
+    rows of fa_i where one block row reaches the limit, as the first
+    products do at dim 8 from degree 127 and at dim 16 from degree 15.
+    A stack of m/d matrices per coefficient (m > d) multiplies each of
+    them by g in the same matmuls.
     """
     n1, m, d = fa.shape
     if ga.shape[1] == 1 < d:
         return _block_product(fa.reshape(n1, m * d, 1), ga).reshape(n1, m, d)
-    c = max(1, min(n1, (_MATMUL_LIMIT - 1) // (m * d * n1 * d)))
+    c = min(n1, _rows_below_limit(m * d * n1 * d))
     padded = np.zeros((d, (n1 + c - 1) * d), dtype=np.complex128)
     padded[:, (c - 1) * d :] = ga.transpose(1, 0, 2).reshape(d, n1 * d)
     # window[r, a, j] = padded[a, (c - 1 - r) d + j], as compose's window
@@ -162,7 +198,7 @@ def _block_product(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     groups = groups.reshape(-1, c, m, d).transpose(0, 2, 1, 3).reshape(-1, m, c * d)
     acc = np.zeros((m, n1 * d), dtype=np.complex128)
     for j, group in enumerate(groups):
-        acc[:, j * c * d :] += group @ strip[:, : (n1 - j * c) * d]
+        acc[:, j * c * d :] += _matmul(group, strip[:, : (n1 - j * c) * d])
     return acc.reshape(m, n1, d).transpose(1, 0, 2)
 
 
@@ -182,9 +218,13 @@ def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
     exact zeros.  The Toeplitz matrices are copies of one window over a
     zero-padded buffer, made once per call by np.ndarray (by as_strided
     it left a 0.9 MB peak-RSS step within 800 poly-d3 rounds).  The
-    output is one more matmul, of the powers with g's coefficients; for
-    a 1x1 g an einsum, since numpy runs a one-column matmul as a zgemv,
-    which OpenBLAS hands to a second thread from 64x64 entries on.
+    output is one more product, of the powers with g's coefficients: at
+    dim d > 1 it is made in blocks of rows of powers.T, each below
+    _MATMUL_LIMIT multiply-adds (_matmul, like every doubling matmul), so
+    OpenBLAS keeps it on one thread; at dim 8 that is 2 blocks at N = 38
+    and 3 at N = 46.  For a 1x1 g it is an einsum, since numpy runs a
+    one-column matmul as a zgemv, which OpenBLAS hands to a second
+    thread from 64x64 entries on.
 
     No tail certificate survives in general; reattach one, as
     MatrixSeries(compose(g, phi).coeffs, bound), when the structure of g
@@ -211,11 +251,11 @@ def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
         # with c = coefficients m..n-1 of phi^m, window[:size, :size] is t[i, j] =
         # c[j - i], and row i - 1 of the product is phi^(m+i)'s degrees m+1..n
         padded[n : n + size] = powers[m, m:n]
-        np.matmul(powers[1 : top - m + 1, 1 : size + 1], window[:size, :size].copy(),
-                  out=powers[m + 1 : top + 1, m + 1 :])
+        _matmul(powers[1 : top - m + 1, 1 : size + 1], window[:size, :size].copy(),
+                out=powers[m + 1 : top + 1, m + 1 :])
         m = top
     gc = g.coeffs[: n + 1].reshape(n + 1, -1)
-    out = np.einsum("kn,kj->nj", powers, gc) if g.dim == 1 else powers.T @ gc
+    out = np.einsum("kn,kj->nj", powers, gc) if g.dim == 1 else _matmul(powers.T, gc)
     return MatrixSeries(out.reshape(n + 1, g.dim, g.dim), None)
 
 

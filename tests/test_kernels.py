@@ -10,21 +10,29 @@ convolution, the several-row block product against the double loop, the
 one-row loop and (bit for bit) a strip made by sliding_window_view, a
 1x1 right operand or base layer to the double loop with its s_j I copy,
 and the one-product polyanalytic layers against one product per layer.
+Every matmul that compose, and every campaign of the wide-d8-n128
+benchmark, makes in series is pinned below the size at which OpenBLAS
+hands it to a second thread.
 The block expansion (expand) is pinned bit for bit to each function
 expanded on its own, a stack of Schur draws to consecutive
 gen_schur_matrix calls, the draws (draw_schur) to those of
 gen_schur_matrix, and random_blaschke_spec to numpy's array formula."""
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohrlab.cli import main
 from bohrlab.series import (
     _MATMUL_LIMIT,
     Majorant,
     MatrixSeries,
     _block_product,
+    _matmul,
+    _rows_below_limit,
     compose,
     derivative,
     majorant,
@@ -132,7 +140,11 @@ def compose_by_gather(g, phi):
     """compose's doubling with each Toeplitz matrix gathered from a
     zero-padded copy of phi^m's coefficients by a shift index; compose,
     which copies them from one strided window, must equal it bit for
-    bit.  A 1x1 g is contracted by compose's einsum, not a matvec."""
+    bit.  The doubling and output products go through compose's own
+    _matmul: its row blocks round as one unsplit one-thread zgemm does,
+    which at degrees 128 and 129 differs from the two-thread zgemm that
+    a @ b makes there.  A 1x1 g is contracted by compose's einsum, not a
+    matvec."""
     n = min(g.degree, phi.degree)
     powers = np.zeros((n + 1, n + 1), dtype=np.complex128)
     powers[0, 0] = 1.0
@@ -146,10 +158,10 @@ def compose_by_gather(g, phi):
         padded = np.zeros(2 * size, dtype=np.complex128)
         padded[:size] = powers[m, m:n]
         t = padded[shift[:size, :size]]
-        powers[m + 1 : top + 1, m + 1 :] = powers[1 : top - m + 1, 1 : size + 1] @ t
+        powers[m + 1 : top + 1, m + 1 :] = _matmul(powers[1 : top - m + 1, 1 : size + 1], t)
         m = top
     gc = g.coeffs[: n + 1].reshape(n + 1, -1)
-    out = np.einsum("kn,kj->nj", powers, gc) if g.dim == 1 else powers.T @ gc
+    out = np.einsum("kn,kj->nj", powers, gc) if g.dim == 1 else _matmul(powers.T, gc)
     return out.reshape(n + 1, g.dim, g.dim)
 
 
@@ -161,6 +173,95 @@ def test_compose_is_the_gather_doubling_bit_for_bit(dim, degree):
     for phi in (blaschke_series(random_blaschke_spec(rng, fix_origin=True), degree),
                 random_inner(rng, degree)):
         assert np.array_equal(compose(g, phi).coeffs, compose_by_gather(g, phi))
+
+
+def record_series_matmuls(monkeypatch):
+    """The operand shapes of every np.matmul that bohrlab.series calls
+    from now on, as (a.shape, b.shape) pairs in call order."""
+    calls, matmul = [], np.matmul
+
+    def recorder(a, b, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "bohrlab.series":
+            calls.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorder)
+    return calls
+
+
+def unsplit_products(dim, n):
+    """(m, k, n) of each product compose makes at degree n before any
+    split: one per doubling step and, at dim > 1, the output."""
+    products, m = [], 1
+    while m < n:
+        top = min(2 * m, n)
+        products.append((top - m, n - m, n - m))
+        m = top
+    return products + ([(n + 1, n + 1, dim * dim)] if dim > 1 else [])
+
+
+@pytest.mark.parametrize("degree", (1, 2, 31, 32, 33, 38, 46, 64, 65, 77, 78, 79, 80, 128, 129,
+                                    256))
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 6, 8, 16))
+def test_compose_keeps_every_matmul_below_the_limit(monkeypatch, dim, degree):
+    # a zgemm of _MATMUL_LIMIT multiply-adds or more goes to OpenBLAS's
+    # second thread.  A product below the limit stays one matmul; a
+    # larger one becomes the fewest row blocks below it, of sizes that
+    # differ by at most one.  At dim 16, degree 256 one row of the
+    # output product, 257 x 256 multiply-adds, reaches the limit alone.
+    rng = np.random.default_rng([dim, degree])
+    g = MatrixSeries(random_coeffs(rng, (degree + 1, dim, dim)))
+    calls = record_series_matmuls(monkeypatch)
+    compose(g, random_inner(rng, degree))
+    for m, k, n in unsplit_products(dim, degree):
+        rows = []
+        while sum(rows) < m:
+            a, b = calls.pop(0)
+            assert a[1:] == (k,) and b == (k, n)
+            rows.append(a[0])
+        assert sum(rows) == m and max(rows) - min(rows) <= 1
+        if m * k * n < _MATMUL_LIMIT:
+            assert rows == [m]
+        for r in rows:
+            assert r * k * n < _MATMUL_LIMIT or (r, dim, degree) == (1, 16, 256)
+        assert (len(rows) - 1) * max(1, (_MATMUL_LIMIT - 1) // (k * n)) < m
+    assert not calls
+
+
+def test_matmul_blocks_at_the_benchmark_shapes(monkeypatch):
+    # wide-d8-n128's compose outputs (N+1, N+1) @ (N+1, 64), von-neumann's
+    # at N = 38 and quasi's at N = 46: the most rows below the limit, the
+    # blocks, and the bits of the unsplit product, which its reports keep
+    expected = {38: (26, [19, 20]), 46: (21, [15, 16, 16])}
+    rng = np.random.default_rng(36)
+    calls = record_series_matmuls(monkeypatch)
+    for n, (most, blocks) in expected.items():
+        assert _rows_below_limit((n + 1) * 64) == most
+        a, b = random_coeffs(rng, (n + 1, n + 1)), random_coeffs(rng, (n + 1, 64))
+        calls.clear()
+        out = _matmul(a, b)
+        assert [shape[0] for shape, _ in calls] == blocks
+        assert np.array_equal(out, a @ b)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "von-neumann", "--dim", "8", "--degree", "128"),
+    ("verify", "quasi", "--dim", "8", "--degree", "128"),
+    ("verify", "poly-general", "--lambda", "1", "--p", "3", "--k", "1", "--dim", "8",
+     "--degree", "64"),
+])
+def test_campaigns_keep_every_series_matmul_on_one_thread(tmp_path, monkeypatch, argv):
+    # wide-d8-n128's commands and poly-d3's poly-general at dim 8: every
+    # matmul in series is 2-D and below the limit, and a one-row one (a
+    # zgemv, which OpenBLAS threads from 64 x 64 entries) is below that
+    calls = record_series_matmuls(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--trials", "3", "--out", str(tmp_path / "report.json")]) == 0
+    assert calls
+    for a, b in calls:
+        assert len(a) == len(b) == 2 and a[1] == b[0]
+        assert a[0] * a[1] * b[1] < _MATMUL_LIMIT
+        assert a[0] > 1 or a[1] * b[1] < 64 * 64
 
 
 @SETTINGS
