@@ -1,7 +1,8 @@
 """Matrix power series and certified Bohr enclosures.
 
 A MatrixSeries stores coefficients A_0..A_N exactly plus an optional
-tail certificate C with ||A_n|| <= C beyond the truncation.
+tail certificate, a growth class (C, s) with ||A_n|| <= C (n+1)^s for
+every n.
 majorant(f).bohr(radii) then returns two-sided enclosures (lo, hi) of
 sum_n ||A_n|| r^n on a grid of radii instead of bare floats, so later
 comparisons can use the endpoint that makes the check conservative.
@@ -23,8 +24,8 @@ from bohrlab import (
 # --- building blocks ---------------------------------------------------------
 
 # the geometric series 1/(1 - z) truncated at degree 8, with the exact
-# tail certificate 1 (every further coefficient is 1)
-geom = scalar_series(np.ones(9), coeff_bound=1.0)
+# growth class (1, 0) (every coefficient is 1)
+geom = scalar_series(np.ones(9), (1.0, 0))
 print("geometric series: degree", geom.degree, "dim", geom.dim)
 
 (lo,), (hi,), certified = majorant(geom).bohr([0.5])
@@ -38,18 +39,19 @@ print("uncertified:", majorant(bare).bohr([0.5])[2])
 
 # --- arithmetic tracks what it can prove --------------------------------------
 
-# a sum is formed from the coefficient arrays, and its tail bound is the
-# sum of the bounds (triangle inequality)
-s = MatrixSeries(geom.coeffs + geom.coeffs, geom.coeff_bound + geom.coeff_bound)
-print("sum bound:", s.coeff_bound)
-p = mul(geom, geom)                 # products cannot keep a constant bound
-print("product bound:", p.coeff_bound)
+# a sum is formed from the coefficient arrays; classes (C1, s) and
+# (C2, s) give it (C1 + C2, s) (triangle inequality)
+s = MatrixSeries(geom.coeffs + geom.coeffs, (2 * geom.growth[0], geom.growth[1]))
+print("sum class:", s.growth)
+p = mul(geom, geom)                 # 1/(1 - z)^2 = sum (n+1) z^n: the class (1, 1)
+print("product class:", p.growth)
 
 # --- genuinely matrix-valued coefficients --------------------------------------
 
-# f(z) = I + N z with a nilpotent N: the Bohr sum sees ||N|| = 2
+# f(z) = I + N z with a nilpotent N: the Bohr sum sees ||N|| = 2, and
+# the class (2, 0) bounds both coefficients
 nil = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-f = MatrixSeries(np.stack([np.eye(2, dtype=complex), nil]), coeff_bound=0.0)
+f = MatrixSeries(np.stack([np.eye(2, dtype=complex), nil]), (2.0, 0))
 print("||N|| =", op_norm(nil), " Bohr(f, 0.25) =", majorant(f).bohr([0.25])[0][0])
 
 # multiplying by the identity changes nothing

@@ -49,7 +49,9 @@ print("re-run with the same seed is bit-identical")
 # derivative ratio of norm <= k
 k = 0.5
 f0 = gen_schur_matrix(seed=21, dim=3, degree=64, fix_origin=True)
-omega = MatrixSeries(k * gen_schur_matrix(seed=22, dim=3, degree=64, scalar_head=True).coeffs, k)
+# k times a Schur function is in the growth class (k, 0)
+omega = MatrixSeries(k * gen_schur_matrix(seed=22, dim=3, degree=64, scalar_head=True).coeffs,
+                     (k, 0))
 fn = build_polyanalytic(f0, [omega])
 
 fam = RadiusFamily("general", k=k, p=fn.p, lam=1.0)
@@ -59,7 +61,8 @@ radii = np.linspace(0.05, radius - 1e-9, 5)
 _, hi, certified = majorant(fn).bohr(radii)
 for r, upper in zip(radii, hi):
     print(f"  r={r:.4f}: layered Bohr sum <= {upper:.6f} (must stay <= 1)")
-# the built layers carry no tail bound, so the upper ends are truncated sums
+# the built layers carry the growth classes build_polyanalytic proves, so
+# the upper ends include a proven tail allowance
 print(f"  upper ends certified: {certified}")
 
 # --- the same thing as a campaign --------------------------------------------------

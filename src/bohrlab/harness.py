@@ -7,30 +7,29 @@ minus value) over a radius grid.  A trial passes when its margin is
 for the quantity being bounded, the lower end for the bound.  A lower
 end, a partial sum of nonnegative terms, is always a lower bound, but
 an upper end is an upper bound only when every series in it carries a
-tail certificate, and only then is a pass evidence that the inequality
-holds for that instance rather than an artifact of truncation.  Each
-record says whether both ends were proven bounds (certified) and how
-wide the margin's enclosure is at its worst radius.  Today they are
-for every von-neumann trial and for subordination trials with Schur or
-convex targets (f = g o phi inherits g's tail bound, by _subordinate's
-proof), but not for starlike targets, for any quasi trial (mul keeps
-neither factor's tail bound) or for any poly-* trial (the higher
-layers carry none).  Floating-point rounding is enclosed on neither
-side.  A failed trial is one the campaign could not certify, not a
-violation found: at a low degree the tail allowance alone fails trials
-whose lower ends pass (worst_margin + width >= 0).
+growth class (series.MatrixSeries), and only then is a pass evidence
+that the inequality holds for that instance rather than an artifact of
+truncation.  Each record says whether both ends were proven bounds
+(certified) and how wide the margin's enclosure is at its worst
+radius.  Every series a campaign sums carries the class the operation
+that made it proves, so every record is tail-certified; floating-point
+rounding is enclosed on neither side.  A failed trial is one the
+campaign could not certify, not a violation found: at a low degree the
+tail allowance alone fails trials whose lower ends pass (worst_margin +
+width >= 0).
 
 SUITES defines each suite by its prepare (Suite), which states its
 hypothesis and returns the radii, growth class and draw that
 run_campaign and replay both run through _trials.
 
 Expansion degree: config.degree is the most a campaign expands.  Each
-suite's prepare states a growth class (C, s), ||A_n|| <= C (n+1)^s for
-every n, of every series its margin sums, and the campaign expands them
-only to the smallest N at which the class's tail allowance at its
-largest radius is at most 2^-60 (_expansion_degree, with the proof that
-this loses nothing the campaign claims).  The report's config echo
-holds N as "expansion_degree" when it is below config.degree.
+suite's prepare states, before any series exists, a growth class (C, s)
+that contains the class of every series its margin sums, and the
+campaign expands them only to the smallest N at which the stated
+class's tail allowance at its largest radius is at most 2^-60
+(_expansion_degree, with the proof that this loses nothing the campaign
+claims).  The report's config echo holds N as "expansion_degree" when
+it is below config.degree.
 
 Determinism: trial i of a campaign with seed s uses the generator
 default_rng([s, i]), so reports are reproducible.  A trial first makes
@@ -222,18 +221,18 @@ def _margin(pairs, grid: _BohrGrid) -> list:
     Bohr sum of bound (1 when bound is None) minus the upper Bohr sum of
     value.  certified says whether both ends compared are proven bounds:
     a lower end, a partial sum of nonnegative terms, always is, and an
-    upper end is when every series summed carries a tail bound, so a
+    upper end is when every series summed carries a growth class, so a
     pair is certified when its value is.  width is the width of the
     margin's enclosure at the worst radius (the first grid radius where
-    the margin is attained): value's hi - lo plus bound's.  A series
-    without a tail bound has hi == lo and adds nothing, so an
-    uncertified side's width understates it.
+    the margin is attained): value's hi - lo plus bound's, their class
+    allowances.  A series without a class has hi == lo and adds
+    nothing, so an uncertified side's width understates it.
 
     Against the bound 1 the grid is one radius, r_max (the last of
     default_grid's, as the suite's prepare returns it), and that radius
     proves the margin on all of [0, r_max].  The upper sum of value is
-    sum_l r^l (sum_n ||A_{l,n}|| r^n + C_l r^(N+1) / (1 - r)), with
-    C_l = 0 for a layer without a tail bound: a sum of nonnegative
+    sum_l r^l (sum_n ||A_{l,n}|| r^n + T_l), T_l layer l's class
+    allowance past its degree N (_BohrGrid.tail): a sum of nonnegative
     terms, each nondecreasing in r on [0, 1).  So hi is nondecreasing
     and 1 - hi is smallest at r_max (rounding aside).  N is each
     series' own degree: the expansion degree (_expansion_degree), or
@@ -243,9 +242,9 @@ def _margin(pairs, grid: _BohrGrid) -> list:
     a MatrixSeries or None.  The norms of every series the block
     compares come from one op_norms call per coefficient size (1x1 for
     a model target) on their stacked coefficients, and the sums from
-    grid's one formula and power tables.  This is the
-    one definition of a campaign margin; replaying a failure file is the
-    block of its one pair.
+    grid's one formula and tables.  This is the one definition of a
+    campaign margin; replaying a failure file is the block of its one
+    pair.
     """
     compared = [(_layers(value), bound) for value, bound in pairs]
     series = [f for layers, bound in compared
@@ -255,7 +254,7 @@ def _margin(pairs, grid: _BohrGrid) -> list:
         group = [f for f in series if f.dim == dim]
         norms.update(zip(group, np.split(op_norms(np.concatenate([f.coeffs for f in group])),
                                          np.cumsum([f.degree + 1 for f in group[:-1]]))))
-    profiles = ((norms[f], f.coeff_bound) for f in series)
+    profiles = ((norms[f], f.growth) for f in series)
     margins = []
     for layers, bound in compared:
         # a series is the layered function of its one layer, bit for bit
@@ -282,24 +281,24 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple) -> int:
     their series at N.
 
     Expanding to N instead of degree loses nothing the campaign claims,
-    when every series the margin sums lies in the class: ||A_n|| <=
-    C (n+1)^s for every n, and a constant tail bound c it carries is at
-    most C.  Let S_M = sum_{n<=M} ||A_n|| r^n, so that for N < M,
-    S_M - S_N = sum_{N<n<=M} ||A_n|| r^n <= T_N.  A series without a tail bound has lower and
-    upper sums S_M at degree M, and each moves by at most T_N.  One with
-    the bound c has S_M and S_M + c t_M, t_M = r^(M+1) / (1 - r); as
-    S_M - S_N <= c (t_N - t_M), S_N <= S_M and S_M + c t_M <= S_N + c
-    t_N: the ends at N are proven bounds, as those at M are, certified
-    is the same, and each moves by at most c t_N <= T_N.  In exact
-    arithmetic T_N is nondecreasing in r, so the grid's largest radius
-    bounds it at every radius, and it is at most 2^-60 there: 1/256 of
-    an ulp of 1, where an upper sum compared with the bound 1 sits.  A
-    layered value, sum_l r^l S^(l) (the poly suites'), whose every layer
-    lies in a class (K, s), moves by at most sum_l r^l T_N^K <= T_N^K /
-    (1 - r), the allowance of (K / (1 - r), s): a poly suite states that
-    class, for r its grid's one radius.  A class may state a larger C
-    than its series need, and then bounds their moves more tightly
-    still (_prepare_quasi).
+    when every series the margin sums carries a class (c, t), c <= C and
+    t <= s.  With S_M = sum_{n<=M} ||A_n|| r^n and t_M the carried
+    class's allowance past degree M, a series' ends at degree M are S_M
+    and S_M + t_M.  The ratio q_n = r ((n+2)/(n+1))^t of the bounds
+    b_n = c (n+1)^t r^n >= ||A_n|| r^n falls in n, so t_M = b_{M+1} /
+    (1 - q_{M+1}) >= b_{M+1} + t_{M+1}, and for N < M, t_N >= S_M - S_N
+    + t_M.  So S_N <= S_M and S_M + t_M <= S_N + t_N: the ends at N are
+    proven bounds, as those at M are, certified is the same, and each
+    moves by at most t_N <= T_N.  In exact arithmetic T_N is
+    nondecreasing in r, so the grid's largest radius bounds it at every
+    radius, and it is at most 2^-60 there: 1/256 of an ulp of 1, where
+    an upper sum compared with the bound 1 sits.  A layered value,
+    sum_l r^l S^(l) (the poly suites'), whose every layer lies in a
+    class (K, s), moves by at most sum_l r^l T_N^K <= T_N^K / (1 - r),
+    the allowance of (K / (1 - r), s): a poly suite states that class,
+    for r its grid's one radius.  A class may state a larger C than its
+    series need, and then bounds their moves more tightly still
+    (_prepare_quasi).
     Whether a float moves is measured, not proven: the tests pin the
     records at N to those of the full expansion to degrees 64 and 128,
     bit for bit but for quasi's margins, which its products may round
@@ -421,24 +420,21 @@ def replay(dump: dict) -> tuple:
 
 
 def _subordinate(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
-    """f = g o phi for an origin-fixed inner map phi, with g's tail bound,
-    which f, subordinate to g, inherits for the zoo's targets: a Schur g
-    makes f a Schur function (bound 1); for the convex model beta z/(1-z) I,
-    Rogosinski's coefficient theorem gives ||f_n|| <= |g'(0)| = beta; the
-    starlike model has no constant bound, as its subordinates grow like n.
-    The rule holds for these kinds of g, not for an arbitrary g."""
-    return MatrixSeries(compose(g, phi).coeffs, g.coeff_bound)
+    """f = g o phi for an origin-fixed inner map phi, with g's growth
+    class, which f, subordinate to g, inherits for the zoo's targets: a
+    Schur g makes f a Schur function, (1, 0); for the convex model
+    beta z/(1-z) I Rogosinski's theorems give ||f_n|| <= beta, (beta, 0),
+    and for the starlike model ||f_n|| <= n, (1, 1).  The rule holds for
+    these kinds of g, not for an arbitrary g."""
+    return MatrixSeries(compose(g, phi).coeffs, g.growth)
 
 
 # The convex targets' beta is drawn from uniform(*_CONVEX_BETAS).
 _CONVEX_BETAS = (0.25, 2.0)
 
-# The growth class of every subordination pair (f, g) _draw_target's
-# targets give: ||f_n|| and ||g_n|| are at most 1 for a Schur target,
-# beta <= _CONVEX_BETAS[1] for a convex one (_subordinate) and n for a
-# starlike one (g_n = n u^(n-1), |u| < 1, and Rogosinski's theorem on the
-# subordinates of a starlike function), each at most C (n+1) for C =
-# max(1, _CONVEX_BETAS[1]) = 2.
+# A growth class containing the class of every subordination pair
+# (f, g), their target's (_subordinate): (1, 0), (beta, 0) with beta <=
+# _CONVEX_BETAS[1] or (1, 1), each within (max(1, _CONVEX_BETAS[1]), 1).
 _SUBORDINATION_GROWTH = (max(1.0, _CONVEX_BETAS[1]), 1)
 
 
@@ -491,13 +487,13 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
     s(w) (g o phi)(beta w), so a trial is subordination's pair, dilated
     and scaled by m_bound, times s, against the bound m_bound g(beta .):
     a Bohr sum is positively homogeneous, so m_bound Bohr(g, r) =
-    Bohr(m_bound g, r).  The bound carries m_bound times g's tail bound
-    C, as ||m_bound g_n beta^n|| <= m_bound C.
+    Bohr(m_bound g, r).
 
-    Growth class: with subordination's class (K, t), m_bound times the
-    dilated g o phi, and the bound, are in (m_bound K, t), as beta <= 1,
-    and the Schur function s in (1, 0), so the value is in (m_bound K,
-    t + 1) by mul's rule, which holds the bound too: (2 m_bound, 2).
+    Growth class: the dilated pair carries (m_bound C, t) for a series
+    in (C, t), as ||m_bound beta^n A_n|| <= m_bound C (n+1)^t for
+    beta <= 1, which lies in (m_bound K, t) for subordination's class
+    (K, t); times s, in (1, 0), the value carries (m_bound K, t + 1) by
+    mul's rule, which holds the bound too: (2 m_bound, 2).
     The class states C = 2 max(1, m_bound), which holds them as well,
     so that a small m_bound does not shrink the expansion degree: the
     sums, of size m_bound, move by at most 2^-60 min(1, m_bound), below
@@ -523,11 +519,12 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
         params, draws, pair = subordinate(rng, degree)
         scale = m_bound * quasi_beta ** np.arange(degree + 1.0)[:, None, None]
 
+        def dilated(h):
+            return MatrixSeries(h.coeffs * scale, (m_bound * h.growth[0], h.growth[1]))
+
         def finish(*series):
             f, g = pair(*series[:-1])
-            return (mul(series[-1], MatrixSeries(f.coeffs * scale)),
-                    MatrixSeries(g.coeffs * scale,
-                                 None if g.coeff_bound is None else m_bound * g.coeff_bound))
+            return mul(series[-1], dilated(f)), dilated(g)
 
         return params, draws + [draw_schur(rng, config.dim, scalar_head=True)], finish
 
@@ -544,7 +541,7 @@ def _prepare_von_neumann(config: CampaignConfig):
     def draw(rng, degree):
         return {}, [draw_schur(rng, config.dim, scalar_head=True), _inner(rng)], finish
 
-    # f o phi is a Schur function (_subordinate): ||A_n|| <= 1, the class (1, 0)
+    # f o phi is a Schur function and carries (1, 0) (_subordinate)
     return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0)[-1:], (1.0, 0), draw
 
 
@@ -563,14 +560,6 @@ def _starlike_layer(rng, fam: RadiusFamily, dim: int, degree: int):
     return phi, functools.partial(_subordinate, starlike_from_q(_draw_u(rng), degree))
 
 
-# The growth class (C, s) of every base layer a family's generator makes:
-# ||f_n|| <= 1 for a Schur f_0 (general), beta for a subordinate of the
-# convex model (Rogosinski's theorem, _subordinate) and n for one of the
-# starlike model (_SUBORDINATION_GROWTH).
-_BASE_GROWTH = {"general": lambda fam: (1.0, 0), "convex": lambda fam: (fam.beta, 0),
-                "starlike": lambda fam: (1.0, 1)}
-
-
 # The poly suites' grids end this far short of the solved radius, the
 # default tolerance; a campaign's tolerance is its pass threshold only.
 POLY_GRID_GAP = 1e-8
@@ -581,14 +570,13 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
     radius, for a base layer meeting the family's hypothesis and p - 1
     ratio functions of norm <= k (scaled Schur functions).
 
-    Growth class: with f_0 in (C, s) (_BASE_GROWTH), f_0' is in (2^s C,
-    s + 1) (series.derivative), omega_l f_0' in (2^s C k, s + 2) (mul's
-    rule, omega_l in (k, 0)) and the layer f_l in (2^s C k, s + 1)
-    (zoo.build_polyanalytic's integral), so every layer is in (K, s + 1)
-    for K = max(1, C, 2^s C k); the 1, as in quasi's class, keeps a
-    small k or beta from shrinking the expansion degree.  The margin
-    sums sum_l r^l Bohr(f_l, r), so prepare states (K / (1 - r), s + 1)
-    at its grid's one radius r (_expansion_degree).
+    Growth class: with f_0 in (C, s), a Schur function's or its model's
+    (_subordinate), and omega_l in (k, 0), the layer f_l carries
+    (2^s C k, s + 1), so every layer is in (K, s + 1) for K = max(1, C,
+    2^s C k); the 1, as in quasi's class, keeps a small k or beta from
+    shrinking the expansion degree.  The margin sums sum_l r^l
+    Bohr(f_l, r), so prepare states (K / (1 - r), s + 1) at its grid's
+    one radius r (_expansion_degree).
     """
     fam = RadiusFamily(tag, k=k, p=p, **param)
     # every layer is allocated, while at radii <= 1/3 layer 63 weighs at most 3^-63
@@ -603,7 +591,7 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
         raise ValueError(f"{fam.describe()} has radius {radius!r}, at most the grid gap "
                          f"{POLY_GRID_GAP}: no grid radius is left below it")
     radii = default_grid(radius - POLY_GRID_GAP)[-1:]
-    bound, exponent = _BASE_GROWTH[tag](fam)
+    bound, exponent = {"general": (1.0, 0), "convex": (fam.beta, 0), "starlike": (1.0, 1)}[tag]
     layer_bound = max(1.0, bound, 2.0**exponent * bound * fam.k)
 
     def draw(rng, degree):
@@ -611,7 +599,8 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
         omegas = [draw_schur(rng, config.dim, scalar_head=True) for _ in range(p - 1)]
 
         def finish(f, *omegas):
-            ratios = [MatrixSeries(fam.k * w.coeffs) for w in omegas]
+            # a Schur omega is in (1, 0), so k omega is in (k, 0)
+            ratios = [MatrixSeries(fam.k * w.coeffs, (fam.k, 0)) for w in omegas]
             return build_polyanalytic(layer(f), ratios), None
 
         return {}, [base] + omegas, finish
@@ -626,9 +615,9 @@ class Suite:
     defaults, and prepare(config, **options), whose docstring states the
     suite's hypothesis.  prepare checks the options and returns the
     suite's config echo entries, the radii its margins are taken over,
-    a growth class (C, s) of every series the margin sums
-    (_expansion_degree) and draw(rng, degree), which returns a trial's
-    (params, draws, finish): finish maps the draws' series (zoo.expand's,
+    a growth class (C, s) containing the class of every series the
+    margin sums (_expansion_degree) and draw(rng, degree), which
+    returns a trial's (params, draws, finish): finish maps the draws' series (zoo.expand's,
     at degree) to the (value, bound) pair the margin compares, with
     bound None for the bound 1, whose radii are r_max alone (_margin).
     degree is the expansion degree N, and the series a draw builds

@@ -1,16 +1,15 @@
 """Truncated power series with matrix coefficients and certified Bohr sums.
 
 A series stores coefficients A_0..A_N exactly and, optionally, a tail
-certificate: a constant C with ||A_n|| <= C for every n > N.  The
-certificate is what turns a truncated Bohr sum into a genuine two-sided
-enclosure of sum_n ||A_n|| r^n:
-
-    lo = sum_{n<=N} ||A_n|| r^n,   hi = lo + C r^(N+1) / (1 - r).
-
-Operations that cannot propagate a sound certificate drop it; a sum
-built without one has hi == lo and is flagged uncertified, even at
-r = 0, where the truncation is exact.  Majorant.bohr is the one public
-Bohr sum, for a series and for a layered function alike.
+certificate: a growth class (C, s), ||A_n|| <= C (n+1)^s for every n.
+It turns a truncated Bohr sum into a two-sided enclosure of
+sum_n ||A_n|| r^n: lo = sum_{n<=N} ||A_n|| r^n, and hi adds the class's
+allowance for the terms past N (_BohrGrid.tail), C r^(N+1) / (1 - r)
+at s = 0.  mul and derivative prove their result's class from their
+inputs'; compose sets none.  A sum built without a class has hi == lo
+and is flagged uncertified, even at r = 0, where the truncation is
+exact.  Majorant.bohr is the one public Bohr sum, for a series and for
+a layered function alike.
 """
 
 from __future__ import annotations
@@ -32,18 +31,27 @@ __all__ = [
     "majorant",
 ]
 
+def _growth(growth) -> tuple | None:
+    """growth, a class (C, s) or None, with C a float; a negative or
+    non-finite C or s is a ValueError."""
+    if growth is not None:
+        growth = float(growth[0]), growth[1]
+        if not (0.0 <= growth[0] < math.inf and 0 <= growth[1] < math.inf):
+            raise ValueError(f"a growth class (C, s) needs finite C, s >= 0, got {growth!r}")
+    return growth
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class MatrixSeries:
-    """Coefficients A_0..A_N of sum_n A_n z^n, plus an optional tail bound.
+    """Coefficients A_0..A_N of sum_n A_n z^n, plus an optional growth class.
 
     coeffs has shape (N+1, d, d); the array is copied on construction
-    and frozen.  coeff_bound,
-    when present, asserts ||A_n|| <= coeff_bound for all n > N (the
-    stored coefficients are exact and need no bound).
+    and frozen.  growth, when present, asserts ||A_n|| <= C (n+1)^s for
+    every n, stored or not, for (C, s) = growth.
     """
 
     coeffs: np.ndarray
-    coeff_bound: float | None = None
+    growth: tuple | None = None
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -54,11 +62,7 @@ class MatrixSeries:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        if self.coeff_bound is not None:
-            b = float(self.coeff_bound)
-            if not math.isfinite(b) or b < 0.0:
-                raise ValueError("coeff_bound must be finite and nonnegative")
-            object.__setattr__(self, "coeff_bound", b)
+        object.__setattr__(self, "growth", _growth(self.growth))
 
     @property
     def dim(self) -> int:
@@ -80,12 +84,12 @@ class MatrixSeries:
         return np.tensordot(powers, self.coeffs, axes=(0, 0))
 
 
-def scalar_series(values, coeff_bound: float | None = None) -> MatrixSeries:
+def scalar_series(values, growth: tuple | None = None) -> MatrixSeries:
     """Series with 1x1 coefficients taken from a sequence of scalars."""
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("scalar series needs a one-dimensional coefficient list")
-    return MatrixSeries(v.reshape(-1, 1, 1), coeff_bound)
+    return MatrixSeries(v.reshape(-1, 1, 1), growth)
 
 
 def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
@@ -97,14 +101,11 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
     one np.convolve; for dim d > 1 it is block matmuls of several
     coefficients at a time (_block_product).
 
-    The product's tail mixes truncated and certified parts, so no sound
-    constant bound survives; the result carries none.  A growth class
-    does survive: if ||f_i|| <= C1 (i+1)^s1 and ||g_j|| <= C2 (j+1)^s2
-    for every i and j, then ||(fg)_n|| <= sum_{i+j=n} ||f_i|| ||g_j||,
-    n + 1 terms each at most C1 C2 (n+1)^(s1+s2), so the product is in
-    the class (C1 C2, s1 + s2 + 1).  harness._prepare_quasi and
-    harness._prepare_poly (through zoo.build_polyanalytic's product)
-    state their classes by this rule; series do not carry classes yet.
+    The product carries a growth class when both factors do: if
+    ||f_i|| <= C1 (i+1)^s1 and ||g_j|| <= C2 (j+1)^s2 for every i and
+    j, then ||(fg)_n|| <= sum_{i+j=n} ||f_i|| ||g_j||, n + 1 terms each
+    at most C1 C2 (n+1)^(s1+s2), so the product is in the class
+    (C1 C2, s1 + s2 + 1).
     """
     if g.dim not in (1, f.dim):
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
@@ -114,7 +115,8 @@ def mul(f: MatrixSeries, g: MatrixSeries) -> MatrixSeries:
         out = np.convolve(fa[:, 0, 0], ga[:, 0, 0])[: n + 1].reshape(-1, 1, 1)
     else:
         out = _block_product(fa, ga)
-    return MatrixSeries(out, None)
+    return MatrixSeries(out, None if f.growth is None or g.growth is None else (
+        f.growth[0] * g.growth[0], f.growth[1] + g.growth[1] + 1))
 
 
 # Multiply-adds m*k*n of a 2-D matmul (m, k) @ (k, n) from which the
@@ -226,9 +228,9 @@ def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
     one-column matmul as a zgemv, which OpenBLAS hands to a second
     thread from 64x64 entries on.
 
-    No tail certificate survives in general; reattach one, as
-    MatrixSeries(compose(g, phi).coeffs, bound), when the structure of g
-    and phi justifies it.
+    No growth class holds for every g and phi; give the result one, as
+    MatrixSeries(compose(g, phi).coeffs, growth), where the structure of
+    g and phi proves it (harness._subordinate).
     """
     if phi.dim != 1:
         raise ValueError("inner function must be scalar (dim 1)")
@@ -262,39 +264,34 @@ def compose(g: MatrixSeries, phi: MatrixSeries) -> MatrixSeries:
 def derivative(f: MatrixSeries) -> MatrixSeries:
     """Termwise derivative; degree drops by one (constants map to 0).
 
-    The derivative of a bounded tail is not bounded by a constant, so
-    the certificate is dropped.  A growth class survives: if ||f_n|| <=
-    C (n+1)^s for every n, then ||f'_j|| = (j+1) ||f_{j+1}|| <= (j+1) C
-    (j+2)^s <= 2^s C (j+1)^(s+1), as j + 2 <= 2 (j+1), so the derivative
-    is in the class (2^s C, s + 1).  harness._prepare_poly states its
-    class by this rule, next to mul's.
+    If ||f_n|| <= C (n+1)^s for every n, then ||f'_j|| = (j+1) ||f_{j+1}||
+    <= (j+1) C (j+2)^s <= 2^s C (j+1)^(s+1), as j + 2 <= 2 (j+1): the
+    derivative is in the class (2^s C, s + 1).  At degree 0 f'_0 = f_1
+    is not stored, and the zero constant returned carries no class.
     """
     if f.degree == 0:
         return MatrixSeries(np.zeros((1, f.dim, f.dim), dtype=np.complex128), None)
     n = np.arange(1, f.degree + 1, dtype=np.float64)
-    return MatrixSeries(f.coeffs[1:] * n[:, None, None], None)
+    growth = None if f.growth is None else (2.0 ** f.growth[1] * f.growth[0], f.growth[1] + 1)
+    return MatrixSeries(f.coeffs[1:] * n[:, None, None], growth)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Majorant:
     """Coefficient-norm profile of a series or a layered function: one
-    (norms, tail_bound) pair per layer, norms = ||A_0||..||A_N|| of the
-    layer and tail_bound its C or None.  A series is its one layer."""
+    (norms, growth) pair per layer, norms = ||A_0||..||A_N|| of the
+    layer and growth its class or None.  A series is its one layer."""
 
     layers: tuple
 
     def __post_init__(self):
         layers = []
-        for norms, tail_bound in self.layers:
+        for norms, growth in self.layers:
             v = np.array(norms, dtype=np.float64)
             if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or np.any(v < 0):
                 raise ValueError("majorant norms must be a nonnegative float vector")
             v.setflags(write=False)
-            if tail_bound is not None:
-                tail_bound = float(tail_bound)
-                if not math.isfinite(tail_bound) or tail_bound < 0.0:
-                    raise ValueError("tail_bound must be finite and nonnegative")
-            layers.append((v, tail_bound))
+            layers.append((v, _growth(growth)))
         if not layers:
             raise ValueError("a majorant needs at least one layer")
         object.__setattr__(self, "layers", tuple(layers))
@@ -302,21 +299,23 @@ class Majorant:
     def bohr(self, radii) -> tuple:
         """(lo, hi, certified): enclosures of sum_l r^l * (Bohr sum of
         layer l) at every radius of a grid in [0, 1), from _BohrGrid's
-        one formula; certified when every layer has a tail bound.  Each
+        one formula; certified when every layer has a growth class.  Each
         radius gets the same bits whatever grid it sits in."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
             lo, hi, certified = _BohrGrid(radii).layered(self.layers)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise NumericalError("a Bohr sum is not finite: it overflows")
+            raise NumericalError("a Bohr sum is not finite: it overflows, or a growth class "
+                                 "has no geometric tail bound at a radius")
         return lo, hi, certified
 
 
 class _BohrGrid:
     """A grid of radii in [0, 1) and the one formula for Bohr sums on it.
 
-    The Vandermonde table [r^n] for N + 1 norms is built at the first sum
-    that needs it and kept, so a campaign that sums many series on one
-    grid builds it once.
+    The Vandermonde table [r^n] for N + 1 norms, and the allowance of a
+    class (C, s) past them, are computed at the first sum that needs them
+    and kept, so a campaign that sums many series on one grid computes
+    each once.
     """
 
     def __init__(self, radii):
@@ -327,56 +326,59 @@ class _BohrGrid:
         if outside.size:
             raise ValueError(f"radius must lie in [0, 1), got {float(outside[0])}")
         self.r = r
-        self._tables = {}
+        self._tables = {}  # by N + 1, and by (N + 1, C, s) for allowances
 
-    def bohr(self, norms: np.ndarray, tail_bound: float | None) -> tuple:
+    def bohr(self, norms: np.ndarray, growth: tuple | None) -> tuple:
         """(lo, hi) of sum_n norms[n] r^n at every radius.
 
         lo is one matvec of the Vandermonde table with the norms; hi adds
-        the geometric tail C r^(N+1) / (1 - r) when a tail bound C is
-        present and equals lo otherwise.  The tail vanishes at r = 0,
-        where the truncated value is exact regardless.  The matvec is an
-        einsum rather than BLAS, whose summation order depends on the
-        number of rows, so each radius gets the same bits whatever grid
-        it sits in.
+        the allowance tail(N + 1, C, s) of a growth class (C, s) when one
+        is present and equals lo otherwise.  The allowance vanishes at
+        r = 0, where the truncated value is exact regardless.  The matvec
+        is an einsum rather than BLAS, whose summation order depends on
+        the number of rows, so each radius gets the same bits whatever
+        grid it sits in.
         """
         size = norms.size
         table = self._tables.get(size)
         if table is None:
             table = self._tables[size] = self.r[:, None] ** np.arange(size)
         lo = np.einsum("rn,n->r", table, norms)
-        if tail_bound is None:
+        if growth is None:
             return lo, lo
-        return lo, lo + self.tail(size, tail_bound)
+        key = (size, *growth)
+        tail = self._tables.get(key)
+        if tail is None:
+            tail = self._tables[key] = self.tail(size, *growth)
+        return lo, lo + tail
 
-    def tail(self, size, tail_bound: float, exponent: float = 0) -> np.ndarray:
+    def tail(self, size, bound: float, exponent: float = 0) -> np.ndarray:
         """The tail allowance at every radius: what the terms past size
         norms can add when norm n is at most C (n+1)^s, for the growth
-        class (C, s) = (tail_bound, exponent).  The ratio of consecutive
+        class (C, s) = (bound, exponent).  The ratio of consecutive
         bounds, r ((n+2)/(n+1))^s, decreases in n, so past size it is at
         most q = r ((size+2)/(size+1))^s, and the terms sum to at most the
         geometric series C (size+1)^s r^size / (1 - q); inf where q >= 1,
         as no geometric bound holds there.  At s = 0 both powers are 1.0
         and q = r < 1, so this is C r^size / (1 - r), the allowance of a
-        constant bound C, which the sums add, bit for bit.  size may be
-        an array of sizes that broadcasts against the grid's radii.
+        constant bound C, bit for bit.  size may be an array of sizes
+        that broadcasts against the grid's radii.
         """
-        first = tail_bound * (size + 1.0) ** exponent * self.r**size
+        first = bound * (size + 1.0) ** exponent * self.r**size
         ratio = self.r * ((size + 2.0) / (size + 1.0)) ** exponent
         return np.divide(first, 1.0 - ratio, out=np.full(np.shape(first), np.inf),
                          where=ratio < 1.0)
 
     def layered(self, layers) -> tuple:
         """(lo, hi, certified) of sum_l r^l * (Bohr sum of layer l) at
-        every radius, for layers given as (norms, tail_bound) pairs:
-        summed layer by layer, certified when every layer has a tail
-        bound."""
+        every radius, for layers given as (norms, growth) pairs: summed
+        layer by layer, certified when every layer has a growth class."""
         lo = hi = 0.0
         certified = True
-        for l, (norms, tail_bound) in enumerate(layers):
-            layer_lo, layer_hi = self.bohr(norms, tail_bound)
+        for l, (norms, growth) in enumerate(layers):
+            layer_lo, layer_hi = self.bohr(norms, growth)
             lo, hi = lo + self.r**l * layer_lo, hi + self.r**l * layer_hi
-            certified = certified and tail_bound is not None
+            certified = certified and growth is not None
         return lo, hi, certified
 
 
@@ -389,4 +391,4 @@ def _layers(fn) -> tuple:
 def majorant(fn) -> Majorant:
     """Coefficient-norm profile of a MatrixSeries or a PolyanalyticFn
     (one batched eigensolve per layer)."""
-    return Majorant(tuple((op_norms(f.coeffs), f.coeff_bound) for f in _layers(fn)))
+    return Majorant(tuple((op_norms(f.coeffs), f.growth) for f in _layers(fn)))

@@ -1,14 +1,15 @@
 """Generators for the function families the campaigns quantify over.
 
-Everything returns MatrixSeries (or PolyanalyticFn built from them) with
-whatever tail certificate the construction actually justifies:
+Everything returns MatrixSeries (or PolyanalyticFn built from them)
+with the growth class (C, s), ||A_n|| <= C (n+1)^s, its construction
+proves:
 
-* Blaschke products and Schur-class matrix functions carry bound 1,
+* Blaschke products and Schur-class matrix functions are in (1, 0),
   since every Taylor coefficient of a contraction-valued function has
   norm at most 1.
-* The convex model carries its derivative bound beta.
-* Starlike images built from Caratheodory data carry no constant bound
-  (their coefficients grow linearly, Koebe being the extreme case).
+* The convex model is in (beta, 0), and starlike images built from
+  Caratheodory data in (1, 1): their coefficients grow linearly,
+  Koebe being the extreme case.
 
 The convex and starlike models, scalar functions times I, are 1x1
 series: mul and build_polyanalytic take a 1x1 right operand or base
@@ -73,7 +74,7 @@ def blaschke_series(spec: BlaschkeSpec, degree: int) -> MatrixSeries:
     """Taylor coefficients of the Blaschke product through ``degree``,
     expanded from its lossless realization (_blaschke_realization,
     _realization_series); this is expand of the single spec.  The result
-    is a Schur function, so it carries tail certificate 1.
+    is a Schur function, so it carries the growth class (1, 0).
     """
     return expand([spec], degree)[0]
 
@@ -205,7 +206,7 @@ def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
 def mobius_transfer(alpha: complex, degree: int) -> MatrixSeries:
     """Disk automorphism m(w) = (alpha + w) / (1 + conj(alpha) w) as a
     scalar series in w: coefficients alpha, then
-    (1 - |alpha|^2)(-conj(alpha))^(n-1).  Schur, so tail bound 1."""
+    (1 - |alpha|^2)(-conj(alpha))^(n-1).  Schur, so in the class (1, 0)."""
     alpha = complex(alpha)
     if abs(alpha) >= 1.0:
         raise ValueError("automorphism parameter must satisfy |alpha| < 1")
@@ -214,7 +215,7 @@ def mobius_transfer(alpha: complex, degree: int) -> MatrixSeries:
     coeffs = np.zeros(degree + 1, dtype=np.complex128)
     coeffs[0] = alpha
     coeffs[1:] = (1.0 - abs(alpha) ** 2) * (-np.conj(alpha)) ** np.arange(degree)
-    return scalar_series(coeffs, coeff_bound=1.0)
+    return scalar_series(coeffs, (1.0, 0))
 
 
 def mobius_extremal(a: float, degree: int) -> MatrixSeries:
@@ -276,7 +277,7 @@ def draw_schur(rng: np.random.Generator, dim: int, *, fix_origin: bool = False,
 def expand(draws, degree: int) -> list:
     """Series through degree of Schur draws (draw_schur) and Blaschke
     specs, in the order given; all are Schur functions, so each carries
-    tail certificate 1.
+    the growth class (1, 0).
 
     The numeric work is shared by all draws.  The Blaschke rows (a
     spec's one, a Schur draw's d diagonal entries) are grouped by their
@@ -308,7 +309,7 @@ def expand(draws, degree: int) -> list:
         series[order, head] = _realization_series(*realization, degree)
     diags = [series[key][start:stop] for key, start, stop in places]
 
-    out = [scalar_series(diag[0], coeff_bound=1.0) if isinstance(draw, BlaschkeSpec) else None
+    out = [scalar_series(diag[0], (1.0, 0)) if isinstance(draw, BlaschkeSpec) else None
            for draw, diag in zip(draws, diags)]
     by_dim = {}
     for i, draw in enumerate(draws):
@@ -327,7 +328,7 @@ def expand(draws, degree: int) -> list:
         coeffs = np.einsum("kab,kbn,kcb->knac", q[u], np.stack([diags[i] for i in indices]),
                            transposes[v])
         for i, c in zip(indices, coeffs):
-            out[i] = MatrixSeries(c, coeff_bound=1.0)
+            out[i] = MatrixSeries(c, (1.0, 0))
     return out
 
 
@@ -335,14 +336,14 @@ def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
                      scalar_head: bool = False) -> MatrixSeries:
     """Random matrix Schur function: U diag(b_1..b_d) V with U, V unitary
     and each b_i a random Blaschke product.  ||f(z)|| <= 1 on the disk by
-    construction, so every coefficient norm is <= 1 (tail bound 1).
+    construction, so every coefficient norm is <= 1 (the class (1, 0)).
 
     fix_origin: each b_i vanishes at 0, so A_0 is exactly zero.
     scalar_head: V = U*, and each b_i is a common disk automorphism
     m(w) = (alpha_0 + w) / (1 + conj(alpha_0) w) of an origin-fixed
     Blaschke product, so f(0) = alpha_0 I for a single random
-    |alpha_0| <= 0.9.  m(b_i) is again a Schur function, so the tail
-    bound 1 still holds.
+    |alpha_0| <= 0.9.  m(b_i) is again a Schur function, so the class
+    (1, 0) still holds.
 
     This is expand of a single draw_schur: its d diagonal entries are
     expanded together from their lossless realizations.
@@ -356,13 +357,13 @@ def gen_schur_matrix(seed, dim: int, degree: int, *, fix_origin: bool = False,
 
 def convex_model(beta: float, degree: int) -> MatrixSeries:
     """The convex target beta * z/(1-z) * I, as a 1x1 series: every
-    nonconstant coefficient is beta, with matching tail bound beta."""
+    nonconstant coefficient is beta, so it is in the class (beta, 0)."""
     beta = float(beta)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if degree < 1:
         raise ValueError("convex model needs degree >= 1")
-    return scalar_series([0.0] + [beta] * degree, coeff_bound=beta)
+    return scalar_series([0.0] + [beta] * degree, (beta, 0))
 
 
 def starlike_from_q(u: complex, degree: int) -> MatrixSeries:
@@ -379,8 +380,9 @@ def starlike_from_q(u: complex, degree: int) -> MatrixSeries:
 
         g_n = n u^(n-1).
 
-    For u = 1 (the Koebe data q = (1+z)/(1-z)) this is g_n = n;
-    coefficients grow linearly, so no constant tail bound is attached.
+    For u = 1 (the Koebe data q = (1+z)/(1-z)) this is g_n = n.  For
+    |u| <= 1, |g_n| <= n + 1, the class (1, 1); a |u| above 1, which the
+    rounding slack admits, makes g_n grow geometrically, and g gets none.
     """
     if not abs(u) <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError("Caratheodory parameter must satisfy |u| <= 1")
@@ -389,7 +391,7 @@ def starlike_from_q(u: complex, degree: int) -> MatrixSeries:
     n = np.arange(1, degree + 1)
     scal = np.zeros(degree + 1, dtype=np.complex128)
     scal[1:] = n * complex(u) ** (n - 1)
-    return scalar_series(scal)
+    return scalar_series(scal, (1.0, 1) if abs(u) <= 1.0 else None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -430,11 +432,11 @@ def build_polyanalytic(f0: MatrixSeries, omegas) -> PolyanalyticFn:
     ratio functions of any one dim.
 
     Growth class: layer l's coefficient m >= 1 is prod_{m-1} / m, for
-    prod = omega_l f_0' (series.mul's Cauchy product and its class
-    rule), and its coefficient 0 is 0.  If ||prod_j|| <= C (j+1)^s for
-    every j, with s >= 1, then ||f_{l,m}|| <= C m^s / m = C m^(s-1) <=
-    C (m+1)^(s-1): the integral takes (C, s) to (C, s - 1).
-    harness._prepare_poly states its class by this rule.
+    prod = omega_l f_0', and its coefficient 0 is 0.  With f_0 in (C, s)
+    and omega_l in (k, t), prod is in (K, u) = (k 2^s C, s + t + 2)
+    (series.derivative's and mul's rules), so ||f_{l,m}|| <= K m^u / m
+    <= K (m+1)^(u-1): layer l is in (K, u - 1), or in none when
+    omega_l or f_0 has none.
     """
     if np.any(f0.coeffs[0] != 0):
         raise ValueError("base layer must vanish at the origin")
@@ -461,5 +463,7 @@ def build_polyanalytic(f0: MatrixSeries, omegas) -> PolyanalyticFn:
     out, steps = integral[1:].reshape(n + 1, -1, d), np.arange(1.0, n + 2)[:, None, None]
     np.divide(prod.real, steps, out=out.real)
     np.divide(prod.imag, steps, out=out.imag)
-    layers = [f0] + [MatrixSeries(integral[: m + 2, l], None) for l, m in enumerate(degrees)]
-    return PolyanalyticFn(tuple(layers))
+    layers = [MatrixSeries(integral[: m + 2, l], None if w.growth is None or df0.growth is None
+                           else (w.growth[0] * df0.growth[0], w.growth[1] + df0.growth[1]))
+              for l, (w, m) in enumerate(zip(omegas, degrees))]
+    return PolyanalyticFn((f0, *layers))

@@ -13,6 +13,7 @@ from bohrlab import harness
 from bohrlab.cli import build_parser, main
 from bohrlab.opmat import NumericalError
 from bohrlab.radii import FAMILY_TAGS
+from bohrlab.series import _BohrGrid
 
 HUGE_ORDER = "1" + "0" * 400
 
@@ -290,16 +291,39 @@ def test_solve_rejects_unknown_family(capsys):
 
 
 def test_verify_subordination(tmp_path, capsys):
+    # at degree 16 the starlike equality trials fail by their class
+    # allowance: a rotation phi makes Bohr(f) = Bohr(g), so the margin,
+    # g's lower end against f's upper, is minus the allowance of f's class
+    # (1, 1) past degree 16 at r = 1/3, tail(17, 1, 1) = 2.15e-7, above
+    # the tolerance 1e-8; every trial is certified, and the lower ends pass
     out = str(tmp_path / "report.json")
     code, text, _ = run(capsys, "verify", "subordination", "--trials", "5", "--dim", "2",
                         "--degree", "16", "--seed", "3", "--tol", "1e-8", "--out", out)
+    assert code == 1
+    assert text.startswith("FAIL")
+    with open(out) as fh:
+        payload = json.load(fh)
+    assert (payload["pass_count"], payload["certified_count"]) == (3, 5)
+    failed = [r for r in payload["records"] if not r["passed"]]
+    assert [r["index"] for r in failed] == [0, 2]
+    allowance = _BohrGrid([1 / 3]).tail(17, 1.0, 1)[0]
+    for r in failed:
+        assert r["params"]["target"] == "starlike"
+        assert r["worst_margin"] == pytest.approx(-allowance, rel=1e-6)
+        assert r["worst_margin"] + r["width"] >= 0
+
+
+def test_verify_subordination_passes_at_the_default_degree(tmp_path, capsys):
+    # the same trials at the default degree 64, which expands to 42,
+    # where every allowance is below 2^-60
+    out = str(tmp_path / "report.json")
+    code, text, _ = run(capsys, "verify", "subordination", "--trials", "5", "--dim", "2",
+                        "--seed", "3", "--tol", "1e-8", "--out", out)
     assert code == 0
     assert text.startswith("PASS")
     with open(out) as fh:
         payload = json.load(fh)
-    assert payload["pass_count"] == 5
-
-
+    assert (payload["pass_count"], payload["certified_count"]) == (5, 5)
 def test_verify_quasi_and_poly_suites(tmp_path, capsys):
     code, text, _ = run(capsys, "verify", "quasi", "--trials", "4", "--dim", "2",
                         "--degree", "16", "--m-bound", "2.0", "--quasi-beta", "0.5")
@@ -427,7 +451,7 @@ def test_replay_says_when_certified_flipped(failure_file, capsys):
     code, out, _ = run(capsys, "replay", str(failure_file))
     assert code == 1
     assert out.splitlines()[3] == ("replay - record: worst_margin +0.000e+00 width +0.000e+00, "
-                                   "certified flipped from True to False")
+                                   "certified flipped from False to True")
 
 
 def test_von_neumann_failure_file_replays_at_its_expansion_degree(tmp_path, capsys):
@@ -551,7 +575,7 @@ def test_poly_failure_files_replay_at_their_expansion_degree(tmp_path, capsys, a
     (lambda dump: {**dump, "record": {**dump["record"], "passed": True}},
      "and passed True are not the re-drawn trial's"),
     (lambda dump: {**dump, "record": {**dump["record"], "worst_margin": "-1e-3"}},
-     "record worst_margin, certified and width ['-1e-3', False, 0.0] are not a float, a bool "
+     "record worst_margin, certified and width ['-1e-3', True, 0.0] are not a float, a bool "
      "and a float"),
     (lambda dump: {**dump, "options": {**dump["options"], "k": 0.3, "bogus": 1}},
      "ValueError('k only applies to the poly-general or poly-convex or poly-starlike suite, "

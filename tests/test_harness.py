@@ -230,23 +230,28 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
 
 
 def test_low_degree_equality_case_fails_by_the_tail_allowance(tmp_path):
-    # trial 1 composes a Schur target g with a rotation phi(z) = c z, so
-    # f and g have the same coefficient norms and Bohr(f) = Bohr(g).  The
-    # margin compares f's upper end, which adds the tail allowance
-    # r^17 / (1 - r) of f's certificate 1, with g's lower end, the
-    # truncated sum; at degree 16 and r = 1/3 the allowance, 1.16e-8,
-    # exceeds the tolerance 1e-8, and the trial fails by exactly it
+    # trials 1 and 2 compose a Schur and a starlike target g with a
+    # rotation phi(z) = c z, so f and g have the same coefficient norms
+    # and Bohr(f) = Bohr(g).  The margin compares f's upper end, which
+    # adds the allowance of f's class past degree 16, with g's lower end,
+    # the truncated sum; at r = 1/3 the allowance, r^17 / (1 - r) =
+    # 1.16e-8 for the Schur class (1, 0) and tail(17, 1, 1) = 2.15e-7 for
+    # the starlike class (1, 1), exceeds the tolerance 1e-8, and each
+    # trial fails by exactly it
     cfg = CampaignConfig(suite="subordination", trials=4, seed=5, dim=2, degree=16,
                          out=str(tmp_path / "report.json"))
     report = run_campaign(cfg)
-    record = report.records[1]
-    assert record.params == {"target": "schur"} and not record.passed
-    assert record.worst_margin == pytest.approx(-(1 / 3) ** 17 / (1 - 1 / 3), rel=1e-6)
     *_, draw = SUITES["subordination"].prepare(cfg)
-    _, draws, _ = draw(harness._trial_rng(cfg.seed, 1), cfg.degree)
-    phi = expand(draws[:1], cfg.degree)[0].coeffs[:, 0, 0]
-    assert abs(phi[1]) == pytest.approx(1.0, abs=1e-15)
-    assert not np.any(np.delete(phi, 1))
+    grid = _BohrGrid([1 / 3])
+    for index, target, allowance in ((1, "schur", (1 / 3) ** 17 / (1 - 1 / 3)),
+                                     (2, "starlike", grid.tail(17, 1.0, 1)[0])):
+        record = report.records[index]
+        assert record.params["target"] == target and not record.passed and record.certified
+        assert record.worst_margin == pytest.approx(-allowance, rel=1e-6)
+        _, draws, _ = draw(harness._trial_rng(cfg.seed, index), cfg.degree)
+        phi = expand(draws[:1], cfg.degree)[0].coeffs[:, 0, 0]
+        assert abs(phi[1]) == pytest.approx(1.0, abs=1e-15)
+        assert not np.any(np.delete(phi, 1))
 
 
 # ---------------------------------------------------------------- campaigns
@@ -468,32 +473,34 @@ def test_failure_files_replay_bit_for_bit(tmp_path, suite, options):
 
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_records_say_which_sides_are_certified(tmp_path, suite):
-    # an upper end is proven only when every series summed carries a tail
-    # bound: von-neumann's composition does, subordination's f does for
-    # Schur and convex targets, and quasi's product and the poly suites'
-    # higher layers never do.  At degree 8 the tail allowance
-    # r^9 / (1 - r) is well above rounding: it is von-neumann's enclosure
-    # width at r_max, where its margin is worst as the Bohr sum grows in
-    # r, and a series without a tail bound adds no width, so
-    # poly-starlike's, none of whose layers has one, is 0
+    # an upper end is proven only when every series summed carries a
+    # growth class, and every series a campaign sums carries one: every
+    # record is certified.  At degree 8 the tail allowances are well
+    # above rounding: von-neumann's width at r_max, where its margin is
+    # worst as the Bohr sum grows in r, is the allowance r^9 / (1 - r) of
+    # its composition's class (1, 0), and poly-starlike's, against the
+    # bound 1 too, is its layers' allowances at its one radius r: (1, 1)
+    # for the base layer and (2 k, 2) for layer 1, weighted by r
     cfg = small_config(tmp_path, suite, trials=12, degree=8, seed=3)
     report = run_campaign(cfg)
-    expected = [suite == "von-neumann"
-                or suite == "subordination" and r.params["target"] != "starlike"
-                for r in report.records]
-    assert [r.certified for r in report.records] == expected
-    assert 0 < report.certified_count == sum(expected) < 12 or suite != "subordination"
+    assert [r.certified for r in report.records] == [True] * 12
+    assert report.certified_count == 12
     with open(cfg.out) as fh:
         payload = json.load(fh)
     assert payload["certified_count"] == report.certified_count
     assert [(r["certified"], r["width"]) for r in payload["records"]] == [
         (r.certified, r.width) for r in report.records]
+    if suite == "subordination":
+        assert {r.params["target"] for r in report.records} == {"schur", "convex", "starlike"}
     for r in report.records:
-        assert r.width >= 0.0
+        assert r.width > 0.0
         if suite == "von-neumann":
             assert r.width == pytest.approx((1 / 3) ** 9 / (2 / 3), rel=1e-9)
         elif suite == "poly-starlike":
-            assert r.width == 0.0
+            radius = report.config["radius"] - harness.POLY_GRID_GAP
+            grid = _BohrGrid([radius])
+            assert r.width == pytest.approx(
+                grid.tail(9, 1.0, 1)[0] + radius * grid.tail(9, 2.0, 2)[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------- expansion degree
@@ -634,33 +641,51 @@ def _poly_options(tag):
             for k in (0.0, 0.25, 0.5, 1.0) for p in (2, 3, 5)]
 
 
+# The relative slack by which a stored norm may exceed the growth class
+# its series carries: the rounding of the stored coefficients, which no
+# class encloses yet (ROADMAP item 19).  It is measured, not proven: the
+# largest excess seen is a convex subordinate's, beta (1 + 6.0e-15), in
+# 3000 subordinate draws at dims 1, 2, 3, 5 and 8 and degree 64; the draws
+# of the tests below reach 4.2e-15.
+CLASS_SLACK = 6e-15
+
+
+def _within_class(f, scale=1.0):
+    """Whether the stored norms of f lie within its growth class, times
+    scale (an array over the coefficients, or 1), up to CLASS_SLACK."""
+    bound, exponent = f.growth
+    cap = scale * bound * np.arange(1.0, f.degree + 2.0) ** exponent
+    return bool(np.all(op_norms(f.coeffs) <= cap * (1.0 + CLASS_SLACK)))
+
+
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_a_stated_tail_bound_covers_every_series_the_margin_sums(suite):
-    # _expansion_degree's proof needs the growth class (C, s) prepare
-    # states to bound ||A_n|| <= C (n+1)^s for the value's every layer
-    # and the bound, and a constant tail bound one carries to be at most
-    # C; a poly suite states (K / (1 - r), s) for layers
-    # in (K, s) at its grid's radius r, and they are checked against
-    # (K, s).  Every stated C is at least 1, as _expansion_degree's
-    # docstring assumes.  The stored norms are checked through degree 64,
-    # over 20 trials, or 4 for each poly option set
+    # _expansion_degree's proof needs the class (c, t) every series the
+    # margin sums carries to lie within the class (C, s) prepare states,
+    # c <= C and t <= s; a poly suite states (K / (1 - r), s) for layers
+    # within (K, s) at its grid's radius r, so a layer's c / (1 - r) is
+    # checked against C.  Every stated C is at least 1, as
+    # _expansion_degree's docstring assumes.  The stored norms must lie
+    # within the stated class (a layer's, (K, s)), and within the carried
+    # one (_within_class), through degree 64, over 20 trials, or 4 for
+    # each poly option set
     config = CampaignConfig(suite, dim=3, degree=64)
     option_sets = (_poly_options(suite.removeprefix("poly-")) if suite.startswith("poly-")
                    else [SUITES[suite].options])
     for options in option_sets:
-        _, radii, growth, draw = SUITES[suite].prepare(config, **options)
-        tail_bound, exponent = growth
-        assert tail_bound >= 1.0
+        _, radii, (stated, exponent), draw = SUITES[suite].prepare(config, **options)
+        assert stated >= 1.0
         layered = suite.startswith("poly-")
-        layer_bound = tail_bound * (1.0 - max(radii)) if layered else tail_bound
+        layer_bound = stated * (1.0 - max(radii)) if layered else stated
         cap = layer_bound * np.arange(1.0, config.degree + 2.0) ** exponent
         for index in range(4) if layered else range(20):
             _, draws, finish = draw(harness._trial_rng(5, index), config.degree)
             value, bound = finish(*expand(draws, config.degree))
             for f in _layers(value) + (() if bound is None else (bound,)):
-                assert f.degree == config.degree
-                assert np.all(op_norms(f.coeffs) <= cap)
-                assert f.coeff_bound is None or f.coeff_bound <= layer_bound
+                assert f.degree == config.degree and f.growth is not None
+                c, t = f.growth
+                assert (c / (1.0 - radii[0]) if layered else c) <= stated and t <= exponent
+                assert np.all(op_norms(f.coeffs) <= cap) and _within_class(f)
 
 
 def _tail_exact(tail_bound, exponent, r, size, terms):
@@ -788,15 +813,16 @@ def test_the_derivative_and_the_layer_integral_keep_their_classes(profile):
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
 def test_a_subordinate_carries_its_targets_certificate(dim):
-    # f = g o phi (harness._subordinate) carries g's tail bound, and the
-    # stored coefficients meet it: ||f_n|| <= 1 for a Schur target and
-    # <= beta for a convex one (Rogosinski), while a starlike target has
-    # none and ||f_n|| <= n.  A rotation phi makes ||f_n|| = beta
-    # exactly, so the stored norms may exceed it by rounding: the 1e-12
-    # allows for that, and is no campaign tolerance
+    # f = g o phi (harness._subordinate) carries g's growth class: (1, 0)
+    # for a Schur target, (beta, 0) for a convex one (Rogosinski) and
+    # (1, 1) for a starlike one, and the stored coefficients of f and g
+    # lie within it (_within_class); f's within 1, beta or, by
+    # Rogosinski, n.  A rotation phi makes ||f_n|| = beta exactly for a
+    # convex target, so the stored norms may exceed it by rounding
     config = CampaignConfig("subordination", dim=dim, degree=64)
     unit = np.zeros((config.degree + 1, dim, dim))
     unit[0] = np.eye(dim)
+    n = np.arange(config.degree + 1.0)
     kinds = set()
     for index in range(100):
         rng = np.random.default_rng([dim, index])
@@ -805,27 +831,95 @@ def test_a_subordinate_carries_its_targets_certificate(dim):
         g = model or target[0]
         f = harness._subordinate(g, phi)
         kinds.add(params["target"])
-        assert f.coeff_bound == g.coeff_bound
-        if params["target"] == "starlike":
-            assert f.coeff_bound is None
-            cap = np.arange(config.degree + 1.0)
-        else:
-            cap = 1.0 if params["target"] == "schur" else params["beta"]
-            assert f.coeff_bound == cap
-        assert np.all(op_norms(f.coeffs) <= cap * (1.0 + 1e-12))
+        assert f.growth == g.growth == {"schur": (1.0, 0), "convex": (params.get("beta"), 0),
+                                        "starlike": (1.0, 1)}[params["target"]]
+        assert _within_class(f) and _within_class(g)
+        cap = n if params["target"] == "starlike" else f.growth[0]
+        assert np.all(op_norms(f.coeffs) <= cap * (1.0 + CLASS_SLACK))
         # quasi's finish, with m_bound 1 and the multiplier s = 1, gives
-        # the dilated pair (f(beta .), g(beta .)): g's bound stays, and
-        # coefficient n meets beta^n times it
+        # the dilated pair (f(beta .), g(beta .)): the dilated g keeps g's
+        # class, the product with s, in (1, 0), adds a power by mul's
+        # rule, and coefficient n of each meets beta^n times f's cap
         beta = (0.9, 0.5, 0.2)[index % 3]
         *_, draw = SUITES["quasi"].prepare(config, m_bound=1.0, quasi_beta=beta)
         _, draws, finish = draw(np.random.default_rng([dim, index]), config.degree)
-        pair = finish(*expand(draws[:-1], config.degree), MatrixSeries(unit))
-        assert pair[1].coeff_bound == g.coeff_bound
-        for h in pair:
-            norms = op_norms(h.coeffs)
-            assert np.all(norms <= cap * (1.0 + 1e-12))
-            assert np.all(norms <= beta ** np.arange(config.degree + 1.0) * cap * (1.0 + 1e-12))
+        value, bound = finish(*expand(draws[:-1], config.degree), MatrixSeries(unit, (1.0, 0)))
+        assert (value.growth, bound.growth) == ((g.growth[0], g.growth[1] + 1), g.growth)
+        for h in (value, bound):
+            assert _within_class(h)
+            assert np.all(op_norms(h.coeffs) <= beta**n * cap * (1.0 + CLASS_SLACK))
     assert kinds == {"schur", "convex", "starlike"}
+
+
+@st.composite
+def _series_in_class(draw, dim=None, degree=None, origin=False):
+    """A random matrix series of a random growth class (C, s) whose
+    stored norms lie within it, each at most C (n+1)^s and some of them
+    at the bound; the coefficient 0 is zero when origin is set."""
+    dim = draw(st.integers(1, 3)) if dim is None else dim
+    degree = draw(st.integers(1, 24)) if degree is None else degree
+    bound, exponent = draw(st.floats(0.1, 4.0)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.normal(size=(degree + 1, dim, dim)) + 1j * rng.normal(size=(degree + 1, dim, dim))
+    fill = np.where(rng.uniform(size=degree + 1) < 0.5, 1.0, rng.uniform(size=degree + 1))
+    c *= (fill * bound * np.arange(1.0, degree + 2.0) ** exponent / op_norms(c))[:, None, None]
+    if origin:
+        c[0] = 0.0
+    return MatrixSeries(c, (bound, exponent))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(_series_in_class(d), _series_in_class(d))))
+def test_mul_and_the_derivative_keep_their_inputs_in_their_classes(pair):
+    # series.mul's product of (C1, s1) and (C2, s2) carries
+    # (C1 C2, s1 + s2 + 1) and series.derivative's of (C, s) carries
+    # (2^s C, s + 1); inputs within their classes give outputs within
+    # theirs, up to the rounding CLASS_SLACK allows
+    f, g = pair
+    assert _within_class(f) and _within_class(g)
+    product = mul(f, g)
+    assert product.growth == (f.growth[0] * g.growth[0], f.growth[1] + g.growth[1] + 1)
+    assert _within_class(product)
+    for h in (f, g):
+        dh = derivative(h)
+        assert dh.growth == (2.0 ** h.growth[1] * h.growth[0], h.growth[1] + 1)
+        assert _within_class(dh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    _series_in_class(d, origin=True), st.lists(_series_in_class(d), min_size=1, max_size=3))))
+def test_the_layers_of_build_polyanalytic_keep_their_classes(case):
+    # layer l of f_0 in (C, s) and omega_l in (k, t) carries
+    # (k 2^s C, s + t + 1): mul's rule on omega_l f_0', less the power
+    # the integral takes; each lies within it
+    f0, omegas = case
+    (bound, exponent), fn = f0.growth, build_polyanalytic(f0, omegas)
+    assert fn.components[0] is f0
+    for layer, w in zip(fn.components[1:], omegas):
+        assert layer.growth == (w.growth[0] * (2.0**exponent * bound),
+                                exponent + w.growth[1] + 1)
+        assert _within_class(layer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_in_class(degree=24), st.floats(0.05, 1.0), st.floats(1e-3, 1e3))
+def test_quasis_dilation_keeps_its_input_in_its_class(g, quasi_beta, m_bound):
+    # quasi's bound is the target g dilated by beta^n and scaled by
+    # m_bound, which carries (m_bound C, s) for g in (C, s), beta <= 1;
+    # fed a Schur trial's finish in place of the Schur target, any g
+    # within its class gives a bound within the carried one
+    config = CampaignConfig("quasi", dim=g.dim, degree=24)
+    *_, draw = SUITES["quasi"].prepare(config, m_bound=m_bound, quasi_beta=quasi_beta)
+    index = next(i for i in range(100) if draw(harness._trial_rng(0, i), 24)[0] == {
+        "target": "schur"})
+    _, draws, finish = draw(harness._trial_rng(0, index), 24)
+    phi, _, s = expand(draws, 24)
+    _, bound = finish(phi, g, s)
+    assert bound.growth == (m_bound * g.growth[0], g.growth[1])
+    assert np.array_equal(bound.coeffs,
+                          g.coeffs * (m_bound * quasi_beta ** np.arange(25.0))[:, None, None])
+    assert _within_class(bound)
 
 
 # ---------------------------------------------------------------- reports

@@ -107,7 +107,7 @@ def test_compose_matches_convolution_loop(seed, dim, g_degree, phi_degree):
     g = MatrixSeries(random_coeffs(rng, (g_degree + 1, dim, dim)))
     phi = random_inner(rng, phi_degree)
     c = compose(g, phi)
-    assert c.coeff_bound is None
+    assert c.growth is None
     assert_close(c.coeffs, compose_reference(g, phi))
 
 
@@ -309,17 +309,20 @@ def test_mul_matches_double_loop(seed, dim, f_degree, g_degree):
     f = MatrixSeries(random_coeffs(rng, (f_degree + 1, dim, dim)))
     g = MatrixSeries(random_coeffs(rng, (g_degree + 1, dim, dim)))
     h = mul(f, g)
-    assert h.coeff_bound is None
+    assert h.growth is None
     assert_close(h.coeffs, mul_reference(f, g))
 
 
 @SETTINGS
 @given(seeds, st.integers(1, 130), st.integers(1, 40), st.booleans(), st.booleans())
 def test_bohr_grid_equals_one_radius_form_bit_for_bit(seed, size, points, bounded, with_zero):
-    # one series, with or without a tail bound
+    # one series, with or without a growth class (C, s); radii below 0.4
+    # for s > 0, where every class allowance is finite
     rng = np.random.default_rng(seed)
-    m = Majorant([(rng.uniform(0.0, 2.0, size), float(rng.uniform(0.0, 3.0)) if bounded else None)])
-    radii = rng.uniform(0.0, 1.0, points)
+    exponent = int(rng.integers(0, 3))
+    m = Majorant([(rng.uniform(0.0, 2.0, size),
+                   (float(rng.uniform(0.0, 3.0)), exponent) if bounded else None)])
+    radii = rng.uniform(0.0, 0.4 if exponent else 1.0, points)
     if with_zero:
         radii[rng.integers(points)] = 0.0
     lo, hi, certified = m.bohr(radii)
@@ -335,10 +338,11 @@ def test_bohr_grid_equals_one_radius_form_bit_for_bit(seed, size, points, bounde
 @given(seeds, dims, st.lists(st.booleans(), min_size=2, max_size=5), st.integers(1, 40),
        st.booleans())
 def test_bohr_sum_poly_equals_one_radius_form_bit_for_bit(seed, dim, bounded, points, with_zero):
-    # layers of different degrees, each with or without a tail bound
+    # layers of different degrees, each with or without a growth class
+    # (C, 0)
     rng = np.random.default_rng(seed)
     layers = [MatrixSeries(random_coeffs(rng, (int(rng.integers(1, 130)), dim, dim)),
-                           float(rng.uniform(0.0, 3.0)) if b else None) for b in bounded]
+                           (float(rng.uniform(0.0, 3.0)), 0) if b else None) for b in bounded]
     m = majorant(PolyanalyticFn(layers))
     radii = rng.uniform(0.0, 1.0, points)
     if with_zero:
@@ -351,7 +355,7 @@ def test_bohr_sum_poly_equals_one_radius_form_bit_for_bit(seed, dim, bounded, po
 
 
 def test_bohr_grid_rejects_radii_outside_the_disk():
-    m = Majorant([([1.0, 0.5], 1.0)])
+    m = Majorant([([1.0, 0.5], (1.0, 0))])
     for bad in ([0.5, 1.0], [-0.1], [np.nan]):
         with pytest.raises(ValueError, match="radius"):
             m.bohr(bad)
@@ -417,7 +421,7 @@ def test_mobius_compose_matches_composition(seed, degree, modulus, angle):
     alpha = modulus * np.exp(1j * angle)
     b = blaschke_series(random_blaschke_spec(rng, fix_origin=True), degree)
     head = mobius_compose(alpha, b)
-    assert head.coeff_bound is None
+    assert head.growth is None
     assert_close(head.coeffs, compose(mobius_transfer(alpha, degree), b).coeffs)
 
 
@@ -476,7 +480,7 @@ def blaschke_specs(draw, origin=False):
 @given(blaschke_specs(), expansion_degrees)
 def test_blaschke_series_matches_per_factor_convolution(spec, degree):
     b = blaschke_series(spec, degree)
-    assert b.coeff_bound == 1.0
+    assert b.growth == (1.0, 0)
     np.testing.assert_allclose(b.coeffs[:, 0, 0], blaschke_reference(spec, degree),
                                rtol=0, atol=EXPANSION_ATOL)
 
@@ -552,7 +556,7 @@ def test_expand_of_a_mixed_list_is_each_function_expanded_alone(seed):
     perm = rng.permutation(len(draws))
     out = expand([draws[i] for i in perm], 64)
     for i, f in zip(perm, out):
-        assert f.coeff_bound == 1.0
+        assert f.growth == (1.0, 0)
         assert np.array_equal(f.coeffs, expected[i])
         if not isinstance(draws[i], BlaschkeSpec):
             assert np.array_equal(f.coeffs, expand_together([draws[i]], 64)[0])
@@ -812,7 +816,7 @@ def test_one_product_layers_match_one_product_per_layer(seed, dim, f0_degree, om
     assert fn.p == len(omegas) + 1
     assert fn.components[0] is f0
     for layer, expected in zip(fn.components[1:], layers_reference(f0, omegas)):
-        assert layer.coeff_bound is None
+        assert layer.growth is None
         assert_close(layer.coeffs, expected)
 
 
@@ -830,7 +834,7 @@ def test_one_product_layers_of_a_scalar_base(seed, dim, f0_degree, omega_degrees
     expected = build_polyanalytic(MatrixSeries(scalar_identity_stack(s, dim)), omegas)
     assert fn.components[0].dim == 1
     for layer, want in zip(fn.components[1:], expected.components[1:]):
-        assert layer.coeff_bound is None
+        assert layer.growth is None
         assert_close(layer.coeffs, want.coeffs)
 
 

@@ -24,12 +24,12 @@ seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 3)
 
 
-def random_series(rng, d, degree, norms_leq_one=False, coeff_bound=None):
+def random_series(rng, d, degree, norms_leq_one=False, growth=None):
     c = rng.normal(size=(degree + 1, d, d)) + 1j * rng.normal(size=(degree + 1, d, d))
     if norms_leq_one:
         scale_to = rng.uniform(0.0, 1.0, degree + 1)
         c = c * (scale_to / np.maximum(op_norms(c), 1e-300))[:, None, None]
-    return MatrixSeries(c, coeff_bound)
+    return MatrixSeries(c, growth)
 
 
 def bohr_at(fn, r):
@@ -52,8 +52,7 @@ def test_shape_validation():
         MatrixSeries(np.zeros((0, 2, 2)))
     with pytest.raises(ValueError):
         MatrixSeries(np.full((2, 1, 1), np.nan, dtype=complex))
-    with pytest.raises(ValueError):
-        MatrixSeries(np.zeros((2, 1, 1)), coeff_bound=-1.0)
+
 
 
 def test_coefficients_are_frozen_copies():
@@ -92,9 +91,14 @@ def test_mul_identity_and_difference_of_squares():
     assert np.array_equal(mul(a, b).coeffs[:, 0, 0], [1, 0, -1])
 
 
-def test_mul_drops_certificate():
-    f = scalar_series([1, 1], coeff_bound=1.0)
-    assert mul(f, f).coeff_bound is None
+def test_mul_carries_the_product_class():
+    # (C1, s1) times (C2, s2) is in (C1 C2, s1 + s2 + 1); a factor
+    # without a class leaves the product without one
+    f = scalar_series([1, 1], (1.0, 0))
+    assert mul(f, f).growth == (1.0, 1)
+    assert mul(f, scalar_series([0, 2, 12], (2.0, 2))).growth == (2.0, 3)
+    assert mul(f, scalar_series([1, 1])).growth is None
+    assert mul(scalar_series([1, 1]), f).growth is None
 
 
 def test_mul_matches_pointwise_product():
@@ -165,27 +169,36 @@ def test_derivative_examples():
     f = scalar_series([1, 2, 3])
     df = derivative(f)
     assert np.array_equal(df.coeffs[:, 0, 0], [2, 6])
-    constant = MatrixSeries(np.eye(2)[None], 0.0)
+    assert df.growth is None and derivative(scalar_series([1, 2, 3], (3.0, 0))).growth == (
+        3.0, 1)
+    # a degree-0 series stores nothing f'_0 = f_1 could come from, so its
+    # derivative, the zero constant, carries no class
+    constant = MatrixSeries(np.eye(2)[None], (1.0, 0))
     assert derivative(constant).degree == 0
     assert np.array_equal(derivative(constant).coeffs, np.zeros((1, 2, 2)))
+    assert derivative(constant).growth is None
 
 
 @SETTINGS
-@given(seeds, dims, st.integers(1, 24), st.sampled_from((None, 1.0)))
-def test_derivative_is_the_closed_form(seed, d, degree, bound):
-    # coefficient n - 1 of f' is n A_n, and no tail bound survives
-    f = random_series(np.random.default_rng(seed), d, degree, coeff_bound=bound)
+@given(seeds, dims, st.integers(1, 24), st.sampled_from((None, (1.0, 0), (1.5, 2))))
+def test_derivative_is_the_closed_form(seed, d, degree, growth):
+    # coefficient n - 1 of f' is n A_n, and a class (C, s) becomes
+    # (2^s C, s + 1)
+    f = random_series(np.random.default_rng(seed), d, degree, growth=growth)
     df = derivative(f)
-    assert df.coeff_bound is None
+    assert df.growth == (None if growth is None else (2.0 ** growth[1] * growth[0],
+                                                        growth[1] + 1))
     assert np.array_equal(df.coeffs, [n * f.coeff(n) for n in range(1, degree + 1)])
 
 
 # ---------------------------------------------------------------- bohr sums
 
 def test_bohr_constant_series():
-    f = MatrixSeries(2.0 * np.eye(2)[None], 0.0)
+    # the class (2, 0) bounds the stored 2 I and every later coefficient,
+    # so hi adds its allowance 2 r / (1 - r) for the terms past degree 0
+    f = MatrixSeries(2.0 * np.eye(2)[None], (2.0, 0))
     lo, hi, certified = bohr_at(f, 0.9)
-    assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
+    assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0 + 2.0 * 0.9 / 0.1)
     assert certified
 
 
@@ -196,7 +209,7 @@ def test_bohr_mobius_closed_form():
     coeffs = np.zeros(65, dtype=complex)
     coeffs[0] = a
     coeffs[1:] = (1 - a * a) * (-a) ** np.arange(64)
-    f = scalar_series(coeffs, coeff_bound=1.0)
+    f = scalar_series(coeffs, (1.0, 0))
     lo, hi, certified = bohr_at(f, 1 / 3)
     assert lo == pytest.approx(0.8, abs=1e-13)
     assert hi - lo <= 1e-28
@@ -204,14 +217,15 @@ def test_bohr_mobius_closed_form():
 
 
 def test_bohr_monomial():
-    f = scalar_series([0, 1], coeff_bound=0.0)
+    # z is in (1, 0): hi adds r^2 / (1 - r) for the terms past degree 1
+    f = scalar_series([0, 1], (1.0, 0))
     lo, hi, _ = bohr_at(f, 0.25)
     assert lo == pytest.approx(0.25)
-    assert hi == pytest.approx(0.25)
+    assert hi == pytest.approx(0.25 + 0.25**2 / 0.75)
 
 
 def test_bohr_tail_formula():
-    f = scalar_series([1.0, 1.0], coeff_bound=2.0)
+    f = scalar_series([1.0, 1.0], (2.0, 0))
     r = 0.5
     lo, hi, certified = bohr_at(f, r)
     assert lo == pytest.approx(1.5)
@@ -226,7 +240,7 @@ def test_bohr_radius_validation_and_zero():
     with pytest.raises(ValueError):
         bohr_at(f, -0.1)
     # r = 0 collapses to the constant term norm, exact even without a
-    # bound, but a sum is certified only by its tail bounds
+    # class, but a sum is certified only by its growth classes
     assert bohr_at(f, 0.0) == (1.0, 1.0, False)
 
 
@@ -238,9 +252,9 @@ def test_bohr_uncertified_without_bound():
 
 
 def test_bohr_overflow_is_a_numerical_error():
-    # norms of 1e308 sum past the float range at r = 0.9, and so does a
-    # tail bound of 1e308 times r^(N+1) / (1 - r) = 8.1
-    for layers in ([(np.full(65, 1e308), None)], [([1.0], 1e308)],
+    # norms of 1e308 sum past the float range at r = 0.9, and so does
+    # the class (1e308, 0)'s allowance, 1e308 times r^(N+1) / (1 - r) = 8.1
+    for layers in ([(np.full(65, 1e308), None)], [([1.0], (1e308, 0))],
                    [([1.0], None), (np.full(3, 1e308), None)]):
         with pytest.raises(NumericalError, match="not finite"), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -248,26 +262,46 @@ def test_bohr_overflow_is_a_numerical_error():
 
 
 def test_majorant_values():
-    f = MatrixSeries(np.stack([np.eye(2), [[0, 2], [0, 0]]]).astype(complex), 1.0)
-    ((norms, tail_bound),) = majorant(f).layers
+    f = MatrixSeries(np.stack([np.eye(2), [[0, 2], [0, 0]]]).astype(complex), (2.0, 0))
+    ((norms, growth),) = majorant(f).layers
     assert np.allclose(norms, [1.0, 2.0], atol=1e-14)
-    assert tail_bound == 1.0
+    assert growth == (2.0, 0)
     g = scalar_series([0.0, 3.0])
-    fn = PolyanalyticFn((scalar_series([0.0, 1.0], 0.5), g))
+    fn = PolyanalyticFn((scalar_series([0.0, 1.0], (0.5, 1)), g))
     (_, first), (second_norms, second) = majorant(fn).layers
-    assert (first, second) == (0.5, None)
+    assert (first, second) == ((0.5, 1), None)
     assert np.array_equal(second_norms, [0.0, 3.0])
+
+
+@SETTINGS
+@given(st.one_of(
+    st.tuples(st.one_of(st.floats(max_value=-1e-300), st.sampled_from((np.inf, -np.inf, np.nan))),
+              st.integers(0, 3)),
+    st.tuples(st.floats(0.0, 1e6), st.one_of(st.integers(max_value=-1),
+                                             st.floats(max_value=-1e-300),
+                                             st.sampled_from((np.inf, -np.inf, np.nan))))))
+def test_a_growth_class_needs_a_finite_nonnegative_c_and_s(growth):
+    # a class (C, s) asserts ||A_n|| <= C (n+1)^s: a negative or
+    # non-finite C, or a negative or non-finite s, is refused by the
+    # series and by the majorant alike, and an admissible one is kept
+    for make in (lambda g: MatrixSeries(np.zeros((2, 1, 1)), g),
+                 lambda g: scalar_series([0.0, 0.0], g),
+                 lambda g: Majorant([([0.0, 0.0], g)])):
+        with pytest.raises(ValueError, match="growth class"):
+            make(growth)
+        assert make((abs(growth[0]) if np.isfinite(growth[0]) else 1.0, 0)) is not None
+    assert MatrixSeries(np.zeros((2, 1, 1)), (0, 2.5)).growth == (0.0, 2.5)
 
 
 def test_majorant_validation():
     for layers in ([], [([], None)], [([[1.0]], None)], [([-1.0], None)], [([np.inf], None)],
-                   [([1.0], -1.0)], [([1.0], np.nan)]):
+                   [([1.0], (-1.0, 0))], [([1.0], (np.nan, 0))]):
         with pytest.raises(ValueError):
             Majorant(layers)
     norms = np.array([1.0, 2.0])
-    m = Majorant([(norms, 1)])
+    m = Majorant([(norms, (1, 0))])
     norms[0] = 5.0
-    assert m.layers[0][0][0] == 1.0 and m.layers[0][1] == 1.0
+    assert m.layers[0][0][0] == 1.0 and m.layers[0][1] == (1.0, 0)
     with pytest.raises(ValueError):
         m.layers[0][0][0] = 3.0
 
@@ -308,7 +342,7 @@ def test_bohr_sum_of_a_dilation(seed, d, degree, beta, t):
 
 def test_bohr_zero_iff_all_coefficients_vanish():
     rng = np.random.default_rng(13)
-    z = MatrixSeries(np.zeros((11, 3, 3)), 0.0)
+    z = MatrixSeries(np.zeros((11, 3, 3)), (0.0, 0))
     assert bohr_at(z, 0.5)[1] == 0.0
     f = random_series(rng, 3, 10)
     # at any positive radius a nonzero series has positive Bohr sum
@@ -320,10 +354,10 @@ def test_tail_certificate_is_conservative():
     # keeps the new enclosure inside the old one
     rng = np.random.default_rng(14)
     for _ in range(50):
-        f = random_series(rng, 2, 8, norms_leq_one=True, coeff_bound=1.0)
+        f = random_series(rng, 2, 8, norms_leq_one=True, growth=(1.0, 0))
         extra = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
         extra *= rng.uniform() / max(op_norms(extra)[0], 1e-300)
-        g = MatrixSeries(np.concatenate([f.coeffs, extra]), 1.0)
+        g = MatrixSeries(np.concatenate([f.coeffs, extra]), (1.0, 0))
         (f_lo, f_hi, _), (g_lo, g_hi, _) = (majorant(h).bohr([0.1, 0.4, 0.8]) for h in (f, g))
         assert np.all(f_lo <= g_lo + 1e-14)
         assert np.all(g_hi <= f_hi + 1e-14)

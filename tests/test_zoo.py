@@ -46,7 +46,7 @@ def test_blaschke_single_zero_at_origin_is_z():
     expected = np.zeros(7)
     expected[1] = 1.0
     assert np.array_equal(b.coeffs[:, 0, 0], expected)
-    assert b.coeff_bound == 1.0
+    assert b.growth == (1.0, 0)
 
 
 def test_blaschke_single_real_zero_coefficients():
@@ -133,7 +133,7 @@ def test_gen_schur_contractive_values_and_coefficients():
     zs = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
     for i in range(20):
         f = gen_schur_matrix([24, i], int(np.random.default_rng(i).integers(1, 5)), 64)
-        assert f.coeff_bound == 1.0
+        assert f.growth == (1.0, 0)
         assert op_norms(f.coeffs).max() <= 1.0 + 1e-12
         assert max(op_norm(f.eval(z)) for z in zs) <= 1.0 + 1e-9
 
@@ -176,7 +176,7 @@ def test_convex_model_coefficients_and_bohr():
     g = convex_model(beta, n)
     assert g.dim == 1
     assert g.coeffs[:, 0, 0].tolist() == [0.0] + [beta] * n
-    assert g.coeff_bound == beta
+    assert g.growth == (beta, 0)
     r = 0.25
     expected = beta * (r - r ** (n + 1)) / (1 - r)
     assert bohr_lo(g, r) == pytest.approx(expected, rel=1e-12)
@@ -231,14 +231,17 @@ def test_starlike_closed_form_matches_the_recurrence():
 
 
 def test_starlike_coefficients_growth_bound():
-    # |u| <= 1 forces ||g_n|| <= n (Koebe is extreme)
+    # |u| <= 1 forces ||g_n|| <= n (Koebe is extreme), within the class
+    # (1, 1) g carries; a |u| above 1, which the rounding slack admits,
+    # makes g_n grow geometrically, and g carries no class
     rng = np.random.default_rng(28)
     for _ in range(25):
         u = rng.uniform() * np.exp(2j * np.pi * rng.uniform())
         g = starlike_from_q(u, 32)
         norms = op_norms(g.coeffs)
         assert all(norms[n] <= n + 1e-10 for n in range(33))
-    assert g.coeff_bound is None
+    assert g.growth == (1.0, 1)
+    assert starlike_from_q(1.0 + 1e-13, 32).growth is None
 
 
 # ------------------------------------------------------- subordination majorant
@@ -294,7 +297,7 @@ def test_polyanalytic_validation():
 
 def test_build_with_zero_ratio_gives_zero_layer():
     f0 = _origin_fixed_schur(32, 2, 16)
-    fn = build_polyanalytic(f0, [MatrixSeries(np.zeros((17, 2, 2)), 0.0)])
+    fn = build_polyanalytic(f0, [MatrixSeries(np.zeros((17, 2, 2)), (0.0, 0))])
     assert fn.p == 2
     assert op_norms(fn.components[1].coeffs).max() == 0.0
     for r in (0.0, 0.2):
@@ -304,7 +307,7 @@ def test_build_with_zero_ratio_gives_zero_layer():
 def test_build_with_constant_ratio_reproduces_scaled_base():
     k = 0.5
     f0 = _origin_fixed_schur(33, 2, 16)
-    omega = MatrixSeries(np.concatenate([k * np.eye(2)[None], np.zeros((16, 2, 2))]), 0.0)
+    omega = MatrixSeries(np.concatenate([k * np.eye(2)[None], np.zeros((16, 2, 2))]), (k, 0))
     fn = build_polyanalytic(f0, [omega])
     assert np.allclose(fn.components[1].coeffs, k * f0.coeffs, atol=1e-14)
 
@@ -316,7 +319,7 @@ def test_layer_bohr_dominated_by_scaled_base():
     for i in range(20):
         k = float(rng.uniform(0, 1))
         f0 = _origin_fixed_schur(rng, 2, 64)
-        omega = MatrixSeries(k * gen_schur_matrix(rng, 2, 64, scalar_head=True).coeffs, k)
+        omega = MatrixSeries(k * gen_schur_matrix(rng, 2, 64, scalar_head=True).coeffs, (k, 0))
         fn = build_polyanalytic(f0, [omega])
         r = 0.25
         assert bohr_lo(fn.components[1], r) <= k * bohr_lo(f0, r) + 1e-10
@@ -332,7 +335,7 @@ def test_layers_vanish_at_origin():
 
 
 def test_layered_bohr_examples():
-    f0 = scalar_series([0, 1], coeff_bound=0.0)         # z
+    f0 = scalar_series([0, 1], (1.0, 0))                # z
     fn = PolyanalyticFn((f0, f0))
     r = 0.25
     # layers are both z: total = (1 + r) * r
