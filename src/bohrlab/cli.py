@@ -174,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=1e-8)
     verify.add_argument("--out", default=None,
                         help="write the report to this path (CSV for a .csv path, else JSON)")
-    verify.add_argument("--m-bound", dest="m_bound", type=float, default=None,
-                        help="multiplier sup bound (quasi suite)")
     verify.add_argument("--quasi-beta", dest="quasi_beta", type=float, default=None,
                         help="disk radius the multiplier is bounded on (quasi suite)")
     _add_family_options(verify)

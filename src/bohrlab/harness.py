@@ -267,6 +267,7 @@ def _margin(pairs, grid: _BohrGrid) -> list:
         if not (np.isfinite(margin).all() and math.isfinite(width)):
             raise NumericalError("a margin or its width is not finite: the Bohr sums overflow")
         margins.append((float(margin[worst]), certified, width))
+    grid.tails.clear()  # a convex target's class is new in every trial
     return margins
 
 
@@ -285,20 +286,21 @@ def _expansion_degree(degree: int, grid: _BohrGrid, growth: tuple) -> int:
     t <= s.  With S_M = sum_{n<=M} ||A_n|| r^n and t_M the carried
     class's allowance past degree M, a series' ends at degree M are S_M
     and S_M + t_M.  The ratio q_n = r ((n+2)/(n+1))^t of the bounds
-    b_n = c (n+1)^t r^n >= ||A_n|| r^n falls in n, so t_M = b_{M+1} /
-    (1 - q_{M+1}) >= b_{M+1} + t_{M+1}, and for N < M, t_N >= S_M - S_N
-    + t_M.  So S_N <= S_M and S_M + t_M <= S_N + t_N: the ends at N are
-    proven bounds, as those at M are, certified is the same, and each
-    moves by at most t_N <= T_N.  In exact arithmetic T_N is
-    nondecreasing in r, so the grid's largest radius bounds it at every
-    radius, and it is at most 2^-60 there: 1/256 of an ulp of 1, where
-    an upper sum compared with the bound 1 sits.  A layered value,
+    b_n = c (n+1)^t r^n >= ||A_n|| r^n falls in n, so t_M >= b_{M+1} +
+    t_{M+1} (_BohrGrid.tail), and for N < M, t_N >= S_M - S_N + t_M.  So
+    S_N <= S_M and S_M + t_M <= S_N + t_N: the ends at N are proven
+    bounds, as those at M are, certified is the same, and each moves by
+    at most t_N <= T_N.  T_N <= 2^-60 puts (C, s)'s ratio Q_{N+1} below
+    1, as else T_N >= r^(N+1) >= e^-s (s < 41), so in exact arithmetic
+    T_N is nondecreasing in r, the grid's largest radius bounds it at
+    every radius, and it is at most 2^-60 there: 1/256 of an ulp of 1,
+    where an upper sum compared with the bound 1 sits.  A layered value,
     sum_l r^l S^(l) (the poly suites'), whose every layer lies in a
     class (K, s), moves by at most sum_l r^l T_N^K <= T_N^K / (1 - r),
     the allowance of (K / (1 - r), s): a poly suite states that class,
     for r its grid's one radius.  A class may state a larger C than its
     series need, and then bounds their moves more tightly still
-    (_prepare_quasi).
+    (_prepare_poly's K).
     Whether a float moves is measured, not proven: the tests pin the
     records at N to those of the full expansion to degrees 64 and 128,
     bit for bit but for quasi's margins, which its products may round
@@ -477,50 +479,32 @@ def _prepare_subordination(config: CampaignConfig):
     return {"r_max": 1.0 / 3.0}, default_grid(1.0 / 3.0), _SUBORDINATION_GROWTH, draw
 
 
-def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
-    """f = h * (g o phi) with ||h|| <= m_bound on |z| < beta implies
-    Bohr(f, r) <= m_bound * Bohr(g, r) for r <= beta/3; h = m_bound *
-    s(z / beta) for a random Schur function s meets its sup bound
-    structurally.  The margin is taken in w = r / beta, on
-    default_grid(1/3): term by term, Bohr(F, r) = Bohr(F(beta .), r / beta),
-    where F(beta .) has coefficients beta^n F_n, and f(beta w) = m_bound
-    s(w) (g o phi)(beta w), so a trial is subordination's pair, dilated
-    and scaled by m_bound, times s, against the bound m_bound g(beta .):
-    a Bohr sum is positively homogeneous, so m_bound Bohr(g, r) =
-    Bohr(m_bound g, r).
+def _prepare_quasi(config: CampaignConfig, quasi_beta: float):
+    """f = h * (g o phi) with ||h|| <= 1 on |z| < beta implies Bohr(f, r)
+    <= Bohr(g, r) for r <= beta/3; h = s(z / beta) for a random Schur
+    function s meets its sup bound structurally.  A bound M on ||h||
+    would only scale a trial by M, as a Bohr sum is positively
+    homogeneous: Bohr(M F, r) = M Bohr(F, r) for M > 0.  The margin is
+    taken in w = r / beta, on default_grid(1/3): term by term, Bohr(F, r)
+    = Bohr(F(beta .), r / beta), where F(beta .) has coefficients beta^n
+    F_n, and f(beta w) = s(w) (g o phi)(beta w), so a trial is
+    subordination's pair, dilated, times s, against the bound g(beta .).
 
-    Growth class: the dilated pair carries (m_bound C, t) for a series
-    in (C, t), as ||m_bound beta^n A_n|| <= m_bound C (n+1)^t for
-    beta <= 1, which lies in (m_bound K, t) for subordination's class
-    (K, t); times s, in (1, 0), the value carries (m_bound K, t + 1) by
-    mul's rule, which holds the bound too: (2 m_bound, 2).
-    The class states C = 2 max(1, m_bound), which holds them as well,
-    so that a small m_bound does not shrink the expansion degree: the
-    sums, of size m_bound, move by at most 2^-60 min(1, m_bound), below
-    1/128 of an ulp of m_bound (_expansion_degree).
-
-    With B = max(2, degree), 4 dim (degree + 1) B m_bound must be finite:
-    the coefficients of s, the bound and m_bound times the dilated
-    g o phi are at most 1, B m_bound and B m_bound (_subordinate's
-    bounds), so a product entry sums at most 2 dim (degree + 1) real or
-    imaginary parts of modulus <= B m_bound, and at w <= 1/3 the margin
-    and its width are at most (2 degree + 3) B m_bound, leaving a factor
-    >= 4/3 for rounding.
+    Growth class: the dilated pair keeps its classes, within
+    subordination's (K, t), as ||beta^n A_n|| <= ||A_n|| for beta <= 1;
+    times s, in (1, 0), the value lies in (K, t + 1) by mul's rule,
+    which holds the bound too: (2, 2).
     """
-    if not 0.0 < m_bound < math.inf or not 0.0 < quasi_beta <= 1.0:
-        raise ValueError("need a finite m_bound > 0 and quasi_beta in (0, 1]")
-    n = config.degree
-    if not math.isfinite(4 * config.dim * (n + 1) * max(2, n) * m_bound):
-        raise ValueError(f"m_bound {m_bound} at degree {n} and dim {config.dim} can overflow: "
-                         f"4 dim (degree + 1) max(2, degree) m_bound must be finite")
+    if not 0.0 < quasi_beta <= 1.0:
+        raise ValueError("need quasi_beta in (0, 1]")
     *_, (bound, exponent), subordinate = _prepare_subordination(config)
 
     def draw(rng, degree):
         params, draws, pair = subordinate(rng, degree)
-        scale = m_bound * quasi_beta ** np.arange(degree + 1.0)[:, None, None]
+        scale = quasi_beta ** np.arange(degree + 1.0)[:, None, None]
 
         def dilated(h):
-            return MatrixSeries(h.coeffs * scale, (m_bound * h.growth[0], h.growth[1]))
+            return MatrixSeries(h.coeffs * scale, h.growth)
 
         def finish(*series):
             f, g = pair(*series[:-1])
@@ -528,8 +512,8 @@ def _prepare_quasi(config: CampaignConfig, m_bound: float, quasi_beta: float):
 
         return params, draws + [draw_schur(rng, config.dim, scalar_head=True)], finish
 
-    return ({"m_bound": m_bound, "beta": quasi_beta, "r_max": quasi_beta / 3.0},
-            default_grid(1.0 / 3.0), (max(1.0, m_bound) * bound, exponent + 1), draw)
+    return ({"beta": quasi_beta, "r_max": quasi_beta / 3.0}, default_grid(1.0 / 3.0),
+            (bound, exponent + 1), draw)
 
 
 def _prepare_von_neumann(config: CampaignConfig):
@@ -573,10 +557,9 @@ def _prepare_poly(tag: str, base_layer, config: CampaignConfig, k: float, p, **p
     Growth class: with f_0 in (C, s), a Schur function's or its model's
     (_subordinate), and omega_l in (k, 0), the layer f_l carries
     (2^s C k, s + 1), so every layer is in (K, s + 1) for K = max(1, C,
-    2^s C k); the 1, as in quasi's class, keeps a small k or beta from
-    shrinking the expansion degree.  The margin sums sum_l r^l
-    Bohr(f_l, r), so prepare states (K / (1 - r), s + 1) at its grid's
-    one radius r (_expansion_degree).
+    2^s C k); the 1 keeps a small k or beta from shrinking the expansion
+    degree.  The margin sums sum_l r^l Bohr(f_l, r), so prepare states
+    (K / (1 - r), s + 1) at its grid's one radius r (_expansion_degree).
     """
     fam = RadiusFamily(tag, k=k, p=p, **param)
     # every layer is allocated, while at radii <= 1/3 layer 63 weighs at most 3^-63
@@ -631,7 +614,7 @@ class Suite:
 
 SUITES = {suite.name: suite for suite in (
     Suite("subordination", {}, _prepare_subordination),
-    Suite("quasi", {"m_bound": 1.5, "quasi_beta": 0.9}, _prepare_quasi),
+    Suite("quasi", {"quasi_beta": 0.9}, _prepare_quasi),
     Suite("von-neumann", {}, _prepare_von_neumann),
     *(Suite(f"poly-{tag}", {"k": 1.0, "p": 2, **param},
             functools.partial(_prepare_poly, tag, layer))

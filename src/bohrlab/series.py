@@ -21,6 +21,9 @@ import numpy as np
 
 from .opmat import NumericalError, op_norms
 
+# _BohrGrid.tail sums at most this many class bounds one by one.
+_MAX_SUMMED_BOUNDS = 2**12
+
 __all__ = [
     "MatrixSeries",
     "Majorant",
@@ -304,8 +307,8 @@ class Majorant:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
             lo, hi, certified = _BohrGrid(radii).layered(self.layers)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise NumericalError("a Bohr sum is not finite: it overflows, or a growth class "
-                                 "has no geometric tail bound at a radius")
+            raise NumericalError("a Bohr sum is not finite: it overflows, or a radius is "
+                                 "too close to 1 for a growth class's tail bound")
         return lo, hi, certified
 
 
@@ -315,7 +318,8 @@ class _BohrGrid:
     The Vandermonde table [r^n] for N + 1 norms, and the allowance of a
     class (C, s) past them, are computed at the first sum that needs them
     and kept, so a campaign that sums many series on one grid computes
-    each once.
+    each once.  A campaign clears the allowances, in tails, after each
+    block of trials (harness._margin).
     """
 
     def __init__(self, radii):
@@ -326,7 +330,8 @@ class _BohrGrid:
         if outside.size:
             raise ValueError(f"radius must lie in [0, 1), got {float(outside[0])}")
         self.r = r
-        self._tables = {}  # by N + 1, and by (N + 1, C, s) for allowances
+        self._tables = {}  # Vandermonde tables by N + 1
+        self.tails = {}  # allowances by (N + 1, C, s)
 
     def bohr(self, norms: np.ndarray, growth: tuple | None) -> tuple:
         """(lo, hi) of sum_n norms[n] r^n at every radius.
@@ -347,27 +352,37 @@ class _BohrGrid:
         if growth is None:
             return lo, lo
         key = (size, *growth)
-        tail = self._tables.get(key)
+        tail = self.tails.get(key)
         if tail is None:
-            tail = self._tables[key] = self.tail(size, *growth)
+            tail = self.tails[key] = self.tail(size, *growth)
         return lo, lo + tail
 
     def tail(self, size, bound: float, exponent: float = 0) -> np.ndarray:
         """The tail allowance at every radius: what the terms past size
         norms can add when norm n is at most C (n+1)^s, for the growth
-        class (C, s) = (bound, exponent).  The ratio of consecutive
-        bounds, r ((n+2)/(n+1))^s, decreases in n, so past size it is at
-        most q = r ((size+2)/(size+1))^s, and the terms sum to at most the
-        geometric series C (size+1)^s r^size / (1 - q); inf where q >= 1,
-        as no geometric bound holds there.  At s = 0 both powers are 1.0
-        and q = r < 1, so this is C r^size / (1 - r), the allowance of a
-        constant bound C, bit for bit.  size may be an array of sizes
-        that broadcasts against the grid's radii.
+        class (C, s) = (bound, exponent), so term n at most b_n = C
+        (n+1)^s r^n.  The ratio q_n = r ((n+2)/(n+1))^s of consecutive
+        bounds decreases in n to r, so where q = q_size < 1 the terms
+        sum to at most the geometric series b_size / (1 - q); at s = 0
+        both powers are 1.0 and this is C r^size / (1 - r), the allowance
+        of a constant bound C, bit for bit.  Where q >= 1 the bounds are
+        summed one by one up to the first m with q_m < 1, and b_m / (1 -
+        q_m) is added; inf if m lies more than _MAX_SUMMED_BOUNDS past
+        size (r within about s / 2^12 of 1).  size may be an array of
+        sizes that broadcasts against the grid's radii.
         """
         first = bound * (size + 1.0) ** exponent * self.r**size
         ratio = self.r * ((size + 2.0) / (size + 1.0)) ** exponent
-        return np.divide(first, 1.0 - ratio, out=np.full(np.shape(first), np.inf),
+        tail = np.divide(first, 1.0 - ratio, out=np.full(np.shape(first), np.inf),
                          where=ratio < 1.0)
+        for i in zip(*np.nonzero(ratio >= 1.0)):
+            n, r = (np.broadcast_to(a, tail.shape)[i] for a in (size, self.r))
+            n = n + np.arange(_MAX_SUMMED_BOUNDS + 1.0)
+            q = r * ((n + 2.0) / (n + 1.0)) ** exponent
+            m = int(np.argmax(q < 1.0))
+            b = bound * (n[: m + 1] + 1.0) ** exponent * r ** n[: m + 1]
+            tail[i] = b[:m].sum() + b[m] / (1.0 - q[m]) if q[m] < 1.0 else math.inf
+        return tail
 
     def layered(self, layers) -> tuple:
         """(lo, hi, certified) of sum_l r^l * (Bohr sum of layer l) at

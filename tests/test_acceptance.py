@@ -89,14 +89,14 @@ def test_criterion_03_subordination_campaign():
 def test_criterion_04_quasi_subordination_campaigns():
     t0 = time.perf_counter()
     results = []
-    for m_bound, beta in ((1.0, 1.0), (1.5, 0.9), (2.0, 0.5)):
+    for beta in (1.0, 0.9, 0.5):
         cfg = B.CampaignConfig(suite="quasi", trials=200, seed=4, dim=3,
                                degree=64, tolerance=1e-8)
-        rep = B.run_campaign(cfg, m_bound=m_bound, quasi_beta=beta)
-        results.append((m_bound, beta, rep))
-    ok = all(rep.passed for _, _, rep in results)
-    detail = "; ".join(f"(M={m},beta={b}): {rep.pass_count}/200 min {rep.min_margin:.1e}"
-                       for m, b, rep in results)
+        rep = B.run_campaign(cfg, quasi_beta=beta)
+        results.append((beta, rep))
+    ok = all(rep.passed for _, rep in results)
+    detail = "; ".join(f"(beta={b}): {rep.pass_count}/200 min {rep.min_margin:.1e}"
+                       for b, rep in results)
     _report(4, ok, f"{detail} ({time.perf_counter() - t0:.1f}s)")
 
 

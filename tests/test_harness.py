@@ -3,6 +3,7 @@ sharpness scans, radius tables."""
 
 import csv
 import glob
+import itertools
 import json
 import math
 import os
@@ -207,7 +208,7 @@ def test_block_margins_are_the_per_series_formulas_bit_for_bit(tmp_path, monkeyp
 
     monkeypatch.setattr(harness, "_margin", recording_margin)
     config = small_config(tmp_path, suite, trials=b, dim=dim, degree=degree, seed=3)
-    report = run_campaign(config, **({"m_bound": 2.0} if suite == "quasi" else {}))
+    report = run_campaign(config)
     assert len(calls) == 1
     pairs, radii, margins = calls[0]
     assert len(pairs) == b
@@ -265,14 +266,31 @@ def test_subordination_campaign_passes(tmp_path):
 
 
 def test_quasi_campaign_passes_across_parameters(tmp_path):
-    for m_bound, beta in ((1.0, 1.0), (1.5, 0.9), (2.0, 0.5)):
+    for beta in (1.0, 0.9, 0.5):
         cfg = small_config(tmp_path, "quasi")
-        report = run_campaign(cfg, m_bound=m_bound, quasi_beta=beta)
-        assert report.passed, (m_bound, beta)
-        assert report.config["m_bound"] == m_bound
+        report = run_campaign(cfg, quasi_beta=beta)
+        assert report.passed, beta
+        assert report.config["beta"] == beta
         assert report.config["r_max"] == pytest.approx(beta / 3)
     with pytest.raises(ValueError):
         run_campaign(small_config(tmp_path, "quasi"), quasi_beta=1.5)
+
+
+def test_a_campaigns_grid_caches_one_block_of_allowances_at_most(tmp_path):
+    # a convex target's class (beta, 0) is new in every trial, so a grid
+    # that kept every class allowance would hold more arrays the more
+    # trials it ran; _margin drops them after each block, and a fresh
+    # grid per block gives the same bits
+    config = small_config(tmp_path, "quasi", dim=3, degree=64)
+    _, grid, draw, degree = harness._prepare(config, SUITES["quasi"].options)
+    cached = []
+    for first in range(0, 200, 20):
+        indices = range(first, first + 20)
+        trials = harness._trials(draw, degree, grid, config.seed, indices)
+        assert trials == harness._trials(draw, degree, _BohrGrid(grid.r), config.seed, indices)
+        # every array the grid caches, in whichever of its dicts
+        cached.append(sum(len(d) for d in vars(grid).values() if isinstance(d, dict)))
+    assert cached == [1] * 10
 
 
 def test_quasi_trials_are_subordinations_draws(tmp_path):
@@ -283,15 +301,18 @@ def test_quasi_trials_are_subordinations_draws(tmp_path):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 8])
-@pytest.mark.parametrize("m_bound, beta", [(1.5, 0.9), (2.0, 0.5), (1.5, 0.2)])
-def test_quasi_margins_are_those_of_the_original_variable(tmp_path, dim, m_bound, beta):
-    # the reference margin in z: h = m_bound s(z / beta), whose coefficient
-    # n is m_bound beta^-n s_n, times g o phi against m_bound g on
-    # default_grid(beta / 3), from the same draws
+@pytest.mark.parametrize("scale, beta", [(1.5, 0.9), (2.0, 0.5), (1.5, 0.2)])
+def test_quasi_margins_are_those_of_the_original_variable(tmp_path, dim, scale, beta):
+    # the reference margin in z: h = s(z / beta), whose coefficient n is
+    # beta^-n s_n, times g o phi against g on default_grid(beta / 3),
+    # from the same draws.  A multiplier bound M, h = M s(z / beta)
+    # against M g, would scale the margin by M, as a Bohr sum is
+    # positively homogeneous: the reference at M = scale is scale times
+    # the campaign's margin
     config = small_config(tmp_path, "quasi", trials=12, dim=dim, degree=64)
-    report = run_campaign(config, m_bound=m_bound, quasi_beta=beta)
-    *_, draw = SUITES["quasi"].prepare(config, m_bound=m_bound, quasi_beta=beta)
-    weights = m_bound * beta ** -np.arange(config.degree + 1.0)
+    report = run_campaign(config, quasi_beta=beta)
+    *_, draw = SUITES["quasi"].prepare(config, quasi_beta=beta)
+    weights = beta ** -np.arange(config.degree + 1.0)
     grid = default_grid(beta / 3.0)
     for record in report.records:
         params, draws, _ = draw(harness._trial_rng(config.seed, record.index), config.degree)
@@ -299,10 +320,12 @@ def test_quasi_margins_are_those_of_the_original_variable(tmp_path, dim, m_bound
         g = (target[0] if params["target"] == "schur"
              else convex_model(params["beta"], config.degree) if params["target"] == "convex"
              else starlike_from_q(complex(*params["u"]), config.degree))
-        f = mul(MatrixSeries(s.coeffs * weights[:, None, None]), harness._subordinate(g, phi))
-        margin = np.min(m_bound * majorant(g).bohr(grid)[0] - majorant(f).bohr(grid)[1])
+        fg = harness._subordinate(g, phi)
+        for m in (1.0, scale):
+            f = mul(MatrixSeries(s.coeffs * (m * weights)[:, None, None]), fg)
+            margin = np.min(m * majorant(g).bohr(grid)[0] - majorant(f).bohr(grid)[1])
+            assert m * record.worst_margin == pytest.approx(margin, rel=0, abs=1e-12 * m)
         assert params == record.params
-        assert record.worst_margin == pytest.approx(margin, rel=0, abs=1e-12)
 
 
 def test_von_neumann_campaign_passes(tmp_path):
@@ -440,7 +463,7 @@ def test_replay_rejects_a_malformed_file(tmp_path):
 
 @pytest.mark.parametrize("suite, options", [
     *(pytest.param(suite, {}, id=suite) for suite in SUITES),
-    pytest.param("quasi", dict(m_bound=2.0, quasi_beta=0.5), id="quasi-m_bound-2-beta-0.5"),
+    pytest.param("quasi", dict(quasi_beta=0.5), id="quasi-beta-0.5"),
     pytest.param("poly-convex", dict(beta=0.5, k=0.5), id="poly-convex-beta-0.5-k-0.5"),
     pytest.param("poly-starlike", dict(p=5), id="poly-starlike-p-5"),
 ])
@@ -528,7 +551,7 @@ def test_von_neumann_expands_to_38_whatever_degree_allows_more(tmp_path, dim):
 
 # Each suite's expansion degree at its default options and radii: the
 # poly suites' at k = 1, p = 2.
-EXPANSION_DEGREES = {"von-neumann": 38, "subordination": 42, "quasi": 46,
+EXPANSION_DEGREES = {"von-neumann": 38, "subordination": 42, "quasi": 45,
                      "poly-general": 42, "poly-convex": 42, "poly-starlike": 46}
 
 # The poly configs of the benchmark's poly-d3 workload (k = 1) and their
@@ -587,25 +610,6 @@ def test_poly_suites_expand_only_as_far_as_their_class_needs(tmp_path, monkeypat
     _expands_only_as_far_as_its_class_needs(tmp_path, monkeypatch, suite, dim, expanded, options)
 
 
-@pytest.mark.parametrize("m_bound", (1e-20, 1e-6, 0.5))
-def test_a_small_m_bound_keeps_quasis_expansion_degree(tmp_path, monkeypatch, m_bound):
-    # quasi's class (2 max(1, m_bound), 2) expands any m_bound <= 1 to 45,
-    # where sums of size m_bound still match the full expansion to
-    # within 1e-12 of m_bound, and failure files replay there
-    cfg = small_config(tmp_path, "quasi", trials=8, dim=3, degree=64, tolerance=-10.0)
-    report = run_campaign(cfg, m_bound=m_bound)
-    assert report.config["expansion_degree"] == 45 and report.pass_count == 0
-    for record in report.records:
-        with open(tmp_path / f"quasi-failure-{record.index:05d}.json") as fh:
-            assert replay(json.load(fh)) == (record.worst_margin, record.certified, record.width)
-    monkeypatch.setattr(harness, "_expansion_degree", lambda degree, grid, growth: degree)
-    full = run_campaign(cfg, m_bound=m_bound)
-    for ours, theirs in zip(report.records, full.records):
-        assert (ours.params, ours.certified, ours.width.hex()) == (
-            theirs.params, theirs.certified, theirs.width.hex())
-        assert ours.worst_margin == pytest.approx(theirs.worst_margin, rel=0, abs=1e-12 * m_bound)
-
-
 def test_expansion_stops_at_each_suites_own_degree(tmp_path, monkeypatch):
     # every suite expands to its own N; at --degree <= N a suite expands
     # to --degree, so its echo, records and nonzero low-degree widths are
@@ -618,7 +622,7 @@ def test_expansion_stops_at_each_suites_own_degree(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "expand", recording_expand)
     for suite in SUITES:
-        for degree in (16, 38, 39, 42, 43, 46, 47, 64):
+        for degree in (16, 38, 39, 42, 43, 45, 46, 47, 64):
             degrees.clear()
             report = run_campaign(small_config(tmp_path, suite, trials=2, degree=degree))
             expanded = min(degree, EXPANSION_DEGREES[suite])
@@ -700,24 +704,22 @@ def _tail_exact(tail_bound, exponent, r, size, terms):
        st.one_of(st.just(0.0), st.floats(1e-3, 0.9)), st.integers(1, 80))
 def test_the_class_tail_dominates_the_sum_it_bounds(tail_bound, exponent, r, size):
     # grid.tail(size, C, s) bounds sum_{n >= size} C (n+1)^s r^n: the
-    # first K terms are summed exactly, and the rest, where the ratio of
-    # consecutive terms is at most q_K = r ((size+K+1)/(size+K))^s < 1,
-    # are at most term(size+K) / (1 - q_K), a proven remainder.  Where
-    # the class's own ratio q reaches 1 the allowance is inf.  The
-    # allowance is rounded, and 1 - q by a few ulps of 1, so it gets a
-    # relative 1e-12 / (1 - q); C and r stay clear of underflow
+    # terms up to 8 past m, the first n >= size whose ratio q_n = r
+    # ((n+2)/(n+1))^s is below 1 (m = size unless the class's own ratio
+    # q_size reaches 1), are summed exactly, and the rest, where the
+    # ratio of consecutive terms is at most q_{m+8} < 1, are at most
+    # term(m+8) / (1 - q_{m+8}), a proven remainder.  The allowance is
+    # rounded, and 1 - q_m by a few ulps of 1, so it gets a relative
+    # 1e-12 / (1 - q_m); C and r stay clear of underflow
     tail = _BohrGrid([r]).tail(size, tail_bound, exponent)[0]
-    q = r * ((size + 2) / (size + 1)) ** exponent
-    if q >= 1.0:
-        assert tail == math.inf
-        return
-    terms = 8
-    m = size + terms
-    q_rest = Fraction(r) * Fraction(m + 2, m + 1) ** exponent
-    remainder = Fraction(tail_bound) * (m + 1) ** exponent * Fraction(r) ** m / (1 - q_rest)
+    m = next(n for n in itertools.count(size) if r * ((n + 2) / (n + 1)) ** exponent < 1.0)
+    q = r * ((m + 2) / (m + 1)) ** exponent
+    end = m + 8
+    q_rest = Fraction(r) * Fraction(end + 2, end + 1) ** exponent
+    remainder = Fraction(tail_bound) * (end + 1) ** exponent * Fraction(r) ** end / (1 - q_rest)
     assert math.isfinite(tail) and tail >= 0.0
     assert Fraction(tail) * (1 + Fraction(1e-12 / (1.0 - q))) >= (
-        _tail_exact(tail_bound, exponent, r, size, terms) + remainder)
+        _tail_exact(tail_bound, exponent, r, size, end - size) + remainder)
 
 
 @pytest.mark.parametrize("size", (1, 2, 17, 39, 65, 129))
@@ -739,11 +741,10 @@ TINY_RADIUS_LAMBDA = 49999999.499
 
 def _suite_grids():
     """The (radii, growth class) pairs the suites' prepare states, at
-    their default options, at quasi's extreme m_bound and at a poly
-    grid radius below 2^-60."""
+    their default options, at another quasi beta and at a poly grid
+    radius below 2^-60."""
     cases = [(suite, suite.options) for suite in SUITES.values()]
-    cases += [(SUITES["quasi"], dict(m_bound=m_bound, quasi_beta=0.5))
-              for m_bound in (1e-20, 0.1, 1e6)]
+    cases += [(SUITES["quasi"], dict(quasi_beta=0.5))]
     cases += [(SUITES["poly-general"], dict(lam=TINY_RADIUS_LAMBDA, k=1.0, p=2))]
     return [suite.prepare(CampaignConfig(suite.name, dim=3, degree=64), **options)[1:3]
             for suite, options in cases]
@@ -836,12 +837,12 @@ def test_a_subordinate_carries_its_targets_certificate(dim):
         assert _within_class(f) and _within_class(g)
         cap = n if params["target"] == "starlike" else f.growth[0]
         assert np.all(op_norms(f.coeffs) <= cap * (1.0 + CLASS_SLACK))
-        # quasi's finish, with m_bound 1 and the multiplier s = 1, gives
-        # the dilated pair (f(beta .), g(beta .)): the dilated g keeps g's
-        # class, the product with s, in (1, 0), adds a power by mul's
-        # rule, and coefficient n of each meets beta^n times f's cap
+        # quasi's finish, with the multiplier s = 1, gives the dilated
+        # pair (f(beta .), g(beta .)): the dilated g keeps g's class, the
+        # product with s, in (1, 0), adds a power by mul's rule, and
+        # coefficient n of each meets beta^n times f's cap
         beta = (0.9, 0.5, 0.2)[index % 3]
-        *_, draw = SUITES["quasi"].prepare(config, m_bound=1.0, quasi_beta=beta)
+        *_, draw = SUITES["quasi"].prepare(config, quasi_beta=beta)
         _, draws, finish = draw(np.random.default_rng([dim, index]), config.degree)
         value, bound = finish(*expand(draws[:-1], config.degree), MatrixSeries(unit, (1.0, 0)))
         assert (value.growth, bound.growth) == ((g.growth[0], g.growth[1] + 1), g.growth)
@@ -903,22 +904,20 @@ def test_the_layers_of_build_polyanalytic_keep_their_classes(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_series_in_class(degree=24), st.floats(0.05, 1.0), st.floats(1e-3, 1e3))
-def test_quasis_dilation_keeps_its_input_in_its_class(g, quasi_beta, m_bound):
-    # quasi's bound is the target g dilated by beta^n and scaled by
-    # m_bound, which carries (m_bound C, s) for g in (C, s), beta <= 1;
-    # fed a Schur trial's finish in place of the Schur target, any g
-    # within its class gives a bound within the carried one
+@given(_series_in_class(degree=24), st.floats(0.05, 1.0))
+def test_quasis_dilation_keeps_its_input_in_its_class(g, quasi_beta):
+    # quasi's bound is the target g dilated by beta^n, which carries g's
+    # class (C, s), as beta <= 1; fed a Schur trial's finish in place of
+    # the Schur target, any g within its class gives a bound within it
     config = CampaignConfig("quasi", dim=g.dim, degree=24)
-    *_, draw = SUITES["quasi"].prepare(config, m_bound=m_bound, quasi_beta=quasi_beta)
+    *_, draw = SUITES["quasi"].prepare(config, quasi_beta=quasi_beta)
     index = next(i for i in range(100) if draw(harness._trial_rng(0, i), 24)[0] == {
         "target": "schur"})
     _, draws, finish = draw(harness._trial_rng(0, index), 24)
     phi, _, s = expand(draws, 24)
     _, bound = finish(phi, g, s)
-    assert bound.growth == (m_bound * g.growth[0], g.growth[1])
-    assert np.array_equal(bound.coeffs,
-                          g.coeffs * (m_bound * quasi_beta ** np.arange(25.0))[:, None, None])
+    assert bound.growth == g.growth
+    assert np.array_equal(bound.coeffs, g.coeffs * quasi_beta ** np.arange(25.0)[:, None, None])
     assert _within_class(bound)
 
 

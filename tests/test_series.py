@@ -11,13 +11,14 @@ from bohrlab.opmat import NumericalError, op_norms
 from bohrlab.series import (
     Majorant,
     MatrixSeries,
+    _BohrGrid,
     compose,
     derivative,
     majorant,
     mul,
     scalar_series,
 )
-from bohrlab.zoo import PolyanalyticFn
+from bohrlab.zoo import PolyanalyticFn, starlike_from_q
 
 SETTINGS = settings(max_examples=60, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -259,6 +260,38 @@ def test_bohr_overflow_is_a_numerical_error():
         with pytest.raises(NumericalError, match="not finite"), warnings.catch_warnings():
             warnings.simplefilter("error")
             Majorant(layers).bohr([0.0, 0.9])
+
+
+def test_a_class_whose_ratio_reaches_1_sums_its_bounds_to_a_finite_tail():
+    # z / (1 - z/2)^2, starlike in the class (1, 1), at degree 1: at r =
+    # 0.9 the class's ratio r (n+2)/(n+1) is at least 1 up to n = 8, so
+    # its bounds are summed to n = 8 before the geometric tail from n =
+    # 9.  The enclosure is finite and certified, and contains the one at
+    # degree 40.  A radius within about s / 2^12 of 1 would need more
+    # bounds summed than the tail takes, and stays a numerical error
+    lo, hi, certified = majorant(starlike_from_q(0.5, 1)).bohr([0.9])
+    lo40, hi40, _ = majorant(starlike_from_q(0.5, 40)).bohr([0.9])
+    assert certified and np.isfinite(hi).all()
+    assert lo <= lo40 <= hi40 <= hi
+    with pytest.raises(NumericalError, match="too close to 1"):
+        majorant(starlike_from_q(0.5, 1)).bohr([0.9999])
+
+
+@SETTINGS
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=40),
+       st.floats(1e-3, 1e3), st.integers(0, 3), st.floats(1e-3, 1e3),
+       st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 0.95)), min_size=1, max_size=5))
+def test_a_bohr_sum_is_positively_homogeneous(norms, bound, exponent, c, radii):
+    # for c > 0, c F has norms c ||A_n|| and the class (c C, s), and both
+    # ends of its Bohr sum are c times those of F, up to the rounding of
+    # a sum of nonnegative terms: so a quasi trial with a multiplier
+    # bound M would be M times the trial at 1
+    norms = np.array(norms)
+    lo, hi = _BohrGrid(radii).bohr(norms, (bound, exponent))
+    c_lo, c_hi = _BohrGrid(radii).bohr(c * norms, (c * bound, exponent))
+    ulps = (norms.size + 4) * np.finfo(float).eps
+    np.testing.assert_allclose(c_lo, c * lo, rtol=ulps, atol=0)
+    np.testing.assert_allclose(c_hi, c * hi, rtol=ulps, atol=0)
 
 
 def test_majorant_values():
