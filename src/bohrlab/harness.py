@@ -391,9 +391,9 @@ def replay(dump: dict) -> tuple:
     stream and the current zoo.expand, at the expansion degree _prepare
     gives.  A missing, mistyped or invalid entry (a record's
     worst_margin, certified and width must be a float, a bool and a
-    float), or a suite, record seed, params, passed, options or suite
-    echo entries (the expansion degree included) other than
-    run_campaign would write, is a ValueError."""
+    float), or a suite, record seed, params, passed, options, config
+    key or suite echo entries (the expansion degree included) other
+    than run_campaign would write, is a ValueError."""
     try:
         _, echo, options, record = (dump[key] for key in ("suite", "config", "options", "record"))
         config = CampaignConfig(**{f.name: echo[f.name] for f in dataclasses.fields(CampaignConfig)
@@ -406,6 +406,10 @@ def replay(dump: dict) -> tuple:
     except (KeyError, TypeError, ValueError) as exc:  # a key missing, an entry refused
         raise ValueError(f"malformed failure file: {exc!r}") from None
     extra, echoed = json.loads(json.dumps(extra)), {key: echo.get(key) for key in extra}
+    unknown = sorted(set(echo) - {f.name for f in dataclasses.fields(CampaignConfig)} - set(extra))
+    if unknown:
+        raise ValueError(f"malformed failure file: config keys {unknown!r} are neither "
+                         f"CampaignConfig's fields nor prepare's entries {sorted(extra)!r}")
     if (options, echoed) != (completed, extra):
         raise ValueError(f"malformed failure file: options {options!r} and config entries "
                          f"{echoed!r} are not the completed {completed!r} and prepare's {extra!r}")

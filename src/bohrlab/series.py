@@ -366,10 +366,12 @@ class _BohrGrid:
         sum to at most the geometric series b_size / (1 - q); at s = 0
         both powers are 1.0 and this is C r^size / (1 - r), the allowance
         of a constant bound C, bit for bit.  Where q >= 1 the bounds are
-        summed one by one up to the first m with q_m < 1, and b_m / (1 -
-        q_m) is added; inf if m lies more than _MAX_SUMMED_BOUNDS past
-        size (r within about s / 2^12 of 1).  size may be an array of
-        sizes that broadcasts against the grid's radii.
+        summed one by one up to the first m with q_m <= (1 + r) / 2, and
+        b_m / (1 - q_m), at most 2 b_m / (1 - r), is added (a q_m just
+        below 1 would make that factor large).  The sum is inf if m lies
+        more than _MAX_SUMMED_BOUNDS past size (r within about 2 s / 2^12
+        of 1).  size may be an array of sizes that broadcasts against the
+        grid's radii.
         """
         first = bound * (size + 1.0) ** exponent * self.r**size
         ratio = self.r * ((size + 2.0) / (size + 1.0)) ** exponent
@@ -379,9 +381,10 @@ class _BohrGrid:
             n, r = (np.broadcast_to(a, tail.shape)[i] for a in (size, self.r))
             n = n + np.arange(_MAX_SUMMED_BOUNDS + 1.0)
             q = r * ((n + 2.0) / (n + 1.0)) ** exponent
-            m = int(np.argmax(q < 1.0))
+            below = q <= (1.0 + r) / 2.0
+            m = int(np.argmax(below))
             b = bound * (n[: m + 1] + 1.0) ** exponent * r ** n[: m + 1]
-            tail[i] = b[:m].sum() + b[m] / (1.0 - q[m]) if q[m] < 1.0 else math.inf
+            tail[i] = b[:m].sum() + b[m] / (1.0 - q[m]) if below[m] else math.inf
         return tail
 
     def layered(self, layers) -> tuple:

@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+# The most zeros random_blaschke_spec draws.  _blaschke_realization pads
+# every row of lower order to it, so every drawn row has one state size.
+_DRAWN_ORDER = 4
+
+
 @dataclasses.dataclass(frozen=True)
 class BlaschkeSpec:
     """A finite Blaschke product: unimodular rotation times factors
@@ -56,10 +61,9 @@ class BlaschkeSpec:
     rotation: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        zeros = tuple(complex(a) for a in self.zeros)
+        zeros, rot = tuple(map(complex, self.zeros)), complex(self.rotation)
         if any(abs(a) >= 1.0 for a in zeros):
             raise ValueError("Blaschke zeros must satisfy |a| < 1")
-        rot = complex(self.rotation)
         if abs(abs(rot) - 1.0) > 1e-9:
             raise ValueError("rotation must have modulus 1")
         object.__setattr__(self, "zeros", zeros)
@@ -83,8 +87,8 @@ def _blaschke_realization(specs) -> tuple:
     """State-space realizations (A, B, C, D) of the given Blaschke
     products, stacked over rows: the Taylor coefficients of row i are D_i
     and C_i A_i^(n-1) B_i for n >= 1, with A of shape (rows, K, K), B and
-    C of shape (rows, K), D of shape (rows,) and K the largest of the
-    specs' orders.
+    C of shape (rows, K), D of shape (rows,) and K the larger of
+    _DRAWN_ORDER and the specs' largest order.
 
     Each factor (z - a) / (1 - conj(a) z) is the first-order section
     x' = conj(a) x + s u, y = s x - a u with s = sqrt(1 - |a|^2), whose
@@ -92,26 +96,36 @@ def _blaschke_realization(specs) -> tuple:
     the input.  The sections are chained, so the system matrix
     [[A, B], [C, D]] of the product is unitary too and ||A|| <= 1: powers
     of A never amplify rounding errors, however close the zeros lie.  A
-    row of lower order is padded with zeros, states that stay at 0.
+    row of lower order is padded to K with pass-through sections, a = -1
+    and s = 0, whose system matrix [[-1, 0], [0, 1]] is unitary as well:
+    their states stay at 0 and they add only exact zeros, so a row's
+    realization, and its bits, are the same in any call at one K.
+
+    The sections are chained one zero position at a time, with array
+    arithmetic over all rows: negation, conj, products and sqrt, with |a|
+    by hypot as in _mobius_realization.  No vectorized transcendental
+    function enters, whose rounding could depend on where an entry sits
+    in the array.
     """
-    k = max(spec.order for spec in specs)
+    k = max(_DRAWN_ORDER, *(spec.order for spec in specs))
+    pad = (-1.0 + 0.0j,) * k
+    zeros = np.array([spec.zeros + pad[spec.order :] for spec in specs], dtype=np.complex128)
+    modulus = np.hypot(zeros.real, zeros.imag)
+    s = np.sqrt(1.0 - modulus**2)
     a = np.zeros((len(specs), k, k), dtype=np.complex128)
-    b = np.zeros((len(specs), k), dtype=np.complex128)
+    b = np.empty((len(specs), k), dtype=np.complex128)
     c = np.zeros((len(specs), k), dtype=np.complex128)
-    d = np.empty(len(specs), dtype=np.complex128)
-    for i, spec in enumerate(specs):
+    d = np.array([spec.rotation for spec in specs], dtype=np.complex128)
+    for j in range(k):
         # chaining section j: x_j' = conj(a) x_j + s (C x + D u), and the
         # output becomes s x_j - a (C x + D u)
-        ci, di = [], spec.rotation
-        for j, zero in enumerate(spec.zeros):
-            s = math.sqrt(1.0 - abs(zero) ** 2)
-            a[i, j, :j] = [s * x for x in ci]
-            a[i, j, j] = zero.conjugate()
-            b[i, j] = s * di
-            ci = [-zero * x for x in ci] + [s]
-            di = -zero * di
-        c[i, : spec.order] = ci
-        d[i] = di
+        zero, sj = zeros[:, j], s[:, j]
+        a[:, j, :j] = sj[:, None] * c[:, :j]
+        a[:, j, j] = np.conj(zero)
+        b[:, j] = sj * d
+        c[:, :j] *= -zero[:, None]
+        c[:, j] = sj
+        d = -zero * d
     return a, b, c, d
 
 
@@ -173,17 +187,23 @@ def _realization_series(a, b, c, d, degree: int) -> np.ndarray:
 
 
 def random_blaschke_spec(rng, fix_origin: bool = False) -> BlaschkeSpec:
-    """Random spec: 1..4 zeros uniform on |a| <= 0.9, uniform rotation;
-    with fix_origin the first zero is pinned at 0."""
+    """Random spec: 1.._DRAWN_ORDER zeros uniform on |a| <= 0.9, uniform
+    rotation; with fix_origin the first zero is pinned at 0.
+
+    The draws are numpy's uniform(0, 1, count) for the moduli, then
+    uniform(0, 2 pi, count) for the angles and uniform(0, 2 pi) for the
+    rotation, taken as one random(2 count + 1): uniform(0, h) is 0 + h x
+    for the same doubles x, and 0 + h x is h x, so the bits are the
+    same."""
     rng = np.random.default_rng(rng)
-    count = int(rng.integers(1, 5))
-    u = rng.uniform(0.0, 1.0, count).tolist()
-    angles = rng.uniform(0.0, 2.0 * math.pi, count).tolist()
-    zeros = [0.9 * math.sqrt(x) * cmath.exp(1j * a) for x, a in zip(u, angles)]
+    count = int(rng.integers(1, _DRAWN_ORDER + 1))
+    x = rng.random(2 * count + 1).tolist()
+    turn = 2.0 * math.pi
+    zeros = [0.9 * math.sqrt(u) * cmath.exp(1j * (turn * v))
+             for u, v in zip(x[:count], x[count:])]
     if fix_origin:
         zeros[0] = 0.0
-    rotation = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    return BlaschkeSpec(tuple(zeros), rotation)
+    return BlaschkeSpec(tuple(zeros), cmath.exp(1j * (turn * x[-1])))
 
 
 def haar_unitary(rng, dim: int) -> np.ndarray:
@@ -237,8 +257,7 @@ class SchurDraw:
     gauss holds the complex Gaussian matrices of U, and of V unless
     alpha0 is set, shape (1 or 2, d, d); alpha0 is the scalar head (V is
     then U*), else None; specs are the d Blaschke products of the
-    diagonal.  order is the state dimension the diagonal entries are
-    realized with, the largest of their orders.
+    diagonal.
     """
 
     gauss: np.ndarray
@@ -248,10 +267,6 @@ class SchurDraw:
     @property
     def dim(self) -> int:
         return len(self.specs)
-
-    @property
-    def order(self) -> int:
-        return max(spec.order for spec in self.specs)
 
 
 def draw_schur(rng: np.random.Generator, dim: int, *, fix_origin: bool = False,
@@ -279,35 +294,39 @@ def expand(draws, degree: int) -> list:
     specs, in the order given; all are Schur functions, so each carries
     the growth class (1, 0).
 
-    The numeric work is shared by all draws.  The Blaschke rows (a
-    spec's one, a Schur draw's d diagonal entries) are grouped by their
-    draw's order and by whether they carry a scalar head, and each group
-    is realized (_blaschke_realization, with _mobius_realization for a
+    The numeric work is shared by all draws.  Every Blaschke row (a
+    spec's one, a Schur draw's d diagonal entries) is realized at K, the
+    larger of _DRAWN_ORDER and its own order, and the rows are grouped by
+    K and by whether their draw carries a scalar head; each group is
+    realized (_blaschke_realization, with _mobius_realization for a
     head, one alpha_0 per row) and expanded (_realization_series) in one
-    call.  Rows of one order pass through the same matrix shapes in any
-    group, so every coefficient is that of the function's own expansion;
-    padding a row further would round it differently.  Then, per
-    dimension, one stacked QR gives the unitaries (_haar_from_gaussian)
-    and one einsum forms U diag(b_1..b_d) V.
+    call.  Every drawn row has K = _DRAWN_ORDER, so a block of campaign
+    trials makes at most two such calls.  A row passes through the same
+    matrix shapes in any group, so its coefficients are those of its own
+    expansion, whatever rows share its call.  Then, per dimension, one
+    stacked QR gives the unitaries (_haar_from_gaussian) and one einsum
+    forms U diag(b_1..b_d) V.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    groups, places = {}, []
+    rows, alphas, starts = [], [], []
     for draw in draws:
         specs, alpha = (((draw,), None) if isinstance(draw, BlaschkeSpec)
                         else (draw.specs, draw.alpha0))
-        key = (draw.order, alpha is not None)
-        rows, alphas = groups.setdefault(key, ([], []))
-        places.append((key, len(rows), len(rows) + len(specs)))
+        starts.append(len(rows))
         rows += specs
         alphas += [alpha] * len(specs)
-    series = {}
-    for (order, head), (rows, alphas) in groups.items():
-        realization = _blaschke_realization(rows)
+    groups = {}
+    for i, (spec, alpha) in enumerate(zip(rows, alphas)):
+        groups.setdefault((max(_DRAWN_ORDER, spec.order), alpha is not None), []).append(i)
+    series = np.empty((len(rows), degree + 1), dtype=np.complex128)
+    for (_, head), index in groups.items():
+        realization = _blaschke_realization([rows[i] for i in index])
         if head:
-            realization = _mobius_realization(np.array(alphas), *realization)
-        series[order, head] = _realization_series(*realization, degree)
-    diags = [series[key][start:stop] for key, start, stop in places]
+            realization = _mobius_realization(np.array([alphas[i] for i in index]),
+                                              *realization)
+        series[index] = _realization_series(*realization, degree)
+    diags = np.split(series, starts[1:])
 
     out = [scalar_series(diag[0], (1.0, 0)) if isinstance(draw, BlaschkeSpec) else None
            for draw, diag in zip(draws, diags)]

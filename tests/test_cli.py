@@ -566,6 +566,10 @@ def test_poly_failure_files_replay_at_their_expansion_degree(tmp_path, capsys, a
     (lambda dump: {**dump, "options": {"m_bound": 1.5, **dump["options"]},
                    "config": {"m_bound": 1.5, **dump["config"]}},
      "ValueError('no suite reads m_bound')"),
+    # ... or with only its config echo edited, and a key no campaign writes
+    (lambda dump: {**dump, "config": {"m_bound": 1.5, "bogus": 7, **dump["config"]}},
+     "config keys ['bogus', 'm_bound'] are neither CampaignConfig's fields nor prepare's "
+     "entries ['beta', 'r_max']"),
     (lambda dump: {**dump, "config": {**dump["config"], "r_max": 0.9}},
      "config entries {'beta': 0.9, 'r_max': 0.9} are not the completed {'quasi_beta': 0.9} "
      "and prepare's {'beta': 0.9, 'r_max': 0.3}"),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bohrlab import harness
+from bohrlab import harness, zoo
 from bohrlab.harness import (
     SUITES,
     CampaignConfig,
@@ -189,6 +189,35 @@ def test_block_boundaries_do_not_leak_between_trials(tmp_path, monkeypatch, suit
     full = runs[2 * b + 1]
     for k, run in runs.items():
         assert run == tuple(column[:k] for column in full)
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_a_block_makes_one_realization_per_scalar_head_kind(tmp_path, monkeypatch, suite):
+    # every drawn Blaschke row is realized at the drawn order, so each
+    # block's one expand realizes and expands its rows in at most two
+    # calls each: those without a scalar head and those with one
+    calls = []
+    expand_ = zoo.expand
+
+    def counted_expand(draws, degree):
+        calls.append({})
+        return expand_(draws, degree)
+
+    def counted(name):
+        function = getattr(zoo, name)
+
+        def call(*args):
+            calls[-1][name] = calls[-1].get(name, 0) + 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(harness, "expand", counted_expand)
+    for name in ("_blaschke_realization", "_realization_series"):
+        monkeypatch.setattr(zoo, name, counted(name))
+    run_campaign(small_config(tmp_path, suite, trials=40, dim=3, degree=64))
+    assert len(calls) > 1
+    for count in calls:
+        assert count["_blaschke_realization"] == count["_realization_series"] in (1, 2)
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
@@ -704,15 +733,18 @@ def _tail_exact(tail_bound, exponent, r, size, terms):
        st.one_of(st.just(0.0), st.floats(1e-3, 0.9)), st.integers(1, 80))
 def test_the_class_tail_dominates_the_sum_it_bounds(tail_bound, exponent, r, size):
     # grid.tail(size, C, s) bounds sum_{n >= size} C (n+1)^s r^n: the
-    # terms up to 8 past m, the first n >= size whose ratio q_n = r
-    # ((n+2)/(n+1))^s is below 1 (m = size unless the class's own ratio
-    # q_size reaches 1), are summed exactly, and the rest, where the
+    # terms up to 8 past m, where the tail's geometric bound starts, are
+    # summed exactly (m = size unless the class's own ratio q_n = r
+    # ((n+2)/(n+1))^s reaches 1 at size, and then the first n >= size
+    # with q_n <= (1 + r) / 2), and the rest, where the
     # ratio of consecutive terms is at most q_{m+8} < 1, are at most
     # term(m+8) / (1 - q_{m+8}), a proven remainder.  The allowance is
     # rounded, and 1 - q_m by a few ulps of 1, so it gets a relative
     # 1e-12 / (1 - q_m); C and r stay clear of underflow
     tail = _BohrGrid([r]).tail(size, tail_bound, exponent)[0]
-    m = next(n for n in itertools.count(size) if r * ((n + 2) / (n + 1)) ** exponent < 1.0)
+    q = r * ((size + 2) / (size + 1)) ** exponent
+    m = size if q < 1.0 else next(n for n in itertools.count(size)
+                                  if r * ((n + 2) / (n + 1)) ** exponent <= (1.0 + r) / 2.0)
     q = r * ((m + 2) / (m + 1)) ** exponent
     end = m + 8
     q_rest = Fraction(r) * Fraction(end + 2, end + 1) ** exponent

@@ -16,8 +16,12 @@ hands it to a second thread.
 The block expansion (expand) is pinned bit for bit to each function
 expanded on its own, a stack of Schur draws to consecutive
 gen_schur_matrix calls, the draws (draw_schur) to those of
-gen_schur_matrix, and random_blaschke_spec to numpy's array formula."""
+gen_schur_matrix, and random_blaschke_spec to numpy's array formula
+and to pinned bits.  A padded Blaschke row is pinned bit for bit to
+itself in any call, and to its unpadded realization within
+EXPANSION_ATOL."""
 
+import math
 import sys
 
 import numpy as np
@@ -25,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohrlab import zoo
 from bohrlab.cli import main
 from bohrlab.series import (
     _MATMUL_LIMIT,
@@ -509,9 +514,9 @@ def test_gen_schur_matrix_matches_per_entry_expansion(seed, dim, degree, fix_ori
 
 def expand_together(draws, degree):
     """Coefficients of Schur draws of one dimension and mode, all their
-    diagonal entries realized at the largest of their orders in one
-    realization, one expansion, one QR and one einsum: how
-    gen_schur_matrix expands one draw."""
+    diagonal entries realized at the drawn order in one realization, one
+    expansion, one QR and one einsum: how gen_schur_matrix expands one
+    draw."""
     dim, head = draws[0].dim, draws[0].alpha0 is not None
     realization = _blaschke_realization([spec for d in draws for spec in d.specs])
     if head:
@@ -530,9 +535,9 @@ SCHUR_MODES = [(False, False), (True, False), (False, True)]
 def test_expand_of_a_mixed_list_is_each_function_expanded_alone(seed):
     # inner maps and plain, fix_origin and scalar_head Schur draws of
     # dims 1, 2, 3 and 8, with Blaschke rows of orders 1..4, in one
-    # shuffled list: expand groups the rows by their draw's order and
-    # head, and every coefficient is the one of the function's own
-    # expansion
+    # shuffled list: expand realizes every row at the drawn order, in
+    # one group per head, and every coefficient is the one of the
+    # function's own expansion
     rng = np.random.default_rng(seed)
     draws, expected = [], []
     for dim in (1, 2, 3, 8):
@@ -552,7 +557,7 @@ def test_expand_of_a_mixed_list_is_each_function_expanded_alone(seed):
             spec = BlaschkeSpec(tuple(zeros), np.exp(2j * np.pi * rng.uniform()))
             draws.append(spec)
             expected.append(blaschke_series(spec, 64).coeffs)
-    assert {d.order for d in draws} == {1, 2, 3, 4}
+    assert {spec.order for d in draws for spec in getattr(d, "specs", (d,))} == {1, 2, 3, 4}
     perm = rng.permutation(len(draws))
     out = expand([draws[i] for i in perm], 64)
     for i, f in zip(perm, out):
@@ -604,17 +609,149 @@ def test_draw_schur_makes_gen_schur_matrix_draws(dim, fix_origin, scalar_head):
         assert rng.bit_generator.state == reference.bit_generator.state
         assert draw.alpha0 == alpha0 and draw.specs == tuple(specs)
         assert draw.gauss.shape == (1 if scalar_head else 2, dim, dim)
-        assert draw.order == max(spec.order for spec in specs)
 
 
 def test_realization_series_of_rows_with_different_orders():
-    # rows of lower order are padded; a spec without zeros is a constant
+    # rows of lower order are padded to the drawn order 4 with
+    # pass-through sections (a = -1, s = 0): their states keep A's
+    # diagonal -1 and nothing else, and a spec without zeros is a constant
     specs = [BlaschkeSpec(()), BlaschkeSpec((0.0,), 1j), BlaschkeSpec((0.5, -0.3j, 0.2 + 0.7j))]
-    rows = _realization_series(*_blaschke_realization(specs), 40)
+    a, b, c, d = _blaschke_realization(specs)
+    assert a.shape == (3, 4, 4) and b.shape == c.shape == (3, 4)
+    for i, spec in enumerate(specs):
+        pad = slice(spec.order, None)
+        assert np.array_equal(a[i, pad], -np.eye(4)[pad])
+        assert not (a[i, :, pad] + np.eye(4)[:, pad]).any()
+        assert not b[i, pad].any() and not c[i, pad].any()
+    rows = _realization_series(a, b, c, d, 40)
     for row, spec in zip(rows, specs):
         np.testing.assert_allclose(row, blaschke_reference(spec, 40), rtol=0, atol=EXPANSION_ATOL)
     assert np.array_equal(rows[0], np.eye(1, 41)[0])
     assert np.array_equal(rows[1], 1j * np.eye(1, 41, 1)[0])
+
+
+def blaschke_realization_loop(spec):
+    """The realization of one spec at its own order, unpadded, section
+    by section in Python scalars: _blaschke_realization's reference."""
+    k = spec.order
+    a = np.zeros((1, k, k), dtype=np.complex128)
+    b = np.zeros((1, k), dtype=np.complex128)
+    ci, di = [], spec.rotation
+    for j, zero in enumerate(spec.zeros):
+        s = math.sqrt(1.0 - abs(zero) ** 2)
+        a[0, j, :j] = [s * x for x in ci]
+        a[0, j, j] = zero.conjugate()
+        b[0, j] = s * di
+        ci = [-zero * x for x in ci] + [s]
+        di = -zero * di
+    return a, b, np.array([ci], dtype=np.complex128).reshape(1, k), np.array([di])
+
+
+def drawn_rows(rng, count):
+    """count random specs of orders 1..4, origin-fixed or not."""
+    return [random_blaschke_spec(rng, fix_origin=bool(rng.integers(2))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("head", (False, True))
+@pytest.mark.parametrize("seed", range(4))
+def test_a_padded_row_has_its_bits_whatever_rows_share_its_call(seed, head):
+    # rows of orders 1..4 realized and expanded among shuffled
+    # neighbours, among rows of other orders only, or alone: every row's
+    # coefficients are the same bits in each call, and match its
+    # unpadded realization (the loop above) within EXPANSION_ATOL
+    rng = np.random.default_rng([seed, head])
+    rows = drawn_rows(rng, 40)
+    rows = [BlaschkeSpec((0.0,) + spec.zeros[1:], spec.rotation) if head else spec
+            for spec in rows]
+    alphas = 0.9 * np.sqrt(rng.uniform(size=len(rows))) * np.exp(2j * np.pi
+                                                                 * rng.uniform(size=len(rows)))
+    assert {spec.order for spec in rows} == {1, 2, 3, 4}
+
+    def expanded(index, degree=64):
+        realization = _blaschke_realization([rows[i] for i in index])
+        if head:
+            realization = _mobius_realization(alphas[index], *realization)
+        return _realization_series(*realization, degree)
+
+    together = expanded(np.arange(len(rows)))
+    for i, spec in enumerate(rows):
+        others = [j for j in rng.permutation(len(rows)) if rows[j].order != spec.order]
+        index = np.array(others[:7] + [i] + others[7:12])
+        assert np.array_equal(expanded(index)[7], together[i])
+        assert np.array_equal(expanded(np.array([i]))[0], together[i])
+        shuffled = rng.permutation(len(rows))
+        assert np.array_equal(expanded(shuffled)[np.argmax(shuffled == i)], together[i])
+        realization = blaschke_realization_loop(spec)
+        if head:
+            realization = _mobius_realization(alphas[i], *realization)
+        np.testing.assert_allclose(together[i], _realization_series(*realization, 64)[0],
+                                   rtol=0, atol=EXPANSION_ATOL)
+
+
+def test_a_hand_built_row_above_the_drawn_order_expands_in_its_own_group(monkeypatch):
+    # a spec of order 6 is realized at K = 6, apart from the drawn rows,
+    # which share one call at K = 4; it still matches the per-factor
+    # convolution, and is the same bits alone as beside drawn rows
+    zeros = tuple(0.8 * np.exp(2j * np.pi * np.arange(6) / 6) * np.linspace(0.5, 1.0, 6))
+    spec = BlaschkeSpec(zeros, 1j)
+    calls = []
+    realization = _blaschke_realization
+
+    def recording(specs):
+        calls.append(sorted(spec.order for spec in specs))
+        return realization(specs)
+
+    monkeypatch.setattr(zoo, "_blaschke_realization", recording)
+    drawn = drawn_rows(np.random.default_rng(6), 5)
+    out = expand([drawn[0], spec, *drawn[1:]], 64)
+    assert len(calls) == 2 and [6] in calls
+    np.testing.assert_allclose(out[1].coeffs[:, 0, 0], blaschke_reference(spec, 64),
+                               rtol=0, atol=EXPANSION_ATOL)
+    assert np.array_equal(out[1].coeffs, blaschke_series(spec, 64).coeffs)
+
+
+# random_blaschke_spec(np.random.default_rng(seed)) for seeds 1, 2 and 3:
+# its zeros and rotation as float.hex pairs (real, imag).  With fix_origin
+# the same draws give the same spec with its first zero at 0.
+DRAWN_SPECS = {
+    1: ([("0x1.aa0f9f64c1f6ep-1", "-0x1.1ce3494a229f0p-2"),
+         ("-0x1.0918999dbc8d7p-3", "0x1.43d7187c6f256p-2")],
+        ("-0x1.c5b9d945a7c68p-1", "0x1.da745317a43f3p-2")),
+    2: ([("-0x1.0e7ce90ecf6eap-4", "-0x1.f2f2d6a6d3ca4p-2"),
+         ("0x1.3c4d7db205149p-2", "0x1.808c9a30e8a33p-1"),
+         ("0x1.06cd3e4cab0eap-2", "0x1.7b8d58c6dbb1bp-4"),
+         ("-0x1.be305fe2280f2p-4", "0x1.609478ab638fdp-1")],
+        ("-0x1.19479ec6ca331p-1", "-0x1.abd0a5467d566p-1")),
+    3: ([("-0x1.997847b8918ddp-2", "0x1.6de38205af8eep-3"),
+         ("-0x1.98e989871fb65p-1", "0x1.b1165240b6b20p-4"),
+         ("0x1.79c11a377dc36p-2", "0x1.288bdf23de491p-1"),
+         ("-0x1.b5b6205f86f7fp-6", "-0x1.196c8771feac7p-2")],
+        ("0x1.82de603c596fap-1", "0x1.4f6018a9d209ap-1")),
+}
+# draw_schur(np.random.default_rng(seed), 3, scalar_head=True).alpha0
+DRAWN_ALPHA0 = {
+    1: ("-0x1.010883087386fp-5", "0x1.9e741a59b7164p-2"),
+    2: ("0x1.bb1244a25e8b7p-3", "0x1.0a3ee7ed09711p-1"),
+    3: ("-0x1.97e2004a5f9a2p-3", "0x1.72b89a9f7f887p-1"),
+}
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_the_draw_stream_is_pinned(seed):
+    # a rewrite of the draws must keep every bit of them, or every
+    # campaign moves; a spec built by hand is still validated
+    zeros, rotation = DRAWN_SPECS[seed]
+    for fix_origin in (False, True):
+        spec = random_blaschke_spec(np.random.default_rng(seed), fix_origin=fix_origin)
+        expected = [("0x0.0p+0", "0x0.0p+0")] + zeros[1:] if fix_origin else zeros
+        assert [bits(a) for a in spec.zeros] == expected
+        assert bits(spec.rotation) == rotation
+    draw = draw_schur(np.random.default_rng(seed), 3, scalar_head=True)
+    assert bits(draw.alpha0) == DRAWN_ALPHA0[seed]
+    with pytest.raises(ValueError, match="zeros"):
+        BlaschkeSpec((1.0,))
+    with pytest.raises(ValueError, match="rotation"):
+        BlaschkeSpec((0.5,), rotation=1.0 + 1e-6)
 
 
 def rows_per_matmul(n1, m, d):

@@ -265,14 +265,18 @@ def test_bohr_overflow_is_a_numerical_error():
 def test_a_class_whose_ratio_reaches_1_sums_its_bounds_to_a_finite_tail():
     # z / (1 - z/2)^2, starlike in the class (1, 1), at degree 1: at r =
     # 0.9 the class's ratio r (n+2)/(n+1) is at least 1 up to n = 8, so
-    # its bounds are summed to n = 8 before the geometric tail from n =
-    # 9.  The enclosure is finite and certified, and contains the one at
-    # degree 40.  A radius within about s / 2^12 of 1 would need more
-    # bounds summed than the tail takes, and stays a numerical error
-    lo, hi, certified = majorant(starlike_from_q(0.5, 1)).bohr([0.9])
-    lo40, hi40, _ = majorant(starlike_from_q(0.5, 40)).bohr([0.9])
+    # its bounds are summed to n = 16 and the geometric tail starts at n
+    # = 17, the first ratio at most (1 + r) / 2 = 0.95: its factor 1 / (1
+    # - q) is 20, where n = 9's would be 100.  The enclosure is finite and certified, contains the one at degree
+    # 40, and lies within 15% of lo plus the class's own sum past n = 1,
+    # sum_{n >= 2} (n+1) r^n = 1 / (1 - r)^2 - 1 - 2r.  A radius within
+    # about 2s / 2^12 of 1 would need more bounds summed than the tail
+    # takes, and stays a numerical error
+    r = 0.9
+    lo, hi, certified = majorant(starlike_from_q(0.5, 1)).bohr([r])
+    lo40, hi40, _ = majorant(starlike_from_q(0.5, 40)).bohr([r])
     assert certified and np.isfinite(hi).all()
-    assert lo <= lo40 <= hi40 <= hi
+    assert lo <= lo40 <= hi40 <= hi <= 1.15 * (lo + 1.0 / (1.0 - r) ** 2 - 1.0 - 2.0 * r)
     with pytest.raises(NumericalError, match="too close to 1"):
         majorant(starlike_from_q(0.5, 1)).bohr([0.9999])
 
